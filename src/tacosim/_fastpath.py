@@ -14,8 +14,11 @@ reduced trading unit. Profit rows are float64 computed as
 ``b_i * (net0f + d * delta) - C`` with the same elementwise operation order
 in the numba kernel and the numpy fallback, so the two fast backends are
 bit-identical and any deviation is a bug in the fast path, not a tolerance to
-shrug off. The engine re-anchors ``net0`` from the exact board at every
-window boundary, so float error never accumulates across windows.
+shrug off. The engine anchors ``net0`` at every window boundary from its
+integer-lattice board, one correctly rounded division per cell, so ``net0``
+is the float of the exact rational net and float error never accumulates
+across windows; it builds the ``Fraction`` board only once, at the end of the
+run.
 
 Backend selection: the TACO_BACKEND environment variable ("auto", "numba",
 "numpy"; "exact" is handled by the engine) or an explicit argument. "auto"
@@ -72,8 +75,8 @@ class WindowResult:
     window-relative 1-based step at which it was first observed), "budget"
     (step allowance exhausted) or "history_cap" (too many recorded states).
     Arrays cover the turns actually taken, in order. When status is
-    "detected", the final turn's board update is pending: selcount covers
-    only the first steps-1 turns.
+    "detected" or "history_cap", the final turn's board update is pending:
+    selcount covers only the first steps-1 turns.
     """
 
     status: str
@@ -114,7 +117,13 @@ def run_window(
 def _run_window_numpy(net0f, dval, b, C, order, pos0, budget, history_cap):
     n, m = C.shape
     delta = np.zeros((n, m), dtype=np.int64)
-    selcount = np.zeros((n, m), dtype=np.int64)
+    # Per-step work is Python dispatch, so index Python lists and row views
+    # rather than the arrays themselves.
+    order_l = order.tolist()
+    b_l = b.tolist()
+    net0_rows = list(net0f)
+    delta_rows = list(delta)
+    C_rows = list(C)
     history: dict[tuple[bytes, int], int] = {}
     players: list[int] = []
     choices: list[int] = []
@@ -123,9 +132,9 @@ def _run_window_numpy(net0f, dval, b, C, order, pos0, budget, history_cap):
     status = "budget"
     s0 = -1
     while t < budget:
-        i = int(order[(pos0 + t) % n])
-        row = b[i] * (net0f[i] + dval * delta[i]) - C[i]
-        j = int(np.argmax(row))
+        i = order_l[(pos0 + t) % n]
+        row = b_l[i] * (net0_rows[i] + dval * delta_rows[i]) - C_rows[i]
+        j = int(row.argmax())
         players.append(i)
         choices.append(j)
         rows.append(row)
@@ -142,16 +151,21 @@ def _run_window_numpy(net0f, dval, b, C, order, pos0, budget, history_cap):
         history[key] = t
         delta[:, j] += 1
         delta[i, j] -= n
-        selcount[i, j] += 1
-    profit_rows = (
-        np.stack(rows) if rows else np.empty((0, m), dtype=np.float64)
-    )
+    profit_rows = np.stack(rows)  # budget > 0, so at least one turn was taken
+    del rows  # free the per-step rows before allocating the other outputs
+    # The last turn's update is pending unless the budget ran out.
+    applied = t if status == "budget" else t - 1
+    players_a = np.array(players, dtype=np.int64)
+    choices_a = np.array(choices, dtype=np.int64)
+    selcount = np.bincount(
+        players_a[:applied] * m + choices_a[:applied], minlength=n * m
+    ).reshape(n, m)
     return WindowResult(
         status=status,
         steps=t,
         s0_rel=s0,
-        players=np.array(players, dtype=np.int64),
-        choices=np.array(choices, dtype=np.int64),
+        players=players_a,
+        choices=choices_a,
         profit_rows=profit_rows,
         selcount=selcount,
     )

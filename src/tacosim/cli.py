@@ -187,7 +187,10 @@ def _finish_run(res: RunResult) -> int:
     if res.summary_path is not None:
         print(f"summary: {res.summary_path}")
     if res.failures:
-        print(f"warning: {res.failures} trial(s) hit the step cap", file=sys.stderr)
+        print(
+            f"warning: {res.failures} trial(s) hit the step cap or the state-history cap",
+            file=sys.stderr,
+        )
         return 2
     return 0
 

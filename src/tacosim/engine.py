@@ -13,9 +13,13 @@ reduced trading unit and play continues.
 Three interchangeable backends produce the same runs. "exact" is the
 reference: it advances the rational board one selection at a time through the
 board-module operations. "numpy" and "numba" run whole constant-d windows
-through the fast path (integer delta state, see _fastpath) and re-anchor the
-exact board at each window boundary, so settlements and state keys stay exact
-rationals on every backend.
+through the fast path (integer delta state, see _fastpath) on an integer-lattice
+board: with d0 = a/b and gamma = p/q, every offer and pay at epoch K is an
+integer multiple of a/(b*q^K), so the engine keeps Python ints, anchors each
+window's float net matrix by one correctly rounded integer division per cell
+(bit-identical to float of the rational), and builds the Fraction board once,
+at the end, for settlement and final_board. Settlements stay exact rationals
+on every backend.
 """
 
 from __future__ import annotations
@@ -198,7 +202,9 @@ def _run(config, agents, interrupt_step, backend):
 
 def _run_windowed(config, agents, interrupt_step, backend):
     n, m, b, C, order = _prepare(config, agents)
-    board = new_board(n, m, config.d0)
+    lattice = _LatticeBoard(n, m, config.d0, config.gamma)
+    d = config.d0
+    selections: list[int | None] = [None] * n
     hard_cap = config.max_steps if interrupt_step is None else min(config.max_steps, interrupt_step)
     trace: list[TraceStep] = []
     selection_log: list[tuple[int, int]] = []
@@ -208,8 +214,8 @@ def _run_windowed(config, agents, interrupt_step, backend):
         g0 = len(trace)
         win = _fastpath.run_window(
             backend,
-            board.net_float(),
-            float(board.d),
+            lattice.net_float(),
+            float(d),
             b,
             C,
             order,
@@ -222,17 +228,15 @@ def _run_windowed(config, agents, interrupt_step, backend):
                 f"state-key history exceeded {config.history_cap} entries "
                 f"near step {g0 + win.steps}"
             )
-        for k in range(win.steps):
-            a_k = int(win.players[k])
-            c_k = int(win.choices[k])
+        for k, (a_k, c_k) in enumerate(zip(win.players.tolist(), win.choices.tolist())):
             trace.append(TraceStep(g0 + k + 1, a_k, c_k, win.profit_rows[k]))
             selection_log.append((a_k, c_k))
-            board.selections[a_k] = c_k
+            selections[a_k] = c_k
         if win.status != "detected":
-            _advance_board(board, win.selcount, win.steps)
+            _advance_board(lattice, win.selcount, win.steps)
             break
         # The detection turn's update is pending; absorb the rest exactly.
-        _advance_board(board, win.selcount, win.steps - 1)
+        _advance_board(lattice, win.selcount, win.steps - 1)
         start = g0 + win.s0_rel + 1
         end = len(trace)
         counts, active = span_counts(selection_log, start, end, n, m)
@@ -242,18 +246,20 @@ def _run_windowed(config, agents, interrupt_step, backend):
             active_choices=active,
             choice_counts=counts,
             agent_turn_profits=[[] for _ in range(n)],
-            d_at_detection=board.d,
+            d_at_detection=d,
         )
         for ts in trace[start - 1 : end]:
             cyc.agent_turn_profits[ts.agent].append(ts.profit_row)
         _check_cycle_structure(cyc, n)
         cycles.append(cyc)
-        reduce_trading_unit(board, config.gamma)
+        lattice.reduce()
+        d = d * config.gamma
         if check_termination(cyc, config.epsilon):
             terminated = True
             break
         a_t, c_t = selection_log[-1]
-        apply_selection(board, a_t, c_t)
+        lattice.apply(a_t, c_t)
+    board = lattice.to_board(d, selections)
     return _finish(config, board, trace, cycles, terminated, interrupt_step)
 
 
@@ -292,27 +298,91 @@ def _run_exact(config, agents, interrupt_step):
     return _finish(config, board, trace, cycles, terminated, interrupt_step)
 
 
-def _advance_board(board: PublicBoard, selcount: np.ndarray, steps: int) -> None:
-    """Apply a window's worth of selections to the exact board in one pass.
+class _LatticeBoard:
+    """The windowed path's board, as integers on the current epoch's lattice.
 
-    Equivalent to apply_selection per step: each selection of choice j adds d
-    to the whole offer column and n*d to the selector's pay entry, so only the
-    per-(agent, choice) counts matter, not the order.
+    With d0 = a/b and gamma = p/q in lowest terms, at epoch K every offer and
+    pay is an integer multiple of the unit a/(b*q^K) and the trading unit is
+    p^K units. Offers are column-uniform (a turn offers d to every row), so
+    they are one m-vector; pays are n x m. The entries are Python ints, which
+    never overflow, so the lattice stays exact at any epoch.
     """
-    d = board.d
-    n = board.n
-    col_totals = selcount.sum(axis=0)
-    for j in range(board.m):
-        cj = int(col_totals[j])
-        if cj:
-            inc = d * cj
-            for i in range(n):
-                board.offers[i][j] += inc
-    for i in range(n):
-        for j in range(board.m):
-            c = int(selcount[i, j])
+
+    def __init__(self, n: int, m: int, d0: Fraction, gamma: Fraction):
+        self.n = n
+        self.m = m
+        self.a = d0.numerator
+        self.p = gamma.numerator
+        self.q = gamma.denominator
+        self.unit_den = d0.denominator  # b*q^K
+        self.pk = 1  # the trading unit, in lattice units
+        self.offers = [0] * m
+        self.pays = [[0] * m for _ in range(n)]
+        self.step = 0
+        self.epoch = 0
+
+    def apply(self, agent: int, choice: int) -> None:
+        """One turn: the agent bids n*d on choice, offering d to every row."""
+        self.offers[choice] += self.pk
+        self.pays[agent][choice] += self.n * self.pk
+        self.step += 1
+
+    def reduce(self) -> None:
+        """Shrink the trading unit by gamma: refine the lattice by q."""
+        q = self.q
+        self.offers = [v * q for v in self.offers]
+        self.pays = [[v * q for v in row] for row in self.pays]
+        self.pk *= self.p
+        self.unit_den *= q
+        self.epoch += 1
+
+    def net_float(self) -> np.ndarray:
+        """offers - pays as float64, each entry correctly rounded.
+
+        Python int true division rounds correctly, so this equals
+        float(Fraction) of the exact net bit for bit.
+        """
+        a, den = self.a, self.unit_den
+        return np.array(
+            [[a * (o - p) / den for o, p in zip(self.offers, row)] for row in self.pays],
+            dtype=np.float64,
+        )
+
+    def to_board(self, d: Fraction, selections: list[int | None]) -> PublicBoard:
+        """The exact Fraction board this lattice represents."""
+        a, den = self.a, self.unit_den
+        # Few distinct values (most pays are zero): one Fraction each.
+        frac = {v: Fraction(a * v, den) for v in set(self.offers).union(*self.pays)}
+        offer_row = [frac[v] for v in self.offers]
+        return PublicBoard(
+            n=self.n,
+            m=self.m,
+            offers=[offer_row[:] for _ in range(self.n)],
+            pays=[[frac[v] for v in row] for row in self.pays],
+            d=d,
+            step=self.step,
+            epoch=self.epoch,
+            selections=list(selections),
+        )
+
+
+def _advance_board(board: _LatticeBoard, selcount: np.ndarray, steps: int) -> None:
+    """Apply a window's worth of selections to the lattice in one pass.
+
+    Equivalent to board.apply per step: each selection of choice j adds the
+    trading unit to the offer column and n times it to the selector's pay
+    entry, so only the per-(agent, choice) counts matter, not the order.
+    """
+    pk = board.pk
+    npk = board.n * pk
+    offers = board.offers
+    for j, c in enumerate(selcount.sum(axis=0).tolist()):
+        if c:
+            offers[j] += pk * c
+    for row, counts in zip(board.pays, selcount.tolist()):
+        for j, c in enumerate(counts):
             if c:
-                board.pays[i][j] += n * d * c
+                row[j] += npk * c
     board.step += steps
 
 

@@ -37,7 +37,7 @@ from .board import (
     reduce_trading_unit,
 )
 from .engine import TacoConfig, TacoOutcome, run_interrupted, run_taco
-from .errors import NoTerminationError
+from .errors import HistoryLimitError, NoTerminationError
 from .metrics import TrialResult, baseline_trial_result, taco_trial_result
 
 SCHEMA_VERSION = 1
@@ -56,6 +56,10 @@ SUMMARY_METRICS = (
     "cycles",
     "max_cycle_spread_ratio",
 )
+
+# Row statuses of a TACo trial that hit a safety cap: the step cap, or the
+# engine's state-history cap. Such a row carries no metrics.
+FAILED_STATUSES = ("cap", "history_cap")
 
 
 @dataclass
@@ -216,6 +220,10 @@ def _run_point(point: _Point) -> list[dict]:
                 row["steps"] = cfg.max_steps
                 rows.append(row)
                 continue
+            except HistoryLimitError:
+                row["status"] = "history_cap"
+                rows.append(row)
+                continue
             result = taco_trial_result(problem, outcome)
         elif mech == "voting":
             result = baseline_trial_result(
@@ -305,11 +313,15 @@ def _collect(rows: list[dict], mech: str, key: str) -> list[float]:
     return out
 
 
+def _failures(rows) -> int:
+    return sum(1 for r in rows if r.get("status") in FAILED_STATUSES)
+
+
 def summarize(rows: list[dict], group_keys: tuple[str, ...], header_lines: list[str]) -> str:
     """Structured text: quantile lines per (group, mechanism, metric)."""
     lines = [f"csv_schema_version = {SCHEMA_VERSION}"]
     lines += header_lines
-    failures = sum(1 for r in rows if r.get("status") == "cap")
+    failures = _failures(rows)
     lines.append(f"trials_total = {len({(tuple(r.get(k) for k in group_keys), r['trial']) for r in rows})}")
     lines.append(f"cap_failures = {failures}")
     groups: list[tuple] = []
@@ -328,9 +340,7 @@ def summarize(rows: list[dict], group_keys: tuple[str, ...], header_lines: list[
             section = f"[{mech}]" if not tag else f"[{tag} {mech}]"
             lines.append("")
             lines.append(section)
-            group_failures = sum(
-                1 for r in grows if r["mechanism"] == mech and r.get("status") == "cap"
-            )
+            group_failures = _failures(r for r in grows if r["mechanism"] == mech)
             if group_failures:
                 lines.append(f"cap_failures = {group_failures}")
             for metric in SUMMARY_METRICS:
@@ -349,7 +359,7 @@ def _finalize(
 ) -> RunResult:
     columns = columns_for(rows)
     summary = summarize(rows, group_keys, header_lines)
-    failures = sum(1 for r in rows if r.get("status") == "cap")
+    failures = _failures(rows)
     csv_path = summary_path = None
     if out_dir is not None:
         out_dir = Path(out_dir)

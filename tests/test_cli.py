@@ -110,6 +110,19 @@ def test_step_cap_exit_code(tmp_path, capsys):
     assert "cap_failures = 1" in captured.out
 
 
+def test_history_cap_exit_code(tmp_path, capsys):
+    code = main([
+        "montecarlo", "--trials", "3", "--history-cap", "2", "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "state-history cap" in captured.err
+    assert "cap_failures = 3" in captured.out
+    rows = _read_rows(tmp_path / "montecarlo.csv")
+    assert len(rows) == 15
+    assert [r["status"] for r in rows if r["mechanism"] == "taco"] == ["history_cap"] * 3
+
+
 def test_interrupt_command_defaults_to_taco(tmp_path):
     assert main([
         "interrupt", "--scenario", "random", "--n", "2", "--m", "3",

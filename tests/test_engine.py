@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from _replay import verify_run
-from tacosim import _fastpath
+from tacosim import _fastpath, engine
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
-from tacosim.board import CycleRecord
+from tacosim.board import CycleRecord, apply_selection, new_board, reduce_trading_unit
 from tacosim.engine import (
     TacoConfig,
     check_termination,
@@ -328,6 +328,56 @@ def test_window_buffer_growth_matches_numpy():
     np.testing.assert_array_equal(fast.choices, ref.choices)
     np.testing.assert_array_equal(fast.selcount, ref.selcount)
     np.testing.assert_array_equal(fast.profit_rows, ref.profit_rows)
+
+
+@pytest.mark.parametrize(
+    "budget, history_cap, status",
+    [(10**6, 10**6, "detected"), (50, 10**6, "budget"), (10**6, 40, "history_cap")],
+)
+def test_window_selcount_counts_applied_turns(budget, history_cap, status):
+    # selcount covers exactly the turns whose board update was applied: all of
+    # them when the budget runs out, all but the pending last one otherwise.
+    problem = random_problem(3, 5, np.random.default_rng(5))
+    order = np.arange(3, dtype=np.int64)
+    win = _fastpath.run_window(
+        "numpy", np.zeros((3, 5)), 1 / 100, problem.b, problem.C, order, 1, budget, history_cap
+    )
+    assert win.status == status
+    applied = win.steps if status == "budget" else win.steps - 1
+    expected = np.zeros((3, 5), dtype=np.int64)
+    for i, j in zip(win.players[:applied], win.choices[:applied]):
+        expected[i, j] += 1
+    np.testing.assert_array_equal(win.selcount, expected)
+
+
+def test_lattice_board_matches_fraction_board():
+    # Random turns and window advances over 45 reductions at gamma 9/10, so the
+    # lattice denominator b*q^K is far past 2**63. The Fraction board, driven by
+    # the board-module operations, is the reference.
+    rng = np.random.default_rng(2024)
+    n, m = 3, 4
+    d0, gamma = Fraction(3, 7), Fraction(9, 10)
+    lattice = engine._LatticeBoard(n, m, d0, gamma)
+    ref = new_board(n, m, d0)
+    for _ in range(45):
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = int(rng.integers(n)), int(rng.integers(m))
+            lattice.apply(i, j)
+            apply_selection(ref, i, j)
+        selcount = rng.integers(0, 3, (n, m))
+        engine._advance_board(lattice, selcount, int(selcount.sum()))
+        for (i, j), count in np.ndenumerate(selcount):
+            for _ in range(count):
+                apply_selection(ref, i, j)
+        assert lattice.net_float().tobytes() == ref.net_float().tobytes()
+        lattice.reduce()
+        reduce_trading_unit(ref, gamma)
+    assert lattice.unit_den > 2**63
+    board = lattice.to_board(ref.d, ref.selections)
+    assert board.offers == ref.offers
+    assert board.pays == ref.pays
+    assert (board.d, board.step, board.epoch) == (ref.d, ref.step, ref.epoch)
+    assert board.selections == ref.selections
 
 
 def _assert_long_window_matches_exact(backend):

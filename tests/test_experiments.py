@@ -209,6 +209,24 @@ def test_cap_rows_are_reported(tmp_path):
     assert data[header.index("status")] == "cap"
 
 
+def test_history_cap_rows_keep_the_sweep(tmp_path):
+    # 13 of these 20 default waypoint trials record more than 60 states in one
+    # window. Each becomes a TACo row with status history_cap; the sweep keeps
+    # every row, and the pool writes the same bytes as the serial run.
+    csvs = []
+    for workers in (1, 2):
+        cfg = ExperimentConfig(trials=20, history_cap=60, workers=workers)
+        res = run_montecarlo(cfg, tmp_path / f"w{workers}")
+        assert len(res.rows) == 20 * len(MECHANISMS)
+        taco = [r["status"] for r in res.rows if r["mechanism"] == "taco"]
+        assert taco.count("history_cap") == 13 and taco.count("ok") == 7
+        assert all(r["status"] == "ok" for r in res.rows if r["mechanism"] != "taco")
+        assert res.failures == 13
+        assert "cap_failures = 13" in res.summary_text
+        csvs.append(res.csv_path.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_write_csv_roundtrip(tmp_path):
     rows = [
         {"trial": 0, "seed": 11, "mechanism": "taco", "n": 2, "m": 2,
