@@ -19,11 +19,9 @@ from .board import (
     CycleRecord,
     ExactAmount,
     PublicBoard,
-    StateKey,
     apply_selection,
     exact,
     new_board,
-    record_and_detect,
     reduce_trading_unit,
 )
 from .engine import (
@@ -91,7 +89,6 @@ __all__ = [
     "PublicBoard",
     "ResourceLimitError",
     "RunResult",
-    "StateKey",
     "TacoConfig",
     "TacoError",
     "TacoOutcome",
@@ -118,7 +115,6 @@ __all__ = [
     "random_dictator",
     "random_problem",
     "random_waypoint_problem",
-    "record_and_detect",
     "reduce_trading_unit",
     "resolve_backend",
     "run_example",

@@ -1,33 +1,38 @@
-"""Accelerated inner loop for constant-trading-unit windows.
+"""The constant-trading-unit window kernel: the engine's only inner loop.
 
 Policy
 ------
-The exact-rational board (``board.py``) is the canonical semantics. Between
-two reductions of the trading unit the net matrix is ``net0 + d * delta``
-where ``delta`` is an integer matrix updated by +-1/+-n per turn, so within a
-window cycle detection is integer equality on ``(delta, playing_agent)`` --
-no float tolerance anywhere in the detection path. Each turn records the
-state the playing agent observed (delta before that turn's update); when an
+The exact-rational board is the canonical semantics. Between two reductions
+of the trading unit the net matrix is ``net0 + d * delta`` where ``delta`` is
+an integer matrix updated by +-1/+-n per turn, and d is constant and
+nonzero, so within a window cycle detection is integer equality on
+``(delta, playing_agent)`` -- the same as equality of the exact net, with no
+float tolerance anywhere in the detection path. Each turn records the state
+the playing agent observed (delta before that turn's update); when an
 observation repeats one, the window stops with the final turn's board update
 still pending, which the engine either drops (termination) or applies at the
-reduced trading unit. Profit rows are float64 computed as
-``b_i * (net0f + d * delta) - C`` with the same elementwise operation order
-in the numba kernel and the numpy fallback, so the two fast backends are
-bit-identical and any deviation is a bug in the fast path, not a tolerance to
-shrug off. The engine anchors ``net0`` at every window boundary from its
-integer-lattice board, one correctly rounded division per cell, so ``net0``
-is the float of the exact rational net and float error never accumulates
-across windows; it builds the ``Fraction`` board only once, at the end of the
-run.
+reduced trading unit.
+
+The backends differ only in the net row the playing agent observes; the
+profit row is ``b_i * net_row - C_i`` and the argmax takes the lowest index
+on ties. "exact" gets the float of the exact rational net from the engine's
+lattice (one correctly rounded integer division per cell). "numpy" and
+"numba" compute ``net0f + d * delta`` in float64, ``net0f`` being anchored
+from the lattice at every window start so float error never accumulates
+across windows; they use the same elementwise operation order, so the two
+are bit-identical and any deviation is a bug in the fast path. Floats of
+mathematically tied options may still break ties differently between
+"exact" and the float backends.
 
 Backend selection: the TACO_BACKEND environment variable ("auto", "numba",
-"numpy"; "exact" is handled by the engine) or an explicit argument. "auto"
-uses numba when importable and falls back to numpy otherwise.
+"numpy", "exact") or an explicit argument. "auto" uses numba when importable
+and falls back to numpy otherwise.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,30 +103,41 @@ def run_window(
     pos0: int,
     budget: int,
     history_cap: int,
+    net_row: Callable[[int, np.ndarray], np.ndarray] | None = None,
 ) -> WindowResult:
     """Run auction turns until detection, budget, or history cap.
 
     A window always starts with an empty state history; the first turn's
     observation (zero delta plus the agent on turn) is recorded like any
-    other.
+    other. ``net_row(i, delta_i)`` is the net row agent i observes at integer
+    delta row ``delta_i``; the float backends default it to
+    ``net0f[i] + dval * delta_i``, and "exact" must pass the float of the
+    exact rational net. The numba kernel inlines the float formula.
     """
     if budget <= 0:
         raise ValueError(f"window budget must be positive, got {budget}")
-    if backend == "numpy":
-        return _run_window_numpy(net0f, dval, b, C, order, pos0, budget, history_cap)
     if backend == "numba":
         return _run_window_numba(net0f, dval, b, C, order, pos0, budget, history_cap)
-    raise ValueError(f"run_window handles 'numpy' and 'numba', got {backend!r}")
+    if backend == "numpy" and net_row is None:
+        net0_rows = list(net0f)
+
+        def net_row(i, delta_i):
+            return net0_rows[i] + dval * delta_i
+
+    elif backend not in ("numpy", "exact") or net_row is None:
+        raise ValueError(
+            f"run_window takes 'numpy', 'numba', or 'exact' with a net_row; got {backend!r}"
+        )
+    return _run_window_numpy(net_row, b, C, order, pos0, budget, history_cap)
 
 
-def _run_window_numpy(net0f, dval, b, C, order, pos0, budget, history_cap):
+def _run_window_numpy(net_row, b, C, order, pos0, budget, history_cap):
     n, m = C.shape
     delta = np.zeros((n, m), dtype=np.int64)
     # Per-step work is Python dispatch, so index Python lists and row views
     # rather than the arrays themselves.
     order_l = order.tolist()
     b_l = b.tolist()
-    net0_rows = list(net0f)
     delta_rows = list(delta)
     C_rows = list(C)
     history: dict[tuple[bytes, int], int] = {}
@@ -133,7 +149,7 @@ def _run_window_numpy(net0f, dval, b, C, order, pos0, budget, history_cap):
     s0 = -1
     while t < budget:
         i = order_l[(pos0 + t) % n]
-        row = b_l[i] * (net0_rows[i] + dval * delta_rows[i]) - C_rows[i]
+        row = b_l[i] * net_row(i, delta_rows[i]) - C_rows[i]
         j = int(row.argmax())
         players.append(i)
         choices.append(j)

@@ -1,9 +1,12 @@
-"""Public auction state: offer/pay ledgers, trading unit, exact cycle detection.
+"""Public auction state: offer/pay ledgers, trading unit, cycle records.
 
-All traded quantities are exact rationals so that repeated-state detection is
-an equality test, never a float tolerance. ``ExactAmount`` is the stdlib
-``Fraction``: canonical lowest terms, positive denominator, value-based
-equality and hashing, which is exactly the contract the board needs.
+All traded quantities are exact rationals, so settlements and the board an
+agent observes are exact. ``ExactAmount`` is the stdlib ``Fraction``:
+canonical lowest terms, positive denominator, value-based equality and
+hashing. The engine runs on an integer lattice of the same values (see
+``engine``) and builds this board once per run; the board operations here
+serve the display replay of ``experiments.run_example`` and the reference
+replay in the tests.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HistoryLimitError
-
 ExactAmount = Fraction
 
 
@@ -22,7 +23,7 @@ def exact(value: int | str | Fraction) -> Fraction:
     """Coerce an exact input (int, Fraction, or string like "9/10") to Fraction.
 
     Floats are rejected: 0.9 is not 9/10, and silently accepting the binary
-    approximation would poison state-key equality downstream.
+    approximation would make every board value inexact downstream.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -130,29 +131,6 @@ def reduce_trading_unit(board: PublicBoard, gamma: int | str | Fraction) -> Publ
     return board
 
 
-@dataclass(frozen=True)
-class StateKey:
-    """Hashable snapshot of (offers - pays, playing agent) for cycle detection.
-
-    The net matrix is the state the playing agent observes at the start of
-    its turn. Two keys are equal iff the nets match entrywise as exact
-    rationals and the same agent is on turn.
-    """
-
-    net: tuple[tuple[Fraction, ...], ...]
-    playing_agent: int
-
-    @classmethod
-    def from_board(cls, board: PublicBoard, playing_agent: int) -> "StateKey":
-        return cls(
-            net=tuple(
-                tuple(board.offers[i][j] - board.pays[i][j] for j in range(board.m))
-                for i in range(board.n)
-            ),
-            playing_agent=playing_agent,
-        )
-
-
 @dataclass
 class CycleRecord:
     """A detected repetition of the public state.
@@ -160,8 +138,7 @@ class CycleRecord:
     The cycle spans steps ``start_step..end_step`` inclusive; replaying those
     selections maps the board back onto itself (up to the constant column
     shift of the net matrix). ``agent_turn_profits[i]`` holds the profit rows
-    agent i saw at its own turns inside the span; the detector leaves it empty
-    for the engine to fill.
+    agent i saw at its own turns inside the span.
     """
 
     start_step: int
@@ -189,41 +166,3 @@ def span_counts(
         counts[agent, choice] += 1
     active = frozenset(int(j) for j in np.nonzero(counts.sum(axis=0))[0])
     return counts, active
-
-
-def record_and_detect(
-    history: dict[StateKey, int],
-    key: StateKey,
-    selection_log: list[tuple[int, int]],
-    max_entries: int = 10**6,
-) -> CycleRecord | None:
-    """Record the state observed at the current step, reporting a cycle on repeat.
-
-    ``key`` is the state the playing agent saw at the start of its turn plus
-    that agent's index. ``selection_log`` must already include the current
-    step's selection, so the current step index is the log's length. If
-    ``key`` was already observed at an earlier step s0, the selections of
-    steps s0+1..current form a cycle and a CycleRecord is returned (with
-    ``agent_turn_profits`` left for the caller); otherwise the key is
-    inserted and None is returned.
-    """
-    current = len(selection_log)
-    seen_at = history.get(key)
-    if seen_at is None:
-        if len(history) >= max_entries:
-            raise HistoryLimitError(
-                f"state-key history exceeded {max_entries} entries at step {current}; "
-                f"raise the cap or loosen the termination threshold"
-            )
-        history[key] = current
-        return None
-    n = len(key.net)
-    m = len(key.net[0]) if n else 0
-    counts, active = span_counts(selection_log, seen_at + 1, current, n, m)
-    return CycleRecord(
-        start_step=seen_at + 1,
-        end_step=current,
-        active_choices=active,
-        choice_counts=counts,
-        agent_turn_profits=[[] for _ in range(n)],
-    )

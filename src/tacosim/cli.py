@@ -6,7 +6,7 @@ key = value config file (--config), then command-line overrides; show-config
 prints the effective merged configuration in the same format the file uses.
 
 Exit codes: 0 success, 1 validation error, 2 completed but at least one trial
-hit the step cap.
+hit the step cap or the state-history cap.
 """
 
 from __future__ import annotations

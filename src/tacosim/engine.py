@@ -10,16 +10,16 @@ turn's board update is never applied, so settlement reads the board the
 detecting agent observed; otherwise that turn's update executes at the
 reduced trading unit and play continues.
 
-Three interchangeable backends produce the same runs. "exact" is the
-reference: it advances the rational board one selection at a time through the
-board-module operations. "numpy" and "numba" run whole constant-d windows
-through the fast path (integer delta state, see _fastpath) on an integer-lattice
-board: with d0 = a/b and gamma = p/q, every offer and pay at epoch K is an
-integer multiple of a/(b*q^K), so the engine keeps Python ints, anchors each
-window's float net matrix by one correctly rounded integer division per cell
-(bit-identical to float of the rational), and builds the Fraction board once,
-at the end, for settlement and final_board. Settlements stay exact rationals
-on every backend.
+One driver serves every backend. It keeps the board on an integer lattice:
+with d0 = a/b and gamma = p/q, every offer and pay at epoch K is an integer
+multiple of a/(b*q^K), held as a Python int. Between two reductions it runs
+one constant-d window through the window kernel (see _fastpath), whose
+integer-delta history is the cycle detector. The backends differ only in the
+net row the playing agent observes: "exact" divides the lattice integers
+once per cell (correctly rounded, so the float of the exact rational net);
+"numpy" and "numba" anchor the window's float net matrix that way and add
+d * delta. The Fraction board is built once, at the end, for settlement and
+final_board, so settlements are exact rationals on every backend.
 """
 
 from __future__ import annotations
@@ -31,18 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fastpath
-from .agent import AgentPrivate, profit_row
-from .board import (
-    CycleRecord,
-    PublicBoard,
-    StateKey,
-    apply_selection,
-    exact,
-    new_board,
-    record_and_detect,
-    reduce_trading_unit,
-    span_counts,
-)
+from .agent import AgentPrivate
+from .board import CycleRecord, PublicBoard, exact, span_counts
 from .errors import HistoryLimitError, NoTerminationError
 
 
@@ -194,20 +184,12 @@ def _prepare(config, agents):
 
 
 def _run(config, agents, interrupt_step, backend):
-    resolved = _fastpath.resolve_backend(backend)
-    if resolved == "exact":
-        return _run_exact(config, agents, interrupt_step)
-    return _run_windowed(config, agents, interrupt_step, resolved)
-
-
-def _run_windowed(config, agents, interrupt_step, backend):
+    backend = _fastpath.resolve_backend(backend)
     n, m, b, C, order = _prepare(config, agents)
     lattice = _LatticeBoard(n, m, config.d0, config.gamma)
-    d = config.d0
     selections: list[int | None] = [None] * n
     hard_cap = config.max_steps if interrupt_step is None else min(config.max_steps, interrupt_step)
     trace: list[TraceStep] = []
-    selection_log: list[tuple[int, int]] = []
     cycles: list[CycleRecord] = []
     terminated = False
     while len(trace) < hard_cap:
@@ -215,91 +197,54 @@ def _run_windowed(config, agents, interrupt_step, backend):
         win = _fastpath.run_window(
             backend,
             lattice.net_float(),
-            float(d),
+            float(lattice.d),
             b,
             C,
             order,
             g0 % n,
             hard_cap - g0,
             config.history_cap,
+            lattice.exact_net_row() if backend == "exact" else None,
         )
         if win.status == "history_cap":
             raise HistoryLimitError(
                 f"state-key history exceeded {config.history_cap} entries "
                 f"near step {g0 + win.steps}"
             )
-        for k, (a_k, c_k) in enumerate(zip(win.players.tolist(), win.choices.tolist())):
+        log = list(zip(win.players.tolist(), win.choices.tolist()))
+        for k, (a_k, c_k) in enumerate(log):
             trace.append(TraceStep(g0 + k + 1, a_k, c_k, win.profit_rows[k]))
-            selection_log.append((a_k, c_k))
             selections[a_k] = c_k
         if win.status != "detected":
             _advance_board(lattice, win.selcount, win.steps)
             break
         # The detection turn's update is pending; absorb the rest exactly.
         _advance_board(lattice, win.selcount, win.steps - 1)
-        start = g0 + win.s0_rel + 1
-        end = len(trace)
-        counts, active = span_counts(selection_log, start, end, n, m)
+        # A cycle never leaves its window: count it from the window's turns.
+        counts, active = span_counts(log, win.s0_rel + 1, win.steps, n, m)
         cyc = CycleRecord(
-            start_step=start,
-            end_step=end,
+            start_step=g0 + win.s0_rel + 1,
+            end_step=len(trace),
             active_choices=active,
             choice_counts=counts,
             agent_turn_profits=[[] for _ in range(n)],
-            d_at_detection=d,
+            d_at_detection=lattice.d,
         )
-        for ts in trace[start - 1 : end]:
+        for ts in trace[cyc.start_step - 1 :]:
             cyc.agent_turn_profits[ts.agent].append(ts.profit_row)
         _check_cycle_structure(cyc, n)
         cycles.append(cyc)
-        lattice.reduce()
-        d = d * config.gamma
+        reduce_trading_unit(lattice)
         if check_termination(cyc, config.epsilon):
             terminated = True
             break
-        a_t, c_t = selection_log[-1]
-        lattice.apply(a_t, c_t)
-    board = lattice.to_board(d, selections)
-    return _finish(config, board, trace, cycles, terminated, interrupt_step)
-
-
-def _run_exact(config, agents, interrupt_step):
-    n, m, b, C, order = _prepare(config, agents)
-    board = new_board(n, m, config.d0)
-    hard_cap = config.max_steps if interrupt_step is None else min(config.max_steps, interrupt_step)
-    history: dict[StateKey, int] = {}
-    trace: list[TraceStep] = []
-    selection_log: list[tuple[int, int]] = []
-    cycles: list[CycleRecord] = []
-    terminated = False
-    while len(trace) < hard_cap:
-        i = int(order[len(trace) % n])
-        prow = profit_row(agents[i], board)
-        j = int(np.argmax(prow))
-        trace.append(TraceStep(len(trace) + 1, i, j, prow))
-        selection_log.append((i, j))
-        board.selections[i] = j
-        key = StateKey.from_board(board, i)
-        cyc = record_and_detect(history, key, selection_log, config.history_cap)
-        if cyc is None:
-            apply_selection(board, i, j)
-            continue
-        cyc.d_at_detection = board.d
-        for ts in trace[cyc.start_step - 1 : cyc.end_step]:
-            cyc.agent_turn_profits[ts.agent].append(ts.profit_row)
-        _check_cycle_structure(cyc, n)
-        cycles.append(cyc)
-        reduce_trading_unit(board, config.gamma)
-        history.clear()
-        if check_termination(cyc, config.epsilon):
-            terminated = True
-            break
-        apply_selection(board, i, j)
+        apply_selection(lattice, *log[-1])
+    board = lattice.to_board(selections)
     return _finish(config, board, trace, cycles, terminated, interrupt_step)
 
 
 class _LatticeBoard:
-    """The windowed path's board, as integers on the current epoch's lattice.
+    """The engine's board, as integers on the current epoch's lattice.
 
     With d0 = a/b and gamma = p/q in lowest terms, at epoch K every offer and
     pay is an integer multiple of the unit a/(b*q^K) and the trading unit is
@@ -321,34 +266,39 @@ class _LatticeBoard:
         self.step = 0
         self.epoch = 0
 
-    def apply(self, agent: int, choice: int) -> None:
-        """One turn: the agent bids n*d on choice, offering d to every row."""
-        self.offers[choice] += self.pk
-        self.pays[agent][choice] += self.n * self.pk
-        self.step += 1
+    @property
+    def d(self) -> Fraction:
+        """The trading unit d0 * gamma^K, exact."""
+        return Fraction(self.a * self.pk, self.unit_den)
 
-    def reduce(self) -> None:
-        """Shrink the trading unit by gamma: refine the lattice by q."""
-        q = self.q
-        self.offers = [v * q for v in self.offers]
-        self.pays = [[v * q for v in row] for row in self.pays]
-        self.pk *= self.p
-        self.unit_den *= q
-        self.epoch += 1
+    def exact_net_row(self):
+        """The exact backend's net row for a window starting on this board.
+
+        Agent i at integer delta row delta_i observes the net
+        a*(N0[i] + p^K*delta_i) / (b*q^K), N0 being offers - pays now. Python
+        int true division rounds correctly, so each cell equals float of the
+        exact rational net bit for bit.
+        """
+        a, pk, den = self.a, self.pk, self.unit_den
+        net0 = [[o - p for o, p in zip(self.offers, row)] for row in self.pays]
+
+        def net_row(i, delta_i):
+            return np.array(
+                [a * (v + pk * k) / den for v, k in zip(net0[i], delta_i.tolist())],
+                dtype=np.float64,
+            )
+
+        return net_row
 
     def net_float(self) -> np.ndarray:
-        """offers - pays as float64, each entry correctly rounded.
-
-        Python int true division rounds correctly, so this equals
-        float(Fraction) of the exact net bit for bit.
-        """
+        """offers - pays as float64, each entry correctly rounded (see exact_net_row)."""
         a, den = self.a, self.unit_den
         return np.array(
             [[a * (o - p) / den for o, p in zip(self.offers, row)] for row in self.pays],
             dtype=np.float64,
         )
 
-    def to_board(self, d: Fraction, selections: list[int | None]) -> PublicBoard:
+    def to_board(self, selections: list[int | None]) -> PublicBoard:
         """The exact Fraction board this lattice represents."""
         a, den = self.a, self.unit_den
         # Few distinct values (most pays are zero): one Fraction each.
@@ -359,18 +309,35 @@ class _LatticeBoard:
             m=self.m,
             offers=[offer_row[:] for _ in range(self.n)],
             pays=[[frac[v] for v in row] for row in self.pays],
-            d=d,
+            d=self.d,
             step=self.step,
             epoch=self.epoch,
             selections=list(selections),
         )
 
 
+def apply_selection(board: _LatticeBoard, agent: int, choice: int) -> None:
+    """One turn on the lattice: the agent bids n*d on choice, offering d to every row."""
+    board.offers[choice] += board.pk
+    board.pays[agent][choice] += board.n * board.pk
+    board.step += 1
+
+
+def reduce_trading_unit(board: _LatticeBoard) -> None:
+    """Shrink the trading unit by gamma: refine the lattice by q."""
+    q = board.q
+    board.offers = [v * q for v in board.offers]
+    board.pays = [[v * q for v in row] for row in board.pays]
+    board.pk *= board.p
+    board.unit_den *= q
+    board.epoch += 1
+
+
 def _advance_board(board: _LatticeBoard, selcount: np.ndarray, steps: int) -> None:
     """Apply a window's worth of selections to the lattice in one pass.
 
-    Equivalent to board.apply per step: each selection of choice j adds the
-    trading unit to the offer column and n times it to the selector's pay
+    Equivalent to apply_selection per step: each selection of choice j adds
+    the trading unit to the offer column and n times it to the selector's pay
     entry, so only the per-(agent, choice) counts matter, not the order.
     """
     pk = board.pk

@@ -27,15 +27,7 @@ import numpy as np
 
 from . import baselines, metrics, scenario
 from .agent import profit_row
-from .board import (
-    PublicBoard,
-    StateKey,
-    apply_selection,
-    exact,
-    new_board,
-    record_and_detect,
-    reduce_trading_unit,
-)
+from .board import apply_selection, exact, new_board, reduce_trading_unit
 from .engine import TacoConfig, TacoOutcome, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
 from .metrics import TrialResult, baseline_trial_result, taco_trial_result
@@ -474,40 +466,32 @@ class ExampleRun:
 def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRun:
     """Run the two-agent fixture on the exact backend and replay it for display.
 
-    The replay drives the board operations step by step, recomputing every
-    agent's profit row and feeding the state keys through the detector, so the
-    printed table is an independent reconstruction of the engine's run.
+    The replay rebuilds the board step by step with the board operations,
+    reducing the trading unit at the end of each cycle the engine recorded,
+    and recomputes every agent's profit row from the rational board.
     """
     problem = scenario.example2_fixture()
     agents = problem.agents()
     config = TacoConfig(epsilon=epsilon, d0=d0, gamma=gamma)
     outcome = run_taco(config, agents, backend="exact")
+    cycle_ends = {cyc.end_step for cyc in outcome.cycle_records}
     board = new_board(problem.n, problem.m, config.d0)
-    history: dict[StateKey, int] = {}
-    log: list[tuple[int, int]] = []
     steps: list[ExampleStep] = []
-    spans: list[tuple[int, int]] = []
-    last = outcome.trace[-1]
     for ts in outcome.trace:
-        key = StateKey.from_board(board, ts.agent)
         offers_pre = [row[:] for row in board.offers]
         pays_pre = [row[:] for row in board.pays]
         profits = np.stack([profit_row(agents[i], board) for i in range(problem.n)])
         board.selections[ts.agent] = ts.selection
-        log.append((ts.agent, ts.selection))
         steps.append(
             ExampleStep(ts.step, ts.agent, offers_pre, pays_pre, profits,
                         list(board.selections))
         )
-        cyc = record_and_detect(history, key, log)
-        if cyc is None:
-            apply_selection(board, ts.agent, ts.selection)
-            continue
-        spans.append((cyc.start_step, cyc.end_step))
-        history.clear()
-        reduce_trading_unit(board, config.gamma)
-        if ts is not last:
-            apply_selection(board, ts.agent, ts.selection)
+        if ts.step in cycle_ends:
+            reduce_trading_unit(board, config.gamma)
+        # The terminating turn's update is dropped by the engine, but nothing
+        # reads the board after the last step.
+        apply_selection(board, ts.agent, ts.selection)
+    spans = [(cyc.start_step, cyc.end_step) for cyc in outcome.cycle_records]
     return ExampleRun(steps=steps, outcome=outcome, detected_spans=spans)
 
 

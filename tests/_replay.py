@@ -2,12 +2,16 @@
 
 The verifier rebuilds the whole run from the outcome's trace using only the
 board-module primitives and exact rational arithmetic, recomputing profits
-from Fractions at every step. It shares no state with the engine's fast
-path, so agreement here means the accelerated backends really implement the
-reference semantics:
+from Fractions at every step, and detects cycles itself on the rational
+board with its own state keys (``StateKey``, ``record_and_detect``). It
+shares no state with the engine's lattice or window kernel, so agreement
+here means every backend really implements the reference semantics:
 
 - column conservation of offers minus pays, exact, at every step;
-- the traced profit rows and selections match the replayed ones;
+- the traced profit rows and selections match the replayed ones (bit for
+  bit, and the selection is the argmax, with ``exact_rows``);
+- a state repeats exactly where the outcome records a cycle, with the same
+  span, the history clearing at each reduction;
 - within each constant-unit window, per-agent profit row sums repeat with
   period n and their spread is exactly d * (n - 1) * b_i;
 - every profit entry inside a window respects the analytic lower bound
@@ -23,13 +27,84 @@ reference semantics:
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from tacosim.board import apply_selection, new_board, reduce_trading_unit, span_counts
+from tacosim.agent import profit_row
+from tacosim.board import (
+    CycleRecord,
+    PublicBoard,
+    apply_selection,
+    new_board,
+    reduce_trading_unit,
+    span_counts,
+)
 from tacosim.engine import TacoConfig, TacoOutcome, check_termination
 from tacosim.baselines import ChoiceProblem
+from tacosim.errors import HistoryLimitError
+
+
+@dataclass(frozen=True)
+class StateKey:
+    """Hashable snapshot of (offers - pays, playing agent) for cycle detection.
+
+    The net matrix is the state the playing agent observes at the start of
+    its turn. Two keys are equal iff the nets match entrywise as exact
+    rationals and the same agent is on turn.
+    """
+
+    net: tuple[tuple[Fraction, ...], ...]
+    playing_agent: int
+
+    @classmethod
+    def from_board(cls, board: PublicBoard, playing_agent: int) -> "StateKey":
+        return cls(
+            net=tuple(
+                tuple(board.offers[i][j] - board.pays[i][j] for j in range(board.m))
+                for i in range(board.n)
+            ),
+            playing_agent=playing_agent,
+        )
+
+
+def record_and_detect(
+    history: dict[StateKey, int],
+    key: StateKey,
+    selection_log: list[tuple[int, int]],
+    max_entries: int = 10**6,
+) -> CycleRecord | None:
+    """Record the state observed at the current step, reporting a cycle on repeat.
+
+    ``key`` is the state the playing agent saw at the start of its turn plus
+    that agent's index. ``selection_log`` must already include the current
+    step's selection, so the current step index is the log's length. If
+    ``key`` was already observed at an earlier step s0, the selections of
+    steps s0+1..current form a cycle and a CycleRecord is returned (with
+    ``agent_turn_profits`` left empty); otherwise the key is inserted and
+    None is returned.
+    """
+    current = len(selection_log)
+    seen_at = history.get(key)
+    if seen_at is None:
+        if len(history) >= max_entries:
+            raise HistoryLimitError(
+                f"state-key history exceeded {max_entries} entries at step {current}; "
+                f"raise the cap or loosen the termination threshold"
+            )
+        history[key] = current
+        return None
+    n = len(key.net)
+    m = len(key.net[0]) if n else 0
+    counts, active = span_counts(selection_log, seen_at + 1, current, n, m)
+    return CycleRecord(
+        start_step=seen_at + 1,
+        end_step=current,
+        active_choices=active,
+        choice_counts=counts,
+        agent_turn_profits=[[] for _ in range(n)],
+    )
 
 
 def _mode_lowest(values):
@@ -74,9 +149,18 @@ def verify_run(
     config: TacoConfig,
     outcome: TacoOutcome,
     tol: float = 1e-9,
+    exact_rows: bool = False,
 ) -> dict:
+    """Replay ``outcome`` and assert every invariant above.
+
+    ``exact_rows`` tightens the profit check to the exact backend's contract:
+    each traced row is the bytes of ``agent.profit_row`` on the replayed
+    board, and each selection is that row's argmax.
+    """
     n, m = problem.n, problem.m
+    agents = problem.agents()
     board = new_board(n, m, config.d0)
+    history: dict[StateKey, int] = {}
     cycle_at = {cyc.end_step: cyc for cyc in outcome.cycle_records}
     assert len(cycle_at) == outcome.cycles_detected
 
@@ -87,6 +171,7 @@ def verify_run(
     final_cycle = outcome.cycle_records[-1] if outcome.cycle_records else None
 
     for ts in outcome.trace:
+        key = StateKey.from_board(board, ts.agent)
         for j in range(m):
             osum = sum(board.offers[i][j] for i in range(n))
             psum = sum(board.pays[i][j] for i in range(n))
@@ -101,9 +186,26 @@ def verify_run(
         assert best == ts.selection or abs(row[best] - row[ts.selection]) <= tol, (
             f"traced selection {ts.selection} is not a best response at step {ts.step}"
         )
+        if exact_rows:
+            ref = profit_row(agents[ts.agent], board)
+            assert ref.tobytes() == np.asarray(ts.profit_row).tobytes(), (
+                f"traced profit row is not the exact reference row at step {ts.step}"
+            )
+            assert ts.selection == int(np.argmax(ref)), (
+                f"traced selection {ts.selection} is not the argmax at step {ts.step}"
+            )
         selections.append((ts.agent, ts.selection))
 
         cyc = cycle_at.get(ts.step)
+        found = record_and_detect(history, key, selections, config.history_cap)
+        if found is None:
+            assert cyc is None, f"no state repeats at step {ts.step}, yet a cycle is recorded"
+        else:
+            assert cyc is not None, f"state repeats at step {ts.step} without a recorded cycle"
+            assert (found.start_step, found.end_step) == (cyc.start_step, cyc.end_step), (
+                f"recorded cycle {cyc.start_step}..{cyc.end_step} != repeat "
+                f"{found.start_step}..{found.end_step}"
+            )
         if cyc is None:
             apply_selection(board, ts.agent, ts.selection)
             continue
@@ -140,6 +242,7 @@ def verify_run(
 
         _check_window(window_J, d, problem.b, n, m, tol)
         reduce_trading_unit(board, config.gamma)
+        history.clear()
         window_J = []
         window_start = ts.step + 1
         if not (ts is last and outcome.terminated_naturally):

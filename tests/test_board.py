@@ -1,16 +1,15 @@
-"""Board state, exact arithmetic, update rule, and cycle detection."""
+"""Board state, exact arithmetic, update rule, and the replay oracle's cycle detector."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from _replay import StateKey, record_and_detect
 from tacosim.board import (
-    StateKey,
     apply_selection,
     exact,
     new_board,
-    record_and_detect,
     reduce_trading_unit,
     span_counts,
 )
