@@ -13,16 +13,27 @@ observation repeats one, the window stops with the final turn's board update
 still pending, which the engine either drops (termination) or applies at the
 reduced trading unit.
 
-The backends differ only in the net row the playing agent observes; the
-profit row is ``b_i * net_row - C_i`` and the argmax takes the lowest index
-on ties. "exact" gets the float of the exact rational net from the engine's
-lattice (one correctly rounded integer division per cell). "numpy" and
-"numba" compute ``net0f + d * delta`` in float64, ``net0f`` being anchored
-from the lattice at every window start so float error never accumulates
-across windows; they use the same elementwise operation order, so the two
-are bit-identical and any deviation is a bug in the fast path. Floats of
+The backends differ only in the net the playing agent observes; the profit
+row is ``b_i * net_row - C_i`` and the argmax takes the lowest index on ties.
+"exact" gets the float of the exact rational net from the engine's lattice
+(one correctly rounded integer division per cell). "numpy" and "numba"
+compute ``net0f + d * delta`` in float64, ``net0f`` being anchored from the
+lattice at every window start so float error never accumulates across
+windows; they use the same elementwise operation order, so the two are
+bit-identical and any deviation is a bug in the fast path. Floats of
 mathematically tied options may still break ties differently between
 "exact" and the float backends.
+
+"exact" and "numpy" share one scalar kernel. The "numpy" name is kept for
+CLI, environment and config compatibility; its loop runs on Python floats
+and ints, repeating numpy's elementwise operations in the same order, since
+per-step dispatch, not arithmetic, sets the cost of a few-cell row. Each
+agent's profit row is cached and only the cells whose column was chosen
+since that agent's last turn are recomputed. The state key is Zobrist's
+linear hash (Zobrist, "A New Hashing Method with Application for Game
+Playing", 1970) kept as an unbounded Python int and updated in O(1) per
+turn; a key hit is only a candidate, confirmed exactly from the turns in
+between.
 
 Backend selection: the TACO_BACKEND environment variable ("auto", "numba",
 "numpy", "exact") or an explicit argument. "auto" uses numba when importable
@@ -31,7 +42,10 @@ and falls back to numpy otherwise.
 
 from __future__ import annotations
 
+import functools
 import os
+import random
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -103,88 +117,140 @@ def run_window(
     pos0: int,
     budget: int,
     history_cap: int,
-    net_row: Callable[[int, np.ndarray], np.ndarray] | None = None,
+    net_cell: Callable[[int, int, int], float] | None = None,
 ) -> WindowResult:
     """Run auction turns until detection, budget, or history cap.
 
     A window always starts with an empty state history; the first turn's
     observation (zero delta plus the agent on turn) is recorded like any
-    other. ``net_row(i, delta_i)`` is the net row agent i observes at integer
-    delta row ``delta_i``; the float backends default it to
-    ``net0f[i] + dval * delta_i``, and "exact" must pass the float of the
-    exact rational net. The numba kernel inlines the float formula.
+    other. ``net_cell(i, j, k)`` is the net agent i observes on choice j at
+    integer delta k; the float backends compute ``net0f[i, j] + dval * k``
+    inline, and "exact" must pass the float of the exact rational net.
     """
     if budget <= 0:
         raise ValueError(f"window budget must be positive, got {budget}")
     if backend == "numba":
         return _run_window_numba(net0f, dval, b, C, order, pos0, budget, history_cap)
-    if backend == "numpy" and net_row is None:
-        net0_rows = list(net0f)
-
-        def net_row(i, delta_i):
-            return net0_rows[i] + dval * delta_i
-
-    elif backend not in ("numpy", "exact") or net_row is None:
+    if backend == "numpy" and net_cell is None:
+        net0 = net0f.tolist()
+        return _run_window_scalar(None, net0, dval, b, C, order, pos0, budget, history_cap)
+    if backend not in ("numpy", "exact") or net_cell is None:
         raise ValueError(
-            f"run_window takes 'numpy', 'numba', or 'exact' with a net_row; got {backend!r}"
+            f"run_window takes 'numpy', 'numba', or 'exact' with a net_cell; got {backend!r}"
         )
-    return _run_window_numpy(net_row, b, C, order, pos0, budget, history_cap)
+    return _run_window_scalar(net_cell, None, 0.0, b, C, order, pos0, budget, history_cap)
 
 
-def _run_window_numpy(net_row, b, C, order, pos0, budget, history_cap):
+@functools.lru_cache(maxsize=64)
+def _zobrist_keys(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Deterministic state-hash keys for an n x m board.
+
+    With random 64-bit keys Z, the state key of (delta, agent i) is
+    ``sum(Z[r][j] * delta[r][j]) + agent_key[i]``. A turn of agent i on j
+    adds 1 to delta[:, j] and subtracts n from delta[i][j], so it moves the
+    sum by ``inc[i][j] = sum_r Z[r][j] - n * Z[i][j]``. Returns (inc,
+    agent_key).
+    """
+    rng = random.Random(f"tacosim-zobrist-{n}x{m}")
+    Z = [[rng.getrandbits(64) for _ in range(m)] for _ in range(n)]
+    agent_key = [rng.getrandbits(64) for _ in range(n)]
+    colsum = [sum(col) for col in zip(*Z)]
+    inc = tuple(tuple(c - n * z for c, z in zip(colsum, row)) for row in Z)
+    return inc, tuple(agent_key)
+
+
+def _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_cap):
     n, m = C.shape
-    delta = np.zeros((n, m), dtype=np.int64)
-    # Per-step work is Python dispatch, so index Python lists and row views
-    # rather than the arrays themselves.
     order_l = order.tolist()
     b_l = b.tolist()
-    delta_rows = list(delta)
-    C_rows = list(C)
-    history: dict[tuple[bytes, int], int] = {}
+    C_l = C.tolist()
+    inc, agent_key = _zobrist_keys(n, m)
+    # The board change since the window began: delta[i][j] = col[j] - n*sel[i][j].
+    col = [0] * m
+    sel = [[0] * m for _ in range(n)]
+    rows = [[0.0] * m for _ in range(n)]  # each agent's profit row, as of its last turn
+    all_cols = range(m)
     players: list[int] = []
     choices: list[int] = []
-    rows: list[np.ndarray] = []
-    t = 0
+    prows = array("d")
+    # State key -> the 1-based step that first observed it. A key hit is only
+    # a candidate; a hit that is not the same state goes to `collided`, so a
+    # later true repeat of any recorded state is still found.
+    history: dict[int, int] = {}
+    collided: dict[int, list[int]] = {}
+    h = 0
     status = "budget"
     s0 = -1
+    t = 0
     while t < budget:
         i = order_l[(pos0 + t) % n]
-        row = b_l[i] * net_row(i, delta_rows[i]) - C_rows[i]
-        j = int(row.argmax())
+        row = rows[i]
+        sel_i = sel[i]
+        b_i = b_l[i]
+        C_i = C_l[i]
+        # A first turn fills the row; after that only the columns chosen since
+        # agent i's last turn (the last n turns) have changed. The float cell
+        # repeats numpy's b_i * (net0f[i] + dval * delta[i]) - C[i]: the same
+        # IEEE operations in the same order, so bit for bit the same row.
+        cols = choices[t - n : t] if t >= n else all_cols
+        if net_cell is None:
+            net0_i = net0[i]
+            for j in cols:
+                row[j] = b_i * (net0_i[j] + dval * (col[j] - n * sel_i[j])) - C_i[j]
+        else:
+            for j in cols:
+                row[j] = b_i * net_cell(i, j, col[j] - n * sel_i[j]) - C_i[j]
+        j = row.index(max(row))  # lowest index on ties, like argmax
         players.append(i)
         choices.append(j)
-        rows.append(row)
+        prows.fromlist(row)
         t += 1
-        key = (delta.tobytes(), i)
-        prev = history.get(key)
-        if prev is not None:
-            status = "detected"
-            s0 = prev
-            break
-        if len(history) >= history_cap:
+        key = h + agent_key[i]
+        first = history.get(key)
+        if first is not None:
+            s0 = _find_repeat(first, collided.get(key, ()), t, players, choices, n, m)
+            if s0 > 0:
+                status = "detected"
+                break
+        # Every observation before a repeat is a distinct state, so the
+        # history holds t - 1 entries here.
+        if t > history_cap:
             status = "history_cap"
             break
-        history[key] = t
-        delta[:, j] += 1
-        delta[i, j] -= n
-    profit_rows = np.stack(rows)  # budget > 0, so at least one turn was taken
-    del rows  # free the per-step rows before allocating the other outputs
-    # The last turn's update is pending unless the budget ran out.
-    applied = t if status == "budget" else t - 1
-    players_a = np.array(players, dtype=np.int64)
-    choices_a = np.array(choices, dtype=np.int64)
-    selcount = np.bincount(
-        players_a[:applied] * m + choices_a[:applied], minlength=n * m
-    ).reshape(n, m)
+        if first is None:
+            history[key] = t
+        else:
+            collided.setdefault(key, []).append(t)
+        h += inc[i][j]
+        col[j] += 1
+        sel_i[j] += 1
     return WindowResult(
         status=status,
         steps=t,
         s0_rel=s0,
-        players=players_a,
-        choices=choices_a,
-        profit_rows=profit_rows,
-        selcount=selcount,
+        players=np.array(players, dtype=np.int64),
+        choices=np.array(choices, dtype=np.int64),
+        profit_rows=np.frombuffer(prows, dtype=np.float64).reshape(t, m),
+        selcount=np.array(sel, dtype=np.int64),
     )
+
+
+def _find_repeat(first, more, t, players, choices, n, m):
+    """The earlier step whose observation step t repeats exactly, or -1.
+
+    Observations s < t see the same delta iff turns s..t-1 left it unchanged:
+    every column gained as many +1s as -n, i.e. each agent chose it equally
+    often. Then each agent had as many turns, so (t - s) % n == 0 and the
+    same agent is on turn too.
+    """
+    for s in (first, *more):
+        counts = np.bincount(
+            np.array(players[s - 1 : t - 1]) * m + np.array(choices[s - 1 : t - 1]),
+            minlength=n * m,
+        ).reshape(n, m)
+        if (counts == counts[0]).all():
+            return s
+    return -1
 
 
 @njit(cache=True)

@@ -72,7 +72,7 @@ class TacoConfig:
             self.turn_order = tuple(int(i) for i in self.turn_order)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     """One executed turn: the profit row is the playing agent's, pre-update."""
 
@@ -204,16 +204,20 @@ def _run(config, agents, interrupt_step, backend):
             g0 % n,
             hard_cap - g0,
             config.history_cap,
-            lattice.exact_net_row() if backend == "exact" else None,
+            lattice.exact_net_cell() if backend == "exact" else None,
         )
         if win.status == "history_cap":
             raise HistoryLimitError(
                 f"state-key history exceeded {config.history_cap} entries "
                 f"near step {g0 + win.steps}"
             )
-        log = list(zip(win.players.tolist(), win.choices.tolist()))
-        for k, (a_k, c_k) in enumerate(log):
-            trace.append(TraceStep(g0 + k + 1, a_k, c_k, win.profit_rows[k]))
+        players = win.players.tolist()
+        choices = win.choices.tolist()
+        trace.extend(
+            map(TraceStep, range(g0 + 1, g0 + win.steps + 1), players, choices, win.profit_rows)
+        )
+        # Turns are cyclic, so the last n turns hold each agent's last selection.
+        for a_k, c_k in zip(players[-n:], choices[-n:]):
             selections[a_k] = c_k
         if win.status != "detected":
             _advance_board(lattice, win.selcount, win.steps)
@@ -221,9 +225,11 @@ def _run(config, agents, interrupt_step, backend):
         # The detection turn's update is pending; absorb the rest exactly.
         _advance_board(lattice, win.selcount, win.steps - 1)
         # A cycle never leaves its window: count it from the window's turns.
-        counts, active = span_counts(log, win.s0_rel + 1, win.steps, n, m)
+        s0 = win.s0_rel
+        cycle_log = list(zip(players[s0:], choices[s0:]))
+        counts, active = span_counts(cycle_log, 1, len(cycle_log), n, m)
         cyc = CycleRecord(
-            start_step=g0 + win.s0_rel + 1,
+            start_step=g0 + s0 + 1,
             end_step=len(trace),
             active_choices=active,
             choice_counts=counts,
@@ -238,7 +244,7 @@ def _run(config, agents, interrupt_step, backend):
         if check_termination(cyc, config.epsilon):
             terminated = True
             break
-        apply_selection(lattice, *log[-1])
+        apply_selection(lattice, players[-1], choices[-1])
     board = lattice.to_board(selections)
     return _finish(config, board, trace, cycles, terminated, interrupt_step)
 
@@ -271,27 +277,24 @@ class _LatticeBoard:
         """The trading unit d0 * gamma^K, exact."""
         return Fraction(self.a * self.pk, self.unit_den)
 
-    def exact_net_row(self):
-        """The exact backend's net row for a window starting on this board.
+    def exact_net_cell(self):
+        """The exact backend's net cell for a window starting on this board.
 
-        Agent i at integer delta row delta_i observes the net
-        a*(N0[i] + p^K*delta_i) / (b*q^K), N0 being offers - pays now. Python
-        int true division rounds correctly, so each cell equals float of the
+        Agent i on choice j at integer delta k observes the net
+        a*(N0[i][j] + p^K*k) / (b*q^K), N0 being offers - pays now. Python int
+        true division rounds correctly, so each cell equals float of the
         exact rational net bit for bit.
         """
         a, pk, den = self.a, self.pk, self.unit_den
         net0 = [[o - p for o, p in zip(self.offers, row)] for row in self.pays]
 
-        def net_row(i, delta_i):
-            return np.array(
-                [a * (v + pk * k) / den for v, k in zip(net0[i], delta_i.tolist())],
-                dtype=np.float64,
-            )
+        def net_cell(i, j, k):
+            return a * (net0[i][j] + pk * k) / den
 
-        return net_row
+        return net_cell
 
     def net_float(self) -> np.ndarray:
-        """offers - pays as float64, each entry correctly rounded (see exact_net_row)."""
+        """offers - pays as float64, each entry correctly rounded (see exact_net_cell)."""
         a, den = self.a, self.unit_den
         return np.array(
             [[a * (o - p) / den for o, p in zip(self.offers, row)] for row in self.pays],

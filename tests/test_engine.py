@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import _window_oracle as window_oracle
 from _replay import verify_run
 from tacosim import _fastpath, engine
 from tacosim.agent import AgentPrivate
@@ -489,3 +490,139 @@ def test_tie_prone_backend_agreement():
         numpy_run = run_taco(config, problem.agents(), backend="numpy")
         assert [t.selection for t in numpy_run.trace] == [t.selection for t in exact_run.trace]
         assert numpy_run.settlements == exact_run.settlements
+
+
+def _assert_same_window(got, ref):
+    assert (got.status, got.steps, got.s0_rel) == (ref.status, ref.steps, ref.s0_rel)
+    np.testing.assert_array_equal(got.players, ref.players)
+    np.testing.assert_array_equal(got.choices, ref.choices)
+    assert got.profit_rows.shape == ref.profit_rows.shape
+    assert got.profit_rows.tobytes() == ref.profit_rows.tobytes()
+    np.testing.assert_array_equal(got.selcount, ref.selcount)
+
+
+@pytest.fixture
+def oracle_windows(monkeypatch):
+    """Check every window the engine runs against the numpy kernel oracle.
+
+    Returns the set of window statuses seen. The exact backend's oracle row
+    is built from the lattice the engine anchored the window on.
+    """
+    run_window = _fastpath.run_window
+    exact_net_cell = engine._LatticeBoard.exact_net_cell
+    anchors = []
+    seen = set()
+
+    def record_anchor(lattice):
+        anchors.append(lattice)
+        return exact_net_cell(lattice)
+
+    def checked(backend, net0f, dval, b, C, order, pos0, budget, history_cap, net_cell=None):
+        got = run_window(backend, net0f, dval, b, C, order, pos0, budget, history_cap, net_cell)
+        if backend == "exact":
+            net_row = window_oracle.exact_net_row(anchors.pop())
+        else:
+            net_row = window_oracle.float_net_row(net0f, dval)
+        ref = window_oracle.run_window_oracle(net_row, b, C, order, pos0, budget, history_cap)
+        _assert_same_window(got, ref)
+        seen.add(got.status)
+        return got
+
+    monkeypatch.setattr(engine._LatticeBoard, "exact_net_cell", record_anchor)
+    monkeypatch.setattr(_fastpath, "run_window", checked)
+    return seen
+
+
+def _oracle_runs(config, problem):
+    # One natural run (detected windows), one interrupted after 3 steps
+    # (a budget window) and one with a 2-entry history (a history_cap window).
+    yield lambda backend: run_taco(config, problem.agents(), backend=backend)
+    yield lambda backend: run_interrupted(config, problem.agents(), 3, backend=backend)
+    capped = TacoConfig(
+        epsilon=config.epsilon, d0=config.d0, gamma=config.gamma, history_cap=2
+    )
+    yield lambda backend: run_taco(capped, problem.agents(), backend=backend)
+
+
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_window_kernel_matches_oracle_on_reproducer(oracle_windows, backend):
+    for config, problem in _tie_prone_instances():
+        for run in _oracle_runs(config, problem):
+            try:
+                run(backend)
+            except HistoryLimitError:
+                pass
+    assert oracle_windows == {"detected", "budget", "history_cap"}
+
+
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_window_kernel_matches_oracle_on_random_problems(oracle_windows, backend):
+    rng = np.random.default_rng(4321)
+    for n, m in ((2, 2), (3, 5), (4, 24), (6, 40), (10, 100)):
+        for _ in range(3):
+            problem = random_problem(n, m, rng)
+            eps = 1e-3 * float(problem.C.mean())
+            for d0 in (1, "1/20"):
+                config = TacoConfig(epsilon=eps, d0=d0, gamma="7/10")
+                for run in _oracle_runs(config, problem):
+                    try:
+                        run(backend)
+                    except HistoryLimitError:
+                        pass
+    assert oracle_windows == {"detected", "budget", "history_cap"}
+
+
+def _colliding_keys(n, m):
+    return [[0] * m for _ in range(n)], [0] * n
+
+
+@pytest.mark.parametrize(
+    "budget, history_cap, status",
+    [(10**6, 2000, "detected"), (60, 2000, "budget"), (10**6, 70, "history_cap")],
+)
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap, status, backend):
+    # With every state key equal, each turn after the first is a key hit, so
+    # every hit before the true repeat is a false candidate that must be kept:
+    # the repeated state was itself recorded after a false hit.
+    problem = random_problem(4, 6, np.random.default_rng(0))
+    n, m = 4, 6
+    net0f = np.zeros((n, m))
+    order = np.arange(n, dtype=np.int64)
+    lattice = engine._LatticeBoard(n, m, Fraction(1, 100), Fraction(1, 2))
+    net_cell = lattice.exact_net_cell() if backend == "exact" else None
+
+    def run():
+        return _fastpath.run_window(
+            backend, net0f, 1 / 100, problem.b, problem.C, order, 1, budget, history_cap, net_cell
+        )
+
+    real = run()
+    monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)
+    colliding = run()
+    assert real.status == status
+    if status == "detected":
+        # A recorded step with the same agent on turn precedes the repeat.
+        assert real.s0_rel > n + 1
+    _assert_same_window(colliding, real)
+
+
+def test_engine_with_colliding_keys_matches(monkeypatch):
+    # The history cap bounds the quadratic cost of all-colliding keys, should
+    # a repeat ever be missed.
+    instances = [
+        (TacoConfig(epsilon=c.epsilon, d0=c.d0, gamma=c.gamma, history_cap=500), problem)
+        for c, problem in _tie_prone_instances(200)
+    ]
+    real = [run_taco(config, problem.agents()) for config, problem in instances]
+    monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)
+    for (config, problem), ref in zip(instances, real):
+        got = run_taco(config, problem.agents())
+        assert got.steps == ref.steps
+        assert [(t.agent, t.selection) for t in got.trace] == [
+            (t.agent, t.selection) for t in ref.trace
+        ]
+        assert [(c.start_step, c.end_step) for c in got.cycle_records] == [
+            (c.start_step, c.end_step) for c in ref.cycle_records
+        ]
+        assert got.settlements == ref.settlements
