@@ -3,12 +3,15 @@
 The waypoint-merging scenario turns an aircraft-sequencing problem into a
 discrete choice problem: every arrival ordering is one option, and its cost
 vector comes from solving the ordering's chain-constrained quadratic program
-exactly. A random-matrix generator and the two-agent running example cover
-the remaining experiment families.
+exactly. All n! orderings are solved by one depth-first walk that extends each
+prefix's pooled PAVA blocks once; every column is bit-identical to solving its
+ordering alone with `solve_ordering`. A random-matrix generator and the
+two-agent running example cover the remaining experiment families.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,23 +63,32 @@ def pava(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError("targets and weights must be equal-length vectors")
     if not (w > 0).all():
         raise ValueError("weights must be positive")
-    # Each block is (weighted mean, total weight, member count).
-    means: list[float] = []
-    wsums: list[float] = []
-    sizes: list[int] = []
-    for ti, wi in zip(t, w):
-        means.append(float(ti))
-        wsums.append(float(wi))
-        sizes.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            wm = wsums[-2] + wsums[-1]
-            means[-2] = (means[-2] * wsums[-2] + means[-1] * wsums[-1]) / wm
-            wsums[-2] = wm
-            sizes[-2] += sizes[-1]
-            means.pop()
-            wsums.pop()
-            sizes.pop()
-    return np.repeat(means, sizes)
+    stack = None
+    for ti, wi in zip(t.tolist(), w.tolist()):
+        stack = _pool(stack, ti, wi)
+    return np.array(_block_values(stack), dtype=np.float64)
+
+
+def _pool(stack, target: float, weight: float):
+    """Push a target onto a PAVA stack of (mean, weight, size, below) blocks,
+    pooling adjacent violators; the stack it extends is never mutated."""
+    mean, wsum, size = target, weight, 1
+    while stack is not None and stack[0] > mean:
+        below_mean, below_w, below_size, stack = stack
+        wm = below_w + wsum
+        mean = (below_mean * below_w + mean * wsum) / wm
+        wsum = wm
+        size += below_size
+    return (mean, wsum, size, stack)
+
+
+def _block_values(stack) -> list[float]:
+    """Per-position fitted values of a block stack, first position first."""
+    blocks = []
+    while stack is not None:
+        blocks.append(stack)
+        stack = stack[3]
+    return [mean for mean, _, size, _ in reversed(blocks) for _ in range(size)]
 
 
 def solve_ordering(scenario: WaypointScenario, order) -> np.ndarray:
@@ -99,26 +111,47 @@ def solve_ordering(scenario: WaypointScenario, order) -> np.ndarray:
     return x
 
 
+@functools.cache
+def _orderings(n: int) -> tuple[tuple, tuple[str, ...]]:
+    """Lexicographic orderings of n agents, each with the length of the prefix
+    it shares with the one before it, and their option labels."""
+    orders = list(itertools.permutations(range(n)))
+    depths = [0] + [next(t for t in range(n) if prev[t] != cur[t])
+                    for prev, cur in zip(orders, orders[1:])]
+    labels = tuple("order(" + ",".join(map(str, order)) + ")" for order in orders)
+    return tuple(zip(orders, depths)), labels
+
+
 def enumerate_options(scenario: WaypointScenario, b, max_agents: int = 7) -> ChoiceProblem:
     """One option per arrival ordering, in lexicographic order; m = n!.
 
     The caller supplies the valuation vector b; option j's cost for agent i is
-    k[i] * x[i]**2 under ordering j's optimal adjustment.
+    k[i] * x[i]**2 under ordering j's optimal adjustment, computed with the
+    float operations of `solve_ordering` and `k * x**2`, so bit-identically.
     """
     n = scenario.n
     if n > max_agents:
         raise ResourceLimitError(
             f"n={n} yields {math.factorial(n)} orderings, above the n<={max_agents} cap"
         )
-    columns = []
-    labels = []
-    for perm in itertools.permutations(range(n)):
-        x = solve_ordering(scenario, perm)
-        columns.append(scenario.k * x**2)
-        labels.append("order(" + ",".join(str(i) for i in perm) + ")")
-    C = np.column_stack(columns)
+    e = scenario.e.tolist()
+    k = scenario.k.tolist()
+    shift = [t * scenario.D for t in range(n)]
+    rows: list[list[float]] = [[] for _ in range(n)]
+    walk, labels = _orderings(n)
+    stacks = [None] * (n + 1)  # stacks[t]: pooled blocks of the first t positions
+    for order, depth in walk:
+        stack = stacks[depth]
+        for t in range(depth, n):
+            i = order[t]
+            stack = stacks[t + 1] = _pool(stack, e[i] - shift[t], k[i])
+        for i, v, s in zip(order, _block_values(stack), shift):
+            x = (v + s) - e[i]
+            rows[i].append(k[i] * (x * x))
+    # C-contiguous like np.column_stack's C, so C.mean() sums in the same order.
+    C = np.array(rows, dtype=np.float64).reshape(n, len(labels))
     return ChoiceProblem(n=n, m=C.shape[1], C=C, b=np.asarray(b, dtype=np.float64),
-                         option_labels=labels)
+                         option_labels=list(labels))
 
 
 def random_problem(n: int, m: int, rng: np.random.Generator) -> ChoiceProblem:
@@ -145,8 +178,10 @@ def random_waypoint_problem(
 
     ETAs are Uniform(0, n*D), so arrivals genuinely conflict. Degenerate
     instances whose best ordering needs no adjustment at all (total cost 0,
-    where the optimality gap is undefined) are resampled.
+    where the optimality gap is undefined) are resampled; n < 2 is rejected.
     """
+    if n < 2:
+        raise ValueError(f"a waypoint instance needs n >= 2 agents, got n={n}")
     while True:
         e = rng.uniform(0.0, n * D, size=n)
         k = rng.uniform(k_range[0], k_range[1], size=n)

@@ -1,7 +1,12 @@
 """Command-line interface: output formats, exit codes, config precedence."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import tacosim
 from tacosim.cli import load_config_file, main
 
 
@@ -121,6 +126,23 @@ def test_history_cap_exit_code(tmp_path, capsys):
     rows = _read_rows(tmp_path / "montecarlo.csv")
     assert len(rows) == 15
     assert [r["status"] for r in rows if r["mechanism"] == "taco"] == ["history_cap"] * 3
+
+
+def test_waypoint_with_fewer_than_two_agents_exits_with_error():
+    # One agent used to make the waypoint sampler resample forever; run it in
+    # a subprocess so a regression fails on the timeout instead of hanging.
+    src = str(Path(tacosim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for n in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tacosim.cli", "montecarlo", "--n", n,
+             "--trials", "1", "--out-dir", ""],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "n >= 2" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_interrupt_command_defaults_to_taco(tmp_path):

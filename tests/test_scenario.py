@@ -1,5 +1,7 @@
 """Waypoint scenario: isotonic solver, per-ordering costs, random generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,36 @@ def test_pava_matches_brute_force():
         got_obj = float(np.sum(weights * (got - targets) ** 2))
         assert abs(got_obj - want_obj) <= 1e-9
         assert (np.diff(got) >= -1e-12).all()
+
+
+def _list_pava(targets, weights):
+    # Textbook pool-adjacent-violators on parallel lists: a merged block's mean
+    # is (m1*w1 + m2*w2) / (w1 + w2), its weight w1 + w2.
+    means, wsums, sizes = [], [], []
+    for ti, wi in zip(targets, weights):
+        means.append(float(ti))
+        wsums.append(float(wi))
+        sizes.append(1)
+        while len(means) > 1 and means[-2] > means[-1]:
+            wm = wsums[-2] + wsums[-1]
+            means[-2] = (means[-2] * wsums[-2] + means[-1] * wsums[-1]) / wm
+            wsums[-2] = wm
+            sizes[-2] += sizes[-1]
+            means.pop()
+            wsums.pop()
+            sizes.pop()
+    return np.repeat(means, sizes)
+
+
+def test_pava_bytes_match_list_reference():
+    # pava and enumerate_options share one pooling loop, so comparing them
+    # cannot see a change to its arithmetic; this pins it independently.
+    rng = np.random.default_rng(606)
+    for _ in range(300):
+        L = int(rng.integers(0, 12))
+        targets = rng.normal(size=L) * 3.0
+        weights = rng.random(L) + 0.1
+        assert pava(targets, weights).tobytes() == _list_pava(targets, weights).tobytes()
 
 
 def test_pava_kkt_certificate():
@@ -159,7 +191,30 @@ def test_enumerate_options_lexicographic():
         [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     ):
         x = solve_ordering(scenario, perm)
-        np.testing.assert_allclose(problem.C[:, j], scenario.k * x**2, atol=1e-12)
+        assert problem.C[:, j].tobytes() == (scenario.k * x**2).tobytes()
+
+
+def test_enumerate_options_bytes_match_solve_ordering():
+    # The prefix-sharing walk must reproduce every per-ordering solve bit for
+    # bit, including the C-contiguous layout that fixes C.mean()'s summation
+    # order (the montecarlo epsilon column is epsilon_rel * C.mean()).
+    rng = np.random.default_rng(5)
+    for trial in range(1020):
+        n = 1 + trial % 6
+        D = float(rng.choice([0.7, 1.0, 1.3]))
+        scenario = WaypointScenario(
+            e=rng.uniform(0.0, n * D, size=n), k=rng.uniform(0.5, 2.0, size=n), D=D
+        )
+        problem = enumerate_options(scenario, b=np.ones(n))
+        columns = [
+            scenario.k * solve_ordering(scenario, perm) ** 2
+            for perm in itertools.permutations(range(n))
+        ]
+        assert problem.C.flags.c_contiguous
+        assert problem.C.shape == (n, len(columns))
+        for j, column in enumerate(columns):
+            assert problem.C[:, j].tobytes() == column.tobytes(), (trial, j)
+        assert problem.C.mean().tobytes() == np.column_stack(columns).mean().tobytes()
 
 
 def test_enumerate_options_agent_cap():
@@ -189,6 +244,17 @@ def test_random_waypoint_problem_deterministic_and_positive():
     assert a.C.sum(axis=0).min() > 0
     assert ((a.b >= 0.5) & (a.b < 1.5)).all()
     assert (a.C >= 0).all()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_waypoint_problem_rejects_fewer_than_two_agents(n):
+    # Every ordering of fewer than two agents costs 0, so the resampling loop
+    # would never return; the check comes before any draw.
+    rng = np.random.default_rng(21)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n >= 2"):
+        random_waypoint_problem(n, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_example2_fixture_values():
