@@ -2,7 +2,7 @@
 
 A group of agents repeatedly bids on a shared board of offers and payments
 until their profits for the surviving options agree to within a tolerance;
-the package provides the exact-arithmetic engine, accelerated backends,
+the package provides the exact-arithmetic engine and its float fast path,
 baseline mechanisms, scenario generators, evaluation metrics, and a CLI for
 batch experiments.
 """
@@ -70,7 +70,7 @@ from .scenario import (
     random_waypoint_problem,
     solve_ordering,
 )
-from ._fastpath import BACKENDS, ENV_VAR, NUMBA_AVAILABLE, resolve_backend
+from ._fastpath import BACKENDS, ENV_VAR, resolve_backend
 
 __version__ = "0.1.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "ExactAmount",
     "ExperimentConfig",
     "HistoryLimitError",
-    "NUMBA_AVAILABLE",
     "MetricUndefinedError",
     "NoTerminationError",
     "PublicBoard",

@@ -14,12 +14,13 @@ One driver serves every backend. It keeps the board on an integer lattice:
 with d0 = a/b and gamma = p/q, every offer and pay at epoch K is an integer
 multiple of a/(b*q^K), held as a Python int. Between two reductions it runs
 one constant-d window through the window kernel (see _fastpath), whose
-integer-delta history is the cycle detector. The backends differ only in the
-net row the playing agent observes: "exact" divides the lattice integers
-once per cell (correctly rounded, so the float of the exact rational net);
-"numpy" and "numba" anchor the window's float net matrix that way and add
-d * delta. The Fraction board is built once, at the end, for settlement and
-final_board, so settlements are exact rationals on every backend.
+integer-delta history is the cycle detector. The two backends differ only
+in the net row the playing agent observes: "exact" divides the lattice
+integers once per cell (correctly rounded, so the float of the exact
+rational net); "numpy" anchors the window's float net matrix that way and
+adds d * delta. The Fraction board is built once, at the end, for
+settlement and final_board, so settlements are exact rationals on every
+backend.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _prepare(config, agents):
 
 
 def _run(config, agents, interrupt_step, backend):
-    backend = _fastpath.resolve_backend(backend)
+    exact_cells = _fastpath.resolve_backend(backend) == "exact"
     n, m, b, C, order = _prepare(config, agents)
     lattice = _LatticeBoard(n, m, config.d0, config.gamma)
     selections: list[int | None] = [None] * n
@@ -195,8 +196,7 @@ def _run(config, agents, interrupt_step, backend):
     while len(trace) < hard_cap:
         g0 = len(trace)
         win = _fastpath.run_window(
-            backend,
-            lattice.net_float(),
+            None if exact_cells else lattice.net_float(),
             float(lattice.d),
             b,
             C,
@@ -204,15 +204,15 @@ def _run(config, agents, interrupt_step, backend):
             g0 % n,
             hard_cap - g0,
             config.history_cap,
-            lattice.exact_net_cell() if backend == "exact" else None,
+            lattice.exact_net_cell() if exact_cells else None,
         )
         if win.status == "history_cap":
             raise HistoryLimitError(
                 f"state-key history exceeded {config.history_cap} entries "
                 f"near step {g0 + win.steps}"
             )
-        players = win.players.tolist()
-        choices = win.choices.tolist()
+        players = win.players
+        choices = win.choices
         trace.extend(
             map(TraceStep, range(g0 + 1, g0 + win.steps + 1), players, choices, win.profit_rows)
         )
@@ -336,7 +336,7 @@ def reduce_trading_unit(board: _LatticeBoard) -> None:
     board.epoch += 1
 
 
-def _advance_board(board: _LatticeBoard, selcount: np.ndarray, steps: int) -> None:
+def _advance_board(board: _LatticeBoard, selcount: list[list[int]], steps: int) -> None:
     """Apply a window's worth of selections to the lattice in one pass.
 
     Equivalent to apply_selection per step: each selection of choice j adds
@@ -346,10 +346,10 @@ def _advance_board(board: _LatticeBoard, selcount: np.ndarray, steps: int) -> No
     pk = board.pk
     npk = board.n * pk
     offers = board.offers
-    for j, c in enumerate(selcount.sum(axis=0).tolist()):
+    for j, c in enumerate(map(sum, zip(*selcount))):
         if c:
             offers[j] += pk * c
-    for row, counts in zip(board.pays, selcount.tolist()):
+    for row, counts in zip(board.pays, selcount):
         for j, c in enumerate(counts):
             if c:
                 row[j] += npk * c

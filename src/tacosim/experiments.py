@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics, scenario
+from ._fastpath import resolve_backend
 from .agent import profit_row
 from .board import apply_selection, exact, new_board, reduce_trading_unit
 from .engine import TacoConfig, TacoOutcome, run_interrupted, run_taco
@@ -123,6 +124,7 @@ class ExperimentConfig:
         self.workers = int(self.workers)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        resolve_backend(self.backend)  # an unknown name fails here, before any trial
         if not (self.k_min > 0 and self.k_max >= self.k_min):
             raise ValueError("urgency range must satisfy 0 < k_min <= k_max")
         if not (self.b_min > 0 and self.b_max >= self.b_min):

@@ -80,17 +80,17 @@ def run_window_oracle(net_row, b, C, order, pos0, budget, history_cap) -> Window
         delta[i, j] -= n
     # The last turn's update is pending unless the budget ran out.
     applied = t if status == "budget" else t - 1
-    players_a = np.array(players, dtype=np.int64)
-    choices_a = np.array(choices, dtype=np.int64)
     selcount = np.bincount(
-        players_a[:applied] * m + choices_a[:applied], minlength=n * m
+        np.array(players[:applied], dtype=np.int64) * m
+        + np.array(choices[:applied], dtype=np.int64),
+        minlength=n * m,
     ).reshape(n, m)
     return WindowResult(
         status=status,
         steps=t,
         s0_rel=s0,
-        players=players_a,
-        choices=choices_a,
+        players=players,
+        choices=choices,
         profit_rows=np.stack(rows),
-        selcount=selcount,
+        selcount=selcount.tolist(),
     )

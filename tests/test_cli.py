@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tacosim
 from tacosim.cli import load_config_file, main
 
@@ -240,6 +242,23 @@ def test_show_config_output_is_a_valid_config_file(tmp_path, capsys):
     assert values["gamma"] == "3/10" or str(values["gamma"]) == "3/10"
     assert main(["show-config", "--config", str(cfg_file)]) == 0
     assert capsys.readouterr().out == text
+
+
+def test_show_config_rejects_unknown_backend(capsys):
+    assert main(["show-config", "--backend", "fancy"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown backend 'fancy'")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_montecarlo_rejects_unknown_backend_before_any_trial(tmp_path, capsys, workers):
+    assert main([
+        "montecarlo", "--backend", "numba", "--trials", "3", "--workers", workers,
+        "--out-dir", str(tmp_path),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown backend 'numba'")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_and_bad_invocations(capsys):

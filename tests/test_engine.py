@@ -21,9 +21,7 @@ from tacosim.engine import (
 from tacosim.errors import HistoryLimitError, NoTerminationError
 from tacosim.scenario import example2_fixture, random_problem
 
-needs_numba = pytest.mark.skipif(not _fastpath.NUMBA_AVAILABLE, reason="numba not installed")
-
-BACKENDS = ("exact", "numpy", pytest.param("numba", marks=needs_numba))
+BACKENDS = ("exact", "numpy")
 
 GOLDEN_PROFITS = [
     [-10.0, -4.0],
@@ -297,38 +295,27 @@ def test_cross_backend_equivalence():
         _assert_matches_exact(numpy_run, exact_run)
 
 
-@needs_numba
-def test_cross_backend_equivalence_numba():
-    for config, problem in _equivalence_instances():
-        exact_run = run_taco(config, problem.agents(), backend="exact")
-        numpy_run = run_taco(config, problem.agents(), backend="numpy")
-        numba_run = run_taco(config, problem.agents(), backend="numba")
-        _assert_matches_exact(numba_run, exact_run)
-        # The two fast backends share one float contract: bit-identical.
-        np.testing.assert_array_equal(_profit_rows(numpy_run), _profit_rows(numba_run))
-
-
 def test_window_buffer_growth_matches_numpy():
-    # A slow drift toward the cheap option keeps one constant-d window well
-    # past the numba path's initial 256-slot buffers, forcing the resume and
-    # rehash logic to run. Without numba, njit is the identity, so the same
-    # kernel runs as plain Python and this check still holds.
+    # A slow drift toward the cheap option keeps one constant-d window going
+    # for hundreds of steps: the longest single window checked against the
+    # oracle, on the float path and on the exact per-cell path.
     problem = example2_fixture()
     net0 = np.zeros((2, 2))
-    b = problem.b
-    C = problem.C
     order = np.arange(2, dtype=np.int64)
-    # The FNV-1a state hash relies on int64 wrap-around (_FNV_OFFSET is a signed int64).
-    with np.errstate(over="ignore"):
-        fast = _fastpath.run_window("numba", net0, 1 / 500, b, C, order, 0, 5000, 10**6)
-        ref = _fastpath.run_window("numpy", net0, 1 / 500, b, C, order, 0, 5000, 10**6)
-    assert fast.status == ref.status == "detected"
-    assert fast.steps == ref.steps > 256
-    assert fast.s0_rel == ref.s0_rel
-    np.testing.assert_array_equal(fast.players, ref.players)
-    np.testing.assert_array_equal(fast.choices, ref.choices)
-    np.testing.assert_array_equal(fast.selcount, ref.selcount)
-    np.testing.assert_array_equal(fast.profit_rows, ref.profit_rows)
+    lattice = engine._LatticeBoard(2, 2, Fraction(1, 500), Fraction(9, 10))
+    for net_cell, net_row in (
+        (None, window_oracle.float_net_row(net0, 1 / 500)),
+        (lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)),
+    ):
+        got = _fastpath.run_window(
+            net0, 1 / 500, problem.b, problem.C, order, 0, 5000, 10**6, net_cell
+        )
+        ref = window_oracle.run_window_oracle(
+            net_row, problem.b, problem.C, order, 0, 5000, 10**6
+        )
+        assert got.status == "detected"
+        assert got.steps > 256
+        _assert_same_window(got, ref)
 
 
 @pytest.mark.parametrize(
@@ -341,7 +328,7 @@ def test_window_selcount_counts_applied_turns(budget, history_cap, status):
     problem = random_problem(3, 5, np.random.default_rng(5))
     order = np.arange(3, dtype=np.int64)
     win = _fastpath.run_window(
-        "numpy", np.zeros((3, 5)), 1 / 100, problem.b, problem.C, order, 1, budget, history_cap
+        np.zeros((3, 5)), 1 / 100, problem.b, problem.C, order, 1, budget, history_cap
     )
     assert win.status == status
     applied = win.steps if status == "budget" else win.steps - 1
@@ -366,7 +353,7 @@ def test_lattice_board_matches_fraction_board():
             engine.apply_selection(lattice, i, j)
             apply_selection(ref, i, j)
         selcount = rng.integers(0, 3, (n, m))
-        engine._advance_board(lattice, selcount, int(selcount.sum()))
+        engine._advance_board(lattice, selcount.tolist(), int(selcount.sum()))
         for (i, j), count in np.ndenumerate(selcount):
             for _ in range(count):
                 apply_selection(ref, i, j)
@@ -381,48 +368,37 @@ def test_lattice_board_matches_fraction_board():
     assert board.selections == ref.selections
 
 
-def _assert_long_window_matches_exact(backend):
+def test_long_window_engine_parity():
     config = TacoConfig(epsilon=1e-6, d0="1/500", gamma="9/10")
     problem = example2_fixture()
     agents = problem.agents()
-    other = run_taco(config, agents, backend=backend)
+    numpy_run = run_taco(config, agents, backend="numpy")
     exact_run = run_taco(config, agents, backend="exact")
-    assert other.steps == exact_run.steps > 256
-    assert other.settlements == exact_run.settlements
-    assert other.final_d == exact_run.final_d
-    assert [t.selection for t in other.trace] == [t.selection for t in exact_run.trace]
-    verify_run(problem, config, other)
+    assert numpy_run.steps == exact_run.steps > 256
+    assert numpy_run.settlements == exact_run.settlements
+    assert numpy_run.final_d == exact_run.final_d
+    assert [t.selection for t in numpy_run.trace] == [t.selection for t in exact_run.trace]
+    verify_run(problem, config, numpy_run)
     verify_run(problem, config, exact_run, exact_rows=True)
-
-
-def test_long_window_engine_parity():
-    _assert_long_window_matches_exact("numpy")
-
-
-@needs_numba
-def test_long_window_engine_parity_numba():
-    # Exercises the engine-level resume of the numba kernel past its 256-slot buffers.
-    _assert_long_window_matches_exact("numba")
 
 
 def test_backend_resolution(monkeypatch):
     monkeypatch.delenv(_fastpath.ENV_VAR, raising=False)
     assert _fastpath.resolve_backend("numpy") == "numpy"
     assert _fastpath.resolve_backend("exact") == "exact"
-    assert _fastpath.resolve_backend(None) in ("numba", "numpy")
-    if _fastpath.NUMBA_AVAILABLE:
-        assert _fastpath.resolve_backend(None) == "numba"
-    else:
-        assert _fastpath.resolve_backend(None) == "numpy"
-        with pytest.raises(RuntimeError):
-            _fastpath.resolve_backend("numba")
+    assert _fastpath.resolve_backend(None) == "numpy"
+    with pytest.raises(ValueError):
+        _fastpath.resolve_backend("numba")
+    with pytest.raises(ValueError):
+        _fastpath.resolve_backend("fancy")
     monkeypatch.setenv(_fastpath.ENV_VAR, "numpy")
     assert _fastpath.resolve_backend(None) == "numpy"
     monkeypatch.setenv(_fastpath.ENV_VAR, "exact")
     outcome = run_taco(_config(), example2_fixture().agents())
     assert outcome.steps == 5 and outcome.settlements == [Fraction(-1), Fraction(1)]
+    monkeypatch.setenv(_fastpath.ENV_VAR, "numba")
     with pytest.raises(ValueError):
-        _fastpath.resolve_backend("fancy")
+        run_taco(_config(), example2_fixture().agents())
 
 
 def test_replay_verifier_confirms_golden():
@@ -459,7 +435,7 @@ def test_replay_verifier_random_instances():
 
 
 def _tie_prone_instances(count=1000):
-    # ROADMAP item 1's reproducer: costs and valuations on a coarse decimal
+    # The reproducer of the tie rule in ROADMAP: costs and valuations on a coarse decimal
     # grid, so many options are mathematically tied.
     rng = np.random.default_rng(7)
     config = TacoConfig(epsilon=0.05, d0="1/10", gamma="1/2")
@@ -481,7 +457,7 @@ def test_exact_backend_matches_fraction_reference():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: numpy and exact break float ties differently "
+    reason="the tie rule in ROADMAP: numpy and exact break float ties differently "
     "(trials 224, 267, 339, 506 and 950 of the reproducer diverge)",
 )
 def test_tie_prone_backend_agreement():
@@ -494,11 +470,10 @@ def test_tie_prone_backend_agreement():
 
 def _assert_same_window(got, ref):
     assert (got.status, got.steps, got.s0_rel) == (ref.status, ref.steps, ref.s0_rel)
-    np.testing.assert_array_equal(got.players, ref.players)
-    np.testing.assert_array_equal(got.choices, ref.choices)
+    assert (got.players, got.choices) == (ref.players, ref.choices)
     assert got.profit_rows.shape == ref.profit_rows.shape
     assert got.profit_rows.tobytes() == ref.profit_rows.tobytes()
-    np.testing.assert_array_equal(got.selcount, ref.selcount)
+    assert got.selcount == ref.selcount
 
 
 @pytest.fixture
@@ -517,9 +492,9 @@ def oracle_windows(monkeypatch):
         anchors.append(lattice)
         return exact_net_cell(lattice)
 
-    def checked(backend, net0f, dval, b, C, order, pos0, budget, history_cap, net_cell=None):
-        got = run_window(backend, net0f, dval, b, C, order, pos0, budget, history_cap, net_cell)
-        if backend == "exact":
+    def checked(net0f, dval, b, C, order, pos0, budget, history_cap, net_cell=None):
+        got = run_window(net0f, dval, b, C, order, pos0, budget, history_cap, net_cell)
+        if net_cell is not None:
             net_row = window_oracle.exact_net_row(anchors.pop())
         else:
             net_row = window_oracle.float_net_row(net0f, dval)
@@ -594,7 +569,7 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
 
     def run():
         return _fastpath.run_window(
-            backend, net0f, 1 / 100, problem.b, problem.C, order, 1, budget, history_cap, net_cell
+            net0f, 1 / 100, problem.b, problem.C, order, 1, budget, history_cap, net_cell
         )
 
     real = run()
