@@ -33,6 +33,13 @@ Playing", 1970) kept as an unbounded Python int and updated in O(1) per
 turn; a key hit is only a candidate, confirmed exactly from the turns in
 between.
 
+The kernel records only who played and what they chose; it stores no
+profit row. A cell is a pure function of (agent, choice, integer delta),
+so ``window_rows`` rebuilds any step's row from the window's anchors and
+its choices, bit for bit the row the kernel saw. The kernel calls it once
+per detected cycle, for the rows the termination test reads; the engine's
+lazy trace calls it for any other row.
+
 Backend selection: the TACO_BACKEND environment variable ("auto", "numpy",
 "exact") or an explicit argument. "auto" is "numpy".
 """
@@ -69,10 +76,12 @@ class WindowResult:
     status is "detected" (the observed state repeated; s0_rel is the
     window-relative 1-based step at which it was first observed), "budget"
     (step allowance exhausted) or "history_cap" (too many recorded states).
-    players, choices and the rows of profit_rows cover the turns actually
-    taken, in order; selcount[i][j] counts agent i's applied turns on j.
-    When status is "detected" or "history_cap", the final turn's board
-    update is pending: selcount covers only the first steps-1 turns.
+    players and choices cover the turns actually taken, in order;
+    selcount[i][j] counts agent i's applied turns on j. When status is
+    "detected" or "history_cap", the final turn's board update is pending:
+    selcount covers only the first steps-1 turns. profit_rows holds the
+    cycle's rows only, those of the 0-based turns s0_rel..steps-1 (rebuilt
+    by ``window_rows``), and is None unless status is "detected".
     """
 
     status: str
@@ -80,7 +89,7 @@ class WindowResult:
     s0_rel: int
     players: list[int]
     choices: list[int]
-    profit_rows: np.ndarray
+    profit_rows: np.ndarray | None
     selcount: list[list[int]]
 
 
@@ -140,7 +149,6 @@ def _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_
     all_cols = range(m)
     players: list[int] = []
     choices: list[int] = []
-    prows = array("d")
     # State key -> the 1-based step that first observed it. A key hit is only
     # a candidate; a hit that is not the same state goes to `collided`, so a
     # later true repeat of any recorded state is still found.
@@ -171,7 +179,6 @@ def _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_
         j = row.index(max(row))  # lowest index on ties, like argmax
         players.append(i)
         choices.append(j)
-        prows.fromlist(row)
         t += 1
         key = h + agent_key[i]
         first = history.get(key)
@@ -192,15 +199,57 @@ def _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_
         h += inc[i][j]
         col[j] += 1
         sel_i[j] += 1
+    cycle_rows = None
+    if status == "detected":
+        # Take the cycle's applied turns back from the window's counts.
+        start = [row[:] for row in sel]
+        for a_k, c_k in zip(players[s0 : t - 1], choices[s0 : t - 1]):
+            start[a_k][c_k] -= 1
+        cycle_rows = window_rows(net_cell, net0, dval, b_l, C_l, players, choices, start, s0, t)
     return WindowResult(
         status=status,
         steps=t,
         s0_rel=s0,
         players=players,
         choices=choices,
-        profit_rows=np.frombuffer(prows, dtype=np.float64).reshape(t, m),
+        profit_rows=cycle_rows,
         selcount=sel,
     )
+
+
+def window_rows(net_cell, net0, dval, b, C, players, choices, sel, lo, hi) -> np.ndarray:
+    """The profit rows of a window's 0-based turns lo..hi-1, evaluated from scratch.
+
+    The window's anchors are those of ``run_window``, as lists: ``net0`` (the
+    rows of net0f, unused when ``net_cell`` is given), ``dval``, ``b`` and
+    ``C``. ``sel[i][j]`` counts agent i's turns on j among turns 0..lo-1; it
+    is not modified. Every cell is the kernel's expression at the integer
+    delta the agent observed, so each row is bit for bit the row the kernel
+    took its argmax over. Returns a read-only (hi - lo) x m array.
+    """
+    n = len(C)
+    sel = [row[:] for row in sel]
+    col = [sum(c) for c in zip(*sel)]
+    cols = range(len(C[0]))
+    out = array("d")
+    for t in range(lo, hi):
+        i = players[t]
+        sel_i = sel[i]
+        b_i = b[i]
+        C_i = C[i]
+        if net_cell is None:
+            net0_i = net0[i]
+            out.fromlist(
+                [b_i * (net0_i[j] + dval * (col[j] - n * sel_i[j])) - C_i[j] for j in cols]
+            )
+        else:
+            out.fromlist([b_i * net_cell(i, j, col[j] - n * sel_i[j]) - C_i[j] for j in cols])
+        j = choices[t]
+        col[j] += 1
+        sel_i[j] += 1
+    rows = np.frombuffer(out, dtype=np.float64).reshape(hi - lo, len(cols))
+    rows.flags.writeable = False
+    return rows
 
 
 def _find_repeat(first, more, t, players, choices, n, m):

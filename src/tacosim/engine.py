@@ -21,13 +21,25 @@ rational net); "numpy" anchors the window's float net matrix that way and
 adds d * delta. The Fraction board is built once, at the end, for
 settlement and final_board, so settlements are exact rationals on every
 backend.
+
+The run keeps no per-step object. Each window is kept as its anchors (the
+float net or the exact net cell, and d) plus the kernel's player and choice
+lists; a cycle's profit rows come back from the kernel with the detection.
+The outcome's trace is a lazy sequence over those window records that
+rebuilds a window's profit rows with ``_fastpath.window_rows`` when one of
+its steps is first read.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,15 +95,89 @@ class TraceStep:
     profit_row: np.ndarray
 
 
+class _Window(NamedTuple):
+    """One constant-d window as the trace keeps it: first step, turns, anchors."""
+
+    g0: int
+    players: list[int]
+    choices: list[int]
+    net0f: np.ndarray | None
+    dval: float
+    net_cell: Callable[[int, int, int], float] | None
+
+
+class Trace(Sequence[TraceStep]):
+    """A run's turns, read-only, built on access from per-window records.
+
+    ``trace[k]`` is step k+1 (negative indices count from the end), and
+    iteration yields the steps in order. A step's profit row is rebuilt
+    with ``_fastpath.window_rows``, the same function that rebuilds a
+    cycle's rows, so it is bit for bit the row the kernel saw. The rows of
+    one window are built on first access and kept until a step of another
+    window is read, so reading the steps in order costs one rebuild per
+    window. Each ``TraceStep`` is a new object; its ``profit_row`` is a
+    read-only view.
+    """
+
+    def __init__(self, b: np.ndarray, C: np.ndarray):
+        self._b = b.tolist()
+        self._C = C.tolist()
+        self._windows: list[_Window] = []
+        self._len = 0
+        self._cached: tuple[int, np.ndarray] | None = None
+
+    def _append(self, window: _Window) -> None:
+        self._windows.append(window)
+        self._len = window.g0 + len(window.players)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _rows(self, w: int) -> np.ndarray:
+        if self._cached is None or self._cached[0] != w:
+            win = self._windows[w]
+            net0 = None if win.net0f is None else win.net0f.tolist()
+            zero = [[0] * len(self._C[0]) for _ in self._C]
+            rows = _fastpath.window_rows(
+                win.net_cell, net0, win.dval, self._b, self._C,
+                win.players, win.choices, zero, 0, len(win.players),
+            )
+            self._cached = (w, rows)
+        return self._cached[1]
+
+    def __getitem__(self, k: int) -> TraceStep:
+        k = operator.index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("trace index out of range")
+        w = bisect.bisect_right(self._windows, k, key=operator.attrgetter("g0")) - 1
+        win = self._windows[w]
+        r = k - win.g0
+        return TraceStep(k + 1, win.players[r], win.choices[r], self._rows(w)[r])
+
+    def __iter__(self) -> Iterator[TraceStep]:
+        for w, win in enumerate(self._windows):
+            steps = range(win.g0 + 1, win.g0 + len(win.players) + 1)
+            yield from map(TraceStep, steps, win.players, win.choices, self._rows(w))
+
+
 @dataclass
 class TacoOutcome:
+    """A finished run: consensus, exact settlements, cycles and the trace.
+
+    ``trace`` holds every executed turn as a lazy ``Trace``: it keeps each
+    window's players, choices and anchors, and builds a ``TraceStep`` with
+    its profit row when one is read.
+    """
+
     consensus_choice: int
     settlements: list[Fraction]
     steps: int
     rounds: int
     cycles_detected: int
     final_d: Fraction
-    trace: list[TraceStep]
+    trace: Trace
     terminated_naturally: bool
     cycle_records: list[CycleRecord]
     final_selections: list[int | None]
@@ -190,21 +276,17 @@ def _run(config, agents, interrupt_step, backend):
     lattice = _LatticeBoard(n, m, config.d0, config.gamma)
     selections: list[int | None] = [None] * n
     hard_cap = config.max_steps if interrupt_step is None else min(config.max_steps, interrupt_step)
-    trace: list[TraceStep] = []
+    trace = Trace(b, C)
     cycles: list[CycleRecord] = []
     terminated = False
-    while len(trace) < hard_cap:
-        g0 = len(trace)
+    steps = 0
+    while steps < hard_cap:
+        g0 = steps
+        net0f = None if exact_cells else lattice.net_float()
+        dval = float(lattice.d)
+        net_cell = lattice.exact_net_cell() if exact_cells else None
         win = _fastpath.run_window(
-            None if exact_cells else lattice.net_float(),
-            float(lattice.d),
-            b,
-            C,
-            order,
-            g0 % n,
-            hard_cap - g0,
-            config.history_cap,
-            lattice.exact_net_cell() if exact_cells else None,
+            net0f, dval, b, C, order, g0 % n, hard_cap - g0, config.history_cap, net_cell
         )
         if win.status == "history_cap":
             raise HistoryLimitError(
@@ -213,9 +295,8 @@ def _run(config, agents, interrupt_step, backend):
             )
         players = win.players
         choices = win.choices
-        trace.extend(
-            map(TraceStep, range(g0 + 1, g0 + win.steps + 1), players, choices, win.profit_rows)
-        )
+        trace._append(_Window(g0, players, choices, net0f, dval, net_cell))
+        steps = g0 + win.steps
         # Turns are cyclic, so the last n turns hold each agent's last selection.
         for a_k, c_k in zip(players[-n:], choices[-n:]):
             selections[a_k] = c_k
@@ -230,14 +311,14 @@ def _run(config, agents, interrupt_step, backend):
         counts, active = span_counts(cycle_log, 1, len(cycle_log), n, m)
         cyc = CycleRecord(
             start_step=g0 + s0 + 1,
-            end_step=len(trace),
+            end_step=steps,
             active_choices=active,
             choice_counts=counts,
             agent_turn_profits=[[] for _ in range(n)],
             d_at_detection=lattice.d,
         )
-        for ts in trace[cyc.start_step - 1 :]:
-            cyc.agent_turn_profits[ts.agent].append(ts.profit_row)
+        for a_k, row in zip(players[s0:], win.profit_rows):
+            cyc.agent_turn_profits[a_k].append(row)
         _check_cycle_structure(cyc, n)
         cycles.append(cyc)
         reduce_trading_unit(lattice)
@@ -283,15 +364,11 @@ class _LatticeBoard:
         Agent i on choice j at integer delta k observes the net
         a*(N0[i][j] + p^K*k) / (b*q^K), N0 being offers - pays now. Python int
         true division rounds correctly, so each cell equals float of the
-        exact rational net bit for bit.
+        exact rational net bit for bit. A partial, not a closure, so that an
+        outcome whose trace keeps it can still be pickled.
         """
-        a, pk, den = self.a, self.pk, self.unit_den
         net0 = [[o - p for o, p in zip(self.offers, row)] for row in self.pays]
-
-        def net_cell(i, j, k):
-            return a * (net0[i][j] + pk * k) / den
-
-        return net_cell
+        return functools.partial(_exact_net, self.a, self.pk, self.unit_den, net0)
 
     def net_float(self) -> np.ndarray:
         """offers - pays as float64, each entry correctly rounded (see exact_net_cell)."""
@@ -317,6 +394,10 @@ class _LatticeBoard:
             epoch=self.epoch,
             selections=list(selections),
         )
+
+
+def _exact_net(a, pk, den, net0, i, j, k):
+    return a * (net0[i][j] + pk * k) / den
 
 
 def apply_selection(board: _LatticeBoard, agent: int, choice: int) -> None:

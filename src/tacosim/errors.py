@@ -6,6 +6,8 @@ cover runtime failures that callers may want to catch selectively.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 
 class TacoError(Exception):
     """Base class for runtime failures of the auction engine."""
@@ -14,10 +16,11 @@ class TacoError(Exception):
 class NoTerminationError(TacoError):
     """The auction hit its step cap before the termination test passed.
 
-    Carries the partial trace so callers can inspect how far the run got.
+    Carries the partial trace (the engine's lazy ``Trace``) so callers can
+    inspect how far the run got.
     """
 
-    def __init__(self, message: str, steps: int, trace: list):
+    def __init__(self, message: str, steps: int, trace: Sequence):
         super().__init__(message)
         self.steps = steps
         self.trace = trace

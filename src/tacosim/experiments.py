@@ -124,7 +124,9 @@ class ExperimentConfig:
         self.workers = int(self.workers)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        resolve_backend(self.backend)  # an unknown name fails here, before any trial
+        # An unknown name fails here, before any trial; "auto" defers to
+        # TACO_BACKEND at run time, so that name is checked too.
+        resolve_backend(None if self.backend == "auto" else self.backend)
         if not (self.k_min > 0 and self.k_max >= self.k_min):
             raise ValueError("urgency range must satisfy 0 < k_min <= k_max")
         if not (self.b_min > 0 and self.b_max >= self.b_min):

@@ -245,7 +245,7 @@ def verify_run(
         history.clear()
         window_J = []
         window_start = ts.step + 1
-        if not (ts is last and outcome.terminated_naturally):
+        if not (ts.step == last.step and outcome.terminated_naturally):
             apply_selection(board, ts.agent, ts.selection)
 
     if window_J:

@@ -5,7 +5,9 @@ builds the playing agent's whole profit row as an ndarray from the agent's
 integer delta row, takes ``argmax``, and keys the state history on the full
 delta bytes plus the agent on turn, so a repeat is found by exact equality
 with no hashing of its own. It shares no loop code with the shipped kernel;
-only ``WindowResult`` is imported, to compare like with like.
+only ``WindowResult`` is imported, to compare like with like. Unlike the
+shipped kernel it keeps every turn's row, and returns them beside the
+result, so each row the kernel no longer stores can still be checked.
 """
 
 from __future__ import annotations
@@ -43,8 +45,13 @@ def exact_net_row(lattice):
     return net_row
 
 
-def run_window_oracle(net_row, b, C, order, pos0, budget, history_cap) -> WindowResult:
-    """One constant-d window, with the shipped kernel's WindowResult contract."""
+def run_window_oracle(
+    net_row, b, C, order, pos0, budget, history_cap
+) -> tuple[WindowResult, np.ndarray]:
+    """One constant-d window, with the shipped kernel's WindowResult contract.
+
+    Returns the result and every turn's profit row, stacked in turn order.
+    """
     n, m = C.shape
     delta = np.zeros((n, m), dtype=np.int64)
     order_l = order.tolist()
@@ -85,12 +92,14 @@ def run_window_oracle(net_row, b, C, order, pos0, budget, history_cap) -> Window
         + np.array(choices[:applied], dtype=np.int64),
         minlength=n * m,
     ).reshape(n, m)
-    return WindowResult(
+    all_rows = np.stack(rows)
+    result = WindowResult(
         status=status,
         steps=t,
         s0_rel=s0,
         players=players,
         choices=choices,
-        profit_rows=np.stack(rows),
+        profit_rows=all_rows[s0:] if status == "detected" else None,
         selcount=selcount.tolist(),
     )
+    return result, all_rows

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tacosim
+from tacosim import experiments
 from tacosim.cli import load_config_file, main
 
 
@@ -259,6 +260,41 @@ def test_montecarlo_rejects_unknown_backend_before_any_trial(tmp_path, capsys, w
     assert captured.err.startswith("error: unknown backend 'numba'")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_show_config_rejects_unknown_backend_from_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("TACO_BACKEND", "fancy")
+    assert main(["show-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown backend 'fancy'")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_montecarlo_rejects_unknown_environment_backend_before_any_trial(
+    tmp_path, monkeypatch, capsys, workers
+):
+    # "auto" defers to TACO_BACKEND; the name must fail before any trial runs.
+    executed = []
+    execute = experiments._execute
+    monkeypatch.setattr(
+        experiments, "_execute", lambda points, w: executed.append(w) or execute(points, w)
+    )
+    monkeypatch.setenv("TACO_BACKEND", "fancy")
+    assert main([
+        "montecarlo", "--trials", "3", "--workers", workers, "--out-dir", str(tmp_path),
+    ]) == 1
+    assert executed == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown backend 'fancy'")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_environment_backend_leaves_the_summary_header_as_configured(monkeypatch, capsys):
+    monkeypatch.setenv("TACO_BACKEND", "exact")
+    assert main(["show-config"]) == 0
+    assert "backend = auto" in capsys.readouterr().out
 
 
 def test_help_and_bad_invocations(capsys):

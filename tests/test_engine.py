@@ -310,12 +310,48 @@ def test_window_buffer_growth_matches_numpy():
         got = _fastpath.run_window(
             net0, 1 / 500, problem.b, problem.C, order, 0, 5000, 10**6, net_cell
         )
-        ref = window_oracle.run_window_oracle(
+        ref, ref_rows = window_oracle.run_window_oracle(
             net_row, problem.b, problem.C, order, 0, 5000, 10**6
         )
         assert got.status == "detected"
         assert got.steps > 256
-        _assert_same_window(got, ref)
+        _assert_same_window(got, ref, ref_rows, (net_cell, net0, 1 / 500, problem.b, problem.C))
+
+
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_detected_window_returns_the_cycle_rows(backend):
+    # The kernel stores no row: on detection it rebuilds the rows of the
+    # cycle's turns s0_rel..steps-1 from the window's counts with the cycle
+    # taken back. Windows start on random lattices, so the anchors are not zero.
+    rng = np.random.default_rng(17)
+    late_starts = 0
+    for n, m in ((2, 2), (3, 5), (4, 24), (6, 40)):
+        problem = random_problem(n, m, rng)
+        order = rng.permutation(n).astype(np.int64)
+        lattice = engine._LatticeBoard(n, m, Fraction(1, 20), Fraction(7, 10))
+        for _ in range(4):
+            for _ in range(int(rng.integers(0, 4 * n))):
+                engine.apply_selection(lattice, int(rng.integers(n)), int(rng.integers(m)))
+            net0f, dval = lattice.net_float(), float(lattice.d)
+            if backend == "exact":
+                net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
+            else:
+                net_cell, net_row = None, window_oracle.float_net_row(net0f, dval)
+            pos0 = int(rng.integers(n))
+            got = _fastpath.run_window(
+                net0f, dval, problem.b, problem.C, order, pos0, 10**6, 10**6, net_cell
+            )
+            ref, ref_rows = window_oracle.run_window_oracle(
+                net_row, problem.b, problem.C, order, pos0, 10**6, 10**6
+            )
+            assert got.status == ref.status == "detected"
+            assert (got.steps, got.s0_rel) == (ref.steps, ref.s0_rel)
+            assert got.profit_rows.shape == (got.steps - got.s0_rel, m)
+            assert got.profit_rows.tobytes() == ref_rows[got.s0_rel :].tobytes()
+            late_starts += got.s0_rel > n
+            engine._advance_board(lattice, got.selcount, got.steps - 1)
+            engine.reduce_trading_unit(lattice)
+    assert late_starts >= 4
 
 
 @pytest.mark.parametrize(
@@ -468,11 +504,30 @@ def test_tie_prone_backend_agreement():
         assert numpy_run.settlements == exact_run.settlements
 
 
-def _assert_same_window(got, ref):
+def _rebuilt_rows(win, net_cell, net0f, dval, b, C):
+    """Every row of a kernel window, rebuilt from its anchors and choices."""
+    n, m = C.shape
+    net0 = None if net_cell is not None else net0f.tolist()
+    zero = [[0] * m for _ in range(n)]
+    return _fastpath.window_rows(
+        net_cell, net0, dval, b.tolist(), C.tolist(), win.players, win.choices, zero, 0, win.steps
+    )
+
+
+def _assert_same_window(got, ref, ref_rows, anchors):
+    # The kernel stores no row: every row rebuilt from the window's anchors,
+    # and the cycle rows it returns, must be the oracle's bytes.
     assert (got.status, got.steps, got.s0_rel) == (ref.status, ref.steps, ref.s0_rel)
     assert (got.players, got.choices) == (ref.players, ref.choices)
-    assert got.profit_rows.shape == ref.profit_rows.shape
-    assert got.profit_rows.tobytes() == ref.profit_rows.tobytes()
+    rows = _rebuilt_rows(got, *anchors)
+    assert rows.shape == ref_rows.shape
+    assert rows.tobytes() == ref_rows.tobytes()
+    if ref.status == "detected":
+        cycle_shape = (got.steps - got.s0_rel, ref_rows.shape[1])
+        assert got.profit_rows.shape == ref.profit_rows.shape == cycle_shape
+        assert got.profit_rows.tobytes() == ref_rows[got.s0_rel :].tobytes()
+    else:
+        assert got.profit_rows is None and ref.profit_rows is None
     assert got.selcount == ref.selcount
 
 
@@ -498,8 +553,10 @@ def oracle_windows(monkeypatch):
             net_row = window_oracle.exact_net_row(anchors.pop())
         else:
             net_row = window_oracle.float_net_row(net0f, dval)
-        ref = window_oracle.run_window_oracle(net_row, b, C, order, pos0, budget, history_cap)
-        _assert_same_window(got, ref)
+        ref, ref_rows = window_oracle.run_window_oracle(
+            net_row, b, C, order, pos0, budget, history_cap
+        )
+        _assert_same_window(got, ref, ref_rows, (net_cell, net0f, dval, b, C))
         seen.add(got.status)
         return got
 
@@ -565,13 +622,20 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
     net0f = np.zeros((n, m))
     order = np.arange(n, dtype=np.int64)
     lattice = engine._LatticeBoard(n, m, Fraction(1, 100), Fraction(1, 2))
-    net_cell = lattice.exact_net_cell() if backend == "exact" else None
+    if backend == "exact":
+        net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
+    else:
+        net_cell, net_row = None, window_oracle.float_net_row(net0f, 1 / 100)
+    anchors = (net_cell, net0f, 1 / 100, problem.b, problem.C)
 
     def run():
         return _fastpath.run_window(
             net0f, 1 / 100, problem.b, problem.C, order, 1, budget, history_cap, net_cell
         )
 
+    ref, ref_rows = window_oracle.run_window_oracle(
+        net_row, problem.b, problem.C, order, 1, budget, history_cap
+    )
     real = run()
     monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)
     colliding = run()
@@ -579,7 +643,8 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
     if status == "detected":
         # A recorded step with the same agent on turn precedes the repeat.
         assert real.s0_rel > n + 1
-    _assert_same_window(colliding, real)
+    _assert_same_window(real, ref, ref_rows, anchors)
+    _assert_same_window(colliding, ref, ref_rows, anchors)
 
 
 def test_engine_with_colliding_keys_matches(monkeypatch):

@@ -1,0 +1,127 @@
+"""The lazy trace: per-window records that rebuild steps and rows on access."""
+
+import pickle
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from _replay import verify_run
+from tacosim.baselines import ChoiceProblem
+from tacosim.engine import Trace, TacoConfig, run_interrupted, run_taco
+from tacosim.errors import NoTerminationError
+from tacosim.scenario import example2_fixture
+
+
+def _step_facts(ts):
+    return ts.step, ts.agent, ts.selection, ts.profit_row.tobytes()
+
+
+def _multi_window_instances():
+    # The tie-prone reproducer of tests/test_engine.py, kept to the 12 runs
+    # with more than one window, which switch between window records.
+    rng = np.random.default_rng(7)
+    config = TacoConfig(epsilon=0.05, d0="1/10", gamma="1/2")
+    for _ in range(1000):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(2, 5))
+        C = rng.integers(0, 6, (n, m)) * 0.1
+        b = rng.choice([0.1, 0.3, 0.7, 1.1, 1.3], n)
+        problem = ChoiceProblem(n=n, m=m, C=C, b=b)
+        if run_taco(config, problem.agents()).cycles_detected >= 2:
+            yield config, problem
+
+
+@pytest.fixture(scope="module")
+def multi_window():
+    return list(_multi_window_instances())
+
+
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_trace_access_order_does_not_change_steps(multi_window, backend):
+    rng = np.random.default_rng(11)
+    assert len(multi_window) == 12
+    for config, problem in multi_window:
+        outcome = run_taco(config, problem.agents(), backend=backend)
+        trace = outcome.trace
+        assert isinstance(trace, Trace)
+        assert len(trace) == outcome.steps and bool(trace)
+        facts = [_step_facts(ts) for ts in trace]
+        assert [f[0] for f in facts] == list(range(1, outcome.steps + 1))
+        assert _step_facts(trace[-1]) == facts[-1]
+        assert _step_facts(trace[-outcome.steps]) == facts[0]
+        for k in rng.permutation(outcome.steps).tolist():
+            assert _step_facts(trace[k]) == facts[k]
+            assert _step_facts(trace[k - outcome.steps]) == facts[k]
+        assert [_step_facts(ts) for ts in trace] == facts
+        # The cycle rows come from the kernel's detection, the trace rows
+        # from the window record: the same function must give the same bytes.
+        for cyc in outcome.cycle_records:
+            seen = [[] for _ in cyc.agent_turn_profits]
+            for k in range(cyc.start_step - 1, cyc.end_step):
+                seen[facts[k][1]].append(facts[k][3])
+            assert [[r.tobytes() for r in rows] for rows in cyc.agent_turn_profits] == seen
+        for bad in (outcome.steps, -outcome.steps - 1):
+            with pytest.raises(IndexError):
+                trace[bad]
+
+
+def test_trace_rows_are_read_only():
+    outcome = run_taco(TacoConfig(epsilon=1e-6), example2_fixture().agents())
+    row = outcome.trace[0].profit_row
+    with pytest.raises(ValueError):
+        row[0] = 0.0
+    assert outcome.trace[0].profit_row.tolist() == [-10.0, -4.0]
+
+
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_truncated_traces_are_prefixes_of_the_full_trace(multi_window, backend):
+    # A step cap or an interruption cuts a window short; the truncated
+    # window's record must rebuild the same steps as the full run's.
+    for config, problem in multi_window:
+        full = run_taco(config, problem.agents(), backend=backend)
+        facts = [_step_facts(ts) for ts in full.trace]
+        cut_points = sorted({1, full.cycle_records[0].end_step, full.steps // 2, full.steps - 1})
+        for cut in cut_points:
+            capped = TacoConfig(
+                epsilon=config.epsilon, d0=config.d0, gamma=config.gamma, max_steps=cut
+            )
+            with pytest.raises(NoTerminationError) as err:
+                run_taco(capped, problem.agents(), backend=backend)
+            trace = err.value.trace
+            assert isinstance(trace, Trace) and len(trace) == err.value.steps == cut
+            assert [_step_facts(ts) for ts in trace] == facts[:cut]
+            assert _step_facts(trace[-1]) == facts[cut - 1]
+
+            interrupted = run_interrupted(config, problem.agents(), cut, backend=backend)
+            trace = interrupted.trace
+            assert isinstance(trace, Trace) and len(trace) == interrupted.steps == cut
+            assert _step_facts(trace[-1]) == facts[cut - 1]
+            assert [_step_facts(ts) for ts in trace] == facts[:cut]
+            verify_run(problem, config, interrupted, exact_rows=backend == "exact")
+
+
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_outcome_with_its_trace_pickles(multi_window, backend):
+    config, problem = multi_window[0]
+    outcome = run_taco(config, problem.agents(), backend=backend)
+    copy = pickle.loads(pickle.dumps(outcome))
+    assert [_step_facts(ts) for ts in copy.trace] == [_step_facts(ts) for ts in outcome.trace]
+
+
+def test_outcome_memory_per_step():
+    # A single ~33k-step window: the outcome keeps each step's player and
+    # choice, and no row; the peak is the window's state history.
+    agents = example2_fixture().agents()
+    run_taco(TacoConfig(epsilon=1e-6), agents)  # warm the kernel's caches
+    config = TacoConfig(epsilon=1e-6, d0="1/20000", gamma="9/10")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outcome = run_taco(config, agents)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.steps == 33337
+    assert (held - base) / outcome.steps <= 32
+    assert (peak - base) / outcome.steps <= 160
