@@ -261,10 +261,9 @@ def _find_repeat(first, more, t, players, choices, n, m):
     same agent is on turn too.
     """
     for s in (first, *more):
-        counts = np.bincount(
-            np.array(players[s - 1 : t - 1]) * m + np.array(choices[s - 1 : t - 1]),
-            minlength=n * m,
-        ).reshape(n, m)
-        if (counts == counts[0]).all():
+        counts = [0] * (n * m)  # agent a's count on choice j at a*m + j
+        for a, j in zip(players[s - 1 : t - 1], choices[s - 1 : t - 1]):
+            counts[a * m + j] += 1
+        if counts[:m] * n == counts:  # every agent's row equals agent 0's
             return s
     return -1

@@ -3,15 +3,80 @@ egalitarian. Each maps a full cost matrix to one chosen option.
 
 Unlike the auction, these mechanisms read the whole cost matrix centrally;
 they exist to benchmark outcome quality, not to model decentralization.
+
+A trial runs every mechanism and metric on one small instance, so they read
+it as Python floats (``ChoiceProblem._floats``, built once per instance)
+and repeat numpy's operations in numpy's order: the same IEEE results, and
+the same random draws, without per-call array dispatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import operator
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .agent import AgentPrivate
+
+
+def _sum(x: list[float]) -> float:
+    """Sum floats in np.add.reduce's order, so bit for bit numpy's sum.
+
+    numpy adds a pairwise sum of the run to the identity 0.0 (Higham, "The
+    accuracy of floating point summation", 1993): below 8 terms in sequence;
+    up to 128 terms in 8 interleaved accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), with the tail added after; above
+    that it splits at a multiple of 8 below the half and sums both parts.
+    """
+    if len(x) < 8:
+        s = 0.0
+        for v in x:
+            s += v
+        return s
+    return 0.0 + _pairwise(x, 0, len(x))
+
+
+def _pairwise(x: list[float], lo: int, n: int) -> float:
+    if n < 8:
+        s = -0.0
+        for v in x[lo : lo + n]:
+            s += v
+        return s
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = x[lo : lo + 8]
+        end = lo + n - n % 8
+        for k in range(lo + 8, end, 8):
+            r0 += x[k]
+            r1 += x[k + 1]
+            r2 += x[k + 2]
+            r3 += x[k + 3]
+            r4 += x[k + 4]
+            r5 += x[k + 5]
+            r6 += x[k + 6]
+            r7 += x[k + 7]
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in x[end : lo + n]:
+            s += v
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
+
+
+class _Floats(NamedTuple):
+    """An instance as Python floats, with its utilitarian option and total."""
+
+    rows: list[list[float]]
+    b: list[float]
+    util: int
+    util_total: float
+
+    def col(self, j: int) -> list[float]:
+        """Option j's costs, one per agent (a new list)."""
+        return [row[j] for row in self.rows]
 
 
 @dataclass
@@ -38,6 +103,19 @@ class ChoiceProblem:
         if self.option_labels is not None and len(self.option_labels) != self.m:
             raise ValueError("option_labels length must equal m")
 
+    @functools.cached_property
+    def _floats(self) -> _Floats:
+        """C and b as floats, built on first use; C and b must not change after.
+
+        The column sums repeat numpy's ``C.sum(axis=0)``: row by row from 0.0.
+        """
+        rows = self.C.tolist()
+        sums = [0.0] * self.m
+        for row in rows:
+            sums = list(map(operator.add, sums, row))
+        util = sums.index(min(sums))
+        return _Floats(rows, self.b.tolist(), util, _sum([row[util] for row in rows]))
+
     def agents(self) -> list[AgentPrivate]:
         """Split the instance into per-agent private views for the auction."""
         return [
@@ -52,26 +130,28 @@ def voting(problem: ChoiceProblem, rng: np.random.Generator) -> int:
     Personal ties go to the lowest option index; ties between winning options
     are broken uniformly at random (rng is consumed only in that case).
     """
-    votes = np.zeros(problem.m, dtype=np.int64)
-    for i in range(problem.n):
-        votes[int(np.argmin(problem.C[i]))] += 1
-    winners = np.flatnonzero(votes == votes.max())
-    if winners.size == 1:
-        return int(winners[0])
-    return int(winners[int(rng.integers(winners.size))])
+    votes = [0] * problem.m
+    for row in problem._floats.rows:
+        votes[row.index(min(row))] += 1
+    top = max(votes)
+    winners = [j for j, v in enumerate(votes) if v == top]
+    if len(winners) == 1:
+        return winners[0]
+    return winners[int(rng.integers(len(winners)))]
 
 
 def random_dictator(problem: ChoiceProblem, rng: np.random.Generator) -> int:
     """A uniformly chosen agent imposes its own cheapest option."""
-    dictator = int(rng.integers(problem.n))
-    return int(np.argmin(problem.C[dictator]))
+    row = problem._floats.rows[int(rng.integers(problem.n))]
+    return row.index(min(row))
 
 
 def utilitarian(problem: ChoiceProblem) -> int:
     """Option minimizing the total cost across agents (lowest index on ties)."""
-    return int(np.argmin(problem.C.sum(axis=0)))
+    return problem._floats.util
 
 
 def egalitarian(problem: ChoiceProblem) -> int:
     """Option minimizing the worst single-agent cost (lowest index on ties)."""
-    return int(np.argmin(problem.C.max(axis=0)))
+    worst = list(map(max, zip(*problem._floats.rows)))
+    return worst.index(min(worst))

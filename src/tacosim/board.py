@@ -161,8 +161,8 @@ def span_counts(
     ``selection_log[k]`` is the (agent, choice) pair of step k+1; the span is
     inclusive on both ends.
     """
-    counts = np.zeros((n, m), dtype=np.int64)
+    counts = [[0] * m for _ in range(n)]
     for agent, choice in selection_log[start_step - 1 : end_step]:
-        counts[agent, choice] += 1
-    active = frozenset(int(j) for j in np.nonzero(counts.sum(axis=0))[0])
-    return counts, active
+        counts[agent][choice] += 1
+    active = frozenset(j for j, col in enumerate(zip(*counts)) if any(col))
+    return np.array(counts, dtype=np.int64), active

@@ -109,7 +109,8 @@ class _Window(NamedTuple):
 class Trace(Sequence[TraceStep]):
     """A run's turns, read-only, built on access from per-window records.
 
-    ``trace[k]`` is step k+1 (negative indices count from the end), and
+    ``trace[k]`` is step k+1 (negative indices count from the end), a
+    slice is a list of ``TraceStep``s, as a list's slice would be, and
     iteration yields the steps in order. A step's profit row is rebuilt
     with ``_fastpath.window_rows``, the same function that rebuilds a
     cycle's rows, so it is bit for bit the row the kernel saw. The rows of
@@ -145,7 +146,9 @@ class Trace(Sequence[TraceStep]):
             self._cached = (w, rows)
         return self._cached[1]
 
-    def __getitem__(self, k: int) -> TraceStep:
+    def __getitem__(self, k: int | slice) -> TraceStep | list[TraceStep]:
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self._len))]
         k = operator.index(k)
         if k < 0:
             k += self._len
@@ -221,15 +224,18 @@ def check_termination(cycle: CycleRecord, epsilon: float) -> bool:
     for rows in cycle.agent_turn_profits:
         if not rows:
             raise ValueError("agent_turn_profits must be populated for every agent")
-        lo = math.inf
-        hi = -math.inf
-        for row in rows:
-            vals = row[active]
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
-        if hi - lo >= epsilon:
+        if _profit_spread(rows, active) >= epsilon:
             return False
     return True
+
+
+def _profit_spread(rows: list[np.ndarray], active: list[int]) -> float:
+    """Max minus min of the profits at the active choices, pooled across rows."""
+    vals: list[float] = []
+    for row in rows:
+        r = row.tolist()
+        vals += [r[j] for j in active]
+    return max(vals) - min(vals)
 
 
 def settle(board: PublicBoard, j_star: int) -> list[Fraction]:
@@ -442,8 +448,8 @@ def _check_cycle_structure(cyc: CycleRecord, n: int) -> None:
     # violations would mean a detector bug, so fail loudly.
     if cyc.length <= 0 or cyc.length % n != 0:
         raise AssertionError(f"cycle length {cyc.length} is not a positive multiple of n={n}")
-    counts = cyc.choice_counts
-    if n > 1 and not (counts == counts[0]).all():
+    counts = cyc.choice_counts.tolist()
+    if any(row != counts[0] for row in counts):
         raise AssertionError("cycle choice counts differ across agents")
 
 

@@ -194,6 +194,10 @@ def _run_point(point: _Point) -> list[dict]:
         "d0": str(cfg.d0),
         "interrupt_step": point.interrupt_step,
     }
+    raw_keys = [f"raw_cost_{i + 1}" for i in range(problem.n)]
+    settled_keys = [f"settled_cost_{i + 1}" for i in range(problem.n)]
+    # Raw costs are the chosen option's column: format each column's cells once.
+    column_cells: dict[int, list[str]] = {}
     rows = []
     for mech in cfg.mechanisms:
         row = dict(base)
@@ -243,9 +247,15 @@ def _run_point(point: _Point) -> list[dict]:
         row["gini_raw"] = _fmt(result.gini_raw)
         row["gini_settled"] = _fmt(result.gini_settled)
         row["max_cycle_spread_ratio"] = _fmt(result.max_cycle_spread_ratio)
-        for i in range(problem.n):
-            row[f"raw_cost_{i + 1}"] = _fmt(float(result.raw_costs[i]))
-            row[f"settled_cost_{i + 1}"] = _fmt(float(result.settled_costs[i]))
+        raw = column_cells.get(result.chosen_option)
+        if raw is None:
+            raw = column_cells[result.chosen_option] = list(map(_fmt, result.raw_costs.tolist()))
+        row.update(zip(raw_keys, raw))
+        # Baselines trade nothing: their settled costs are the raw ones.
+        if mech == "taco":
+            row.update(zip(settled_keys, map(_fmt, result.settled_costs.tolist())))
+        else:
+            row.update(zip(settled_keys, raw))
         rows.append(row)
     return rows
 
@@ -297,18 +307,6 @@ def _quantiles(values: list[float]) -> str:
     )
 
 
-def _collect(rows: list[dict], mech: str, key: str) -> list[float]:
-    out = []
-    for r in rows:
-        if r["mechanism"] != mech or r.get("status") != "ok":
-            continue
-        val = r.get(key, "")
-        if val == "" or val is None:
-            continue
-        out.append(float(val))
-    return out
-
-
 def _failures(rows) -> int:
     return sum(1 for r in rows if r.get("status") in FAILED_STATUSES)
 
@@ -317,30 +315,27 @@ def summarize(rows: list[dict], group_keys: tuple[str, ...], header_lines: list[
     """Structured text: quantile lines per (group, mechanism, metric)."""
     lines = [f"csv_schema_version = {SCHEMA_VERSION}"]
     lines += header_lines
-    failures = _failures(rows)
-    lines.append(f"trials_total = {len({(tuple(r.get(k) for k in group_keys), r['trial']) for r in rows})}")
-    lines.append(f"cap_failures = {failures}")
-    groups: list[tuple] = []
+    # One pass: groups and their mechanisms in order of first appearance.
+    groups: dict[tuple, dict[str, list[dict]]] = {}
+    trials = set()
     for r in rows:
         key = tuple(r.get(k) for k in group_keys)
-        if key not in groups:
-            groups.append(key)
-    for key in groups:
-        grows = [r for r in rows if tuple(r.get(k) for k in group_keys) == key]
-        mechs = []
-        for r in grows:
-            if r["mechanism"] not in mechs:
-                mechs.append(r["mechanism"])
-        for mech in mechs:
-            tag = " ".join(f"{k}={v}" for k, v in zip(group_keys, key))
+        groups.setdefault(key, {}).setdefault(r["mechanism"], []).append(r)
+        trials.add((key, r["trial"]))
+    lines.append(f"trials_total = {len(trials)}")
+    lines.append(f"cap_failures = {_failures(rows)}")
+    for key, by_mech in groups.items():
+        tag = " ".join(f"{k}={v}" for k, v in zip(group_keys, key))
+        for mech, mrows in by_mech.items():
             section = f"[{mech}]" if not tag else f"[{tag} {mech}]"
             lines.append("")
             lines.append(section)
-            group_failures = _failures(r for r in grows if r["mechanism"] == mech)
+            group_failures = _failures(mrows)
             if group_failures:
                 lines.append(f"cap_failures = {group_failures}")
+            ok = [r for r in mrows if r.get("status") == "ok"]
             for metric in SUMMARY_METRICS:
-                vals = _collect(grows, mech, metric)
+                vals = [float(v) for r in ok if (v := r.get(metric, "")) != "" and v is not None]
                 if vals:
                     lines.append(f"{metric}: {_quantiles(vals)}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,10 @@
 """Outcome metrics: optimality gap, Gini index, effective-cost accounting,
 the analytic worst-case step bound, and the per-cycle profit-spread monitor.
+
+The metrics run on Python floats. Every sum goes through ``_sum``, which
+adds in numpy's pairwise order, and every other operation is the IEEE
+operation numpy would do, so each value is bit for bit the numpy result
+and the CSV bytes do not depend on which of the two computed it.
 """
 
 from __future__ import annotations
@@ -10,16 +15,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .baselines import ChoiceProblem, utilitarian
+from .baselines import ChoiceProblem, _sum
 from .board import exact
-from .engine import TacoOutcome
+from .engine import TacoOutcome, _profit_spread
 from .errors import MetricUndefinedError
 
 
 def optimality_gap(costs, utilitarian_costs) -> float:
     """(total cost / total cost of the utilitarian option) - 1."""
-    total = float(np.sum(costs))
-    best = float(np.sum(utilitarian_costs))
+    return _gap(_sum(_floats(costs)), _sum(_floats(utilitarian_costs)))
+
+
+def _gap(total: float, best: float) -> float:
     if not best > 0:
         raise MetricUndefinedError(
             f"optimality gap undefined: utilitarian total must be positive, got {best}"
@@ -34,14 +41,22 @@ def gini(costs) -> float:
     costs (settled costs can dip negative, in which case the usual [0, 1-1/n]
     range no longer applies).
     """
-    c = np.asarray(costs, dtype=np.float64)
-    total = float(c.sum())
+    return _gini(_floats(costs))
+
+
+def _gini(c: list[float]) -> float:
+    total = _sum(c)
     if not total > 0:
         raise MetricUndefinedError(
             f"gini undefined: total cost must be positive, got {total}"
         )
-    diff = float(np.abs(c[:, None] - c[None, :]).sum())
-    return diff / (2.0 * c.shape[0] * total)
+    # numpy's |c[:, None] - c[None, :]|, summed in row-major order.
+    diff = _sum([abs(u - v) for u in c for v in c])
+    return diff / (2.0 * len(c) * total)
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
 
 
 def effective_costs(problem: ChoiceProblem, outcome: TacoOutcome, mode: str = "settled") -> np.ndarray:
@@ -51,13 +66,16 @@ def effective_costs(problem: ChoiceProblem, outcome: TacoOutcome, mode: str = "s
     weighted net receipt (equal to minus its final profit for the consensus
     choice).
     """
-    j = outcome.consensus_choice
-    raw = problem.C[:, j].astype(np.float64).copy()
+    return np.array(_effective(problem, outcome, mode))
+
+
+def _effective(problem: ChoiceProblem, outcome: TacoOutcome, mode: str) -> list[float]:
+    f = problem._floats
+    raw = f.col(outcome.consensus_choice)
     if mode == "raw":
         return raw
     if mode == "settled":
-        receipts = np.array([float(p) for p in outcome.settlements], dtype=np.float64)
-        return raw - problem.b * receipts
+        return [c - b_i * float(p) for c, b_i, p in zip(raw, f.b, outcome.settlements)]
     raise ValueError(f"mode must be 'raw' or 'settled', got {mode!r}")
 
 
@@ -114,17 +132,16 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     Sound runs never exceed 1. Returns 0.0 when no cycle was detected or
     every bound is vacuous (single agent).
     """
-    b = np.asarray(valuations, dtype=np.float64)
-    n = b.shape[0]
+    b = _floats(valuations)
+    n = len(b)
     worst = 0.0
     for cyc in outcome.cycle_records:
         active = sorted(cyc.active_choices)
         p = len(active)
         d = float(cyc.d_at_detection)
         for i, rows in enumerate(cyc.agent_turn_profits):
-            vals = np.concatenate([row[active] for row in rows])
-            spread = float(vals.max() - vals.min())
-            bound = (p + 1) * d * (n - 1) * float(b[i])
+            spread = _profit_spread(rows, active)
+            bound = (p + 1) * d * (n - 1) * b[i]
             if bound == 0.0:
                 if spread > 0.0:
                     return math.inf
@@ -164,35 +181,35 @@ def _nan_safe(metric, *args) -> float:
 
 
 def taco_trial_result(problem: ChoiceProblem, outcome: TacoOutcome) -> TrialResult:
-    util_costs = problem.C[:, utilitarian(problem)]
-    raw = effective_costs(problem, outcome, "raw")
-    settled = effective_costs(problem, outcome, "settled")
+    util_total = problem._floats.util_total
+    raw = _effective(problem, outcome, "raw")
+    settled = _effective(problem, outcome, "settled")
     return TrialResult(
         mechanism="taco",
         chosen_option=outcome.consensus_choice,
-        raw_costs=raw,
-        settled_costs=settled,
+        raw_costs=np.array(raw),
+        settled_costs=np.array(settled),
         steps=outcome.steps,
         rounds=outcome.rounds,
         cycles_detected=outcome.cycles_detected,
-        og_raw=_nan_safe(optimality_gap, raw, util_costs),
-        og_settled=_nan_safe(optimality_gap, settled, util_costs),
-        gini_raw=_nan_safe(gini, raw),
-        gini_settled=_nan_safe(gini, settled),
-        max_cycle_spread_ratio=cycle_spread_ratio(outcome, problem.b),
+        og_raw=_nan_safe(_gap, _sum(raw), util_total),
+        og_settled=_nan_safe(_gap, _sum(settled), util_total),
+        gini_raw=_nan_safe(_gini, raw),
+        gini_settled=_nan_safe(_gini, settled),
+        max_cycle_spread_ratio=cycle_spread_ratio(outcome, problem._floats.b),
     )
 
 
 def baseline_trial_result(problem: ChoiceProblem, mechanism: str, choice: int) -> TrialResult:
-    util_costs = problem.C[:, utilitarian(problem)]
-    raw = problem.C[:, choice].astype(np.float64).copy()
-    og = _nan_safe(optimality_gap, raw, util_costs)
-    gi = _nan_safe(gini, raw)
+    f = problem._floats
+    raw = f.col(choice)
+    og = _nan_safe(_gap, _sum(raw), f.util_total)
+    gi = _nan_safe(_gini, raw)
     return TrialResult(
         mechanism=mechanism,
         chosen_option=int(choice),
-        raw_costs=raw,
-        settled_costs=raw.copy(),
+        raw_costs=np.array(raw),
+        settled_costs=np.array(raw),
         steps=0,
         rounds=0,
         cycles_detected=0,

@@ -1,4 +1,11 @@
-"""Brute-force oracles for the ordering solver, independent of the shipped code.
+"""Reference implementations, independent of the shipped code.
+
+The numpy oracles below are the array implementations that the per-trial
+metrics, baselines, cycle checks and summary used before they moved to
+Python floats; ``tests/test_oracles.py`` holds the shipped code to them bit
+for bit.
+
+The brute-force oracles for the ordering solver follow.
 
 The chain-constrained quadratic program behind each arrival ordering is solved
 here by exhaustive search over tight-constraint subsets: each subset of the
@@ -11,8 +18,13 @@ With L positions that is 2**(L-1) candidates, fine for L <= 8.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from tacosim.errors import MetricUndefinedError
+from tacosim.experiments import FAILED_STATUSES, SCHEMA_VERSION, SUMMARY_METRICS, _quantiles
+from tacosim.metrics import TrialResult
 
 
 def brute_isotonic(targets, weights) -> tuple[np.ndarray, float]:
@@ -65,3 +77,227 @@ def brute_ordering(e, k, D, order) -> tuple[np.ndarray, float]:
     x = np.empty(n)
     x[idx] = v + shift - e[idx]
     return x, obj
+
+
+# --- numpy oracles: metrics -------------------------------------------------
+
+
+def optimality_gap(costs, utilitarian_costs) -> float:
+    total = float(np.sum(costs))
+    best = float(np.sum(utilitarian_costs))
+    if not best > 0:
+        raise MetricUndefinedError(
+            f"optimality gap undefined: utilitarian total must be positive, got {best}"
+        )
+    return total / best - 1.0
+
+
+def gini(costs) -> float:
+    c = np.asarray(costs, dtype=np.float64)
+    total = float(c.sum())
+    if not total > 0:
+        raise MetricUndefinedError(f"gini undefined: total cost must be positive, got {total}")
+    diff = float(np.abs(c[:, None] - c[None, :]).sum())
+    return diff / (2.0 * c.shape[0] * total)
+
+
+def effective_costs(problem, outcome, mode="settled") -> np.ndarray:
+    j = outcome.consensus_choice
+    raw = problem.C[:, j].astype(np.float64).copy()
+    if mode == "raw":
+        return raw
+    if mode == "settled":
+        receipts = np.array([float(p) for p in outcome.settlements], dtype=np.float64)
+        return raw - problem.b * receipts
+    raise ValueError(f"mode must be 'raw' or 'settled', got {mode!r}")
+
+
+def cycle_spread_ratio(outcome, valuations) -> float:
+    b = np.asarray(valuations, dtype=np.float64)
+    n = b.shape[0]
+    worst = 0.0
+    for cyc in outcome.cycle_records:
+        active = sorted(cyc.active_choices)
+        p = len(active)
+        d = float(cyc.d_at_detection)
+        for i, rows in enumerate(cyc.agent_turn_profits):
+            vals = np.concatenate([row[active] for row in rows])
+            spread = float(vals.max() - vals.min())
+            bound = (p + 1) * d * (n - 1) * float(b[i])
+            if bound == 0.0:
+                if spread > 0.0:
+                    return math.inf
+                continue
+            worst = max(worst, spread / bound)
+    return worst
+
+
+def _nan_safe(metric, *args) -> float:
+    try:
+        return float(metric(*args))
+    except MetricUndefinedError:
+        return math.nan
+
+
+def taco_trial_result(problem, outcome) -> TrialResult:
+    util_costs = problem.C[:, utilitarian(problem)]
+    raw = effective_costs(problem, outcome, "raw")
+    settled = effective_costs(problem, outcome, "settled")
+    return TrialResult(
+        mechanism="taco",
+        chosen_option=outcome.consensus_choice,
+        raw_costs=raw,
+        settled_costs=settled,
+        steps=outcome.steps,
+        rounds=outcome.rounds,
+        cycles_detected=outcome.cycles_detected,
+        og_raw=_nan_safe(optimality_gap, raw, util_costs),
+        og_settled=_nan_safe(optimality_gap, settled, util_costs),
+        gini_raw=_nan_safe(gini, raw),
+        gini_settled=_nan_safe(gini, settled),
+        max_cycle_spread_ratio=cycle_spread_ratio(outcome, problem.b),
+    )
+
+
+def baseline_trial_result(problem, mechanism, choice) -> TrialResult:
+    util_costs = problem.C[:, utilitarian(problem)]
+    raw = problem.C[:, choice].astype(np.float64).copy()
+    og = _nan_safe(optimality_gap, raw, util_costs)
+    gi = _nan_safe(gini, raw)
+    return TrialResult(
+        mechanism=mechanism,
+        chosen_option=int(choice),
+        raw_costs=raw,
+        settled_costs=raw.copy(),
+        steps=0,
+        rounds=0,
+        cycles_detected=0,
+        og_raw=og,
+        og_settled=og,
+        gini_raw=gi,
+        gini_settled=gi,
+        max_cycle_spread_ratio=0.0,
+    )
+
+
+# --- numpy oracles: baselines -----------------------------------------------
+
+
+def voting(problem, rng) -> int:
+    votes = np.zeros(problem.m, dtype=np.int64)
+    for i in range(problem.n):
+        votes[int(np.argmin(problem.C[i]))] += 1
+    winners = np.flatnonzero(votes == votes.max())
+    if winners.size == 1:
+        return int(winners[0])
+    return int(winners[int(rng.integers(winners.size))])
+
+
+def random_dictator(problem, rng) -> int:
+    dictator = int(rng.integers(problem.n))
+    return int(np.argmin(problem.C[dictator]))
+
+
+def utilitarian(problem) -> int:
+    return int(np.argmin(problem.C.sum(axis=0)))
+
+
+def egalitarian(problem) -> int:
+    return int(np.argmin(problem.C.max(axis=0)))
+
+
+# --- numpy oracles: per-cycle checks ------------------------------------------
+
+
+def span_counts(selection_log, start_step, end_step, n, m):
+    counts = np.zeros((n, m), dtype=np.int64)
+    for agent, choice in selection_log[start_step - 1 : end_step]:
+        counts[agent, choice] += 1
+    active = frozenset(int(j) for j in np.nonzero(counts.sum(axis=0))[0])
+    return counts, active
+
+
+def check_termination(cycle, epsilon) -> bool:
+    if not (epsilon > 0):
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    active = sorted(cycle.active_choices)
+    for rows in cycle.agent_turn_profits:
+        if not rows:
+            raise ValueError("agent_turn_profits must be populated for every agent")
+        lo = math.inf
+        hi = -math.inf
+        for row in rows:
+            vals = row[active]
+            lo = min(lo, float(vals.min()))
+            hi = max(hi, float(vals.max()))
+        if hi - lo >= epsilon:
+            return False
+    return True
+
+
+def cycle_structure_ok(cyc, n) -> bool:
+    """The engine's structural check on a cycle, as a predicate."""
+    counts = cyc.choice_counts
+    if cyc.length <= 0 or cyc.length % n != 0:
+        return False
+    return n == 1 or bool((counts == counts[0]).all())
+
+
+def find_repeat(first, more, t, players, choices, n, m):
+    for s in (first, *more):
+        counts = np.bincount(
+            np.array(players[s - 1 : t - 1]) * m + np.array(choices[s - 1 : t - 1]),
+            minlength=n * m,
+        ).reshape(n, m)
+        if (counts == counts[0]).all():
+            return s
+    return -1
+
+
+# --- the summary, one pass over all rows per (group, mechanism, metric) -------
+
+
+def summarize(rows, group_keys, header_lines) -> str:
+    def collect(rows, mech, key):
+        out = []
+        for r in rows:
+            if r["mechanism"] != mech or r.get("status") != "ok":
+                continue
+            val = r.get(key, "")
+            if val == "" or val is None:
+                continue
+            out.append(float(val))
+        return out
+
+    def failures(rows):
+        return sum(1 for r in rows if r.get("status") in FAILED_STATUSES)
+
+    lines = [f"csv_schema_version = {SCHEMA_VERSION}"]
+    lines += header_lines
+    lines.append(
+        f"trials_total = {len({(tuple(r.get(k) for k in group_keys), r['trial']) for r in rows})}"
+    )
+    lines.append(f"cap_failures = {failures(rows)}")
+    groups = []
+    for r in rows:
+        key = tuple(r.get(k) for k in group_keys)
+        if key not in groups:
+            groups.append(key)
+    for key in groups:
+        grows = [r for r in rows if tuple(r.get(k) for k in group_keys) == key]
+        mechs = []
+        for r in grows:
+            if r["mechanism"] not in mechs:
+                mechs.append(r["mechanism"])
+        for mech in mechs:
+            tag = " ".join(f"{k}={v}" for k, v in zip(group_keys, key))
+            lines.append("")
+            lines.append(f"[{mech}]" if not tag else f"[{tag} {mech}]")
+            group_failures = failures(r for r in grows if r["mechanism"] == mech)
+            if group_failures:
+                lines.append(f"cap_failures = {group_failures}")
+            for metric in SUMMARY_METRICS:
+                vals = collect(grows, mech, metric)
+                if vals:
+                    lines.append(f"{metric}: {_quantiles(vals)}")
+    return "\n".join(lines) + "\n"

@@ -66,6 +66,37 @@ def test_trace_access_order_does_not_change_steps(multi_window, backend):
                 trace[bad]
 
 
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_trace_slices_are_lists_of_steps(multi_window, backend):
+    # Negative, empty, stepped and out-of-range slices, as on a list of steps.
+    for config, problem in multi_window:
+        outcome = run_taco(config, problem.agents(), backend=backend)
+        steps = list(outcome.trace)
+        L = len(steps)
+        mid = outcome.cycle_records[0].end_step
+        slices = [
+            slice(None), slice(-2, None), slice(None, -1), slice(-L, -L + 3),
+            slice(3, 3), slice(5, 2), slice(L, None), slice(L + 5, L + 9),
+            slice(-L - 10, 2), slice(None, None, 2), slice(1, None, 3),
+            slice(None, None, -1), slice(-1, mid - 4, -2), slice(mid - 3, mid + 3),
+            slice(mid + 2, mid - 3, -1), slice(-3, None, 5), slice(0, L + 100, 7),
+        ]
+        for s in slices:
+            got = outcome.trace[s]
+            want = steps[s]
+            assert isinstance(got, list)
+            assert [_step_facts(ts) for ts in got] == [_step_facts(ts) for ts in want], s
+        with pytest.raises(ValueError):
+            outcome.trace[::0]
+
+    with pytest.raises(NoTerminationError) as err:
+        config, problem = multi_window[0]
+        capped = TacoConfig(epsilon=config.epsilon, d0=config.d0, gamma=config.gamma, max_steps=9)
+        run_taco(capped, problem.agents(), backend=backend)
+    trace = err.value.trace
+    assert [_step_facts(ts) for ts in trace[2:7]] == [_step_facts(ts) for ts in list(trace)[2:7]]
+
+
 def test_trace_rows_are_read_only():
     outcome = run_taco(TacoConfig(epsilon=1e-6), example2_fixture().agents())
     row = outcome.trace[0].profit_row
