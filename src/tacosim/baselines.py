@@ -40,11 +40,7 @@ def _sum(x: list[float]) -> float:
 
 
 def _pairwise(x: list[float], lo: int, n: int) -> float:
-    if n < 8:
-        s = -0.0
-        for v in x[lo : lo + n]:
-            s += v
-        return s
+    # x[lo : lo + n] with n >= 8; a halving never leaves fewer than 64 terms.
     if n <= 128:
         r0, r1, r2, r3, r4, r5, r6, r7 = x[lo : lo + 8]
         end = lo + n - n % 8

@@ -23,7 +23,7 @@ from .errors import MetricUndefinedError
 
 def optimality_gap(costs, utilitarian_costs) -> float:
     """(total cost / total cost of the utilitarian option) - 1."""
-    return _gap(_sum(_floats(costs)), _sum(_floats(utilitarian_costs)))
+    return _gap(_sum(_float_list(costs)), _sum(_float_list(utilitarian_costs)))
 
 
 def _gap(total: float, best: float) -> float:
@@ -41,7 +41,7 @@ def gini(costs) -> float:
     costs (settled costs can dip negative, in which case the usual [0, 1-1/n]
     range no longer applies).
     """
-    return _gini(_floats(costs))
+    return _gini(_float_list(costs))
 
 
 def _gini(c: list[float]) -> float:
@@ -55,7 +55,7 @@ def _gini(c: list[float]) -> float:
     return diff / (2.0 * len(c) * total)
 
 
-def _floats(values) -> list[float]:
+def _float_list(values) -> list[float]:
     return [float(v) for v in values]
 
 
@@ -132,7 +132,7 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     Sound runs never exceed 1. Returns 0.0 when no cycle was detected or
     every bound is vacuous (single agent).
     """
-    b = _floats(valuations)
+    b = _float_list(valuations)
     n = len(b)
     worst = 0.0
     for cyc in outcome.cycle_records:
