@@ -134,6 +134,28 @@ def test_baselines_match_numpy_and_draw_the_same():
     assert ties > 50  # voting's random tie-break was exercised
 
 
+def test_utilitarian_sums_columns_in_numpys_order():
+    # Columns that permute one vector tie in exact arithmetic, so only the
+    # rounding of each column sum picks the option; with n >= 8, numpy's
+    # C.sum(axis=0) (row by row) and a pairwise sum often pick differently.
+    rng = np.random.default_rng(12)
+    order_matters = 0
+    for _ in range(200):
+        n = int(rng.integers(8, 13))
+        base = rng.choice([0.1, 0.2, 0.3, 0.7], n)
+        C = np.stack([rng.permutation(base) for _ in range(6)], axis=1)
+        problem = ChoiceProblem(n=n, m=6, C=C, b=np.ones(n))
+        assert baselines.utilitarian(problem) == ref.utilitarian(problem)
+        for j in range(6):
+            _assert_same_result(
+                metrics.baseline_trial_result(problem, "utilitarian", j),
+                ref.baseline_trial_result(problem, "utilitarian", j),
+            )
+        pairwise = min(range(6), key=lambda j: (_sum(C[:, j].tolist()), j))
+        order_matters += pairwise != ref.utilitarian(problem)
+    assert order_matters > 50
+
+
 def _tie_prone_instances(count=1000):
     # The tie-rule reproducer of ROADMAP (see tests/test_engine.py).
     rng = np.random.default_rng(7)
