@@ -53,11 +53,10 @@ def git_sha(checkout: Path) -> str:
     return out.stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
-             size: str) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One tacobench run in a checkout: its result line, call count and git sha."""
     cmd = [sys.executable, "tacobench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace), "--size", size]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -112,8 +111,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="41-50", help="e.g. 41-50 or 41,42,45")
     ap.add_argument("--seconds", type=float, default=45.0)
     ap.add_argument("--trace-seed", type=int, default=3, help="seed of the traced runs")
-    ap.add_argument("--size", choices=("full", "tiny"), default="full",
-                    help="tacobench's input size; tiny only checks the script end to end")
     ap.add_argument("--what", default="", help="one line on what the change is")
     args = ap.parse_args(argv)
 
@@ -138,13 +135,13 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(out, indent=1, sort_keys=False) + "\n")
 
     for workload in workloads:
-        entry = {"seconds": args.seconds, "size": args.size, "seeds": seeds, "pairs": []}
+        entry = {"seconds": args.seconds, "size": "full", "seeds": seeds, "pairs": []}
         out["gated"][workload] = entry
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, seed, args.seconds, 0, args.size)
+                pair[side] = run_once(sides[side], workload, seed, args.seconds, 0)
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['result_line']['metrics'])}", flush=True)
             out["env"] = pair["change"].pop("env")
@@ -155,8 +152,7 @@ def main(argv=None) -> int:
     for workload in workloads:
         traced = {"seed": args.trace_seed}
         for side in ("parent", "change"):
-            traced[side] = run_once(sides[side], workload, args.trace_seed, args.seconds, 1,
-                                     args.size)
+            traced[side] = run_once(sides[side], workload, args.trace_seed, args.seconds, 1)
             traced[side].pop("env")
         out["traced"][workload] = traced
         save()
