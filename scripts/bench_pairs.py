@@ -3,19 +3,22 @@
 Usage, from anywhere (standard library only):
 
     python3 scripts/bench_pairs.py --parent ../parent --change ../change --label pr9 \
-        --seeds 41-50 --seconds 45 --trace-seed 3
+        --seeds 41-50
 
-For every workload and seed it runs ``python3 tacobench/run.py --workload W
---seed S --seconds T --trace 0`` once in each checkout, alternating which
-side runs first (the parent first on odd pairs), then one ``--trace 1`` run
-per side at ``--trace-seed``. Each run's last stdout line (the JSON result
-line) and its ``.tacobench/result_<W>_trace<N>.json`` report are collected.
-The output holds the environment, the seeds, every pair, and per metric the
-median, quartiles (``statistics.quantiles(method='inclusive')``), the wins
-of the change (strictly better in the metric's direction, from the change
-checkout's ``BENCHMARK.json``) and whether the gap between the medians
-exceeds the parent's interquartile range. The file is rewritten after every
-run, so an interrupted batch keeps the pairs it finished.
+The workloads and the run length are the change checkout's ``BENCHMARK.json``
+(``workloads``, ``run_seconds``). For every workload and seed it runs
+``python3 tacobench/run.py --workload W --seed S --seconds T --trace 0`` once
+in each checkout, alternating which side runs first (the parent first on odd
+pairs), then one ``--trace 1`` run per side at seed ``TRACE_SEED``. Each run's
+last stdout line (the JSON result line) and its
+``.tacobench/result_<W>_trace<N>.json`` report are collected. The output holds
+the environment, the seeds, every pair, and per metric the median, quartiles
+(``statistics.quantiles(method='inclusive')``), the wins of the change
+(strictly better in the metric's direction), the signed gap between the
+medians, and whether that gap exceeds the parent's interquartile range in
+the better or in the worse direction. Every field is written by this script;
+the file is rewritten after every run, so an interrupted batch keeps the
+pairs it finished.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+TRACE_SEED = 3
 PROTOCOL = (
-    "python3 tacobench/run.py --workload W --seed S --seconds T --trace 0|1, each side in "
-    "its own clean checkout; pairs alternate which side runs first (parent first on odd "
-    "pairs); the pair's seed is the same on both sides"
+    "python3 tacobench/run.py --workload W --seed S --seconds {seconds:g} --trace 0|1, each "
+    "side in its own clean checkout; pairs alternate which side runs first (parent first "
+    "on odd pairs); the pair's seed is the same on both sides; one traced run per side at "
+    "seed {trace_seed}; written by scripts/bench_pairs.py --seeds {seeds}"
 )
 QUARTILES = (
     "statistics.quantiles(method='inclusive') over the per-pair values; a win is a "
@@ -47,10 +52,14 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def git_sha(checkout: Path) -> str:
-    out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+def git(checkout: Path, *args: str) -> str:
+    out = subprocess.run(["git", "-C", str(checkout), *args],
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+def git_sha(checkout: Path) -> str:
+    return git(checkout, "rev-parse", "HEAD")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -91,12 +100,14 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
                        - p["parent"]["result_line"]["metrics"][name]["value"]) > 0
         )
         parent, change = sides["parent"], sides["change"]
+        gap = change["median"] - parent["median"]
         summary[name] = {
             "unit": spec["unit"], "better": spec["better"], **sides,
             "change_wins": wins, "pairs": len(pairs),
             "median_change_rel": change["median"] / parent["median"] - 1.0,
-            "median_gap_exceeds_parent_iqr":
-                sign * (change["median"] - parent["median"]) > parent["iqr"],
+            "median_gap": gap,
+            "median_better_beyond_parent_iqr": sign * gap > parent["iqr"],
+            "median_worse_beyond_parent_iqr": -sign * gap > parent["iqr"],
         }
     return summary
 
@@ -106,22 +117,19 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--out-dir", type=Path, default=Path("."), help="where the file goes")
-    ap.add_argument("--workloads", default="montecarlo,long_window")
     ap.add_argument("--seeds", default="41-50", help="e.g. 41-50 or 41,42,45")
-    ap.add_argument("--seconds", type=float, default=45.0)
-    ap.add_argument("--trace-seed", type=int, default=3, help="seed of the traced runs")
-    ap.add_argument("--what", default="", help="one line on what the change is")
+    ap.add_argument("--out-dir", type=Path, default=Path("."), help="where the file goes")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
-    workloads = [w for w in args.workloads.split(",") if w]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = float(bench["run_seconds"])
     seeds = parse_seeds(args.seeds)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = {
-        "what": args.what,
-        "how": PROTOCOL,
+        "what": git(sides["change"], "log", "-1", "--format=%s"),
+        "how": PROTOCOL.format(seconds=seconds, trace_seed=TRACE_SEED, seeds=args.seeds),
         "quartiles": QUARTILES,
         "parent": {"git_sha": git_sha(sides["parent"])},
         "change": {"git_sha": git_sha(sides["change"])},
@@ -135,13 +143,13 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(out, indent=1, sort_keys=False) + "\n")
 
     for workload in workloads:
-        entry = {"seconds": args.seconds, "size": "full", "seeds": seeds, "pairs": []}
+        entry = {"seconds": seconds, "size": "full", "seeds": seeds, "pairs": []}
         out["gated"][workload] = entry
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, seed, args.seconds, 0)
+                pair[side] = run_once(sides[side], workload, seed, seconds, 0)
                 print(f"{workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['result_line']['metrics'])}", flush=True)
             out["env"] = pair["change"].pop("env")
@@ -150,9 +158,9 @@ def main(argv=None) -> int:
             entry["summary"] = summarize(entry["pairs"], metrics)
             save()
     for workload in workloads:
-        traced = {"seed": args.trace_seed}
+        traced = {"seed": TRACE_SEED}
         for side in ("parent", "change"):
-            traced[side] = run_once(sides[side], workload, args.trace_seed, args.seconds, 1)
+            traced[side] = run_once(sides[side], workload, TRACE_SEED, seconds, 1)
             traced[side].pop("env")
         out["traced"][workload] = traced
         save()

@@ -77,7 +77,11 @@ class _Floats(NamedTuple):
 
 @dataclass
 class ChoiceProblem:
-    """One generated instance: cost matrix, valuations, optional labels."""
+    """One generated instance: cost matrix, valuations, optional labels.
+
+    C and b are read-only copies: the mechanisms and metrics read them once,
+    as floats, so an instance does not change after it is made.
+    """
 
     n: int
     m: int
@@ -86,8 +90,10 @@ class ChoiceProblem:
     option_labels: list[str] | None = None
 
     def __post_init__(self) -> None:
-        self.C = np.asarray(self.C, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        self.C = np.array(self.C, dtype=np.float64)
+        self.b = np.array(self.b, dtype=np.float64)
+        self.C.setflags(write=False)
+        self.b.setflags(write=False)
         if self.C.shape != (self.n, self.m):
             raise ValueError(f"C has shape {self.C.shape}, expected ({self.n}, {self.m})")
         if self.b.shape != (self.n,):
@@ -101,7 +107,7 @@ class ChoiceProblem:
 
     @functools.cached_property
     def _floats(self) -> _Floats:
-        """C and b as floats, built on first use; C and b must not change after.
+        """C and b as floats, built on first use.
 
         The column sums repeat numpy's ``C.sum(axis=0)``: row by row from 0.0.
         """

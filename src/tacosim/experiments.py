@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -196,8 +195,6 @@ def _run_point(point: _Point) -> list[dict]:
     }
     raw_keys = [f"raw_cost_{i + 1}" for i in range(problem.n)]
     settled_keys = [f"settled_cost_{i + 1}" for i in range(problem.n)]
-    # Raw costs are the chosen option's column: format each column's cells once.
-    column_cells: dict[int, list[str]] = {}
     rows = []
     for mech in cfg.mechanisms:
         row = dict(base)
@@ -247,15 +244,8 @@ def _run_point(point: _Point) -> list[dict]:
         row["gini_raw"] = _fmt(result.gini_raw)
         row["gini_settled"] = _fmt(result.gini_settled)
         row["max_cycle_spread_ratio"] = _fmt(result.max_cycle_spread_ratio)
-        raw = column_cells.get(result.chosen_option)
-        if raw is None:
-            raw = column_cells[result.chosen_option] = list(map(_fmt, result.raw_costs.tolist()))
-        row.update(zip(raw_keys, raw))
-        # Baselines trade nothing: their settled costs are the raw ones.
-        if mech == "taco":
-            row.update(zip(settled_keys, map(_fmt, result.settled_costs.tolist())))
-        else:
-            row.update(zip(settled_keys, raw))
+        row.update(zip(raw_keys, map(_fmt, result.raw_costs.tolist())))
+        row.update(zip(settled_keys, map(_fmt, result.settled_costs.tolist())))
         rows.append(row)
     return rows
 
@@ -266,6 +256,9 @@ def _fmt(x: float) -> str:
 
 def _execute(points: list[_Point], workers: int) -> list[dict]:
     if workers > 1 and len(points) > 1:
+        # Imported here: multiprocessing is ~18 ms of a serial sweep's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(points) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_run_point, points, chunksize=chunk))

@@ -42,6 +42,23 @@ def test_choice_problem_agents():
     assert problem.C[0, 0] == 10.0
 
 
+def test_choice_problem_is_read_only():
+    # The mechanisms read C and b once per instance, so neither may change:
+    # writing raises, and the caller's arrays are copied, not shared.
+    C = np.array([[1.0, 5.0], [1.0, 5.0]])
+    b = np.ones(2)
+    problem = ChoiceProblem(n=2, m=2, C=C, b=b)
+    assert utilitarian(problem) == 0
+    with pytest.raises(ValueError):
+        problem.C[:, 0] = 9.0
+    with pytest.raises(ValueError):
+        problem.b[0] = 2.0
+    C[:, 0] = 9.0
+    b[0] = 2.0
+    assert problem.C[0, 0] == 1.0 and problem.b[0] == 1.0
+    assert utilitarian(problem) == 0
+
+
 def test_voting_fixture_is_a_fair_coin():
     # Agent 0 votes option 1, agent 1 votes option 0: a tie every time.
     problem = example2_fixture()
