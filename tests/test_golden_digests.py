@@ -5,6 +5,9 @@ order, so their output is pinned byte for byte here, not only for
 determinism. The digests were recorded with the numpy implementations that
 ``tests/_oracles.py`` keeps. The scalability cells reach numpy's 8-lane
 summation (n = 9) and its halving branch (n = 12, a 144-term Gini sum).
+The long-window digest pins one run's players, choices, cycle rows,
+settlements and final trading unit, so a change to the cycle detector
+cannot move where a window ends.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from tacosim.cli import main
+from tacosim.engine import TacoConfig, run_taco
 from tacosim.experiments import (
     ExperimentConfig,
     run_interrupt,
@@ -20,6 +24,7 @@ from tacosim.experiments import (
     run_scalability,
     run_sweep_gamma,
 )
+from tacosim.scenario import example2_fixture
 
 GOLDEN = {
     "montecarlo": (
@@ -42,6 +47,12 @@ GOLDEN = {
 # `tacosim example --out DIR`: its stdout, and its files as name, NUL, bytes.
 EXAMPLE_STDOUT = "543df1c2d888f59e2e6184f7f01ab9360cb66679b0a17e044c1a64689ffbb149"
 EXAMPLE_FILES = "c070702f7c485befdd0ca0b356aade6339ad572714c52c00bb12e1674b8e6302"
+# The worked example at d0 = 1/20000: one 33,337-step window ending in a
+# detected cycle, the shape of the benchmark's long window.
+LONG_WINDOW = {
+    "numpy": "d3eceef99d138d2bd689cae7e5b1bed5a0cb9d26b962f33873f3af142053dd56",
+    "exact": "d3eceef99d138d2bd689cae7e5b1bed5a0cb9d26b962f33873f3af142053dd56",
+}
 
 RUNS = {
     "montecarlo": lambda out: run_montecarlo(
@@ -80,3 +91,20 @@ def test_example_output_bytes_are_pinned(tmp_path, capsys):
     assert _sha(capsys.readouterr().out.encode()) == EXAMPLE_STDOUT
     assert _sha(files) == EXAMPLE_FILES
 
+
+
+@pytest.mark.parametrize("backend", sorted(LONG_WINDOW))
+def test_long_window_outcome_is_pinned(backend):
+    config = TacoConfig(epsilon=1e-6, d0="1/20000", gamma="9/10")
+    outcome = run_taco(config, example2_fixture().agents(), backend=backend)
+    h = hashlib.sha256()
+    h.update(bytes(ts.agent for ts in outcome.trace))
+    h.update(bytes(ts.selection for ts in outcome.trace))
+    for cyc in outcome.cycle_records:
+        h.update(f"{cyc.start_step},{cyc.end_step};".encode())
+        for rows in cyc.agent_turn_profits:
+            for row in rows:
+                h.update(row.tobytes())
+    facts = (outcome.settlements, outcome.final_d, outcome.steps, outcome.cycles_detected)
+    h.update(repr(facts).encode())
+    assert h.hexdigest() == LONG_WINDOW[backend]
