@@ -7,11 +7,20 @@ of the trading unit the net matrix is ``net0 + d * delta`` where ``delta`` is
 an integer matrix updated by +-1/+-n per turn, and d is constant and
 nonzero, so within a window cycle detection is integer equality on
 ``(delta, playing_agent)`` -- the same as equality of the exact net, with no
-float tolerance anywhere in the detection path. Each turn records the state
-the playing agent observed (delta before that turn's update); when an
-observation repeats one, the window stops with the final turn's board update
-still pending, which the engine either drops (termination) or applies at the
-reduced trading unit.
+float tolerance anywhere in the detection path. Each turn observes a state
+(delta before that turn's update, plus the agent on turn); the window stops
+at the first observation that repeats an earlier one, with that turn's board
+update still pending, which the engine either drops (termination) or applies
+at the reduced trading unit.
+
+The detector stores one observation per round, not one per turn. The agent
+on turn is part of the state, so a repeat spans whole rounds, and the turns
+are deterministic, so once a state repeats the window repeats it every
+cycle length. Hence the first repeat also shows, within n - 1 turns, at an
+observation of the window's first player, and the kernel records only
+those; on a hit it walks back to the first repeat. The window ends where a
+detector storing every observation would end it: same steps, same cycle
+start, and the same history_cap, which still counts every observation.
 
 The two backends differ only in the net the playing agent observes; the
 profit row is ``b_i * net_row - C_i`` and the argmax takes the lowest index
@@ -28,8 +37,8 @@ ints, repeating numpy's elementwise operations in the same order, since
 per-step dispatch, not arithmetic, sets the cost of a few-cell row. Each
 agent's profit row is cached and only the cells whose column was chosen
 since that agent's last turn are recomputed. The state key is Zobrist's
-linear hash (Zobrist, "A New Hashing Method with Application for Game
-Playing", 1970) kept as an unbounded Python int and updated in O(1) per
+linear hash of delta (Zobrist, "A New Hashing Method with Application for
+Game Playing", 1970) kept as an unbounded Python int and updated in O(1) per
 turn; a key hit is only a candidate, confirmed exactly from the turns in
 between.
 
@@ -94,11 +103,11 @@ class WindowResult:
 
 
 def run_window(
-    net0f: np.ndarray | None,
+    net0f: list[list[float]] | None,
     dval: float,
-    b: np.ndarray,
-    C: np.ndarray,
-    order: np.ndarray,
+    b: list[float],
+    C: list[list[float]],
+    order: list[int],
     pos0: int,
     budget: int,
     history_cap: int,
@@ -106,42 +115,40 @@ def run_window(
 ) -> WindowResult:
     """Run auction turns until detection, budget, or history cap.
 
-    A window always starts with an empty state history; the first turn's
-    observation (zero delta plus the agent on turn) is recorded like any
-    other. If ``net_cell`` is given, ``net_cell(i, j, k)`` is the net agent i
-    observes on choice j at integer delta k, and ``net0f`` is not read;
-    otherwise that net is ``net0f[i, j] + dval * k`` in float64.
+    The anchors are Python lists: the float net rows ``net0f``, the
+    valuations ``b``, the cost rows ``C`` and the turn order. A window
+    always starts with an empty state history, and the first turn's
+    observation (zero delta) is recorded. ``history_cap`` counts
+    observations, recorded or not: a window that reaches observation
+    history_cap + 1 without a repeat ends with status "history_cap". If
+    ``net_cell`` is given, ``net_cell(i, j, k)`` is the net agent i observes
+    on choice j at integer delta k, and ``net0f`` is not read; otherwise
+    that net is ``net0f[i][j] + dval * k`` in float64.
     """
     if budget <= 0:
         raise ValueError(f"window budget must be positive, got {budget}")
-    net0 = None if net_cell is not None else net0f.tolist()
-    return _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_cap)
+    return _run_window_scalar(net_cell, net0f, dval, b, C, order, pos0, budget, history_cap)
 
 
 @functools.lru_cache(maxsize=64)
-def _zobrist_keys(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Deterministic state-hash keys for an n x m board.
+def _zobrist_keys(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Deterministic state-hash increments for an n x m board.
 
-    With random 64-bit keys Z, the state key of (delta, agent i) is
-    ``sum(Z[r][j] * delta[r][j]) + agent_key[i]``. A turn of agent i on j
-    adds 1 to delta[:, j] and subtracts n from delta[i][j], so it moves the
-    sum by ``inc[i][j] = sum_r Z[r][j] - n * Z[i][j]``. Returns (inc,
-    agent_key).
+    With random 64-bit keys Z, the key of a delta is ``sum(Z[r][j] *
+    delta[r][j])``. A turn of agent i on j adds 1 to delta[:, j] and
+    subtracts n from delta[i][j], so it moves the sum by ``inc[i][j] =
+    sum_r Z[r][j] - n * Z[i][j]``. Returns inc. The agent on turn needs no
+    key: only the window's first player's observations are recorded.
     """
     rng = random.Random(f"tacosim-zobrist-{n}x{m}")
     Z = [[rng.getrandbits(64) for _ in range(m)] for _ in range(n)]
-    agent_key = [rng.getrandbits(64) for _ in range(n)]
     colsum = [sum(col) for col in zip(*Z)]
-    inc = tuple(tuple(c - n * z for c, z in zip(colsum, row)) for row in Z)
-    return inc, tuple(agent_key)
+    return tuple(tuple(c - n * z for c, z in zip(colsum, row)) for row in Z)
 
 
-def _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_cap):
-    n, m = C.shape
-    order_l = order.tolist()
-    b_l = b.tolist()
-    C_l = C.tolist()
-    inc, agent_key = _zobrist_keys(n, m)
+def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, history_cap):
+    n, m = len(C_l), len(C_l[0])
+    inc = _zobrist_keys(n, m)
     # The board change since the window began: delta[i][j] = col[j] - n*sel[i][j].
     col = [0] * m
     sel = [[0] * m for _ in range(n)]
@@ -149,16 +156,29 @@ def _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_
     all_cols = range(m)
     players: list[int] = []
     choices: list[int] = []
-    # State key -> the 1-based step that first observed it. A key hit is only
-    # a candidate; a hit that is not the same state goes to `collided`, so a
-    # later true repeat of any recorded state is still found.
+    # Only the observations of the window's first player i0 (steps t = 1 mod
+    # n) are recorded, keyed on delta's hash alone. If the first repeat is
+    # step t* = s* + lam (n divides lam), step t + lam repeats step t for
+    # every t >= s*, so the first recorded step t' >= t* is the first true
+    # hit and its partner is t' - lam; walking both back while the turns
+    # before them agree finds (s*, t*). A key hit is only a candidate; a hit
+    # that is not the same state goes to `collided`, so a later true repeat
+    # is still found.
+    i0 = order_l[pos0 % n]
     history: dict[int, int] = {}
     collided: dict[int, list[int]] = {}
     h = 0
-    status = "budget"
+    # The window ends at step L unless a repeat shows first: by the budget,
+    # or, past history_cap observations, by the cap. A repeat t* <= L may
+    # show only at the first recorded step >= L, so the turns run on to it.
+    last = min(budget, max(history_cap, 0) + 1)
+    stop = last + (1 - last) % n
+    status = "budget" if last <= history_cap else "history_cap"
+    end = last
     s0 = -1
+    hit = False
     t = 0
-    while t < budget:
+    while t < stop:
         i = order_l[(pos0 + t) % n]
         row = rows[i]
         sel_i = sel[i]
@@ -180,35 +200,48 @@ def _run_window_scalar(net_cell, net0, dval, b, C, order, pos0, budget, history_
         players.append(i)
         choices.append(j)
         t += 1
-        key = h + agent_key[i]
-        first = history.get(key)
-        if first is not None:
-            s0 = _find_repeat(first, collided.get(key, ()), t, players, choices, n, m)
-            if s0 > 0:
-                status = "detected"
-                break
-        # Every observation before a repeat is a distinct state, so the
-        # history holds t - 1 entries here.
-        if t > history_cap:
-            status = "history_cap"
-            break
-        if first is None:
-            history[key] = t
-        else:
-            collided.setdefault(key, []).append(t)
+        if i == i0:
+            first = history.get(h)
+            if first is None:
+                history[h] = t
+            else:
+                s = _find_repeat(first, collided.get(h, ()), t, players, choices, n, m)
+                if s > 0:
+                    # With observations s and s+lam equal, s-1 and s-1+lam
+                    # are equal iff turns s-1 and s-1+lam (one agent, as n
+                    # divides lam) took the same choice: a choice is a function
+                    # of the observation, and for n >= 2 a turn's update
+                    # differs between choices.
+                    lam = t - s
+                    while s > 1 and choices[s - 2] == choices[s - 2 + lam]:
+                        s -= 1
+                    if s + lam <= last:
+                        status = "detected"
+                        s0 = s
+                        end = s + lam
+                    hit = True
+                    break
+                collided.setdefault(h, []).append(t)
         h += inc[i][j]
         col[j] += 1
         sel_i[j] += 1
+    # Cut the window at step `end`: take the updates applied past its last
+    # applied turn back out of sel (a hit's own turn was never applied).
+    keep = end if status == "budget" else end - 1
+    done = t - 1 if hit else t
+    for a_k, c_k in zip(players[keep:done], choices[keep:done]):
+        sel[a_k][c_k] -= 1
+    del players[end:], choices[end:]
     cycle_rows = None
     if status == "detected":
         # Take the cycle's applied turns back from the window's counts.
         start = [row[:] for row in sel]
-        for a_k, c_k in zip(players[s0 : t - 1], choices[s0 : t - 1]):
+        for a_k, c_k in zip(players[s0 : end - 1], choices[s0 : end - 1]):
             start[a_k][c_k] -= 1
-        cycle_rows = window_rows(net_cell, net0, dval, b_l, C_l, players, choices, start, s0, t)
+        cycle_rows = window_rows(net_cell, net0, dval, b_l, C_l, players, choices, start, s0, end)
     return WindowResult(
         status=status,
-        steps=t,
+        steps=end,
         s0_rel=s0,
         players=players,
         choices=choices,

@@ -18,9 +18,9 @@ integer-delta history is the cycle detector. The two backends differ only
 in the net row the playing agent observes: "exact" divides the lattice
 integers once per cell (correctly rounded, so the float of the exact
 rational net); "numpy" anchors the window's float net matrix that way and
-adds d * delta. The Fraction board is built once, at the end, for
-settlement and final_board, so settlements are exact rationals on every
-backend.
+adds d * delta. Settlements are exact rationals read off the final
+lattice on every backend; the Fraction board (final_board) is built from
+it only when read.
 
 The run keeps no per-step object. Each window is kept as its anchors (the
 float net or the exact net cell, and d) plus the kernel's player and choice
@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -101,7 +102,7 @@ class _Window(NamedTuple):
     g0: int
     players: list[int]
     choices: list[int]
-    net0f: np.ndarray | None
+    net0f: list[list[float]] | None
     dval: float
     net_cell: Callable[[int, int, int], float] | None
 
@@ -120,9 +121,9 @@ class Trace(Sequence[TraceStep]):
     read-only view.
     """
 
-    def __init__(self, b: np.ndarray, C: np.ndarray):
-        self._b = b.tolist()
-        self._C = C.tolist()
+    def __init__(self, b: list[float], C: list[list[float]]):
+        self._b = b
+        self._C = C
         self._windows: list[_Window] = []
         self._len = 0
         self._cached: tuple[int, np.ndarray] | None = None
@@ -137,10 +138,9 @@ class Trace(Sequence[TraceStep]):
     def _rows(self, w: int) -> np.ndarray:
         if self._cached is None or self._cached[0] != w:
             win = self._windows[w]
-            net0 = None if win.net0f is None else win.net0f.tolist()
             zero = [[0] * len(self._C[0]) for _ in self._C]
             rows = _fastpath.window_rows(
-                win.net_cell, net0, win.dval, self._b, self._C,
+                win.net_cell, win.net0f, win.dval, self._b, self._C,
                 win.players, win.choices, zero, 0, len(win.players),
             )
             self._cached = (w, rows)
@@ -171,7 +171,8 @@ class TacoOutcome:
 
     ``trace`` holds every executed turn as a lazy ``Trace``: it keeps each
     window's players, choices and anchors, and builds a ``TraceStep`` with
-    its profit row when one is read.
+    its profit row when one is read. ``final_board``, the exact Fraction
+    board, is likewise built from the run's final lattice when first read.
     """
 
     consensus_choice: int
@@ -184,7 +185,12 @@ class TacoOutcome:
     terminated_naturally: bool
     cycle_records: list[CycleRecord]
     final_selections: list[int | None]
-    final_board: PublicBoard
+    _lattice: _LatticeBoard = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def final_board(self) -> PublicBoard:
+        """The board as the run left it, exact."""
+        return self._lattice.to_board(self.final_selections)
 
 
 def run_taco(
@@ -238,10 +244,18 @@ def _profit_spread(rows: list[np.ndarray], active: list[int]) -> float:
     return max(vals) - min(vals)
 
 
-def settle(board: PublicBoard, j_star: int) -> list[Fraction]:
-    """Net receipt per agent for the consensus choice: offers minus pays, exact."""
+def settle(board: PublicBoard | _LatticeBoard, j_star: int) -> list[Fraction]:
+    """Net receipt per agent for the consensus choice: offers minus pays, exact.
+
+    On the engine's lattice board each receipt is one Fraction,
+    a*(offers[j] - pays[i][j]) / (b*q^K), the same value the Fraction board
+    holds.
+    """
     if not (0 <= j_star < board.m):
         raise ValueError(f"choice index {j_star} out of range for m={board.m}")
+    if isinstance(board, _LatticeBoard):
+        a, den, offer = board.a, board.unit_den, board.offers[j_star]
+        return [Fraction(a * (offer - row[j_star]), den) for row in board.pays]
     return [board.offers[i][j_star] - board.pays[i][j_star] for i in range(board.n)]
 
 
@@ -256,23 +270,25 @@ def _prepare(config, agents):
             raise ValueError(
                 f"agents must be listed in index order; agents[{pos}] has index {a.index}"
             )
-    m = int(agents[0].cost_row.shape[0])
-    if any(a.cost_row.shape[0] != m for a in agents):
+    # The kernel's inputs, as Python lists: float cost rows, valuations and
+    # the turn order.
+    C = [a.cost_row.tolist() for a in agents]
+    m = len(C[0])
+    if any(len(row) != m for row in C):
         raise ValueError("all agents must share the same number of choices")
     if m < 1:
         raise ValueError("need at least one choice")
-    C = np.stack([a.cost_row for a in agents]).astype(np.float64)
-    b = np.array([a.valuation for a in agents], dtype=np.float64)
-    if not (np.isfinite(C).all() and np.isfinite(b).all()):
+    b = [float(a.valuation) for a in agents]
+    if not all(map(math.isfinite, itertools.chain(b, *C))):
         raise ValueError("costs and valuations must be finite")
     if config.turn_order is None:
-        order = np.arange(n, dtype=np.int64)
+        order = list(range(n))
     else:
-        if sorted(config.turn_order) != list(range(n)):
+        order = list(config.turn_order)
+        if sorted(order) != list(range(n)):
             raise ValueError(
                 f"turn_order must be a permutation of 0..{n - 1}, got {config.turn_order}"
             )
-        order = np.array(config.turn_order, dtype=np.int64)
     return n, m, b, C, order
 
 
@@ -296,8 +312,8 @@ def _run(config, agents, interrupt_step, backend):
         )
         if win.status == "history_cap":
             raise HistoryLimitError(
-                f"state-key history exceeded {config.history_cap} entries "
-                f"near step {g0 + win.steps}"
+                f"a window observed more than history_cap={config.history_cap} distinct "
+                f"states by step {g0 + win.steps} (the detector stores one per round)"
             )
         players = win.players
         choices = win.choices
@@ -332,8 +348,7 @@ def _run(config, agents, interrupt_step, backend):
             terminated = True
             break
         apply_selection(lattice, players[-1], choices[-1])
-    board = lattice.to_board(selections)
-    return _finish(config, board, trace, cycles, terminated, interrupt_step)
+    return _finish(config, lattice, selections, trace, cycles, terminated, interrupt_step)
 
 
 class _LatticeBoard:
@@ -376,13 +391,10 @@ class _LatticeBoard:
         net0 = [[o - p for o, p in zip(self.offers, row)] for row in self.pays]
         return functools.partial(_exact_net, self.a, self.pk, self.unit_den, net0)
 
-    def net_float(self) -> np.ndarray:
-        """offers - pays as float64, each entry correctly rounded (see exact_net_cell)."""
+    def net_float(self) -> list[list[float]]:
+        """offers - pays as float rows, each entry correctly rounded (see exact_net_cell)."""
         a, den = self.a, self.unit_den
-        return np.array(
-            [[a * (o - p) / den for o, p in zip(self.offers, row)] for row in self.pays],
-            dtype=np.float64,
-        )
+        return [[a * (o - p) / den for o, p in zip(self.offers, row)] for row in self.pays]
 
     def to_board(self, selections: list[int | None]) -> PublicBoard:
         """The exact Fraction board this lattice represents."""
@@ -460,7 +472,7 @@ def _mode_lowest(values: list[int]) -> int:
     return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
 
-def _finish(config, board, trace, cycles, terminated, interrupt_step):
+def _finish(config, lattice, selections, trace, cycles, terminated, interrupt_step):
     steps = len(trace)
     if not terminated:
         interrupted = interrupt_step is not None and steps >= interrupt_step
@@ -468,18 +480,18 @@ def _finish(config, board, trace, cycles, terminated, interrupt_step):
             raise NoTerminationError(
                 f"no termination within max_steps={config.max_steps}", steps, trace
             )
-    voted = [s for s in board.selections if s is not None]
+    voted = [s for s in selections if s is not None]
     consensus = _mode_lowest(voted)
     return TacoOutcome(
         consensus_choice=consensus,
-        settlements=settle(board, consensus),
+        settlements=settle(lattice, consensus),
         steps=steps,
-        rounds=-(-steps // board.n),
+        rounds=-(-steps // lattice.n),
         cycles_detected=len(cycles),
-        final_d=board.d,
+        final_d=lattice.d,
         trace=trace,
         terminated_naturally=terminated,
         cycle_records=cycles,
-        final_selections=list(board.selections),
-        final_board=board,
+        final_selections=selections,
+        _lattice=lattice,
     )

@@ -27,7 +27,11 @@ class NoTerminationError(TacoError):
 
 
 class HistoryLimitError(TacoError):
-    """The recorded-state history exceeded its configured entry cap."""
+    """A constant-d window observed more than history_cap distinct states.
+
+    The cap counts observations, one per turn, although the cycle detector
+    stores only one per round (those of the window's first player).
+    """
 
 
 class ResourceLimitError(TacoError):

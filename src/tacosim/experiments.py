@@ -107,13 +107,23 @@ class ExperimentConfig:
         self.d0 = exact(self.d0)
         if self.d0 <= 0:
             raise ValueError(f"d0 must be positive, got {self.d0}")
+        # The engine's own checks (TacoConfig), here so that they fail before
+        # any trial runs.
         if self.epsilon is not None:
             self.epsilon = float(self.epsilon)
-            if not self.epsilon > 0:
-                raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+                raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon}")
         self.epsilon_rel = float(self.epsilon_rel)
-        if not self.epsilon_rel > 0:
-            raise ValueError(f"epsilon_rel must be positive, got {self.epsilon_rel}")
+        if not (self.epsilon_rel > 0 and math.isfinite(self.epsilon_rel)):
+            raise ValueError(
+                f"epsilon_rel must be a positive finite real, got {self.epsilon_rel}"
+            )
+        self.max_steps = int(self.max_steps)
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        self.history_cap = int(self.history_cap)
+        if self.history_cap < 2:
+            raise ValueError(f"history_cap must be at least 2, got {self.history_cap}")
         self.mechanisms = tuple(self.mechanisms)
         for mech in self.mechanisms:
             if mech not in MECHANISMS:

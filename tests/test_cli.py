@@ -262,6 +262,45 @@ def test_montecarlo_rejects_unknown_backend_before_any_trial(tmp_path, capsys, w
     assert list(tmp_path.iterdir()) == []
 
 
+BAD_CAPS = [
+    ("--history-cap", "1", "history_cap must be at least 2, got 1"),
+    ("--max-steps", "0", "max_steps must be at least 1, got 0"),
+    ("--epsilon", "inf", "epsilon must be a positive finite real, got inf"),
+    ("--epsilon-rel", "nan", "epsilon_rel must be a positive finite real, got nan"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", BAD_CAPS)
+def test_show_config_rejects_bad_caps(capsys, flag, value, message):
+    assert main(["show-config", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", BAD_CAPS)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_montecarlo_rejects_bad_caps_before_any_trial(
+    tmp_path, monkeypatch, capsys, workers, flag, value, message
+):
+    # The engine would refuse these only at the first TACo trial, after
+    # instance generation; the experiment config refuses them first.
+    executed = []
+    execute = experiments._execute
+    monkeypatch.setattr(
+        experiments, "_execute", lambda points, w: executed.append(w) or execute(points, w)
+    )
+    assert main([
+        "montecarlo", flag, value, "--trials", "3", "--workers", workers,
+        "--out-dir", str(tmp_path),
+    ]) == 1
+    assert executed == []
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_show_config_rejects_unknown_backend_from_the_environment(monkeypatch, capsys):
     monkeypatch.setenv("TACO_BACKEND", "fancy")
     assert main(["show-config"]) == 1

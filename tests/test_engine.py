@@ -308,7 +308,8 @@ def test_window_buffer_growth_matches_numpy():
         (lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)),
     ):
         got = _fastpath.run_window(
-            net0, 1 / 500, problem.b, problem.C, order, 0, 5000, 10**6, net_cell
+            net0.tolist(), 1 / 500, problem.b.tolist(), problem.C.tolist(), order.tolist(),
+            0, 5000, 10**6, net_cell,
         )
         ref, ref_rows = window_oracle.run_window_oracle(
             net_row, problem.b, problem.C, order, 0, 5000, 10**6
@@ -339,7 +340,8 @@ def test_detected_window_returns_the_cycle_rows(backend):
                 net_cell, net_row = None, window_oracle.float_net_row(net0f, dval)
             pos0 = int(rng.integers(n))
             got = _fastpath.run_window(
-                net0f, dval, problem.b, problem.C, order, pos0, 10**6, 10**6, net_cell
+                net0f, dval, problem.b.tolist(), problem.C.tolist(), order.tolist(),
+                pos0, 10**6, 10**6, net_cell,
             )
             ref, ref_rows = window_oracle.run_window_oracle(
                 net_row, problem.b, problem.C, order, pos0, 10**6, 10**6
@@ -364,7 +366,8 @@ def test_window_selcount_counts_applied_turns(budget, history_cap, status):
     problem = random_problem(3, 5, np.random.default_rng(5))
     order = np.arange(3, dtype=np.int64)
     win = _fastpath.run_window(
-        np.zeros((3, 5)), 1 / 100, problem.b, problem.C, order, 1, budget, history_cap
+        np.zeros((3, 5)).tolist(), 1 / 100, problem.b.tolist(), problem.C.tolist(),
+        order.tolist(), 1, budget, history_cap,
     )
     assert win.status == status
     applied = win.steps if status == "budget" else win.steps - 1
@@ -393,7 +396,7 @@ def test_lattice_board_matches_fraction_board():
         for (i, j), count in np.ndenumerate(selcount):
             for _ in range(count):
                 apply_selection(ref, i, j)
-        assert lattice.net_float().tobytes() == ref.net_float().tobytes()
+        assert np.array(lattice.net_float()).tobytes() == ref.net_float().tobytes()
         engine.reduce_trading_unit(lattice)
         reduce_trading_unit(ref, gamma)
     assert lattice.unit_den > 2**63
@@ -549,6 +552,9 @@ def oracle_windows(monkeypatch):
 
     def checked(net0f, dval, b, C, order, pos0, budget, history_cap, net_cell=None):
         got = run_window(net0f, dval, b, C, order, pos0, budget, history_cap, net_cell)
+        # The engine passes lists; the oracle takes arrays.
+        b, C, order = np.array(b), np.array(C), np.array(order, dtype=np.int64)
+        net0f = None if net0f is None else np.array(net0f)
         if net_cell is not None:
             net_row = window_oracle.exact_net_row(anchors.pop())
         else:
@@ -605,7 +611,7 @@ def test_window_kernel_matches_oracle_on_random_problems(oracle_windows, backend
 
 
 def _colliding_keys(n, m):
-    return [[0] * m for _ in range(n)], [0] * n
+    return [[0] * m for _ in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -614,9 +620,9 @@ def _colliding_keys(n, m):
 )
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
 def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap, status, backend):
-    # With every state key equal, each turn after the first is a key hit, so
-    # every hit before the true repeat is a false candidate that must be kept:
-    # the repeated state was itself recorded after a false hit.
+    # With every state key equal, each recorded turn after the first is a key
+    # hit, so every hit before the true repeat is a false candidate that must
+    # be kept: the repeated state was itself recorded after a false hit.
     problem = random_problem(4, 6, np.random.default_rng(0))
     n, m = 4, 6
     net0f = np.zeros((n, m))
@@ -630,7 +636,8 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
 
     def run():
         return _fastpath.run_window(
-            net0f, 1 / 100, problem.b, problem.C, order, 1, budget, history_cap, net_cell
+            net0f.tolist(), 1 / 100, problem.b.tolist(), problem.C.tolist(), order.tolist(),
+            1, budget, history_cap, net_cell,
         )
 
     ref, ref_rows = window_oracle.run_window_oracle(
@@ -645,6 +652,69 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
         assert real.s0_rel > n + 1
     _assert_same_window(real, ref, ref_rows, anchors)
     _assert_same_window(colliding, ref, ref_rows, anchors)
+
+
+def _few_bit_keys(n, m):
+    # Zobrist keys of two bits: state keys collide often, but not always, so
+    # hits on distinct keys, false candidates and true repeats interleave.
+    Z = np.random.default_rng(n * 100 + m).integers(0, 4, (n, m))
+    return (Z.sum(axis=0) - n * Z).tolist()
+
+
+@pytest.mark.parametrize("keys", ("zobrist", "colliding", "few_bit"))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_window_ends_match_the_oracle_near_the_first_repeat(monkeypatch, n, keys):
+    # The kernel records one observation per round and finds the first repeat
+    # t* by walking back from the next recorded step, running on past a
+    # budget or cap that ends the window first. Every budget and cap within
+    # n steps of t*, permuted orders, pos0 != 0 and both backends, against
+    # the oracle that records every observation.
+    if keys == "colliding":
+        monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)
+    elif keys == "few_bit":
+        monkeypatch.setattr(_fastpath, "_zobrist_keys", _few_bit_keys)
+    rng = np.random.default_rng(2024 + n)
+    walked_back = long_cycles = 0
+    for trial in range(12):
+        m = int(rng.integers(2, 6))
+        if trial < 6:
+            problem = random_problem(n, m, rng)
+            b, C = problem.b, problem.C
+        else:  # the tie-prone grid of the reproducer, where cycles run longer
+            C = rng.integers(0, 6, (n, m)) * 0.1
+            b = rng.choice([0.1, 0.3, 0.7, 1.1, 1.3], n)
+        order = rng.permutation(n).astype(np.int64)
+        pos0 = int(rng.integers(1, n)) if n > 1 else 0
+        lattice = engine._LatticeBoard(n, m, Fraction(1, 20), Fraction(7, 10))
+        for _ in range(int(rng.integers(0, 3 * n))):
+            engine.apply_selection(lattice, int(rng.integers(n)), int(rng.integers(m)))
+        net0f, dval = lattice.net_float(), float(lattice.d)
+        if trial % 2:
+            net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
+        else:
+            net_cell, net_row = None, window_oracle.float_net_row(net0f, dval)
+        anchors = (net_cell, np.array(net0f), dval, b, C)
+        full, _ = window_oracle.run_window_oracle(net_row, b, C, order, pos0, 10**6, 10**6)
+        assert full.status == "detected"
+        t_star = full.steps
+        walked_back += (t_star - 1) % n != 0
+        long_cycles += t_star - full.s0_rel > n
+        cuts = [(budget, 10**6) for budget in range(max(1, t_star - n), t_star + n + 1)]
+        cuts += [(10**6, cap) for cap in range(max(1, t_star - n - 1), t_star + n)]
+        for budget, cap in cuts:
+            ref, ref_rows = window_oracle.run_window_oracle(
+                net_row, b, C, order, pos0, budget, cap
+            )
+            got = _fastpath.run_window(
+                net0f, dval, b.tolist(), C.tolist(), order.tolist(), pos0, budget, cap, net_cell
+            )
+            _assert_same_window(got, ref, ref_rows, anchors)
+    # Repeats that show only at a later recorded step, and cycles of more
+    # than one round.
+    if n > 1:
+        assert walked_back >= 2
+    if n > 3:
+        assert long_cycles >= 1
 
 
 def test_engine_with_colliding_keys_matches(monkeypatch):
