@@ -92,7 +92,6 @@ def test_example_output_bytes_are_pinned(tmp_path, capsys):
     assert _sha(files) == EXAMPLE_FILES
 
 
-
 @pytest.mark.parametrize("backend", sorted(LONG_WINDOW))
 def test_long_window_outcome_is_pinned(backend):
     config = TacoConfig(epsilon=1e-6, d0="1/20000", gamma="9/10")

@@ -138,6 +138,11 @@ def test_outcome_with_its_trace_pickles(multi_window, backend):
     outcome = run_taco(config, problem.agents(), backend=backend)
     copy = pickle.loads(pickle.dumps(outcome))
     assert [_step_facts(ts) for ts in copy.trace] == [_step_facts(ts) for ts in outcome.trace]
+    # final_board is built from the kept lattice on first read, before or
+    # after pickling.
+    board = outcome.final_board
+    assert copy.final_board == board
+    assert pickle.loads(pickle.dumps(outcome)).final_board == board
 
 
 def test_outcome_memory_per_step():
