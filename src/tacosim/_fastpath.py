@@ -84,8 +84,9 @@ class WindowResult:
 
     status is "detected" (the observed state repeated; s0_rel is the
     window-relative 1-based step at which it was first observed), "budget"
-    (step allowance exhausted) or "history_cap" (too many recorded states).
-    players and choices cover the turns actually taken, in order;
+    (step allowance exhausted) or "history_cap" (history_cap observations
+    passed without a repeat).
+    players and choices cover the window's turns 1..steps, in order;
     selcount[i][j] counts agent i's applied turns on j. When status is
     "detected" or "history_cap", the final turn's board update is pending:
     selcount covers only the first steps-1 turns. profit_rows holds the
@@ -168,9 +169,10 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
     history: dict[int, int] = {}
     collided: dict[int, list[int]] = {}
     h = 0
-    # The window ends at step L unless a repeat shows first: by the budget,
-    # or, past history_cap observations, by the cap. A repeat t* <= L may
-    # show only at the first recorded step >= L, so the turns run on to it.
+    # The window ends at step `last` unless a repeat shows first: by the
+    # budget, or, past history_cap observations, by the cap. A repeat t* <=
+    # last may show only at the first recorded step >= last (`stop`), so the
+    # turns run on to it.
     last = min(budget, max(history_cap, 0) + 1)
     stop = last + (1 - last) % n
     status = "budget" if last <= history_cap else "history_cap"
