@@ -43,7 +43,6 @@ from .errors import (
 from .experiments import (
     ExperimentConfig,
     RunResult,
-    bound_report,
     run_example,
     run_interrupt,
     run_montecarlo,
@@ -54,6 +53,7 @@ from .metrics import (
     TerminationBound,
     TrialResult,
     baseline_trial_result,
+    bound_report,
     cycle_spread_ratio,
     effective_costs,
     gini,

@@ -24,7 +24,6 @@ from .experiments import (
     ExampleRun,
     RunResult,
     SCHEMA_VERSION,
-    bound_report,
     config_lines,
     run_example,
     run_interrupt,
@@ -32,6 +31,7 @@ from .experiments import (
     run_scalability,
     run_sweep_gamma,
 )
+from .metrics import bound_report
 
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 

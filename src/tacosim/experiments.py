@@ -2,8 +2,17 @@
 
 Every command reduces to a list of points (trial x parameter variation) that
 are independent given their seed paths, so they can run in a process pool;
-rows are assembled in submission order, which makes output byte-identical
+records are assembled in submission order, which makes output byte-identical
 regardless of worker count.
+
+A point returns one record per mechanism: a tuple in CSV column order for the
+instance's own n (``record_columns``). Ints stay ints, ``gamma`` and ``d0``
+are exact rational strings, float cells are Python floats, and a blank cell
+(an undefined metric, a capped trial's missing fields) is None. The cost cells
+are ``repr`` strings, formatted once per option column of a trial and shared
+by every mechanism that picked it. ``csv.writer`` writes a float as its
+``repr`` and None as an empty cell, so the CSV bytes are those of formatting
+every cell by hand, and the summary reads the floats as they are.
 
 Seeding rule: each point owns a seed path, a tuple of integers starting with
 the base seed (montecarlo/sweep/interrupt: (base_seed, trial); scalability:
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, metrics, scenario
+from . import baselines, scenario
 from ._fastpath import resolve_backend
 from .agent import profit_row
 from .board import apply_selection, exact, new_board, reduce_trading_unit
@@ -52,6 +62,19 @@ SUMMARY_METRICS = (
 # Row statuses of a TACo trial that hit a safety cap: the step cap, or the
 # engine's state-history cap. Such a row carries no metrics.
 FAILED_STATUSES = ("cap", "history_cap")
+
+# The CSV columns ahead of the two cost blocks (raw_cost_1..n, then
+# settled_cost_1..n); interrupt_step is the last column.
+HEAD_COLUMNS = (
+    "trial", "seed", "mechanism", "n", "m", "gamma", "epsilon", "d0",
+    "chosen_option", "steps", "rounds", "cycles", "status",
+    "og_raw", "og_settled", "gini_raw", "gini_settled", "max_cycle_spread_ratio",
+)
+# A column's index in a record; interrupt_step is last at every n.
+_AT = {name: i for i, name in enumerate(HEAD_COLUMNS)} | {"interrupt_step": -1}
+_N = _AT["n"]
+_STATUS = _AT["status"]
+_SUMMARY_AT = tuple((metric, _AT[metric]) for metric in SUMMARY_METRICS)
 
 
 @dataclass
@@ -146,12 +169,32 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    rows: list[dict]
+    """A sweep's records and output.
+
+    ``records`` holds one tuple per (trial, mechanism) in ``columns`` order
+    (see the module docstring); ``rows`` is the same data as one dict per
+    record, keyed by ``columns``, built on first access.
+    """
+
+    records: list[tuple]
     columns: list[str]
     csv_path: Path | None
     summary_path: Path | None
     summary_text: str
     failures: int
+
+    @functools.cached_property
+    def rows(self) -> list[dict]:
+        columns = self.columns
+        # Filling a copy of a dict that already has every key never resizes
+        # it, which is cheaper than dict(zip(...)).
+        template = dict.fromkeys(columns)
+        rows = []
+        for r in self.records:
+            row = template.copy()
+            row.update(zip(columns, r))
+            rows.append(row)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -164,8 +207,12 @@ class _Point:
     interrupt_step: int  # 0 = run to natural termination
 
 
-def make_instance(cfg: ExperimentConfig, rng: np.random.Generator):
-    """Sample the trial instance and resolve its absolute epsilon."""
+def make_instance(cfg: ExperimentConfig, rng: np.random.Generator, trial: int | None = None):
+    """Sample the trial instance and resolve its absolute epsilon.
+
+    A relative tolerance that does not give a positive finite epsilon on
+    this instance is refused, naming ``trial`` when given.
+    """
     if cfg.scenario == "waypoint":
         problem = scenario.random_waypoint_problem(
             cfg.n, rng, D=cfg.separation, k_range=(cfg.k_min, cfg.k_max),
@@ -176,39 +223,48 @@ def make_instance(cfg: ExperimentConfig, rng: np.random.Generator):
     else:
         problem = scenario.example2_fixture()
     if cfg.epsilon is not None:
-        eps = cfg.epsilon
-    else:
-        eps = cfg.epsilon_rel * float(problem.C.mean())
+        return problem, cfg.epsilon
+    mean = float(problem.C.mean())
+    eps = cfg.epsilon_rel * mean
+    if not (eps > 0 and math.isfinite(eps)):
+        where = "" if trial is None else f"trial {trial}: "
+        raise ValueError(
+            f"{where}epsilon_rel * mean(C) = {cfg.epsilon_rel!r} * {mean!r} = {eps!r} "
+            "is not a positive finite tolerance"
+        )
     return problem, eps
 
 
+def _seed_sequence(path: tuple[int, ...]) -> np.random.SeedSequence:
+    # A uint32 array is the entropy numpy makes of the int list when every
+    # entry fits one word, at about half the cost; a larger base seed keeps
+    # the list. Every entry is nonnegative.
+    return np.random.SeedSequence(np.array(path, np.uint32) if max(path) < 2**32 else list(path))
+
+
 def _seed_column(path: tuple[int, ...]) -> int:
-    return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
+    return int(_seed_sequence(path).generate_state(1)[0])
 
 
 def _stream(path: tuple[int, ...], k: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(path) + [k]))
+    return np.random.default_rng(_seed_sequence(path + (k,)))
 
 
-def _run_point(point: _Point) -> list[dict]:
+def _run_point(point: _Point) -> list[tuple]:
     cfg = point.cfg
-    problem, eps = make_instance(cfg, _stream(point.seed_path, 0))
-    base = {
-        "trial": point.trial,
-        "seed": _seed_column(point.seed_path),
-        "n": problem.n,
-        "m": problem.m,
-        "gamma": str(cfg.gamma),
-        "epsilon": repr(float(eps)),
-        "d0": str(cfg.d0),
-        "interrupt_step": point.interrupt_step,
-    }
-    raw_keys = [f"raw_cost_{i + 1}" for i in range(problem.n)]
-    settled_keys = [f"settled_cost_{i + 1}" for i in range(problem.n)]
-    rows = []
+    path = point.seed_path
+    problem, eps = make_instance(cfg, _stream(path, 0), point.trial)
+    n = problem.n
+    seed = _seed_column(path)
+    instance = (n, problem.m, str(cfg.gamma), eps, str(cfg.d0))
+    tail = (point.interrupt_step,)
+    # An option column's cost cells, formatted once per trial. No cost is
+    # NaN: C is finite, and a settled cost is a finite cost minus b * p.
+    cost_cells = functools.cache(lambda j: tuple(map(repr, problem._floats.col(j))))
+    # A baseline's cells depend on its column only.
+    baseline_cells: dict[int, tuple] = {}
+    records = []
     for mech in cfg.mechanisms:
-        row = dict(base)
-        row["mechanism"] = mech
         if mech == "taco":
             taco_cfg = TacoConfig(
                 epsilon=eps, d0=cfg.d0, gamma=cfg.gamma,
@@ -223,48 +279,44 @@ def _run_point(point: _Point) -> list[dict]:
                 else:
                     outcome = run_taco(taco_cfg, problem.agents(), backend=backend)
             except NoTerminationError:
-                row["status"] = "cap"
-                row["steps"] = cfg.max_steps
-                rows.append(row)
-                continue
+                cells = (None, cfg.max_steps, None, None, "cap") + (None,) * (5 + 2 * n)
             except HistoryLimitError:
-                row["status"] = "history_cap"
-                rows.append(row)
-                continue
-            result = taco_trial_result(problem, outcome)
-        elif mech == "voting":
-            result = baseline_trial_result(
-                problem, mech, baselines.voting(problem, _stream(point.seed_path, 1))
-            )
-        elif mech == "random_dictator":
-            result = baseline_trial_result(
-                problem, mech, baselines.random_dictator(problem, _stream(point.seed_path, 2))
-            )
-        elif mech == "utilitarian":
-            result = baseline_trial_result(problem, mech, baselines.utilitarian(problem))
+                cells = (None,) * 4 + ("history_cap",) + (None,) * (5 + 2 * n)
+            else:
+                result = taco_trial_result(problem, outcome)
+                cells = _result_cells(
+                    result, cost_cells(result.chosen_option),
+                    tuple(map(repr, result.settled_costs.tolist())),
+                )
         else:
-            result = baseline_trial_result(problem, mech, baselines.egalitarian(problem))
-        row["status"] = "ok"
-        row["chosen_option"] = result.chosen_option
-        row["steps"] = result.steps
-        row["rounds"] = result.rounds
-        row["cycles"] = result.cycles_detected
-        row["og_raw"] = _fmt(result.og_raw)
-        row["og_settled"] = _fmt(result.og_settled)
-        row["gini_raw"] = _fmt(result.gini_raw)
-        row["gini_settled"] = _fmt(result.gini_settled)
-        row["max_cycle_spread_ratio"] = _fmt(result.max_cycle_spread_ratio)
-        row.update(zip(raw_keys, map(_fmt, result.raw_costs.tolist())))
-        row.update(zip(settled_keys, map(_fmt, result.settled_costs.tolist())))
-        rows.append(row)
-    return rows
+            if mech == "voting":
+                choice = baselines.voting(problem, _stream(path, 1))
+            elif mech == "random_dictator":
+                choice = baselines.random_dictator(problem, _stream(path, 2))
+            elif mech == "utilitarian":
+                choice = baselines.utilitarian(problem)
+            else:
+                choice = baselines.egalitarian(problem)
+            cells = baseline_cells.get(choice)
+            if cells is None:
+                result = baseline_trial_result(problem, mech, choice)
+                raw = cost_cells(choice)
+                cells = baseline_cells[choice] = _result_cells(result, raw, raw)
+        records.append((point.trial, seed, mech) + instance + cells + tail)
+    return records
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else repr(float(x))
+def _result_cells(r: TrialResult, raw: tuple[str, ...], settled: tuple[str, ...]) -> tuple:
+    """A finished trial's cells from chosen_option through the cost blocks."""
+    metrics = (r.og_raw, r.og_settled, r.gini_raw, r.gini_settled, r.max_cycle_spread_ratio)
+    # csv.writer would write NaN as "nan"; an undefined metric is a blank cell.
+    return (
+        r.chosen_option, r.steps, r.rounds, r.cycles_detected, "ok",
+        *[x if x == x else None for x in metrics],
+    ) + raw + settled
 
 
-def _execute(points: list[_Point], workers: int) -> list[dict]:
+def _execute(points: list[_Point], workers: int) -> list[tuple]:
     if workers > 1 and len(points) > 1:
         # Imported here: multiprocessing is ~18 ms of a serial sweep's start-up.
         from concurrent.futures import ProcessPoolExecutor
@@ -273,29 +325,35 @@ def _execute(points: list[_Point], workers: int) -> list[dict]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_run_point, points, chunksize=chunk))
     else:
-        nested = [_run_point(p) for p in points]
-    return [row for rows in nested for row in rows]
+        nested = map(_run_point, points)
+    return [record for records in nested for record in records]
 
 
-def columns_for(rows: list[dict]) -> list[str]:
-    max_n = max((r["n"] for r in rows), default=0)
-    cols = [
-        "trial", "seed", "mechanism", "n", "m", "gamma", "epsilon", "d0",
-        "chosen_option", "steps", "rounds", "cycles", "status",
-        "og_raw", "og_settled", "gini_raw", "gini_settled", "max_cycle_spread_ratio",
+def record_columns(max_n: int) -> list[str]:
+    """The CSV columns of a sweep whose largest instance has max_n agents."""
+    return [
+        *HEAD_COLUMNS,
+        *(f"raw_cost_{i + 1}" for i in range(max_n)),
+        *(f"settled_cost_{i + 1}" for i in range(max_n)),
+        "interrupt_step",
     ]
-    cols += [f"raw_cost_{i + 1}" for i in range(max_n)]
-    cols += [f"settled_cost_{i + 1}" for i in range(max_n)]
-    cols.append("interrupt_step")
-    return cols
 
 
-def write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+def _widen(record: tuple, max_n: int) -> tuple:
+    """A record of a smaller n, with blank cost cells up to max_n agents."""
+    n = record[_N]
+    pad = (None,) * (max_n - n)
+    split = len(HEAD_COLUMNS) + n
+    return record[:split] + pad + record[split:-1] + pad + record[-1:]
+
+
+def write_csv(path: Path, records: list[tuple], columns: list[str]) -> None:
+    """The header, then one line per record (every record as wide as columns)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, restval="", extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(records)
 
 
 def _quantiles(values: list[float]) -> str:
@@ -310,59 +368,65 @@ def _quantiles(values: list[float]) -> str:
     )
 
 
-def _failures(rows) -> int:
-    return sum(1 for r in rows if r.get("status") in FAILED_STATUSES)
+def _failures(records) -> int:
+    return sum(1 for r in records if r[_STATUS] in FAILED_STATUSES)
 
 
-def summarize(rows: list[dict], group_keys: tuple[str, ...], header_lines: list[str]) -> str:
+def summarize(records: list[tuple], group_keys: tuple[str, ...], header_lines: list[str]) -> str:
     """Structured text: quantile lines per (group, mechanism, metric)."""
     lines = [f"csv_schema_version = {SCHEMA_VERSION}"]
     lines += header_lines
-    # One pass: groups and their mechanisms in order of first appearance.
-    groups: dict[tuple, dict[str, list[dict]]] = {}
+    at = [_AT[k] for k in group_keys]
+    # One pass: groups and their mechanisms in order of first appearance
+    # (r[0] is the trial, r[2] the mechanism).
+    groups: dict[tuple, dict[str, list[tuple]]] = {}
     trials = set()
-    for r in rows:
-        key = tuple(r.get(k) for k in group_keys)
-        groups.setdefault(key, {}).setdefault(r["mechanism"], []).append(r)
-        trials.add((key, r["trial"]))
+    for r in records:
+        key = tuple(r[i] for i in at)
+        groups.setdefault(key, {}).setdefault(r[2], []).append(r)
+        trials.add((key, r[0]))
     lines.append(f"trials_total = {len(trials)}")
-    lines.append(f"cap_failures = {_failures(rows)}")
+    lines.append(f"cap_failures = {_failures(records)}")
     for key, by_mech in groups.items():
         tag = " ".join(f"{k}={v}" for k, v in zip(group_keys, key))
-        for mech, mrows in by_mech.items():
+        for mech, mrecords in by_mech.items():
             section = f"[{mech}]" if not tag else f"[{tag} {mech}]"
             lines.append("")
             lines.append(section)
-            group_failures = _failures(mrows)
+            group_failures = _failures(mrecords)
             if group_failures:
                 lines.append(f"cap_failures = {group_failures}")
-            ok = [r for r in mrows if r.get("status") == "ok"]
-            for metric in SUMMARY_METRICS:
-                vals = [float(v) for r in ok if (v := r.get(metric, "")) != "" and v is not None]
+            ok = [r for r in mrecords if r[_STATUS] == "ok"]
+            for metric, i in _SUMMARY_AT:
+                vals = [v for r in ok if (v := r[i]) is not None]
                 if vals:
                     lines.append(f"{metric}: {_quantiles(vals)}")
     return "\n".join(lines) + "\n"
 
 
-def _finalize(
-    rows: list[dict],
+def _sweep(
+    points: list[_Point],
+    cfg: ExperimentConfig,
     out_dir: Path | None,
     name: str,
     group_keys: tuple[str, ...],
     header_lines: list[str],
 ) -> RunResult:
-    columns = columns_for(rows)
-    summary = summarize(rows, group_keys, header_lines)
-    failures = _failures(rows)
+    """Run the points, then write the CSV and summary under out_dir (if any)."""
+    records = _execute(points, cfg.workers)
+    max_n = max(r[_N] for r in records)
+    if any(r[_N] != max_n for r in records):
+        records = [_widen(r, max_n) for r in records]
+    columns = record_columns(max_n)
+    summary = summarize(records, group_keys, header_lines + config_lines(cfg))
     csv_path = summary_path = None
     if out_dir is not None:
         out_dir = Path(out_dir)
         csv_path = out_dir / f"{name}.csv"
-        write_csv(csv_path, rows, columns)
+        write_csv(csv_path, records, columns)
         summary_path = out_dir / f"{name}_summary.txt"
-        summary_path.parent.mkdir(parents=True, exist_ok=True)
         summary_path.write_text(summary)
-    return RunResult(rows, columns, csv_path, summary_path, summary, failures)
+    return RunResult(records, columns, csv_path, summary_path, summary, _failures(records))
 
 
 def config_lines(cfg: ExperimentConfig) -> list[str]:
@@ -379,12 +443,8 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
 
 def run_montecarlo(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
     """All configured mechanisms on the same per-trial instances."""
-    points = [
-        _Point(cfg, t, (cfg.base_seed, t), 0) for t in range(cfg.trials)
-    ]
-    rows = _execute(points, cfg.workers)
-    header = ["command = montecarlo"] + config_lines(cfg)
-    return _finalize(rows, out_dir, "montecarlo", (), header)
+    points = [_Point(cfg, t, (cfg.base_seed, t), 0) for t in range(cfg.trials)]
+    return _sweep(points, cfg, out_dir, "montecarlo", (), ["command = montecarlo"])
 
 
 def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) -> RunResult:
@@ -396,12 +456,8 @@ def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) 
     for g in gammas:
         gcfg = dataclasses.replace(cfg, gamma=g)
         points += [_Point(gcfg, t, (cfg.base_seed, t), 0) for t in range(cfg.trials)]
-    rows = _execute(points, cfg.workers)
-    header = [
-        "command = sweep-gamma",
-        "gamma_list = " + ",".join(str(g) for g in gammas),
-    ] + config_lines(cfg)
-    return _finalize(rows, out_dir, "sweep_gamma", ("gamma",), header)
+    header = ["command = sweep-gamma", "gamma_list = " + ",".join(str(g) for g in gammas)]
+    return _sweep(points, cfg, out_dir, "sweep_gamma", ("gamma",), header)
 
 
 def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> RunResult:
@@ -412,15 +468,9 @@ def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> 
     for s in steps:
         if s < 0:
             raise ValueError(f"interruption steps must be >= 0, got {s}")
-    points = []
-    for s in steps:
-        points += [_Point(cfg, t, (cfg.base_seed, t), s) for t in range(cfg.trials)]
-    rows = _execute(points, cfg.workers)
-    header = [
-        "command = interrupt",
-        "interrupt_steps = " + ",".join(str(s) for s in steps),
-    ] + config_lines(cfg)
-    return _finalize(rows, out_dir, "interrupt", ("interrupt_step",), header)
+    points = [_Point(cfg, t, (cfg.base_seed, t), s) for s in steps for t in range(cfg.trials)]
+    header = ["command = interrupt", "interrupt_steps = " + ",".join(str(s) for s in steps)]
+    return _sweep(points, cfg, out_dir, "interrupt", ("interrupt_step",), header)
 
 
 def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None = None) -> RunResult:
@@ -436,13 +486,12 @@ def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None 
             points += [
                 _Point(cell, t, (cfg.base_seed, n, m, t), 0) for t in range(cfg.trials)
             ]
-    rows = _execute(points, cfg.workers)
     header = [
         "command = scalability",
         "n_list = " + ",".join(str(v) for v in n_list),
         "m_list = " + ",".join(str(v) for v in m_list),
-    ] + config_lines(cfg)
-    return _finalize(rows, out_dir, "scalability", ("n", "m"), header)
+    ]
+    return _sweep(points, cfg, out_dir, "scalability", ("n", "m"), header)
 
 
 @dataclass
@@ -495,30 +544,3 @@ def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRu
         apply_selection(board, ts.agent, ts.selection)
     spans = [(cyc.start_step, cyc.end_step) for cyc in outcome.cycle_records]
     return ExampleRun(steps=steps, outcome=outcome, detected_spans=spans)
-
-
-def bound_report(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -> str:
-    """Human-readable rendering of the analytic termination bound."""
-    bound = metrics.termination_bound(n, m, gamma, epsilon, d0, b_max)
-    lines = [
-        f"n = {n}, m = {m}, gamma = {exact(gamma)}, epsilon = {epsilon}, "
-        f"d0 = {exact(d0)}, b_max = {b_max}",
-        f"trading-unit reductions until guaranteed tolerance: {bound.cycle_count}",
-    ]
-    digits = bound.log_per_cycle / math.log(10)
-    if digits < 18:
-        per_cycle = n * ((m + 1) * (n - 1)) ** (n * m)
-        lines.append(f"per-cycle step bound: {per_cycle}")
-        lines.append(f"total step bound: {bound.cycle_count * per_cycle}")
-    else:
-        lines.append(
-            f"per-cycle step bound: ~10^{digits:.2f} (ln = {bound.log_per_cycle:.4f})"
-        )
-        if bound.cycle_count > 0:
-            lines.append(
-                f"total step bound: ~10^{bound.log_total / math.log(10):.2f} "
-                f"(ln = {bound.log_total:.4f})"
-            )
-        else:
-            lines.append("total step bound: 0")
-    return "\n".join(lines) + "\n"

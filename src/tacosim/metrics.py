@@ -123,6 +123,33 @@ def termination_bound(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -
     return TerminationBound(cycle_count=count, log_per_cycle=log_per_cycle, log_total=log_total)
 
 
+def bound_report(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -> str:
+    """Human-readable rendering of the analytic termination bound."""
+    bound = termination_bound(n, m, gamma, epsilon, d0, b_max)
+    lines = [
+        f"n = {n}, m = {m}, gamma = {exact(gamma)}, epsilon = {epsilon}, "
+        f"d0 = {exact(d0)}, b_max = {b_max}",
+        f"trading-unit reductions until guaranteed tolerance: {bound.cycle_count}",
+    ]
+    digits = bound.log_per_cycle / math.log(10)
+    if digits < 18:
+        per_cycle = n * ((m + 1) * (n - 1)) ** (n * m)
+        lines.append(f"per-cycle step bound: {per_cycle}")
+        lines.append(f"total step bound: {bound.cycle_count * per_cycle}")
+    else:
+        lines.append(
+            f"per-cycle step bound: ~10^{digits:.2f} (ln = {bound.log_per_cycle:.4f})"
+        )
+        if bound.cycle_count > 0:
+            lines.append(
+                f"total step bound: ~10^{bound.log_total / math.log(10):.2f} "
+                f"(ln = {bound.log_total:.4f})"
+            )
+        else:
+            lines.append("total step bound: 0")
+    return "\n".join(lines) + "\n"
+
+
 def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     """Worst observed-spread-to-bound ratio over all detected cycles.
 

@@ -5,6 +5,10 @@ metrics, baselines, cycle checks and summary used before they moved to
 Python floats; ``tests/test_oracles.py`` holds the shipped code to them bit
 for bit.
 
+The dict-row output path follows: the rows of string cells, the
+``csv.DictWriter`` writer and the summary that parses its metrics back with
+``float``, which the sweeps used before they kept typed records.
+
 The brute-force oracles for the ordering solver follow.
 
 The chain-constrained quadratic program behind each arrival ordering is solved
@@ -17,6 +21,7 @@ With L positions that is 2**(L-1) candidates, fine for L <= 8.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -254,7 +259,7 @@ def find_repeat(first, more, t, players, choices, n, m):
     return -1
 
 
-# --- the summary, one pass over all rows per (group, mechanism, metric) -------
+# --- the summary of string rows, one pass per (group, mechanism, metric) -------
 
 
 def summarize(rows, group_keys, header_lines) -> str:
@@ -301,3 +306,39 @@ def summarize(rows, group_keys, header_lines) -> str:
                 if vals:
                     lines.append(f"{metric}: {_quantiles(vals)}")
     return "\n".join(lines) + "\n"
+
+
+# --- the dict-row output path --------------------------------------------------
+
+
+def _fmt(x: float) -> str:
+    return "" if math.isnan(x) else repr(float(x))
+
+
+def string_rows(records, columns) -> list[dict]:
+    """Records as the rows the sweeps built before: a float cell through
+    ``_fmt``, a blank cell left out of the row."""
+    return [
+        {k: _fmt(v) if isinstance(v, float) else v for k, v in zip(columns, r) if v is not None}
+        for r in records
+    ]
+
+
+def columns_for(rows: list[dict]) -> list[str]:
+    max_n = max((r["n"] for r in rows), default=0)
+    cols = [
+        "trial", "seed", "mechanism", "n", "m", "gamma", "epsilon", "d0",
+        "chosen_option", "steps", "rounds", "cycles", "status",
+        "og_raw", "og_settled", "gini_raw", "gini_settled", "max_cycle_spread_ratio",
+    ]
+    cols += [f"raw_cost_{i + 1}" for i in range(max_n)]
+    cols += [f"settled_cost_{i + 1}" for i in range(max_n)]
+    cols.append("interrupt_step")
+    return cols
+
+
+def write_csv(path, rows: list[dict], columns: list[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, restval="", extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)

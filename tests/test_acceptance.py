@@ -17,13 +17,12 @@ from _replay import verify_run
 from tacosim.engine import TacoConfig, run_taco
 from tacosim.experiments import (
     ExperimentConfig,
-    bound_report,
     run_example,
     run_interrupt,
     run_scalability,
     run_sweep_gamma,
 )
-from tacosim.metrics import termination_bound
+from tacosim.metrics import bound_report, termination_bound
 from tacosim.scenario import WaypointScenario, random_problem, solve_ordering
 
 GAMMAS = (Fraction(3, 10), Fraction(6, 10), Fraction(9, 10), Fraction(99, 100))

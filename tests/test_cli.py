@@ -301,6 +301,16 @@ def test_montecarlo_rejects_bad_caps_before_any_trial(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_montecarlo_names_epsilon_rel_when_the_instance_tolerance_overflows(capsys):
+    # epsilon_rel = 1e308 passes the config check, but times mean(C) it is inf;
+    # the error names the setting the user gave, not the engine's epsilon.
+    assert main(["montecarlo", "--epsilon-rel", "1e308", "--trials", "2", "--out-dir", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: trial 0: epsilon_rel * mean(C) = 1e+308 * ")
+    assert captured.err.endswith(" = inf is not a positive finite tolerance\n")
+    assert captured.out == ""
+
+
 def test_show_config_rejects_unknown_backend_from_the_environment(monkeypatch, capsys):
     monkeypatch.setenv("TACO_BACKEND", "fancy")
     assert main(["show-config"]) == 1

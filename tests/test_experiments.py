@@ -1,21 +1,24 @@
-"""Experiment driver: seeding, CSV schema, pairing, summaries, worked example."""
+"""Experiment driver: seeding, records, CSV schema, pairing, summaries, worked example."""
 
 import csv
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tacosim import experiments
 from tacosim.experiments import (
     MECHANISMS,
     ExperimentConfig,
     _seed_column,
+    _seed_sequence,
     _stream,
-    bound_report,
-    columns_for,
+    _widen,
     config_lines,
     make_instance,
+    record_columns,
     run_example,
     run_interrupt,
     run_montecarlo,
@@ -23,6 +26,7 @@ from tacosim.experiments import (
     run_sweep_gamma,
     write_csv,
 )
+from tacosim.metrics import TrialResult, bound_report
 
 
 def _quick_cfg(**kw):
@@ -97,12 +101,36 @@ def test_seed_column_deterministic():
     assert _seed_column((42, 0)) != _seed_column((42, 1))
 
 
+@pytest.mark.parametrize("base", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_seed_path_entropy_is_the_int_list(base):
+    # A uint32 array where every entry fits, the list beyond: the same words.
+    for path in ((base, 0), (base, 7, 0), (base, 5, 100, 3, 2)):
+        want = np.random.SeedSequence(list(path)).generate_state(4)
+        assert (_seed_sequence(path).generate_state(4) == want).all()
+    path = (base, 7)
+    want = np.random.default_rng(np.random.SeedSequence([base, 7, 1])).random(3)
+    assert (_stream(path, 1).random(3) == want).all()
+    assert _seed_column(path) == int(np.random.SeedSequence([base, 7]).generate_state(1)[0])
+
+
+def test_make_instance_refuses_a_nonfinite_relative_epsilon():
+    cfg = ExperimentConfig(epsilon_rel=1e308)
+    problem, _ = make_instance(ExperimentConfig(), _stream((42, 3), 0))
+    with pytest.raises(ValueError) as err:
+        make_instance(cfg, _stream((42, 3), 0), 3)
+    mean = float(problem.C.mean())
+    assert str(err.value) == (
+        f"trial 3: epsilon_rel * mean(C) = 1e+308 * {mean!r} = inf "
+        "is not a positive finite tolerance"
+    )
+
+
 def test_run_montecarlo_rows_and_files(tmp_path):
     cfg = _quick_cfg()
     res = run_montecarlo(cfg, tmp_path)
     assert len(res.rows) == cfg.trials * len(MECHANISMS)
     assert res.failures == 0
-    assert res.columns == columns_for(res.rows)
+    assert res.columns == record_columns(cfg.n)
     assert res.columns[-1] == "interrupt_step"
     assert res.csv_path.exists() and res.summary_path.exists()
     assert "cap_failures = 0" in res.summary_text
@@ -227,30 +255,80 @@ def test_history_cap_rows_keep_the_sweep(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def _record(**cells):
+    """A record of a cells["n"]-agent instance: the given cells, None elsewhere."""
+    return tuple(map(cells.get, record_columns(cells["n"])))
+
+
 def test_write_csv_roundtrip(tmp_path):
-    rows = [
-        {"trial": 0, "seed": 11, "mechanism": "taco", "n": 2, "m": 2,
-         "gamma": "9/10", "epsilon": "0.1", "d0": "1", "status": "ok",
-         "steps": 5, "interrupt_step": 0},
-    ]
-    columns = columns_for(rows)
+    record = _record(
+        trial=0, seed=11, mechanism="taco", n=2, m=2, gamma="9/10", epsilon=0.1,
+        d0="1", status="ok", steps=5, og_settled=1 / 3, interrupt_step=0,
+    )
+    columns = record_columns(2)
     path = tmp_path / "out.csv"
-    write_csv(path, rows, columns)
+    write_csv(path, [record], columns)
     with open(path, newline="") as fh:
         back = list(csv.DictReader(fh))
     assert len(back) == 1
     assert back[0]["mechanism"] == "taco"
     assert back[0]["steps"] == "5"
-    assert back[0]["og_raw"] == ""  # restval fills columns the row lacks
+    assert back[0]["epsilon"] == "0.1" and back[0]["og_settled"] == repr(1 / 3)
+    assert back[0]["og_raw"] == ""  # a None cell writes an empty cell
     assert list(back[0]) == columns
 
 
 def test_columns_for_scales_with_n():
-    rows = [{"n": 3}, {"n": 5}]
-    cols = columns_for(rows)
+    cols = record_columns(5)
     assert "raw_cost_5" in cols and "settled_cost_5" in cols
     assert "raw_cost_6" not in cols
     assert cols[-1] == "interrupt_step"
+    # A record of n = 3 is padded with blank cells in both cost blocks.
+    small = _record(n=3, trial=0, mechanism="taco", status="ok", raw_cost_3="0.5",
+                    settled_cost_1="0.25", interrupt_step=7)
+    row = dict(zip(cols, _widen(small, 5)))
+    assert row["raw_cost_3"] == "0.5" and row["settled_cost_1"] == "0.25"
+    assert [row[f"raw_cost_{i}"] for i in (4, 5)] == [None, None]
+    assert [row[f"settled_cost_{i}"] for i in (4, 5)] == [None, None]
+    assert row["interrupt_step"] == 7
+    # A grid over n pads its smaller records the same way.
+    res = run_scalability(_quick_cfg(trials=1, mechanisms=("taco",)), [2, 3], [2])
+    assert res.columns == record_columns(3)
+    assert all(len(r) == len(res.columns) for r in res.records)
+    assert [(r["n"], r["raw_cost_3"], r["settled_cost_3"]) for r in res.rows][0] == (2, None, None)
+
+
+def test_record_cells_are_plain_python_values(tmp_path):
+    plain = run_montecarlo(_quick_cfg(), tmp_path)
+    capped = run_montecarlo(ExperimentConfig(trials=6, max_steps=30))
+    assert capped.failures > 0
+    for res in (plain, capped):
+        for record in res.records:
+            assert len(record) == len(res.columns)
+            for cell in record:
+                # np.float64 is a float, but csv.writer would write its repr.
+                assert type(cell) in (int, float, str, type(None))
+        assert all(list(row) == res.columns for row in res.rows)
+
+
+def test_nan_metric_writes_an_empty_cell(tmp_path):
+    # A settled total of zero leaves og and gini of the settled costs undefined.
+    result = TrialResult(
+        mechanism="taco", chosen_option=1, raw_costs=np.array([1.0, 2.0]),
+        settled_costs=np.array([1.5, -1.5]), steps=4, rounds=2, cycles_detected=1,
+        og_raw=0.0, og_settled=math.nan, gini_raw=1 / 6, gini_settled=math.nan,
+        max_cycle_spread_ratio=0.5,
+    )
+    cells = experiments._result_cells(result, ("1.0", "2.0"), ("1.5", "-1.5"))
+    assert cells == (1, 4, 2, 1, "ok", 0.0, None, 1 / 6, None, 0.5, "1.0", "2.0", "1.5", "-1.5")
+    record = (0, 11, "taco", 2, 3, "9/10", 0.1, "1") + cells + (0,)
+    path = tmp_path / "nan.csv"
+    write_csv(path, [record], record_columns(2))
+    with open(path, newline="") as fh:
+        back = next(csv.DictReader(fh))
+    assert back["og_settled"] == "" and back["gini_settled"] == ""
+    assert back["og_raw"] == "0.0" and back["gini_raw"] == repr(1 / 6)
+    assert "nan" not in path.read_text()
 
 
 def test_run_example_golden():

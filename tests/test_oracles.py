@@ -1,9 +1,10 @@
-"""The float metrics, baselines, cycle checks and summary against their numpy oracles.
+"""The float metrics, baselines, cycle checks and output against their oracles.
 
 Each shipped function repeats numpy's operations in numpy's order, so the
 comparisons here are bit for bit (``float.hex`` or ``tobytes``), including
 the undefined-metric policy (``MetricUndefinedError``, NaN in a trial
-result) and the random draws of the baselines.
+result) and the random draws of the baselines. The typed records write the
+CSV and summary bytes of the dict-row path they replaced.
 """
 
 import dataclasses
@@ -18,7 +19,13 @@ from tacosim.baselines import ChoiceProblem, _sum
 from tacosim.board import span_counts
 from tacosim.engine import TacoConfig, check_termination, run_interrupted, run_taco
 from tacosim.errors import MetricUndefinedError
-from tacosim.experiments import ExperimentConfig, run_interrupt, run_scalability, summarize
+from tacosim.experiments import (
+    ExperimentConfig,
+    run_interrupt,
+    run_scalability,
+    summarize,
+    write_csv,
+)
 
 
 def _bits(x) -> str:
@@ -228,18 +235,34 @@ def test_cycle_checks_match_numpy_on_reproducer(monkeypatch, backend):
 
 
 def test_summary_matches_the_multi_pass_summary(tmp_path):
+    # The dict-row path of _oracles (rows of _fmt strings, DictWriter, the
+    # float(str) summary) on the same sweeps gives the same CSV and summary.
     capped = ExperimentConfig(trials=12, base_seed=5, backend="numpy", max_steps=60)
-    res = run_interrupt(capped, [0, 3, 40])
+    res = run_interrupt(capped, [0, 3, 40], tmp_path / "capped")
     assert res.failures > 0
-    grid = run_scalability(
-        ExperimentConfig(trials=2, base_seed=6, d0=1, epsilon=0.1, backend="numpy"),
-        [2, 9], [2, 3],
+    # n = 9 reaches numpy's 8-lane summation; n = 2 records are padded.
+    grid_cfg = ExperimentConfig(trials=2, base_seed=6, d0=1, epsilon=0.1, backend="numpy")
+    grid = run_scalability(grid_cfg, [2, 9], [2, 3], tmp_path / "grid")
+    pooled = run_scalability(
+        dataclasses.replace(grid_cfg, workers=2), [2, 9], [2, 3], tmp_path / "pooled"
     )
+    assert pooled.records == grid.records
+    assert pooled.csv_path.read_bytes() == grid.csv_path.read_bytes()
+    assert pooled.summary_text.replace("workers = 2", "workers = 1") == grid.summary_text
+    for run in (res, grid):
+        rows = ref.string_rows(run.records, run.columns)
+        ref.write_csv(tmp_path / "ref.csv", rows, ref.columns_for(rows))
+        assert run.csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
     rng = np.random.default_rng(8)
-    for rows, keys in ((res.rows, ("interrupt_step",)), (grid.rows, ("n", "m")), (res.rows, ())):
-        shuffled = [rows[k] for k in rng.permutation(len(rows))]
-        for r in (rows, shuffled):
-            assert summarize(r, keys, ["h = 1"]) == ref.summarize(r, keys, ["h = 1"])
+    for run, keys in ((res, ("interrupt_step",)), (grid, ("n", "m")), (res, ())):
+        rows = ref.string_rows(run.records, run.columns)
+        for order in (range(len(rows)), rng.permutation(len(rows))):
+            records = [run.records[k] for k in order]
+            srows = [rows[k] for k in order]
+            assert summarize(records, keys, ["h = 1"]) == ref.summarize(srows, keys, ["h = 1"])
+            write_csv(tmp_path / "got.csv", records, run.columns)
+            ref.write_csv(tmp_path / "ref.csv", srows, ref.columns_for(srows))
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_interrupted_outcomes_match_numpy():
