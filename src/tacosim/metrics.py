@@ -1,5 +1,6 @@
 """Outcome metrics: optimality gap, Gini index, effective-cost accounting,
-the analytic worst-case step bound, and the per-cycle profit-spread monitor.
+the analytic worst-case step bound and its text report, and the per-cycle
+profit-spread monitor.
 
 The metrics run on Python floats. Every sum goes through ``_sum``, which
 adds in numpy's pairwise order, and every other operation is the IEEE
