@@ -5,10 +5,6 @@ metrics, baselines, cycle checks and summary used before they moved to
 Python floats; ``tests/test_oracles.py`` holds the shipped code to them bit
 for bit.
 
-The dict-row output path follows: the rows of string cells, the
-``csv.DictWriter`` writer and the summary that parses its metrics back with
-``float``, which the sweeps used before they kept typed records.
-
 The brute-force oracles for the ordering solver follow.
 
 The chain-constrained quadratic program behind each arrival ordering is solved
@@ -17,6 +13,11 @@ chain constraints forced to equality partitions the positions into consecutive
 blocks, the equality-constrained minimum puts every block at its weighted mean,
 and the true optimum is the feasible candidate with the smallest objective.
 With L positions that is 2**(L-1) candidates, fine for L <= 8.
+
+Last comes the dict-row output path the sweeps used before they kept typed
+records: string rows, the ``csv.DictWriter`` writer and, above it, the summary
+that parses each metric back with ``float``. ``tests/test_oracles.py`` holds
+the records' CSV and summary bytes to it.
 """
 
 from __future__ import annotations
