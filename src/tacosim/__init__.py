@@ -7,7 +7,7 @@ baseline mechanisms, scenario generators, evaluation metrics, and a CLI for
 batch experiments.
 """
 
-from .agent import AgentPrivate, best_response, profit_row
+from .agent import AgentPrivate
 from .baselines import (
     ChoiceProblem,
     egalitarian,
@@ -15,15 +15,7 @@ from .baselines import (
     utilitarian,
     voting,
 )
-from .board import (
-    CycleRecord,
-    ExactAmount,
-    PublicBoard,
-    apply_selection,
-    exact,
-    new_board,
-    reduce_trading_unit,
-)
+from .board import CycleRecord, ExactAmount, PublicBoard, exact
 from .engine import (
     TacoConfig,
     TacoOutcome,
@@ -31,7 +23,6 @@ from .engine import (
     check_termination,
     run_interrupted,
     run_taco,
-    settle,
 )
 from .errors import (
     HistoryLimitError,
@@ -95,9 +86,7 @@ __all__ = [
     "TraceStep",
     "TrialResult",
     "WaypointScenario",
-    "apply_selection",
     "baseline_trial_result",
-    "best_response",
     "bound_report",
     "check_termination",
     "cycle_spread_ratio",
@@ -107,14 +96,11 @@ __all__ = [
     "exact",
     "example2_fixture",
     "gini",
-    "new_board",
     "optimality_gap",
     "pava",
-    "profit_row",
     "random_dictator",
     "random_problem",
     "random_waypoint_problem",
-    "reduce_trading_unit",
     "resolve_backend",
     "run_example",
     "run_interrupt",
@@ -123,7 +109,6 @@ __all__ = [
     "run_scalability",
     "run_sweep_gamma",
     "run_taco",
-    "settle",
     "solve_ordering",
     "taco_trial_result",
     "termination_bound",

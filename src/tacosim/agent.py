@@ -1,18 +1,16 @@
-"""Private agent state and the best-response rule.
+"""Private agent state.
 
 An agent sees the whole public board but only its own valuation and cost row.
 Profit for choice j is valuation * (offered - paid) - cost, and the best
-response is the profit argmax with ties broken toward the lowest choice index
-(numpy argmax semantics), so runs are reproducible.
+response is the profit argmax with ties broken toward the lowest choice index;
+the engine's window kernel (``_fastpath``) computes both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .board import PublicBoard
 
 
 @dataclass
@@ -36,26 +34,3 @@ class AgentPrivate:
             raise ValueError(f"valuation must be positive, got {self.valuation}")
         if self.index < 0:
             raise ValueError(f"agent index must be non-negative, got {self.index}")
-
-
-def profit_from_net(valuation: float, cost_row: np.ndarray, net_row: np.ndarray) -> np.ndarray:
-    """valuation * net - cost, elementwise; the shared profit formula."""
-    return valuation * net_row - cost_row
-
-
-def profit_row(agent: AgentPrivate, board: PublicBoard) -> np.ndarray:
-    """The agent's current profit for every choice, as float64."""
-    if agent.cost_row.shape[0] != board.m:
-        raise ValueError(
-            f"cost_row has {agent.cost_row.shape[0]} entries but the board has m={board.m}"
-        )
-    net_row = np.array(
-        [float(board.offers[agent.index][j] - board.pays[agent.index][j]) for j in range(board.m)],
-        dtype=np.float64,
-    )
-    return profit_from_net(agent.valuation, agent.cost_row, net_row)
-
-
-def best_response(agent: AgentPrivate, board: PublicBoard) -> int:
-    """Index of the profit-maximising choice, lowest index on ties."""
-    return int(np.argmax(profit_row(agent, board)))

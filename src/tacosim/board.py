@@ -3,10 +3,10 @@
 All traded quantities are exact rationals, so settlements and the board an
 agent observes are exact. ``ExactAmount`` is the stdlib ``Fraction``:
 canonical lowest terms, positive denominator, value-based equality and
-hashing. The engine runs on an integer lattice of the same values (see
-``engine``) and builds this board once per run; the board operations here
-serve the display replay of ``experiments.run_example`` and the reference
-replay in the tests.
+hashing. The engine, and the display replay of ``experiments.run_example``,
+run on an integer lattice of the same values (see ``engine``).
+``PublicBoard`` is only the result type: the lattice builds one when a
+run's ``final_board`` or a display row is read, and nothing here mutates it.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ def exact(value: int | str | Fraction) -> Fraction:
 
 @dataclass
 class PublicBoard:
-    """Shared auction state visible to every agent.
+    """Shared auction state visible to every agent, as exact rationals.
 
     ``offers[i][j]`` is the cumulative amount offered to agent i for choice j,
     ``pays[i][j]`` the cumulative amount agent i has bid on choice j. Profit
-    computations only ever need the net ``offers - pays``.
+    computations only ever need the net ``offers - pays``. Built from the
+    engine's lattice (``_LatticeBoard.to_board``); read-only by convention.
     """
 
     n: int
@@ -55,80 +56,14 @@ class PublicBoard:
     epoch: int = 0
     selections: list[int | None] = field(default_factory=list)
 
-    def net(self) -> list[list[Fraction]]:
-        """offers - pays, entrywise."""
-        return [
-            [self.offers[i][j] - self.pays[i][j] for j in range(self.m)]
-            for i in range(self.n)
-        ]
-
+    # Nothing in the package calls this; the benchmark tracer wraps it by name
+    # (board.net_float), so it stays until the tracer drops it (ROADMAP item 6).
     def net_float(self) -> np.ndarray:
         return np.array(
             [[float(self.offers[i][j] - self.pays[i][j]) for j in range(self.m)]
              for i in range(self.n)],
             dtype=np.float64,
         )
-
-    def copy(self) -> "PublicBoard":
-        return PublicBoard(
-            n=self.n,
-            m=self.m,
-            offers=[row[:] for row in self.offers],
-            pays=[row[:] for row in self.pays],
-            d=self.d,
-            step=self.step,
-            epoch=self.epoch,
-            selections=self.selections[:],
-        )
-
-
-def new_board(n: int, m: int, d0: int | str | Fraction) -> PublicBoard:
-    """Fresh all-zero board for n agents and m choices with trading unit d0 > 0."""
-    if n < 1:
-        raise ValueError(f"need at least one agent, got n={n}")
-    if m < 1:
-        raise ValueError(f"need at least one choice, got m={m}")
-    d = exact(d0)
-    if d <= 0:
-        raise ValueError(f"trading unit d0 must be positive, got {d}")
-    zeros = lambda: [[Fraction(0)] * m for _ in range(n)]
-    return PublicBoard(
-        n=n, m=m, offers=zeros(), pays=zeros(), d=d, selections=[None] * n
-    )
-
-
-def apply_selection(board: PublicBoard, agent: int, choice: int) -> PublicBoard:
-    """Apply one auction turn in place: agent bids n*d on choice, offering d to all.
-
-    The bid is split evenly, so every row's offer column grows by d while only
-    the bidder's pay column grows by n*d. Column sums of offers - pays are
-    invariant (each turn adds n*d to both).
-    """
-    if not (0 <= agent < board.n):
-        raise ValueError(f"agent index {agent} out of range for n={board.n}")
-    if not (0 <= choice < board.m):
-        raise ValueError(f"choice index {choice} out of range for m={board.m}")
-    d = board.d
-    board.pays[agent][choice] += board.n * d
-    for i in range(board.n):
-        board.offers[i][choice] += d
-    board.selections[agent] = choice
-    board.step += 1
-    return board
-
-
-def reduce_trading_unit(board: PublicBoard, gamma: int | str | Fraction) -> PublicBoard:
-    """Shrink the trading unit by gamma in (0, 1) after a detected cycle.
-
-    The caller is responsible for clearing its recorded-state history; a new
-    constant-d window starts here.
-    """
-    g = exact(gamma)
-    if not (0 < g < 1):
-        raise ValueError(f"reduction factor gamma must lie in (0, 1), got {g}")
-    board.d = board.d * g
-    board.epoch += 1
-    return board
 
 
 @dataclass

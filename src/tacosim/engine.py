@@ -244,19 +244,16 @@ def _profit_spread(rows: list[np.ndarray], active: list[int]) -> float:
     return max(vals) - min(vals)
 
 
-def settle(board: PublicBoard | _LatticeBoard, j_star: int) -> list[Fraction]:
+def settle(board: _LatticeBoard, j_star: int) -> list[Fraction]:
     """Net receipt per agent for the consensus choice: offers minus pays, exact.
 
-    On the engine's lattice board each receipt is one Fraction,
-    a*(offers[j] - pays[i][j]) / (b*q^K), the same value the Fraction board
-    holds.
+    Each receipt is one Fraction, a*(offers[j] - pays[i][j]) / (b*q^K), the
+    same value the Fraction board holds.
     """
     if not (0 <= j_star < board.m):
         raise ValueError(f"choice index {j_star} out of range for m={board.m}")
-    if isinstance(board, _LatticeBoard):
-        a, den, offer = board.a, board.unit_den, board.offers[j_star]
-        return [Fraction(a * (offer - row[j_star]), den) for row in board.pays]
-    return [board.offers[i][j_star] - board.pays[i][j_star] for i in range(board.n)]
+    a, den, offer = board.a, board.unit_den, board.offers[j_star]
+    return [Fraction(a * (offer - row[j_star]), den) for row in board.pays]
 
 
 def _prepare(config, agents):
@@ -456,8 +453,10 @@ def _advance_board(board: _LatticeBoard, selcount: list[list[int]], steps: int) 
 
 
 def _check_cycle_structure(cyc: CycleRecord, n: int) -> None:
-    # Guaranteed by construction (cyclic turns + state-key agent component);
-    # violations would mean a detector bug, so fail loudly.
+    # Guaranteed by construction: _fastpath._find_repeat confirms a repeat
+    # only when every agent chose each column equally often inside the span,
+    # and turns are cyclic, so the span is a multiple of n. A violation would
+    # mean a detector bug, so fail loudly.
     if cyc.length <= 0 or cyc.length % n != 0:
         raise AssertionError(f"cycle length {cyc.length} is not a positive multiple of n={n}")
     counts = cyc.choice_counts.tolist()

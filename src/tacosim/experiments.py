@@ -34,10 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, scenario
+from . import baselines, engine, scenario
 from ._fastpath import resolve_backend
-from .agent import profit_row
-from .board import apply_selection, exact, new_board, reduce_trading_unit
+from .board import exact
 from .engine import TacoConfig, TacoOutcome, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
 from .metrics import TrialResult, baseline_trial_result, taco_trial_result
@@ -517,30 +516,30 @@ class ExampleRun:
 def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRun:
     """Run the two-agent fixture on the exact backend and replay it for display.
 
-    The replay rebuilds the board step by step with the board operations,
-    reducing the trading unit at the end of each cycle the engine recorded,
-    and recomputes every agent's profit row from the rational board.
+    The replay steps the engine's lattice board through the recorded turns,
+    reducing the trading unit at the end of each recorded cycle. Every
+    agent's profit row is b_i * net - C_i over ``net_float()``, whose entries
+    are the correctly rounded floats of the rational net, so each row is the
+    exact backend's row bit for bit.
     """
     problem = scenario.example2_fixture()
-    agents = problem.agents()
     config = TacoConfig(epsilon=epsilon, d0=d0, gamma=gamma)
-    outcome = run_taco(config, agents, backend="exact")
+    outcome = run_taco(config, problem.agents(), backend="exact")
     cycle_ends = {cyc.end_step for cyc in outcome.cycle_records}
-    board = new_board(problem.n, problem.m, config.d0)
+    lattice = engine._LatticeBoard(problem.n, problem.m, config.d0, config.gamma)
+    selections = [None] * problem.n
     steps: list[ExampleStep] = []
     for ts in outcome.trace:
-        offers_pre = [row[:] for row in board.offers]
-        pays_pre = [row[:] for row in board.pays]
-        profits = np.stack([profit_row(agents[i], board) for i in range(problem.n)])
-        board.selections[ts.agent] = ts.selection
+        board = lattice.to_board(selections)
+        profits = problem.b[:, None] * lattice.net_float() - problem.C
+        selections[ts.agent] = ts.selection
         steps.append(
-            ExampleStep(ts.step, ts.agent, offers_pre, pays_pre, profits,
-                        list(board.selections))
+            ExampleStep(ts.step, ts.agent, board.offers, board.pays, profits, selections[:])
         )
         if ts.step in cycle_ends:
-            reduce_trading_unit(board, config.gamma)
+            engine.reduce_trading_unit(lattice)
         # The terminating turn's update is dropped by the engine, but nothing
         # reads the board after the last step.
-        apply_selection(board, ts.agent, ts.selection)
+        engine.apply_selection(lattice, ts.agent, ts.selection)
     spans = [(cyc.start_step, cyc.end_step) for cyc in outcome.cycle_records]
     return ExampleRun(steps=steps, outcome=outcome, detected_spans=spans)

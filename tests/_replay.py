@@ -1,11 +1,14 @@
 """Independent exact replay of an engine run, verifying every invariant.
 
-The verifier rebuilds the whole run from the outcome's trace using only the
-board-module primitives and exact rational arithmetic, recomputing profits
-from Fractions at every step, and detects cycles itself on the rational
-board with its own state keys (``StateKey``, ``record_and_detect``). It
-shares no state with the engine's lattice or window kernel, so agreement
-here means every backend really implements the reference semantics:
+The verifier rebuilds the whole run from the outcome's trace on its own
+mutable ``Fraction`` board (``new_board``, ``apply_selection``,
+``reduce_trading_unit``, ``profit_row`` below), recomputing profits from
+Fractions at every step, and detects cycles itself on the rational board
+with its own state keys (``StateKey``, ``record_and_detect``). The package
+keeps ``PublicBoard`` only as a result type, so none of these operations
+exist in ``src/``: they share no code with the engine's lattice or window
+kernel, and agreement here means every backend really implements the
+reference semantics:
 
 - column conservation of offers minus pays, exact, at every step;
 - the traced profit rows and selections match the replayed ones (bit for
@@ -32,18 +35,100 @@ from fractions import Fraction
 
 import numpy as np
 
-from tacosim.agent import profit_row
-from tacosim.board import (
-    CycleRecord,
-    PublicBoard,
-    apply_selection,
-    new_board,
-    reduce_trading_unit,
-    span_counts,
-)
+from tacosim.agent import AgentPrivate
+from tacosim.board import CycleRecord, PublicBoard, exact, span_counts
 from tacosim.engine import TacoConfig, TacoOutcome, check_termination
 from tacosim.baselines import ChoiceProblem
 from tacosim.errors import HistoryLimitError
+
+
+def new_board(n: int, m: int, d0: int | str | Fraction) -> PublicBoard:
+    """Fresh all-zero board for n agents and m choices with trading unit d0 > 0."""
+    if n < 1:
+        raise ValueError(f"need at least one agent, got n={n}")
+    if m < 1:
+        raise ValueError(f"need at least one choice, got m={m}")
+    d = exact(d0)
+    if d <= 0:
+        raise ValueError(f"trading unit d0 must be positive, got {d}")
+    zeros = lambda: [[Fraction(0)] * m for _ in range(n)]
+    return PublicBoard(
+        n=n, m=m, offers=zeros(), pays=zeros(), d=d, selections=[None] * n
+    )
+
+
+def apply_selection(board: PublicBoard, agent: int, choice: int) -> PublicBoard:
+    """Apply one auction turn in place: agent bids n*d on choice, offering d to all.
+
+    The bid is split evenly, so every row's offer column grows by d while only
+    the bidder's pay column grows by n*d. Column sums of offers - pays are
+    invariant (each turn adds n*d to both).
+    """
+    if not (0 <= agent < board.n):
+        raise ValueError(f"agent index {agent} out of range for n={board.n}")
+    if not (0 <= choice < board.m):
+        raise ValueError(f"choice index {choice} out of range for m={board.m}")
+    d = board.d
+    board.pays[agent][choice] += board.n * d
+    for i in range(board.n):
+        board.offers[i][choice] += d
+    board.selections[agent] = choice
+    board.step += 1
+    return board
+
+
+def reduce_trading_unit(board: PublicBoard, gamma: int | str | Fraction) -> PublicBoard:
+    """Shrink the trading unit by gamma in (0, 1) after a detected cycle.
+
+    The caller is responsible for clearing its recorded-state history; a new
+    constant-d window starts here.
+    """
+    g = exact(gamma)
+    if not (0 < g < 1):
+        raise ValueError(f"reduction factor gamma must lie in (0, 1), got {g}")
+    board.d = board.d * g
+    board.epoch += 1
+    return board
+
+
+def net(board: PublicBoard) -> list[list[Fraction]]:
+    """offers - pays, entrywise."""
+    return [
+        [board.offers[i][j] - board.pays[i][j] for j in range(board.m)]
+        for i in range(board.n)
+    ]
+
+
+def copy_board(board: PublicBoard) -> PublicBoard:
+    """A deep copy: mutating either board leaves the other as it was."""
+    return PublicBoard(
+        n=board.n,
+        m=board.m,
+        offers=[row[:] for row in board.offers],
+        pays=[row[:] for row in board.pays],
+        d=board.d,
+        step=board.step,
+        epoch=board.epoch,
+        selections=board.selections[:],
+    )
+
+
+def profit_row(agent: AgentPrivate, board: PublicBoard) -> np.ndarray:
+    """The agent's current profit for every choice, as float64.
+
+    valuation * float(net) - cost, each net entry the float of its exact
+    rational; the best response is this row's ``np.argmax`` (lowest index on
+    ties).
+    """
+    if agent.cost_row.shape[0] != board.m:
+        raise ValueError(
+            f"cost_row has {agent.cost_row.shape[0]} entries but the board has m={board.m}"
+        )
+    net_row = np.array(
+        [float(board.offers[agent.index][j] - board.pays[agent.index][j]) for j in range(board.m)],
+        dtype=np.float64,
+    )
+    return agent.valuation * net_row - agent.cost_row
 
 
 @dataclass(frozen=True)
@@ -60,13 +145,7 @@ class StateKey:
 
     @classmethod
     def from_board(cls, board: PublicBoard, playing_agent: int) -> "StateKey":
-        return cls(
-            net=tuple(
-                tuple(board.offers[i][j] - board.pays[i][j] for j in range(board.m))
-                for i in range(board.n)
-            ),
-            playing_agent=playing_agent,
-        )
+        return cls(net=tuple(map(tuple, net(board))), playing_agent=playing_agent)
 
 
 def record_and_detect(
@@ -154,8 +233,8 @@ def verify_run(
     """Replay ``outcome`` and assert every invariant above.
 
     ``exact_rows`` tightens the profit check to the exact backend's contract:
-    each traced row is the bytes of ``agent.profit_row`` on the replayed
-    board, and each selection is that row's argmax.
+    each traced row is the bytes of ``profit_row`` on the replayed board, and
+    each selection is that row's argmax.
     """
     n, m = problem.n, problem.m
     agents = problem.agents()

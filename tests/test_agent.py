@@ -1,11 +1,21 @@
-"""Agent profit rows and the argmax best-response rule."""
+"""Agent profit rows and the argmax best-response rule.
+
+The rows come from the reference ``profit_row`` on the test-side Fraction
+board (``tests/_replay.py``); the best response is their ``np.argmax``, and
+the engine's first turn is checked against it.
+"""
 
 import numpy as np
 import pytest
 
-from tacosim.agent import AgentPrivate, best_response, profit_from_net, profit_row
-from tacosim.board import apply_selection, new_board
+from _replay import apply_selection, new_board, profit_row
+from tacosim.agent import AgentPrivate
+from tacosim.engine import TacoConfig, run_interrupted
 from tacosim.scenario import example2_fixture
+
+
+def best_response(agent, board):
+    return int(np.argmax(profit_row(agent, board)))
 
 
 def test_profit_row_fixture_initial():
@@ -29,9 +39,10 @@ def test_profit_row_fixture_after_turns():
     np.testing.assert_allclose(profit_row(agents[1], board), [-8.2, -7.8])
 
 
-def test_profit_from_net_zero_net():
+def test_profit_row_zero_net():
     costs = np.array([3.0, 1.0, 2.0])
-    np.testing.assert_allclose(profit_from_net(1.5, costs, np.zeros(3)), -costs)
+    agent = AgentPrivate(index=0, valuation=1.5, cost_row=costs)
+    np.testing.assert_allclose(profit_row(agent, new_board(1, 3, 1)), -costs)
 
 
 def test_best_response_fixture():
@@ -43,12 +54,17 @@ def test_best_response_fixture():
     assert best_response(agents[1], board) == 0
     apply_selection(board, 1, 0)
     assert best_response(agents[0], board) == 1
+    outcome = run_interrupted(TacoConfig(epsilon=1e-6), agents, 3)
+    assert [ts.selection for ts in outcome.trace] == [1, 0, 1]
 
 
 def test_best_response_tie_takes_lowest():
     agent = AgentPrivate(index=0, valuation=1.0, cost_row=np.array([2.0, 2.0, 5.0]))
     board = new_board(1, 3, 1)
     assert best_response(agent, board) == 0
+    for backend in ("exact", "numpy"):
+        outcome = run_interrupted(TacoConfig(epsilon=1e-6), [agent], 1, backend=backend)
+        assert outcome.trace[0].selection == 0
 
 
 def test_best_response_cost_shift_invariance():

@@ -1,18 +1,20 @@
-"""Board state, exact arithmetic, update rule, and the replay oracle's cycle detector."""
+"""Exact arithmetic, the reference Fraction board's update rule, and the
+replay oracle's cycle detector (the board operations live in ``_replay``)."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _replay import StateKey, record_and_detect
-from tacosim.board import (
+from _replay import (
+    StateKey,
     apply_selection,
-    exact,
+    copy_board,
     new_board,
+    record_and_detect,
     reduce_trading_unit,
-    span_counts,
 )
+from tacosim.board import exact, span_counts
 from tacosim.errors import HistoryLimitError
 
 
@@ -121,7 +123,7 @@ def test_state_key_value_semantics():
     board = new_board(2, 2, 1)
     apply_selection(board, 0, 1)
     k1 = StateKey.from_board(board, 1)
-    k2 = StateKey.from_board(board.copy(), 1)
+    k2 = StateKey.from_board(copy_board(board), 1)
     assert k1 == k2
     assert hash(k1) == hash(k2)
     assert k1 != StateKey.from_board(board, 0)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import _window_oracle as window_oracle
-from _replay import verify_run
+from _replay import apply_selection, new_board, reduce_trading_unit, verify_run
 from tacosim import _fastpath, engine
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
-from tacosim.board import CycleRecord, apply_selection, new_board, reduce_trading_unit
+from tacosim.board import CycleRecord
 from tacosim.engine import (
     TacoConfig,
     check_termination,
@@ -135,11 +135,11 @@ def test_check_termination():
 
 def test_settle_reads_one_column():
     outcome = run_taco(_config(), example2_fixture().agents(), backend="exact")
-    board = outcome.final_board
-    assert settle(board, 0) == [Fraction(1), Fraction(-1)]
-    assert settle(board, 1) == [Fraction(-1), Fraction(1)]
+    lattice = outcome._lattice
+    assert settle(lattice, 0) == [Fraction(1), Fraction(-1)]
+    assert settle(lattice, 1) == [Fraction(-1), Fraction(1)]
     with pytest.raises(ValueError):
-        settle(board, 2)
+        settle(lattice, 2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -380,7 +380,7 @@ def test_window_selcount_counts_applied_turns(budget, history_cap, status):
 def test_lattice_board_matches_fraction_board():
     # Random turns and window advances over 45 reductions at gamma 9/10, so the
     # lattice denominator b*q^K is far past 2**63. The Fraction board, driven by
-    # the board-module operations, is the reference.
+    # the reference operations of _replay, is the reference.
     rng = np.random.default_rng(2024)
     n, m = 3, 4
     d0, gamma = Fraction(3, 7), Fraction(9, 10)

@@ -44,9 +44,19 @@ GOLDEN = {
         "40a35822bceb4f34caaeb8ad402e624b0b1c9c9c093ae071e3abc79a5162aa64",
     ),
 }
-# `tacosim example --out DIR`: its stdout, and its files as name, NUL, bytes.
+# `tacosim example --out DIR [ARGS]`: its stdout, and its files as name, NUL,
+# bytes. The default run is the 5-step worked example; d0 = 1/200 replays 337
+# steps through denominators of 200.
 EXAMPLE_STDOUT = "543df1c2d888f59e2e6184f7f01ab9360cb66679b0a17e044c1a64689ffbb149"
 EXAMPLE_FILES = "c070702f7c485befdd0ca0b356aade6339ad572714c52c00bb12e1674b8e6302"
+EXAMPLE = {
+    "default": ((), EXAMPLE_STDOUT, EXAMPLE_FILES),
+    "d0_1_200": (
+        ("--d0", "1/200"),
+        "1be458e8957a60e41b2ae6b637ace8b9fb2bb70668256344c7d931c55c39363c",
+        "59871cfb24cc4534f42bd9d305c8ceb583e090aba8b037909174b6b4e6129451",
+    ),
+}
 # The worked example at d0 = 1/20000: one 33,337-step window ending in a
 # detected cycle, the shape of the benchmark's long window.
 LONG_WINDOW = {
@@ -83,13 +93,15 @@ def test_sweep_output_bytes_are_pinned(command, tmp_path):
     assert got == GOLDEN[command]
 
 
-def test_example_output_bytes_are_pinned(tmp_path, capsys):
-    assert main(["example", "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("setting", sorted(EXAMPLE))
+def test_example_output_bytes_are_pinned(setting, tmp_path, capsys):
+    args, stdout_sha, files_sha = EXAMPLE[setting]
+    assert main(["example", "--out", str(tmp_path), *args]) == 0
     files = b"".join(
         p.name.encode() + b"\0" + p.read_bytes() for p in sorted(tmp_path.iterdir())
     )
-    assert _sha(capsys.readouterr().out.encode()) == EXAMPLE_STDOUT
-    assert _sha(files) == EXAMPLE_FILES
+    assert _sha(capsys.readouterr().out.encode()) == stdout_sha
+    assert _sha(files) == files_sha
 
 
 @pytest.mark.parametrize("backend", sorted(LONG_WINDOW))
