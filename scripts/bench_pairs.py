@@ -11,7 +11,9 @@ The workloads and the run length are the change checkout's ``BENCHMARK.json``
 in each checkout, alternating which side runs first (the parent first on odd
 pairs), then one ``--trace 1`` run per side at seed ``TRACE_SEED``. Each run's
 last stdout line (the JSON result line) and its
-``.tacobench/result_<W>_trace<N>.json`` report are collected. The output holds
+``.tacobench/result_<W>_trace<N>.json`` report are collected. Last, each side
+runs the Tier-1 suite once (``TIER1``, ROADMAP's verify command); its wall
+time and outcome counts go under ``tier1``. The output holds
 the environment, the seeds, every pair, and per metric the median, quartiles
 (``statistics.quantiles(method='inclusive')``), the wins of the change
 (strictly better in the metric's direction), the signed gap between the
@@ -25,9 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 TRACE_SEED = 3
@@ -37,6 +42,8 @@ PROTOCOL = (
     "on odd pairs); the pair's seed is the same on both sides; one traced run per side at "
     "seed {trace_seed}; written by scripts/bench_pairs.py --seeds {seeds}"
 )
+TIER1 = ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+         "python -m pytest -q --continue-on-collection-errors")
 QUARTILES = (
     "statistics.quantiles(method='inclusive') over the per-pair values; a win is a "
     "strictly better value in the metric's direction"
@@ -80,6 +87,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         out["unscaled_trials_per_s"] = note
     out["env"] = report["env"]
     return out
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in a checkout: wall time, exit code and pytest's outcome counts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (":" + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(num) for num, word in re.findall(r"(\d+) (\w+)", last)}
+    return {"wall_s": round(wall, 2), "returncode": proc.returncode, "counts": counts,
+            "summary": last, "git_sha": git_sha(checkout)}
 
 
 def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
@@ -163,6 +184,12 @@ def main(argv=None) -> int:
             traced[side] = run_once(sides[side], workload, TRACE_SEED, seconds, 1)
             traced[side].pop("env")
         out["traced"][workload] = traced
+        save()
+    out["tier1"] = {"command": TIER1}
+    for side in ("parent", "change"):
+        out["tier1"][side] = run_tier1(sides[side])
+        print(f"tier1 {side}: {out['tier1'][side]['summary']} "
+              f"({out['tier1'][side]['wall_s']} s)", flush=True)
         save()
     print(f"wrote {path}")
     return 0

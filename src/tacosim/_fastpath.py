@@ -22,6 +22,36 @@ those; on a hit it walks back to the first repeat. The window ends where a
 detector storing every observation would end it: same steps, same cycle
 start, and the same history_cap, which still counts every observation.
 
+A drift is a run of rounds in which every agent repeats its choice of
+the round before, so delta moves by the same integer step each round; at a
+small trading unit nearly all of a window's turns can be one drift. The
+kernel crosses a drift in one jump, with every decision the one stepping
+would make. At a recorded observation whose two rounds before are equal,
+with i0 repeating its choice, agent i's delta on column j is
+``base_ij + r*step_ij`` at round r ahead, ``step_ij = cnt_j - n*[j ==
+p_i]``, p_i being i's choice and cnt_j the number of agents on j. Each
+correctly rounded operation of a cell is nondecreasing in that integer
+(b > 0 and dval > 0 are checked; the exact net is one rounded division of
+an increasing integer), so agent i's own cell can only fall as r grows
+and every other cell only rise: "every agent repeats" holds up to some
+round and fails from then on. An exponential then a binary search over the
+kernel's own cell expression finds that round R in O(log R) row
+evaluations; players and choices grow by the round repeated R times, the
+counts and the state key by R times the round's. A round of all n agents
+on one column leaves delta unchanged: a repeat, not a drift.
+
+The detector records nothing inside a jump. Drift states are distinct, and
+a later state equal to a skipped one follows the same drift to the same
+end, which the jump leaves for the loop to look up; so the first key hit
+still has lag exactly lam, and the walk-back, which reads only choices,
+finds the first repeat even inside the drift. A jump runs to the drift's
+end, and the turns run on past `stop` to look that end up; past `stop`
+any drift is jumped, and the turns run two rounds further, so a repeat
+that lies before the budget or the cap, behind a skipped state, still
+shows. A drift longer than `stop` steps holds no such repeat and ends the
+window there. A drift predicted from the cached rows to last under a dozen
+turns is stepped: the search would cost more.
+
 The two backends differ only in the net the playing agent observes; the
 profit row is ``b_i * net_row - C_i`` and the argmax takes the lowest index
 on ties. "exact" gets the float of the exact rational net from the engine's
@@ -56,6 +86,7 @@ Backend selection: the TACO_BACKEND environment variable ("auto", "numpy",
 from __future__ import annotations
 
 import functools
+import math
 import os
 import random
 from array import array
@@ -123,8 +154,8 @@ def run_window(
     observations, recorded or not: a window that reaches observation
     history_cap + 1 without a repeat ends with status "history_cap". If
     ``net_cell`` is given, ``net_cell(i, j, k)`` is the net agent i observes
-    on choice j at integer delta k, and ``net0f`` is not read; otherwise
-    that net is ``net0f[i][j] + dval * k`` in float64.
+    on choice j at integer delta k, nondecreasing in k, and ``net0f`` is not
+    read; otherwise that net is ``net0f[i][j] + dval * k`` in float64.
     """
     if budget <= 0:
         raise ValueError(f"window budget must be positive, got {budget}")
@@ -175,6 +206,13 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
     # turns run on to it.
     last = min(budget, max(history_cap, 0) + 1)
     stop = last + (1 - last) % n
+    # Drift jumps (see _drift_rounds) need every cell nondecreasing in its
+    # integer delta: b > 0 and dval > 0. A jump skips observations, so a
+    # repeat t* <= last may then show up to two rounds past `stop`, or at the
+    # end of a drift of at most `stop` steps; a longer jump ends the window.
+    base_stop = stop
+    max_rounds = stop // n + 3
+    next_try = 2 * n if n > 1 and dval > 0 and min(b_l) > 0 else math.inf
     status = "budget" if last <= history_cap else "history_cap"
     end = last
     s0 = -1
@@ -224,6 +262,39 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
                     hit = True
                     break
                 collided.setdefault(h, []).append(t)
+            # i0 repeats its choice of a round ago, after two equal rounds:
+            # a drift may run on from this round, which began at turn t - 1.
+            if (
+                t > next_try
+                and choices[t - 1] == choices[t - 1 - n]
+                and choices[t - 1 - n : t - 1] == choices[t - 1 - 2 * n : t - 1 - n]
+            ):
+                t0 = t - 1
+                # A drift of a dozen turns costs less to step through than to
+                # search. Past base_stop a pending repeat may need the jump, so
+                # any drift is taken.
+                min_steps = 12 if t < base_stop else 0
+                r = _drift_rounds(
+                    net_cell, net0, dval, b_l, C_l, players, choices, col, sel, rows,
+                    t0, max_rounds, min_steps,
+                )
+                if r:
+                    # Replace turn t0, whose update is not applied yet, by r
+                    # rounds of the pattern.
+                    pat_a = players[t0 - n : t0]
+                    pat_c = choices[t0 - n : t0]
+                    players[t0:] = pat_a * r
+                    choices[t0:] = pat_c * r
+                    for a_k, c_k in zip(pat_a, pat_c):
+                        h += r * inc[a_k][c_k]
+                        col[c_k] += r
+                        sel[a_k][c_k] += r
+                    t = t0 + r * n
+                    if r < max_rounds:  # the drift's end: look it up
+                        stop = max(stop, base_stop + 2 * n, t + 1)
+                    continue
+                if t < base_stop:
+                    next_try = min(t + 2 * n, base_stop - 1)
         h += inc[i][j]
         col[j] += 1
         sel_i[j] += 1
@@ -250,6 +321,114 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
         profit_rows=cycle_rows,
         selcount=sel,
     )
+
+
+def _drift_rounds(
+    net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, max_rounds, min_steps
+):
+    """How many rounds from turn t0 on repeat the round before it, at most max_rounds.
+
+    Turns t0-n..t0-1 are one round, pattern P; turn t0 starts the next, and
+    its player already chose as in P. col and sel are the counts before turn
+    t0, and rows the cached rows of the agents' turns in P. While every turn
+    follows P, each round adds ``cnt[j] - n*[j == p]`` to the delta of agent
+    i on column j, p being i's choice in P and cnt[j] the number of agents
+    choosing j. Every correctly rounded operation of a cell is nondecreasing
+    in its integer delta (b > 0, dval > 0; the exact net is one rounded
+    division), so as rounds pass agent i's own cell can only fall and every
+    other cell only rise: "every turn follows P" holds up to some round and
+    fails from then on. A search over the kernel's own cells, started at a
+    float estimate from the cached rows, finds that round. Returns 0 if P
+    puts all n agents on one column (a repeat, not a drift), if the
+    estimate is below min_steps turns, or if a turn of round t0 leaves P;
+    otherwise rows holds each agent's row at its turn of the last round.
+    """
+    n = len(C)
+    pat_a = players[t0 - n : t0]
+    pat_c = choices[t0 - n : t0]
+    cnt = [0] * len(C[0])
+    for p in pat_c:
+        cnt[p] += 1
+    if max(cnt) == n:
+        return 0
+    # Agent a's gap from p to column j shrinks by b_a*dval*(n - cnt[p] +
+    # cnt[j]) <= 2*b_a*dval*(n - cnt[p]) a round, and its row is cached at
+    # round -1 (turn t0's player's at round 0). That bounds, roughly from
+    # below, the rounds it keeps p: an estimate used only to skip short
+    # drifts and to start the search.
+    min_rounds = min_steps / n
+    turns = []
+    for q, (a, p) in enumerate(zip(pat_a, pat_c)):
+        row = rows[a]
+        est = (row[p] - sorted(row)[-2]) / (2 * b[a] * (n - cnt[p])) / dval + (q == 0)
+        if est < min_rounds:
+            return 0
+        turns.append((est, q, a, p))
+    turns.sort()  # the likeliest to leave P first
+    est = turns[0][0]
+    pre = col[:]  # col plus the counts of the pattern's turns before agent a's
+    cells = [None] * n
+    for q, (a, p) in enumerate(zip(pat_a, pat_c)):
+        sel_a = sel[a]
+        base = [c - n * s for c, s in zip(pre, sel_a)]
+        step = cnt[:]
+        step[p] -= n
+        cells[q] = (base, step)
+        pre[p] += 1
+    cols = range(len(cnt))
+
+    def rows_at(r):
+        """Every agent's row at round r, or None if one of them leaves P."""
+        out = []
+        for _, q, a, p in turns:
+            base, step = cells[q]
+            b_a, C_a = b[a], C[a]
+            if net_cell is None:
+                net0_a = net0[a]
+                row = [b_a * (net0_a[j] + dval * (base[j] + r * step[j])) - C_a[j] for j in cols]
+            else:
+                row = [b_a * net_cell(a, j, base[j] + r * step[j]) - C_a[j] for j in cols]
+            if row.index(max(row)) != p:
+                return None
+            out.append(row)
+        return out
+
+    # Every turn follows P at round lo (round -1 was P) and one leaves it at
+    # round hi (max_rounds stands in for "later"). Gallop from the estimate
+    # until the end is bracketed, then bisect.
+    lo, hi, lo_rows = -1, max_rounds, None
+    r = int(est) - 1 if est < max_rounds else max_rounds - 1
+    got = rows_at(r)
+    if got is not None:
+        lo, lo_rows, gap = r, got, 1
+        while lo + gap < hi:
+            got = rows_at(lo + gap)
+            if got is None:
+                hi = lo + gap
+                break
+            lo, lo_rows = lo + gap, got
+            gap *= 2
+    else:
+        hi, gap = r, 1
+        while hi - gap > lo:
+            got = rows_at(hi - gap)
+            if got is not None:
+                lo, lo_rows = hi - gap, got
+                break
+            hi -= gap
+            gap *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        got = rows_at(mid)
+        if got is None:
+            hi = mid
+        else:
+            lo, lo_rows = mid, got
+    if lo_rows is None:
+        return 0
+    for (_, _, a, _), row in zip(turns, lo_rows):
+        rows[a][:] = row
+    return hi
 
 
 def window_rows(net_cell, net0, dval, b, C, players, choices, sel, lo, hi) -> np.ndarray:

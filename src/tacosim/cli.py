@@ -126,7 +126,7 @@ def _print_example(run: ExampleRun) -> None:
     # Displayed agent/option numbers are 1-based; CSV files stay 0-based.
     print("worked two-agent example (agents and options numbered from 1)")
     print("step  agent  offers            pays              profits                 selections")
-    for snap, ts in zip(run.steps, run.outcome.trace):
+    for snap in run.steps:
         sels = ",".join("-" if s is None else str(s + 1) for s in snap.selections)
         print(
             f"{snap.step:>4}  {snap.agent + 1:>5}  "
@@ -153,12 +153,12 @@ def _write_example_files(run: ExampleRun, out_dir: Path) -> None:
         writer.writerow(
             ["step", "agent", "selection", "offers", "pays", "profits", "selections"]
         )
-        for snap, ts in zip(run.steps, run.outcome.trace):
+        for snap in run.steps:
             writer.writerow(
                 [
                     snap.step,
                     snap.agent,
-                    ts.selection,
+                    snap.selections[snap.agent],
                     _fmt_fraction_matrix(snap.offers),
                     _fmt_fraction_matrix(snap.pays),
                     _fmt_float_matrix(snap.profits),

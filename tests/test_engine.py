@@ -736,3 +736,116 @@ def test_engine_with_colliding_keys_matches(monkeypatch):
             (c.start_step, c.end_step) for c in ref.cycle_records
         ]
         assert got.settlements == ref.settlements
+
+
+@pytest.fixture
+def drift_jumps(monkeypatch):
+    """Record every drift jump the kernel takes, as (first turn, rounds).
+
+    Each jump must leave every agent's cached row at its turn of the last
+    skipped round, bit for bit the row ``window_rows`` rebuilds there: the
+    kernel recomputes only the columns chosen in an agent's last n turns.
+    """
+    jumps = []
+    drift_rounds = _fastpath._drift_rounds
+
+    def counted(net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, *rest):
+        args = (net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, *rest)
+        rounds = drift_rounds(*args)
+        if rounds:
+            jumps.append((t0, rounds))
+            n, m = len(C), len(C[0])
+            pat_a, pat_c = players[t0 - n : t0], choices[t0 - n : t0]
+            every = _fastpath.window_rows(
+                net_cell, net0, dval, b, C, players[:t0] + pat_a * rounds,
+                choices[:t0] + pat_c * rounds, [[0] * m for _ in range(n)], 0, t0 + rounds * n,
+            )
+            for a, row in zip(pat_a, every[-n:]):
+                assert np.array(rows[a]).tobytes() == row.tobytes()
+        return rounds
+
+    monkeypatch.setattr(_fastpath, "_drift_rounds", counted)
+    return jumps
+
+
+def _drift_windows(backend, denominators):
+    """Windows with long drifts: example2 and seeded 2x2..4x5 random problems.
+
+    Each window starts on a lattice at d0 = 1/den with a few random turns
+    applied, so its anchors are not zero. Yields the kernel's arguments up
+    to the budget, the oracle's net row and the anchors for
+    ``_assert_same_window``.
+    """
+    rng = np.random.default_rng(13)
+    shapes = ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5))
+    problems = [example2_fixture()] + [random_problem(n, m, rng) for n, m in shapes]
+    for problem in problems:
+        n, m = problem.n, problem.m
+        for den in denominators:
+            lattice = engine._LatticeBoard(n, m, Fraction(1, den), Fraction(7, 10))
+            for _ in range(int(rng.integers(0, 3 * n))):
+                engine.apply_selection(lattice, int(rng.integers(n)), int(rng.integers(m)))
+            net0f, dval = lattice.net_float(), float(lattice.d)
+            if backend == "exact":
+                net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
+            else:
+                net_cell, net_row = None, window_oracle.float_net_row(np.array(net0f), dval)
+            order = rng.permutation(n).astype(np.int64)
+            pos0 = int(rng.integers(n))
+            args = (net0f, dval, problem.b.tolist(), problem.C.tolist(), order.tolist(), pos0)
+            oracle_args = (net_row, problem.b, problem.C, order, pos0)
+            anchors = (net_cell, np.array(net0f), dval, problem.b, problem.C)
+            yield args, net_cell, oracle_args, anchors
+
+
+@pytest.mark.parametrize("keys", ("zobrist", "colliding", "few_bit"))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drift_jumps_match_the_oracle(monkeypatch, drift_jumps, backend, keys):
+    # The kernel crosses a drift, every agent repeating its bid round after
+    # round, in one jump and records no observation inside it. Its windows
+    # must still be the oracle's, which steps and records every turn, also
+    # when state keys collide. All-colliding keys make every recorded step a
+    # candidate, so they get the shorter windows only.
+    if keys == "colliding":
+        monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)
+    elif keys == "few_bit":
+        monkeypatch.setattr(_fastpath, "_zobrist_keys", _few_bit_keys)
+    denominators = (200,) if keys == "colliding" else (200, 2000)
+    jumped = cycle_in_drift = 0
+    for args, net_cell, oracle_args, anchors in _drift_windows(backend, denominators):
+        drift_jumps.clear()
+        got = _fastpath.run_window(*args, 10**6, 10**6, net_cell)
+        ref, ref_rows = window_oracle.run_window_oracle(*oracle_args, 10**6, 10**6)
+        _assert_same_window(got, ref, ref_rows, anchors)
+        n = len(args[2])
+        jumped += len(drift_jumps)
+        # The repeated state's turn was never stepped: the jump wrote it.
+        cycle_in_drift += any(t0 + 1 < got.s0_rel <= t0 + r * n for t0, r in drift_jumps)
+    assert jumped >= 3
+    assert cycle_in_drift >= 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drift_window_ends_match_the_oracle(drift_jumps, backend):
+    # A jump may run past the budget or the history cap; the window is then
+    # cut back to where the oracle ends it. Every budget and cap within n
+    # steps of each drift's end, of its middle (where the jump stops short
+    # of the drift's end) and of the first repeat t*.
+    cuts_checked = 0
+    for args, net_cell, oracle_args, anchors in _drift_windows(backend, (200,)):
+        drift_jumps.clear()
+        full = _fastpath.run_window(*args, 10**6, 10**6, net_cell)
+        n = len(args[2])
+        marks = {full.steps}
+        for t0, r in drift_jumps:
+            marks |= {t0 + r * n, t0 + r // 2 * n}
+        cuts = set()
+        for x in marks:
+            for c in range(max(2, x - n), x + n + 1):
+                cuts |= {(c, 10**6), (10**6, c)}
+        for budget, cap in sorted(cuts):
+            got = _fastpath.run_window(*args, budget, cap, net_cell)
+            ref, ref_rows = window_oracle.run_window_oracle(*oracle_args, budget, cap)
+            _assert_same_window(got, ref, ref_rows, anchors)
+            cuts_checked += len(marks) > 1
+    assert cuts_checked >= 100
