@@ -206,10 +206,9 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
     # turns run on to it.
     last = min(budget, max(history_cap, 0) + 1)
     stop = last + (1 - last) % n
-    # Drift jumps (see _drift_rounds) need every cell nondecreasing in its
-    # integer delta: b > 0 and dval > 0. A jump skips observations, so a
-    # repeat t* <= last may then show up to two rounds past `stop`, or at the
-    # end of a drift of at most `stop` steps; a longer jump ends the window.
+    # Drift jumps (see the module docstring) need every cell nondecreasing
+    # in its integer delta: b > 0 and dval > 0. A jump of max_rounds runs
+    # past any drift end a repeat t* <= last can need, and ends the window.
     base_stop = stop
     max_rounds = stop // n + 3
     next_try = 2 * n if n > 1 and dval > 0 and min(b_l) > 0 else math.inf
@@ -330,18 +329,13 @@ def _drift_rounds(
 
     Turns t0-n..t0-1 are one round, pattern P; turn t0 starts the next, and
     its player already chose as in P. col and sel are the counts before turn
-    t0, and rows the cached rows of the agents' turns in P. While every turn
-    follows P, each round adds ``cnt[j] - n*[j == p]`` to the delta of agent
-    i on column j, p being i's choice in P and cnt[j] the number of agents
-    choosing j. Every correctly rounded operation of a cell is nondecreasing
-    in its integer delta (b > 0, dval > 0; the exact net is one rounded
-    division), so as rounds pass agent i's own cell can only fall and every
-    other cell only rise: "every turn follows P" holds up to some round and
-    fails from then on. A search over the kernel's own cells, started at a
-    float estimate from the cached rows, finds that round. Returns 0 if P
-    puts all n agents on one column (a repeat, not a drift), if the
-    estimate is below min_steps turns, or if a turn of round t0 leaves P;
-    otherwise rows holds each agent's row at its turn of the last round.
+    t0, and rows the cached rows of the agents' turns in P. "Every turn
+    follows P" holds up to some round and fails from then on (see the module
+    docstring), so a search over the kernel's own cells, started at a float
+    estimate from the cached rows, finds that round. Returns 0 if P puts all
+    n agents on one column (a repeat, not a drift), if the estimate is below
+    min_steps turns, or if a turn of round t0 leaves P; otherwise rows holds
+    each agent's row at its turn of the last round.
     """
     n = len(C)
     pat_a = players[t0 - n : t0]
