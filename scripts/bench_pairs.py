@@ -12,8 +12,10 @@ in each checkout, alternating which side runs first (the parent first on odd
 pairs), then one ``--trace 1`` run per side at seed ``TRACE_SEED``. Each run's
 last stdout line (the JSON result line) and its
 ``.tacobench/result_<W>_trace<N>.json`` report are collected. Last, each side
-runs the Tier-1 suite once (``TIER1``, ROADMAP's verify command); its wall
-time and outcome counts go under ``tier1``. The output holds
+runs the Tier-1 suite once (ROADMAP's verify command, on this interpreter);
+the command as run, its wall time and outcome counts go under
+``tier1.<side>``.
+The output holds
 the environment, the seeds, every pair, and per metric the median, quartiles
 (``statistics.quantiles(method='inclusive')``), the wins of the change
 (strictly better in the metric's direction), the signed gap between the
@@ -29,6 +31,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -42,8 +45,6 @@ PROTOCOL = (
     "on odd pairs); the pair's seed is the same on both sides; one traced run per side at "
     "seed {trace_seed}; written by scripts/bench_pairs.py --seeds {seeds}"
 )
-TIER1 = ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
-         "python -m pytest -q --continue-on-collection-errors")
 QUARTILES = (
     "statistics.quantiles(method='inclusive') over the per-pair values; a win is a "
     "strictly better value in the metric's direction"
@@ -90,7 +91,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def run_tier1(checkout: Path) -> dict:
-    """One Tier-1 run in a checkout: wall time, exit code and pytest's outcome counts."""
+    """One Tier-1 run in a checkout: command, wall time, exit code and pytest's counts."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (":" + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -99,7 +100,10 @@ def run_tier1(checkout: Path) -> dict:
     wall = time.perf_counter() - start
     last = (proc.stdout.strip().splitlines() or [""])[-1]
     counts = {word: int(num) for num, word in re.findall(r"(\d+) (\w+)", last)}
-    return {"wall_s": round(wall, 2), "returncode": proc.returncode, "counts": counts,
+    # The command as run, naming the interpreter by its file name.
+    shown = shlex.join([Path(cmd[0]).name, *cmd[1:]])
+    return {"command": f"PYTHONPATH={shlex.quote(env['PYTHONPATH'])} {shown}",
+            "wall_s": round(wall, 2), "returncode": proc.returncode, "counts": counts,
             "summary": last, "git_sha": git_sha(checkout)}
 
 
@@ -185,7 +189,7 @@ def main(argv=None) -> int:
             traced[side].pop("env")
         out["traced"][workload] = traced
         save()
-    out["tier1"] = {"command": TIER1}
+    out["tier1"] = {}
     for side in ("parent", "change"):
         out["tier1"][side] = run_tier1(sides[side])
         print(f"tier1 {side}: {out['tier1'][side]['summary']} "

@@ -331,11 +331,11 @@ def _drift_rounds(
     its player already chose as in P. col and sel are the counts before turn
     t0, and rows the cached rows of the agents' turns in P. "Every turn
     follows P" holds up to some round and fails from then on (see the module
-    docstring), so a search over the kernel's own cells, started at a float
-    estimate from the cached rows, finds that round. Returns 0 if P puts all
-    n agents on one column (a repeat, not a drift), if the estimate is below
-    min_steps turns, or if a turn of round t0 leaves P; otherwise rows holds
-    each agent's row at its turn of the last round.
+    docstring), so a search over the kernel's own cells finds that round.
+    Returns 0, leaving rows as they are, if P puts all n agents on one column
+    (a repeat, not a drift), if a float estimate from the cached rows is
+    below min_steps turns, or if a turn of round t0 leaves P; otherwise rows
+    holds each agent's row at its turn of the last round.
     """
     n = len(C)
     pat_a = players[t0 - n : t0]
@@ -349,7 +349,7 @@ def _drift_rounds(
     # cnt[j]) <= 2*b_a*dval*(n - cnt[p]) a round, and its row is cached at
     # round -1 (turn t0's player's at round 0). That bounds, roughly from
     # below, the rounds it keeps p: an estimate used only to skip short
-    # drifts and to start the search.
+    # drifts and to check first the agent likeliest to leave P.
     min_rounds = min_steps / n
     turns = []
     for q, (a, p) in enumerate(zip(pat_a, pat_c)):
@@ -359,7 +359,6 @@ def _drift_rounds(
             return 0
         turns.append((est, q, a, p))
     turns.sort()  # the likeliest to leave P first
-    est = turns[0][0]
     pre = col[:]  # col plus the counts of the pattern's turns before agent a's
     cells = [None] * n
     for q, (a, p) in enumerate(zip(pat_a, pat_c)):
@@ -388,29 +387,15 @@ def _drift_rounds(
         return out
 
     # Every turn follows P at round lo (round -1 was P) and one leaves it at
-    # round hi (max_rounds stands in for "later"). Gallop from the estimate
-    # until the end is bracketed, then bisect.
-    lo, hi, lo_rows = -1, max_rounds, None
-    r = int(est) - 1 if est < max_rounds else max_rounds - 1
-    got = rows_at(r)
-    if got is not None:
-        lo, lo_rows, gap = r, got, 1
-        while lo + gap < hi:
-            got = rows_at(lo + gap)
-            if got is None:
-                hi = lo + gap
-                break
-            lo, lo_rows = lo + gap, got
-            gap *= 2
-    else:
-        hi, gap = r, 1
-        while hi - gap > lo:
-            got = rows_at(hi - gap)
-            if got is not None:
-                lo, lo_rows = hi - gap, got
-                break
-            hi -= gap
-            gap *= 2
+    # round hi (max_rounds stands in for "later"). Double from round 0 until
+    # the end is bracketed, then bisect.
+    lo, hi, lo_rows, r = -1, max_rounds, None, 0
+    while r < hi:
+        got = rows_at(r)
+        if got is None:
+            hi = r
+            break
+        lo, lo_rows, r = r, got, 2 * r + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         got = rows_at(mid)
@@ -418,7 +403,7 @@ def _drift_rounds(
             hi = mid
         else:
             lo, lo_rows = mid, got
-    if lo_rows is None:
+    if lo < 0:
         return 0
     for (_, _, a, _), row in zip(turns, lo_rows):
         rows[a][:] = row

@@ -744,15 +744,19 @@ def drift_jumps(monkeypatch):
 
     Each jump must leave every agent's cached row at its turn of the last
     skipped round, bit for bit the row ``window_rows`` rebuilds there: the
-    kernel recomputes only the columns chosen in an agent's last n turns.
+    kernel recomputes only the columns chosen in an agent's last n turns. A
+    declined search must leave the cached rows bit for bit as they were.
     """
     jumps = []
     drift_rounds = _fastpath._drift_rounds
 
     def counted(net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, *rest):
         args = (net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, *rest)
+        before = np.array(rows).tobytes()
         rounds = drift_rounds(*args)
-        if rounds:
+        if not rounds:
+            assert np.array(rows).tobytes() == before
+        else:
             jumps.append((t0, rounds))
             n, m = len(C), len(C[0])
             pat_a, pat_c = players[t0 - n : t0], choices[t0 - n : t0]
@@ -823,6 +827,32 @@ def test_drift_jumps_match_the_oracle(monkeypatch, drift_jumps, backend, keys):
         cycle_in_drift += any(t0 + 1 < got.s0_rel <= t0 + r * n for t0, r in drift_jumps)
     assert jumped >= 3
     assert cycle_in_drift >= 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drift_jumps_with_many_agents_match_the_oracle(drift_jumps, backend):
+    # With 13 agents a drift estimated at under one round clears the
+    # dozen-turn threshold, so the search also runs when a turn of round 0
+    # already leaves the pattern; the fixture checks that the cached rows
+    # are then left as they are.
+    n, m = 13, 2
+    problem = random_problem(n, m, np.random.default_rng(4))
+    lattice = engine._LatticeBoard(n, m, Fraction(1, 2000), Fraction(7, 10))
+    net0f, dval = lattice.net_float(), float(lattice.d)
+    if backend == "exact":
+        net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
+    else:
+        net_cell, net_row = None, window_oracle.float_net_row(np.array(net0f), dval)
+    order = np.arange(n)
+    got = _fastpath.run_window(
+        net0f, dval, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**6, 10**6,
+        net_cell,
+    )
+    ref, ref_rows = window_oracle.run_window_oracle(
+        net_row, problem.b, problem.C, order, 0, 10**6, 10**6
+    )
+    _assert_same_window(got, ref, ref_rows, (net_cell, np.array(net0f), dval, problem.b, problem.C))
+    assert drift_jumps
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
