@@ -17,10 +17,13 @@ from .baselines import (
 )
 from .board import CycleRecord, ExactAmount, PublicBoard, exact
 from .engine import (
+    BACKENDS,
+    ENV_VAR,
     TacoConfig,
     TacoOutcome,
     TraceStep,
     check_termination,
+    resolve_backend,
     run_interrupted,
     run_taco,
 )
@@ -61,7 +64,6 @@ from .scenario import (
     random_waypoint_problem,
     solve_ordering,
 )
-from ._fastpath import BACKENDS, ENV_VAR, resolve_backend
 
 __version__ = "0.1.0"
 

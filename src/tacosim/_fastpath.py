@@ -31,14 +31,13 @@ with i0 repeating its choice, agent i's delta on column j is
 ``base_ij + r*step_ij`` at round r ahead, ``step_ij = cnt_j - n*[j ==
 p_i]``, p_i being i's choice and cnt_j the number of agents on j. Each
 correctly rounded operation of a cell is nondecreasing in that integer
-(b > 0 and dval > 0 are checked; the exact net is one rounded division of
-an increasing integer), so agent i's own cell can only fall as r grows
-and every other cell only rise: "every agent repeats" holds up to some
-round and fails from then on. An exponential then a binary search over the
-kernel's own cell expression finds that round R in O(log R) row
-evaluations; players and choices grow by the round repeated R times, the
-counts and the state key by R times the round's. A round of all n agents
-on one column leaves delta unchanged: a repeat, not a drift.
+(b > 0 and unit > 0 are checked, and den > 0), so agent i's own cell can
+only fall as r grows and every other cell only rise: "every agent repeats"
+holds up to some round and fails from then on. An exponential then a
+binary search over the kernel's own cell expression finds that round R in
+O(log R) row evaluations; players and choices grow by the round repeated R
+times, the counts and the state key by R times the round's. A round of all
+n agents on one column leaves delta unchanged: a repeat, not a drift.
 
 The detector records nothing inside a jump. Drift states are distinct, and
 a later state equal to a skipped one follows the same drift to the same
@@ -52,25 +51,23 @@ shows. A drift longer than `stop` steps holds no such repeat and ends the
 window there. A drift predicted from the cached rows to last under a dozen
 turns is stepped: the search would cost more.
 
-The two backends differ only in the net the playing agent observes; the
-profit row is ``b_i * net_row - C_i`` and the argmax takes the lowest index
-on ties. "exact" gets the float of the exact rational net from the engine's
-lattice (one correctly rounded integer division per cell). "numpy" computes
-``net0f + d * delta`` in float64, ``net0f`` being anchored from the lattice
-at every window start so float error never accumulates across windows.
-Floats of mathematically tied options may still break ties differently
-between "exact" and "numpy".
+Every cell is one expression of the window's anchors ``(net0, unit,
+den)``: agent i on choice j at integer delta k has the profit ``b_i *
+((net0[i][j] + unit * k) / den) - C_i[j]``, and the argmax takes the
+lowest index on ties. The kernel, its drift search and ``window_rows`` all
+compute it, on whatever numbers the engine anchored the window with (see
+``engine._LatticeBoard.anchors``): lattice ints, when the net is the float
+of the exact rational, or floats divided once at the window start, with
+den 1.0, when it is float64 ``net0f + d * k``.
 
-Both backends share one scalar kernel. The "numpy" name is kept for CLI,
-environment and config compatibility; its loop runs on Python floats and
-ints, repeating numpy's elementwise operations in the same order, since
-per-step dispatch, not arithmetic, sets the cost of a few-cell row. Each
-agent's profit row is cached and only the cells whose column was chosen
-since that agent's last turn are recomputed. The state key is Zobrist's
-linear hash of delta (Zobrist, "A New Hashing Method with Application for
-Game Playing", 1970) kept as an unbounded Python int and updated in O(1) per
-turn; a key hit is only a candidate, confirmed exactly from the turns in
-between.
+The loop runs on Python floats and ints, repeating numpy's elementwise
+operations in the same order, since per-step dispatch, not arithmetic,
+sets the cost of a few-cell row. Each agent's profit row is cached and only
+the cells whose column was chosen since that agent's last turn are
+recomputed. The state key is Zobrist's linear hash of delta (Zobrist, "A
+New Hashing Method with Application for Game Playing", 1970) kept as an
+unbounded Python int and updated in O(1) per turn; a key hit is only a
+candidate, confirmed exactly from the turns in between.
 
 The kernel records only who played and what they chose; it stores no
 profit row. A cell is a pure function of (agent, choice, integer delta),
@@ -78,35 +75,17 @@ so ``window_rows`` rebuilds any step's row from the window's anchors and
 its choices, bit for bit the row the kernel saw. The kernel calls it once
 per detected cycle, for the rows the termination test reads; the engine's
 lazy trace calls it for any other row.
-
-Backend selection: the TACO_BACKEND environment variable ("auto", "numpy",
-"exact") or an explicit argument. "auto" is "numpy".
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import random
 from array import array
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-
-ENV_VAR = "TACO_BACKEND"
-BACKENDS = ("auto", "numpy", "exact")
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Map a requested backend (or the TACO_BACKEND default) to a concrete one."""
-    if name is None:
-        name = os.environ.get(ENV_VAR, "auto")
-    name = name.lower()
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
-    return "numpy" if name == "auto" else name
 
 
 @dataclass
@@ -135,31 +114,29 @@ class WindowResult:
 
 
 def run_window(
-    net0f: list[list[float]] | None,
-    dval: float,
+    net0: list[list[int]] | list[list[float]],
+    unit: int | float,
+    den: int | float,
     b: list[float],
     C: list[list[float]],
     order: list[int],
     pos0: int,
     budget: int,
     history_cap: int,
-    net_cell: Callable[[int, int, int], float] | None = None,
 ) -> WindowResult:
     """Run auction turns until detection, budget, or history cap.
 
-    The anchors are Python lists: the float net rows ``net0f``, the
-    valuations ``b``, the cost rows ``C`` and the turn order. A window
-    always starts with an empty state history, and the first turn's
-    observation (zero delta) is recorded. ``history_cap`` counts
+    Agent i observes on choice j at integer delta k the net ``(net0[i][j]
+    + unit * k) / den``: the anchors are all ints, or floats with den 1.0
+    (see the module docstring). ``b``, ``C`` and ``order`` are Python lists
+    too. A window always starts with an empty state history, and the first
+    turn's observation (zero delta) is recorded. ``history_cap`` counts
     observations, recorded or not: a window that reaches observation
-    history_cap + 1 without a repeat ends with status "history_cap". If
-    ``net_cell`` is given, ``net_cell(i, j, k)`` is the net agent i observes
-    on choice j at integer delta k, nondecreasing in k, and ``net0f`` is not
-    read; otherwise that net is ``net0f[i][j] + dval * k`` in float64.
+    history_cap + 1 without a repeat ends with status "history_cap".
     """
     if budget <= 0:
         raise ValueError(f"window budget must be positive, got {budget}")
-    return _run_window_scalar(net_cell, net0f, dval, b, C, order, pos0, budget, history_cap)
+    return _run_window_scalar(net0, unit, den, b, C, order, pos0, budget, history_cap)
 
 
 @functools.lru_cache(maxsize=64)
@@ -178,7 +155,7 @@ def _zobrist_keys(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c - n * z for c, z in zip(colsum, row)) for row in Z)
 
 
-def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, history_cap):
+def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history_cap):
     n, m = len(C_l), len(C_l[0])
     inc = _zobrist_keys(n, m)
     # The board change since the window began: delta[i][j] = col[j] - n*sel[i][j].
@@ -207,11 +184,14 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
     last = min(budget, max(history_cap, 0) + 1)
     stop = last + (1 - last) % n
     # Drift jumps (see the module docstring) need every cell nondecreasing
-    # in its integer delta: b > 0 and dval > 0. A jump of max_rounds runs
-    # past any drift end a repeat t* <= last can need, and ends the window.
+    # in its integer delta: b > 0 and unit > 0. The search's estimate
+    # divides by the float unit/den, which is 0.0 on int anchors whose
+    # trading unit lies below the smallest float, so that is what is tested.
+    # A jump of max_rounds runs past any drift end a repeat t* <= last can
+    # need, and ends the window.
     base_stop = stop
     max_rounds = stop // n + 3
-    next_try = 2 * n if n > 1 and dval > 0 and min(b_l) > 0 else math.inf
+    next_try = 2 * n if n > 1 and unit / den > 0 and min(b_l) > 0 else math.inf
     status = "budget" if last <= history_cap else "history_cap"
     end = last
     s0 = -1
@@ -223,18 +203,14 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
         sel_i = sel[i]
         b_i = b_l[i]
         C_i = C_l[i]
+        net0_i = net0[i]
         # A first turn fills the row; after that only the columns chosen since
-        # agent i's last turn (the last n turns) have changed. The float cell
-        # repeats numpy's b_i * (net0f[i] + dval * delta[i]) - C[i]: the same
-        # IEEE operations in the same order, so bit for bit the same row.
+        # agent i's last turn (the last n turns) have changed. On float anchors
+        # the cell repeats numpy's b_i * (net0f[i] + d * delta[i]) - C[i]: the
+        # same IEEE operations in the same order, so bit for bit the same row.
         cols = choices[t - n : t] if t >= n else all_cols
-        if net_cell is None:
-            net0_i = net0[i]
-            for j in cols:
-                row[j] = b_i * (net0_i[j] + dval * (col[j] - n * sel_i[j])) - C_i[j]
-        else:
-            for j in cols:
-                row[j] = b_i * net_cell(i, j, col[j] - n * sel_i[j]) - C_i[j]
+        for j in cols:
+            row[j] = b_i * ((net0_i[j] + unit * (col[j] - n * sel_i[j])) / den) - C_i[j]
         j = row.index(max(row))  # lowest index on ties, like argmax
         players.append(i)
         choices.append(j)
@@ -274,7 +250,7 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
                 # any drift is taken.
                 min_steps = 12 if t < base_stop else 0
                 r = _drift_rounds(
-                    net_cell, net0, dval, b_l, C_l, players, choices, col, sel, rows,
+                    net0, unit, den, b_l, C_l, players, choices, col, sel, rows,
                     t0, max_rounds, min_steps,
                 )
                 if r:
@@ -310,7 +286,7 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
         start = [row[:] for row in sel]
         for a_k, c_k in zip(players[s0 : end - 1], choices[s0 : end - 1]):
             start[a_k][c_k] -= 1
-        cycle_rows = window_rows(net_cell, net0, dval, b_l, C_l, players, choices, start, s0, end)
+        cycle_rows = window_rows(net0, unit, den, b_l, C_l, players, choices, start, s0, end)
     return WindowResult(
         status=status,
         steps=end,
@@ -323,7 +299,7 @@ def _run_window_scalar(net_cell, net0, dval, b_l, C_l, order_l, pos0, budget, hi
 
 
 def _drift_rounds(
-    net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, max_rounds, min_steps
+    net0, unit, den, b, C, players, choices, col, sel, rows, t0, max_rounds, min_steps
 ):
     """How many rounds from turn t0 on repeat the round before it, at most max_rounds.
 
@@ -345,11 +321,12 @@ def _drift_rounds(
         cnt[p] += 1
     if max(cnt) == n:
         return 0
-    # Agent a's gap from p to column j shrinks by b_a*dval*(n - cnt[p] +
-    # cnt[j]) <= 2*b_a*dval*(n - cnt[p]) a round, and its row is cached at
+    # Agent a's gap from p to column j shrinks by b_a*d*(n - cnt[p] +
+    # cnt[j]) <= 2*b_a*d*(n - cnt[p]) a round, and its row is cached at
     # round -1 (turn t0's player's at round 0). That bounds, roughly from
     # below, the rounds it keeps p: an estimate used only to skip short
     # drifts and to check first the agent likeliest to leave P.
+    dval = unit / den
     min_rounds = min_steps / n
     turns = []
     for q, (a, p) in enumerate(zip(pat_a, pat_c)):
@@ -375,12 +352,10 @@ def _drift_rounds(
         out = []
         for _, q, a, p in turns:
             base, step = cells[q]
-            b_a, C_a = b[a], C[a]
-            if net_cell is None:
-                net0_a = net0[a]
-                row = [b_a * (net0_a[j] + dval * (base[j] + r * step[j])) - C_a[j] for j in cols]
-            else:
-                row = [b_a * net_cell(a, j, base[j] + r * step[j]) - C_a[j] for j in cols]
+            b_a, C_a, net0_a = b[a], C[a], net0[a]
+            row = [
+                b_a * ((net0_a[j] + unit * (base[j] + r * step[j])) / den) - C_a[j] for j in cols
+            ]
             if row.index(max(row)) != p:
                 return None
             out.append(row)
@@ -410,15 +385,15 @@ def _drift_rounds(
     return hi
 
 
-def window_rows(net_cell, net0, dval, b, C, players, choices, sel, lo, hi) -> np.ndarray:
+def window_rows(net0, unit, den, b, C, players, choices, sel, lo, hi) -> np.ndarray:
     """The profit rows of a window's 0-based turns lo..hi-1, evaluated from scratch.
 
-    The window's anchors are those of ``run_window``, as lists: ``net0`` (the
-    rows of net0f, unused when ``net_cell`` is given), ``dval``, ``b`` and
-    ``C``. ``sel[i][j]`` counts agent i's turns on j among turns 0..lo-1; it
-    is not modified. Every cell is the kernel's expression at the integer
-    delta the agent observed, so each row is bit for bit the row the kernel
-    took its argmax over. Returns a read-only (hi - lo) x m array.
+    ``net0``, ``unit``, ``den``, ``b`` and ``C`` are the window's anchors as
+    ``run_window`` took them. ``sel[i][j]`` counts agent i's turns on j
+    among turns 0..lo-1; it is not modified. Every cell is the kernel's one
+    expression at the integer delta the agent observed, so each row is bit
+    for bit the row the kernel took its argmax over. Returns a read-only
+    (hi - lo) x m array.
     """
     n = len(C)
     sel = [row[:] for row in sel]
@@ -428,15 +403,10 @@ def window_rows(net_cell, net0, dval, b, C, players, choices, sel, lo, hi) -> np
     for t in range(lo, hi):
         i = players[t]
         sel_i = sel[i]
-        b_i = b[i]
-        C_i = C[i]
-        if net_cell is None:
-            net0_i = net0[i]
-            out.fromlist(
-                [b_i * (net0_i[j] + dval * (col[j] - n * sel_i[j])) - C_i[j] for j in cols]
-            )
-        else:
-            out.fromlist([b_i * net_cell(i, j, col[j] - n * sel_i[j]) - C_i[j] for j in cols])
+        b_i, C_i, net0_i = b[i], C[i], net0[i]
+        out.fromlist(
+            [b_i * ((net0_i[j] + unit * (col[j] - n * sel_i[j])) / den) - C_i[j] for j in cols]
+        )
         j = choices[t]
         col[j] += 1
         sel_i[j] += 1

@@ -33,7 +33,10 @@ def exact(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"exact amount {value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact amount")
 
 

@@ -14,17 +14,22 @@ One driver serves every backend. It keeps the board on an integer lattice:
 with d0 = a/b and gamma = p/q, every offer and pay at epoch K is an integer
 multiple of a/(b*q^K), held as a Python int. Between two reductions it runs
 one constant-d window through the window kernel (see _fastpath), whose
-integer-delta history is the cycle detector. The two backends differ only
-in the net row the playing agent observes: "exact" divides the lattice
-integers once per cell (correctly rounded, so the float of the exact
-rational net); "numpy" anchors the window's float net matrix that way and
-adds d * delta. Settlements are exact rationals read off the final
+integer-delta history is the cycle detector and whose every cell is one
+expression of the lattice's anchors. The backend picks only where that
+expression rounds (``_LatticeBoard.anchors``): "exact" passes the lattice
+integers, so each cell's net is the float of the exact rational; "numpy"
+divides them once at the window start and adds d * delta in float64.
+Floats of mathematically tied options may still break ties differently
+between the two. Settlements are exact rationals read off the final
 lattice on every backend; the Fraction board (final_board) is built from
 it only when read.
 
-The run keeps no per-step object. Each window is kept as its anchors (the
-float net or the exact net cell, and d) plus the kernel's player and choice
-lists; a cycle's profit rows come back from the kernel with the detection.
+Backend selection: the TACO_BACKEND environment variable ("auto", "numpy",
+"exact") or an explicit argument. "auto" is "numpy".
+
+The run keeps no per-step object. Each window is kept as its anchors plus
+the kernel's player and choice lists; a cycle's profit rows come back from
+the kernel with the detection.
 The outcome's trace is a lazy sequence over those window records that
 rebuilds a window's profit rows with ``_fastpath.window_rows`` when one of
 its steps is first read.
@@ -37,7 +42,8 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterator, Sequence
+import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -48,6 +54,19 @@ from . import _fastpath
 from .agent import AgentPrivate
 from .board import CycleRecord, PublicBoard, exact, span_counts
 from .errors import HistoryLimitError, NoTerminationError
+
+ENV_VAR = "TACO_BACKEND"
+BACKENDS = ("auto", "numpy", "exact")
+
+
+def resolve_backend(name: str | None = None) -> str:
+    """Map a requested backend (or the TACO_BACKEND default) to a concrete one."""
+    if name is None:
+        name = os.environ.get(ENV_VAR, "auto")
+    name = name.lower()
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
+    return "numpy" if name == "auto" else name
 
 
 @dataclass
@@ -67,23 +86,36 @@ class TacoConfig:
     history_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        self.d0 = exact(self.d0)
-        if self.d0 <= 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
-        self.gamma = exact(self.gamma)
-        if not (0 < self.gamma < 1):
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        self.epsilon = float(self.epsilon)
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon}")
-        self.max_steps = int(self.max_steps)
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
-        self.history_cap = int(self.history_cap)
-        if self.history_cap < 2:
-            raise ValueError(f"history_cap must be at least 2, got {self.history_cap}")
+        # epsilon is required here: float(None) raises.
+        self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap = check_run_params(
+            self.d0, self.gamma, float(self.epsilon), self.max_steps, self.history_cap
+        )
         if self.turn_order is not None:
             self.turn_order = tuple(int(i) for i in self.turn_order)
+
+
+def check_run_params(d0, gamma, epsilon, max_steps, history_cap):
+    """The run parameters TacoConfig and ExperimentConfig share, coerced and checked.
+
+    An epsilon of None (the experiments derive it per instance) stays None.
+    """
+    d0 = exact(d0)
+    if d0 <= 0:
+        raise ValueError(f"d0 must be positive, got {d0}")
+    gamma = exact(gamma)
+    if not (0 < gamma < 1):
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if epsilon is not None:
+        epsilon = float(epsilon)
+        if not (epsilon > 0 and math.isfinite(epsilon)):
+            raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
+    max_steps = int(max_steps)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    history_cap = int(history_cap)
+    if history_cap < 2:
+        raise ValueError(f"history_cap must be at least 2, got {history_cap}")
+    return d0, gamma, epsilon, max_steps, history_cap
 
 
 @dataclass(slots=True)
@@ -102,9 +134,9 @@ class _Window(NamedTuple):
     g0: int
     players: list[int]
     choices: list[int]
-    net0f: list[list[float]] | None
-    dval: float
-    net_cell: Callable[[int, int, int], float] | None
+    net0: list[list[int]] | list[list[float]]
+    unit: int | float
+    den: int | float
 
 
 class Trace(Sequence[TraceStep]):
@@ -140,7 +172,7 @@ class Trace(Sequence[TraceStep]):
             win = self._windows[w]
             zero = [[0] * len(self._C[0]) for _ in self._C]
             rows = _fastpath.window_rows(
-                win.net_cell, win.net0f, win.dval, self._b, self._C,
+                win.net0, win.unit, win.den, self._b, self._C,
                 win.players, win.choices, zero, 0, len(win.players),
             )
             self._cached = (w, rows)
@@ -290,7 +322,7 @@ def _prepare(config, agents):
 
 
 def _run(config, agents, interrupt_step, backend):
-    exact_cells = _fastpath.resolve_backend(backend) == "exact"
+    exact_cells = resolve_backend(backend) == "exact"
     n, m, b, C, order = _prepare(config, agents)
     lattice = _LatticeBoard(n, m, config.d0, config.gamma)
     selections: list[int | None] = [None] * n
@@ -301,11 +333,9 @@ def _run(config, agents, interrupt_step, backend):
     steps = 0
     while steps < hard_cap:
         g0 = steps
-        net0f = None if exact_cells else lattice.net_float()
-        dval = float(lattice.d)
-        net_cell = lattice.exact_net_cell() if exact_cells else None
+        net0, unit, den = lattice.anchors(exact_cells)
         win = _fastpath.run_window(
-            net0f, dval, b, C, order, g0 % n, hard_cap - g0, config.history_cap, net_cell
+            net0, unit, den, b, C, order, g0 % n, hard_cap - g0, config.history_cap
         )
         if win.status == "history_cap":
             raise HistoryLimitError(
@@ -314,7 +344,7 @@ def _run(config, agents, interrupt_step, backend):
             )
         players = win.players
         choices = win.choices
-        trace._append(_Window(g0, players, choices, net0f, dval, net_cell))
+        trace._append(_Window(g0, players, choices, net0, unit, den))
         steps = g0 + win.steps
         # Turns are cyclic, so the last n turns hold each agent's last selection.
         for a_k, c_k in zip(players[-n:], choices[-n:]):
@@ -376,22 +406,20 @@ class _LatticeBoard:
         """The trading unit d0 * gamma^K, exact."""
         return Fraction(self.a * self.pk, self.unit_den)
 
-    def exact_net_cell(self):
-        """The exact backend's net cell for a window starting on this board.
+    def anchors(self, exact: bool):
+        """The anchors ``(net0, unit, den)`` of a window starting on this board.
 
-        Agent i on choice j at integer delta k observes the net
-        a*(N0[i][j] + p^K*k) / (b*q^K), N0 being offers - pays now. Python int
-        true division rounds correctly, so each cell equals float of the
-        exact rational net bit for bit. A partial, not a closure, so that an
-        outcome whose trace keeps it can still be pickled.
+        Agent i on choice j at integer delta k observes the net ``(net0[i][j]
+        + unit * k) / den``. Exact: the ints a*(offers - pays), a*p^K and
+        b*q^K, so each net is one correctly rounded int division. Otherwise
+        those values divided once now, each correctly rounded, and 1.0.
         """
-        net0 = [[o - p for o, p in zip(self.offers, row)] for row in self.pays]
-        return functools.partial(_exact_net, self.a, self.pk, self.unit_den, net0)
-
-    def net_float(self) -> list[list[float]]:
-        """offers - pays as float rows, each entry correctly rounded (see exact_net_cell)."""
         a, den = self.a, self.unit_den
-        return [[a * (o - p) / den for o, p in zip(self.offers, row)] for row in self.pays]
+        net0 = [[a * (o - p) for o, p in zip(self.offers, row)] for row in self.pays]
+        unit = a * self.pk
+        if exact:
+            return net0, unit, den
+        return [[x / den for x in row] for row in net0], unit / den, 1.0
 
     def to_board(self, selections: list[int | None]) -> PublicBoard:
         """The exact Fraction board this lattice represents."""
@@ -409,10 +437,6 @@ class _LatticeBoard:
             epoch=self.epoch,
             selections=list(selections),
         )
-
-
-def _exact_net(a, pk, den, net0, i, j, k):
-    return a * (net0[i][j] + pk * k) / den
 
 
 def apply_selection(board: _LatticeBoard, agent: int, choice: int) -> None:

@@ -35,9 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, engine, scenario
-from ._fastpath import resolve_backend
 from .board import exact
-from .engine import TacoConfig, TacoOutcome, run_interrupted, run_taco
+from .engine import TacoConfig, TacoOutcome, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
 from .metrics import TrialResult, baseline_trial_result, taco_trial_result
 
@@ -123,29 +122,18 @@ class ExperimentConfig:
         self.base_seed = int(self.base_seed)
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
-        self.gamma = exact(self.gamma)
-        if not (0 < self.gamma < 1):
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        self.d0 = exact(self.d0)
-        if self.d0 <= 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
         # The engine's own checks (TacoConfig), here so that they fail before
         # any trial runs.
-        if self.epsilon is not None:
-            self.epsilon = float(self.epsilon)
-            if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-                raise ValueError(f"epsilon must be a positive finite real, got {self.epsilon}")
+        self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap = (
+            engine.check_run_params(
+                self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap
+            )
+        )
         self.epsilon_rel = float(self.epsilon_rel)
         if not (self.epsilon_rel > 0 and math.isfinite(self.epsilon_rel)):
             raise ValueError(
                 f"epsilon_rel must be a positive finite real, got {self.epsilon_rel}"
             )
-        self.max_steps = int(self.max_steps)
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
-        self.history_cap = int(self.history_cap)
-        if self.history_cap < 2:
-            raise ValueError(f"history_cap must be at least 2, got {self.history_cap}")
         self.mechanisms = tuple(self.mechanisms)
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
@@ -518,9 +506,9 @@ def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRu
 
     The replay steps the engine's lattice board through the recorded turns,
     reducing the trading unit at the end of each recorded cycle. Every
-    agent's profit row is b_i * net - C_i over ``net_float()``, whose entries
-    are the correctly rounded floats of the rational net, so each row is the
-    exact backend's row bit for bit.
+    agent's profit row is b_i * net - C_i over the float anchors' net rows
+    (``anchors(False)``), whose entries are the correctly rounded floats of
+    the rational net, so each row is the exact backend's row bit for bit.
     """
     problem = scenario.example2_fixture()
     config = TacoConfig(epsilon=epsilon, d0=d0, gamma=gamma)
@@ -531,7 +519,7 @@ def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRu
     steps: list[ExampleStep] = []
     for ts in outcome.trace:
         board = lattice.to_board(selections)
-        profits = problem.b[:, None] * lattice.net_float() - problem.C
+        profits = problem.b[:, None] * lattice.anchors(False)[0] - problem.C
         selections[ts.agent] = ts.selection
         steps.append(
             ExampleStep(ts.step, ts.agent, board.offers, board.pays, profits, selections[:])

@@ -110,8 +110,9 @@ def termination_bound(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -
     d0 = exact(d0)
     if d0 <= 0:
         raise ValueError(f"d0 must be positive, got {d0}")
-    if not (epsilon > 0 and b_max > 0):
-        raise ValueError("epsilon and b_max must be positive")
+    for name, value in (("epsilon", epsilon), ("b_max", b_max)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be a positive finite real, got {value}")
     eps = Fraction(epsilon)
     basis = (m + 1) * d0 * (n - 1) * Fraction(b_max)
     count = 0

@@ -73,6 +73,14 @@ def test_bound_defaults(capsys):
     assert "total step bound: 5670" in out
 
 
+@pytest.mark.parametrize("flag, name", [("--epsilon", "epsilon"), ("--b-max", "b_max")])
+def test_bound_rejects_an_infinite_value(capsys, flag, name):
+    assert main(["bound", flag, "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must be a positive finite real, got inf\n"
+    assert captured.out == ""
+
+
 def test_montecarlo_tiny_and_rerun_identical(tmp_path, capsys):
     args = [
         "montecarlo", "--scenario", "random", "--n", "3", "--m", "4",
@@ -216,6 +224,10 @@ def test_bad_config_file(tmp_path, capsys):
     junk = tmp_path / "junk.cfg"
     junk.write_text("no equals sign here\n")
     assert main(["show-config", "--config", str(junk)]) == 1
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("gamma = 1/0\n")
+    assert main(["show-config", "--config", str(zero)]) == 1
+    assert capsys.readouterr().err.endswith("error: exact amount '1/0' has a zero denominator\n")
 
 
 def test_show_config_defaults(capsys):
@@ -267,6 +279,7 @@ BAD_CAPS = [
     ("--max-steps", "0", "max_steps must be at least 1, got 0"),
     ("--epsilon", "inf", "epsilon must be a positive finite real, got inf"),
     ("--epsilon-rel", "nan", "epsilon_rel must be a positive finite real, got nan"),
+    ("--d0", "1/0", "exact amount '1/0' has a zero denominator"),
 ]
 
 

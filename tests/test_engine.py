@@ -295,28 +295,37 @@ def test_cross_backend_equivalence():
         _assert_matches_exact(numpy_run, exact_run)
 
 
+def _window_anchors(lattice, backend):
+    """A window's anchors on ``lattice`` for ``backend``, and the oracle's net row.
+
+    The oracle's exact row divides the lattice integers itself; its float row
+    is numpy's ``net0f + d * delta`` on the float anchors.
+    """
+    anchors = lattice.anchors(backend == "exact")
+    if backend == "exact":
+        return anchors, window_oracle.exact_net_row(lattice)
+    net0f, dval, _ = anchors
+    return anchors, window_oracle.float_net_row(np.array(net0f), dval)
+
+
 def test_window_buffer_growth_matches_numpy():
     # A slow drift toward the cheap option keeps one constant-d window going
     # for hundreds of steps: the longest single window checked against the
-    # oracle, on the float path and on the exact per-cell path.
+    # oracle, on float and on int anchors.
     problem = example2_fixture()
-    net0 = np.zeros((2, 2))
     order = np.arange(2, dtype=np.int64)
     lattice = engine._LatticeBoard(2, 2, Fraction(1, 500), Fraction(9, 10))
-    for net_cell, net_row in (
-        (None, window_oracle.float_net_row(net0, 1 / 500)),
-        (lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)),
-    ):
+    for backend in BACKENDS:
+        anchors, net_row = _window_anchors(lattice, backend)
         got = _fastpath.run_window(
-            net0.tolist(), 1 / 500, problem.b.tolist(), problem.C.tolist(), order.tolist(),
-            0, 5000, 10**6, net_cell,
+            *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 5000, 10**6
         )
         ref, ref_rows = window_oracle.run_window_oracle(
             net_row, problem.b, problem.C, order, 0, 5000, 10**6
         )
         assert got.status == "detected"
         assert got.steps > 256
-        _assert_same_window(got, ref, ref_rows, (net_cell, net0, 1 / 500, problem.b, problem.C))
+        _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C))
 
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
@@ -333,15 +342,11 @@ def test_detected_window_returns_the_cycle_rows(backend):
         for _ in range(4):
             for _ in range(int(rng.integers(0, 4 * n))):
                 engine.apply_selection(lattice, int(rng.integers(n)), int(rng.integers(m)))
-            net0f, dval = lattice.net_float(), float(lattice.d)
-            if backend == "exact":
-                net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
-            else:
-                net_cell, net_row = None, window_oracle.float_net_row(net0f, dval)
+            anchors, net_row = _window_anchors(lattice, backend)
             pos0 = int(rng.integers(n))
             got = _fastpath.run_window(
-                net0f, dval, problem.b.tolist(), problem.C.tolist(), order.tolist(),
-                pos0, 10**6, 10**6, net_cell,
+                *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(),
+                pos0, 10**6, 10**6,
             )
             ref, ref_rows = window_oracle.run_window_oracle(
                 net_row, problem.b, problem.C, order, pos0, 10**6, 10**6
@@ -366,7 +371,7 @@ def test_window_selcount_counts_applied_turns(budget, history_cap, status):
     problem = random_problem(3, 5, np.random.default_rng(5))
     order = np.arange(3, dtype=np.int64)
     win = _fastpath.run_window(
-        np.zeros((3, 5)).tolist(), 1 / 100, problem.b.tolist(), problem.C.tolist(),
+        np.zeros((3, 5)).tolist(), 1 / 100, 1.0, problem.b.tolist(), problem.C.tolist(),
         order.tolist(), 1, budget, history_cap,
     )
     assert win.status == status
@@ -380,7 +385,8 @@ def test_window_selcount_counts_applied_turns(budget, history_cap, status):
 def test_lattice_board_matches_fraction_board():
     # Random turns and window advances over 45 reductions at gamma 9/10, so the
     # lattice denominator b*q^K is far past 2**63. The Fraction board, driven by
-    # the reference operations of _replay, is the reference.
+    # the reference operations of _replay, is the reference. The float anchors are
+    # the int anchors, each divided once by den.
     rng = np.random.default_rng(2024)
     n, m = 3, 4
     d0, gamma = Fraction(3, 7), Fraction(9, 10)
@@ -396,7 +402,13 @@ def test_lattice_board_matches_fraction_board():
         for (i, j), count in np.ndenumerate(selcount):
             for _ in range(count):
                 apply_selection(ref, i, j)
-        assert np.array(lattice.net_float()).tobytes() == ref.net_float().tobytes()
+        net0, unit, den = lattice.anchors(True)
+        net0f, dval, one = lattice.anchors(False)
+        assert all(type(x) is int for x in (unit, den, *net0[0]))
+        assert net0f == [[x / den for x in row] for row in net0]
+        assert (dval, one) == (unit / den, 1.0)
+        assert unit / den == float(lattice.d)
+        assert np.array(net0f).tobytes() == ref.net_float().tobytes()
         engine.reduce_trading_unit(lattice)
         reduce_trading_unit(ref, gamma)
     assert lattice.unit_den > 2**63
@@ -421,21 +433,36 @@ def test_long_window_engine_parity():
     verify_run(problem, config, exact_run, exact_rows=True)
 
 
+def test_trading_unit_below_the_smallest_float():
+    # At d = 1e-400 every float net is 0.0, so the agents never leave their
+    # cheapest options and the window drifts until max_steps. The drift search
+    # divides by the float d, which the int anchors round to 0.0: the exact
+    # backend must step on, as numpy does, not divide by zero.
+    config = _config(d0=Fraction(1, 10**400), gamma="1/2", max_steps=300)
+    selections = []
+    for backend in BACKENDS:
+        with pytest.raises(NoTerminationError) as err:
+            run_taco(config, example2_fixture().agents(), backend=backend)
+        selections.append([t.selection for t in err.value.trace])
+    assert selections[0] == selections[1]
+    assert len(selections[0]) == 300
+
+
 def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv(_fastpath.ENV_VAR, raising=False)
-    assert _fastpath.resolve_backend("numpy") == "numpy"
-    assert _fastpath.resolve_backend("exact") == "exact"
-    assert _fastpath.resolve_backend(None) == "numpy"
+    monkeypatch.delenv(engine.ENV_VAR, raising=False)
+    assert engine.resolve_backend("numpy") == "numpy"
+    assert engine.resolve_backend("exact") == "exact"
+    assert engine.resolve_backend(None) == "numpy"
     with pytest.raises(ValueError):
-        _fastpath.resolve_backend("numba")
+        engine.resolve_backend("numba")
     with pytest.raises(ValueError):
-        _fastpath.resolve_backend("fancy")
-    monkeypatch.setenv(_fastpath.ENV_VAR, "numpy")
-    assert _fastpath.resolve_backend(None) == "numpy"
-    monkeypatch.setenv(_fastpath.ENV_VAR, "exact")
+        engine.resolve_backend("fancy")
+    monkeypatch.setenv(engine.ENV_VAR, "numpy")
+    assert engine.resolve_backend(None) == "numpy"
+    monkeypatch.setenv(engine.ENV_VAR, "exact")
     outcome = run_taco(_config(), example2_fixture().agents())
     assert outcome.steps == 5 and outcome.settlements == [Fraction(-1), Fraction(1)]
-    monkeypatch.setenv(_fastpath.ENV_VAR, "numba")
+    monkeypatch.setenv(engine.ENV_VAR, "numba")
     with pytest.raises(ValueError):
         run_taco(_config(), example2_fixture().agents())
 
@@ -507,13 +534,12 @@ def test_tie_prone_backend_agreement():
         assert numpy_run.settlements == exact_run.settlements
 
 
-def _rebuilt_rows(win, net_cell, net0f, dval, b, C):
+def _rebuilt_rows(win, net0, unit, den, b, C):
     """Every row of a kernel window, rebuilt from its anchors and choices."""
     n, m = C.shape
-    net0 = None if net_cell is not None else net0f.tolist()
     zero = [[0] * m for _ in range(n)]
     return _fastpath.window_rows(
-        net_cell, net0, dval, b.tolist(), C.tolist(), win.players, win.choices, zero, 0, win.steps
+        net0, unit, den, b.tolist(), C.tolist(), win.players, win.choices, zero, 0, win.steps
     )
 
 
@@ -542,31 +568,32 @@ def oracle_windows(monkeypatch):
     is built from the lattice the engine anchored the window on.
     """
     run_window = _fastpath.run_window
-    exact_net_cell = engine._LatticeBoard.exact_net_cell
-    anchors = []
+    anchors_of = engine._LatticeBoard.anchors
+    anchored = []
     seen = set()
 
-    def record_anchor(lattice):
-        anchors.append(lattice)
-        return exact_net_cell(lattice)
+    def record_anchor(lattice, exact):
+        anchored.append((lattice, exact))
+        return anchors_of(lattice, exact)
 
-    def checked(net0f, dval, b, C, order, pos0, budget, history_cap, net_cell=None):
-        got = run_window(net0f, dval, b, C, order, pos0, budget, history_cap, net_cell)
+    def checked(net0, unit, den, b, C, order, pos0, budget, history_cap):
+        got = run_window(net0, unit, den, b, C, order, pos0, budget, history_cap)
         # The engine passes lists; the oracle takes arrays.
         b, C, order = np.array(b), np.array(C), np.array(order, dtype=np.int64)
-        net0f = None if net0f is None else np.array(net0f)
-        if net_cell is not None:
-            net_row = window_oracle.exact_net_row(anchors.pop())
+        lattice, exact = anchored.pop()
+        if exact:
+            net_row = window_oracle.exact_net_row(lattice)
         else:
-            net_row = window_oracle.float_net_row(net0f, dval)
+            assert den == 1.0
+            net_row = window_oracle.float_net_row(np.array(net0), unit)
         ref, ref_rows = window_oracle.run_window_oracle(
             net_row, b, C, order, pos0, budget, history_cap
         )
-        _assert_same_window(got, ref, ref_rows, (net_cell, net0f, dval, b, C))
+        _assert_same_window(got, ref, ref_rows, (net0, unit, den, b, C))
         seen.add(got.status)
         return got
 
-    monkeypatch.setattr(engine._LatticeBoard, "exact_net_cell", record_anchor)
+    monkeypatch.setattr(engine._LatticeBoard, "anchors", record_anchor)
     monkeypatch.setattr(_fastpath, "run_window", checked)
     return seen
 
@@ -625,19 +652,15 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
     # be kept: the repeated state was itself recorded after a false hit.
     problem = random_problem(4, 6, np.random.default_rng(0))
     n, m = 4, 6
-    net0f = np.zeros((n, m))
     order = np.arange(n, dtype=np.int64)
     lattice = engine._LatticeBoard(n, m, Fraction(1, 100), Fraction(1, 2))
-    if backend == "exact":
-        net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
-    else:
-        net_cell, net_row = None, window_oracle.float_net_row(net0f, 1 / 100)
-    anchors = (net_cell, net0f, 1 / 100, problem.b, problem.C)
+    window, net_row = _window_anchors(lattice, backend)
+    anchors = (*window, problem.b, problem.C)
 
     def run():
         return _fastpath.run_window(
-            net0f.tolist(), 1 / 100, problem.b.tolist(), problem.C.tolist(), order.tolist(),
-            1, budget, history_cap, net_cell,
+            *window, problem.b.tolist(), problem.C.tolist(), order.tolist(),
+            1, budget, history_cap,
         )
 
     ref, ref_rows = window_oracle.run_window_oracle(
@@ -667,8 +690,8 @@ def test_window_ends_match_the_oracle_near_the_first_repeat(monkeypatch, n, keys
     # The kernel records one observation per round and finds the first repeat
     # t* by walking back from the next recorded step, running on past a
     # budget or cap that ends the window first. Every budget and cap within
-    # n steps of t*, permuted orders, pos0 != 0 and both backends, against
-    # the oracle that records every observation.
+    # n steps of t*, permuted orders, pos0 != 0 and both kinds of anchors,
+    # against the oracle that records every observation.
     if keys == "colliding":
         monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)
     elif keys == "few_bit":
@@ -688,12 +711,8 @@ def test_window_ends_match_the_oracle_near_the_first_repeat(monkeypatch, n, keys
         lattice = engine._LatticeBoard(n, m, Fraction(1, 20), Fraction(7, 10))
         for _ in range(int(rng.integers(0, 3 * n))):
             engine.apply_selection(lattice, int(rng.integers(n)), int(rng.integers(m)))
-        net0f, dval = lattice.net_float(), float(lattice.d)
-        if trial % 2:
-            net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
-        else:
-            net_cell, net_row = None, window_oracle.float_net_row(net0f, dval)
-        anchors = (net_cell, np.array(net0f), dval, b, C)
+        window, net_row = _window_anchors(lattice, ("numpy", "exact")[trial % 2])
+        anchors = (*window, b, C)
         full, _ = window_oracle.run_window_oracle(net_row, b, C, order, pos0, 10**6, 10**6)
         assert full.status == "detected"
         t_star = full.steps
@@ -706,7 +725,7 @@ def test_window_ends_match_the_oracle_near_the_first_repeat(monkeypatch, n, keys
                 net_row, b, C, order, pos0, budget, cap
             )
             got = _fastpath.run_window(
-                net0f, dval, b.tolist(), C.tolist(), order.tolist(), pos0, budget, cap, net_cell
+                *window, b.tolist(), C.tolist(), order.tolist(), pos0, budget, cap
             )
             _assert_same_window(got, ref, ref_rows, anchors)
     # Repeats that show only at a later recorded step, and cycles of more
@@ -750,8 +769,8 @@ def drift_jumps(monkeypatch):
     jumps = []
     drift_rounds = _fastpath._drift_rounds
 
-    def counted(net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, *rest):
-        args = (net_cell, net0, dval, b, C, players, choices, col, sel, rows, t0, *rest)
+    def counted(net0, unit, den, b, C, players, choices, col, sel, rows, t0, *rest):
+        args = (net0, unit, den, b, C, players, choices, col, sel, rows, t0, *rest)
         before = np.array(rows).tobytes()
         rounds = drift_rounds(*args)
         if not rounds:
@@ -761,7 +780,7 @@ def drift_jumps(monkeypatch):
             n, m = len(C), len(C[0])
             pat_a, pat_c = players[t0 - n : t0], choices[t0 - n : t0]
             every = _fastpath.window_rows(
-                net_cell, net0, dval, b, C, players[:t0] + pat_a * rounds,
+                net0, unit, den, b, C, players[:t0] + pat_a * rounds,
                 choices[:t0] + pat_c * rounds, [[0] * m for _ in range(n)], 0, t0 + rounds * n,
             )
             for a, row in zip(pat_a, every[-n:]):
@@ -789,17 +808,13 @@ def _drift_windows(backend, denominators):
             lattice = engine._LatticeBoard(n, m, Fraction(1, den), Fraction(7, 10))
             for _ in range(int(rng.integers(0, 3 * n))):
                 engine.apply_selection(lattice, int(rng.integers(n)), int(rng.integers(m)))
-            net0f, dval = lattice.net_float(), float(lattice.d)
-            if backend == "exact":
-                net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
-            else:
-                net_cell, net_row = None, window_oracle.float_net_row(np.array(net0f), dval)
+            window, net_row = _window_anchors(lattice, backend)
             order = rng.permutation(n).astype(np.int64)
             pos0 = int(rng.integers(n))
-            args = (net0f, dval, problem.b.tolist(), problem.C.tolist(), order.tolist(), pos0)
+            args = (*window, problem.b.tolist(), problem.C.tolist(), order.tolist(), pos0)
             oracle_args = (net_row, problem.b, problem.C, order, pos0)
-            anchors = (net_cell, np.array(net0f), dval, problem.b, problem.C)
-            yield args, net_cell, oracle_args, anchors
+            anchors = (*window, problem.b, problem.C)
+            yield args, oracle_args, anchors
 
 
 @pytest.mark.parametrize("keys", ("zobrist", "colliding", "few_bit"))
@@ -816,12 +831,12 @@ def test_drift_jumps_match_the_oracle(monkeypatch, drift_jumps, backend, keys):
         monkeypatch.setattr(_fastpath, "_zobrist_keys", _few_bit_keys)
     denominators = (200,) if keys == "colliding" else (200, 2000)
     jumped = cycle_in_drift = 0
-    for args, net_cell, oracle_args, anchors in _drift_windows(backend, denominators):
+    for args, oracle_args, anchors in _drift_windows(backend, denominators):
         drift_jumps.clear()
-        got = _fastpath.run_window(*args, 10**6, 10**6, net_cell)
+        got = _fastpath.run_window(*args, 10**6, 10**6)
         ref, ref_rows = window_oracle.run_window_oracle(*oracle_args, 10**6, 10**6)
         _assert_same_window(got, ref, ref_rows, anchors)
-        n = len(args[2])
+        n = len(args[0])
         jumped += len(drift_jumps)
         # The repeated state's turn was never stepped: the jump wrote it.
         cycle_in_drift += any(t0 + 1 < got.s0_rel <= t0 + r * n for t0, r in drift_jumps)
@@ -838,20 +853,15 @@ def test_drift_jumps_with_many_agents_match_the_oracle(drift_jumps, backend):
     n, m = 13, 2
     problem = random_problem(n, m, np.random.default_rng(4))
     lattice = engine._LatticeBoard(n, m, Fraction(1, 2000), Fraction(7, 10))
-    net0f, dval = lattice.net_float(), float(lattice.d)
-    if backend == "exact":
-        net_cell, net_row = lattice.exact_net_cell(), window_oracle.exact_net_row(lattice)
-    else:
-        net_cell, net_row = None, window_oracle.float_net_row(np.array(net0f), dval)
+    anchors, net_row = _window_anchors(lattice, backend)
     order = np.arange(n)
     got = _fastpath.run_window(
-        net0f, dval, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**6, 10**6,
-        net_cell,
+        *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**6, 10**6
     )
     ref, ref_rows = window_oracle.run_window_oracle(
         net_row, problem.b, problem.C, order, 0, 10**6, 10**6
     )
-    _assert_same_window(got, ref, ref_rows, (net_cell, np.array(net0f), dval, problem.b, problem.C))
+    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C))
     assert drift_jumps
 
 
@@ -862,10 +872,10 @@ def test_drift_window_ends_match_the_oracle(drift_jumps, backend):
     # steps of each drift's end, of its middle (where the jump stops short
     # of the drift's end) and of the first repeat t*.
     cuts_checked = 0
-    for args, net_cell, oracle_args, anchors in _drift_windows(backend, (200,)):
+    for args, oracle_args, anchors in _drift_windows(backend, (200,)):
         drift_jumps.clear()
-        full = _fastpath.run_window(*args, 10**6, 10**6, net_cell)
-        n = len(args[2])
+        full = _fastpath.run_window(*args, 10**6, 10**6)
+        n = len(args[0])
         marks = {full.steps}
         for t0, r in drift_jumps:
             marks |= {t0 + r * n, t0 + r // 2 * n}
@@ -874,7 +884,7 @@ def test_drift_window_ends_match_the_oracle(drift_jumps, backend):
             for c in range(max(2, x - n), x + n + 1):
                 cuts |= {(c, 10**6), (10**6, c)}
         for budget, cap in sorted(cuts):
-            got = _fastpath.run_window(*args, budget, cap, net_cell)
+            got = _fastpath.run_window(*args, budget, cap)
             ref, ref_rows = window_oracle.run_window_oracle(*oracle_args, budget, cap)
             _assert_same_window(got, ref, ref_rows, anchors)
             cuts_checked += len(marks) > 1

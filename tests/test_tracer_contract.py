@@ -3,7 +3,9 @@
 ``tacobench/spans.py`` replaces module attributes of ``tacosim`` with timing
 wrappers, so renaming one of them breaks every traced benchmark run. This
 installs the tracer, runs one multi-cycle auction through it, and checks that
-the wrapped names are the ones the engine actually calls.
+the wrapped names are the ones the engine actually calls. Installing the
+tracer also fails if a name it wraps is gone, ``PublicBoard.net_float`` and
+``_fastpath.run_window`` included.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import tacosim
 from tacosim import engine
 from tacosim.engine import TacoConfig
 from tacosim.scenario import random_problem
@@ -47,3 +50,10 @@ def test_tracer_wraps_the_engine_call_path():
         "board.apply_selection",
         "board.settle",
     } <= names
+
+
+def test_default_backend_is_numpy(monkeypatch):
+    # The benchmark records tacosim.resolve_backend(), called with no argument,
+    # as the backend of every result.
+    monkeypatch.delenv("TACO_BACKEND", raising=False)
+    assert tacosim.resolve_backend() == "numpy"
