@@ -796,7 +796,7 @@ def _drift_windows(backend, denominators):
 
     Each window starts on a lattice at d0 = 1/den with a few random turns
     applied, so its anchors are not zero. Yields the kernel's arguments up
-    to the budget, the oracle's net row and the anchors for
+    to the budget, the oracle's likewise and the anchors for
     ``_assert_same_window``.
     """
     rng = np.random.default_rng(13)
