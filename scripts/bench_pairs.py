@@ -20,7 +20,12 @@ the environment, the seeds, every pair, and per metric the median, quartiles
 (``statistics.quantiles(method='inclusive')``), the wins of the change
 (strictly better in the metric's direction), the signed gap between the
 medians, and whether that gap exceeds the parent's interquartile range in
-the better or in the worse direction. Every field is written by this script;
+the better or in the worse direction. Two fields apply the benchmark's rules:
+``gain_rule_met`` (the change wins at least 9 of every 10 pairs, ties
+counting for neither, and its median is better by more than the parent's
+interquartile range) and ``worse_beyond_bound`` (the change's median is
+worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``, a fraction of the parent's median). Every field is written by this script;
 the file is rewritten after every run, so an interrupted batch keeps the
 pairs it finished.
 """
@@ -126,13 +131,16 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         )
         parent, change = sides["parent"], sides["change"]
         gap = change["median"] - parent["median"]
+        better_beyond_iqr = sign * gap > parent["iqr"]
         summary[name] = {
             "unit": spec["unit"], "better": spec["better"], **sides,
             "change_wins": wins, "pairs": len(pairs),
             "median_change_rel": change["median"] / parent["median"] - 1.0,
             "median_gap": gap,
-            "median_better_beyond_parent_iqr": sign * gap > parent["iqr"],
+            "median_better_beyond_parent_iqr": better_beyond_iqr,
             "median_worse_beyond_parent_iqr": -sign * gap > parent["iqr"],
+            "gain_rule_met": 10 * wins >= 9 * len(pairs) and better_beyond_iqr,
+            "worse_beyond_bound": -sign * gap > spec["bound"] * abs(parent["median"]),
         }
     return summary
 

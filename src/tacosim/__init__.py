@@ -34,10 +34,10 @@ from .errors import (
     ResourceLimitError,
     TacoError,
 )
+from .example import run_example
 from .experiments import (
     ExperimentConfig,
     RunResult,
-    run_example,
     run_interrupt,
     run_montecarlo,
     run_scalability,

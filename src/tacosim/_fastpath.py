@@ -35,8 +35,8 @@ correctly rounded operation of a cell is nondecreasing in that integer
 only fall as r grows and every other cell only rise: "every agent repeats"
 holds up to some round and fails from then on. An exponential then a
 binary search over the kernel's own cell expression finds that round R in
-O(log R) row evaluations; players and choices grow by the round repeated R
-times, the counts and the state key by R times the round's. A round of all
+O(log R) row evaluations; the turn log takes the R rounds as one run, and
+the counts and the state key grow by R times the round's. A round of all
 n agents on one column leaves delta unchanged: a repeat, not a drift.
 
 The detector records nothing inside a jump. Drift states are distinct, and
@@ -69,11 +69,17 @@ New Hashing Method with Application for Game Playing", 1970) kept as an
 unbounded Python int and updated in O(1) per turn; a key hit is only a
 candidate, confirmed exactly from the turns in between.
 
-The kernel records only who played and what they chose; it stores no
-profit row. A cell is a pure function of (agent, choice, integer delta),
-so ``window_rows`` rebuilds any step's row from the window's anchors and
-its choices, bit for bit the row the kernel saw. The kernel calls it once
-per detected cycle, for the rows the termination test reads; the engine's
+The kernel records only what each turn chose, run-length (``TurnLog``): a
+stepped turn is one entry of a plain list, which the loop appends to and
+reads by negative index, and a jumped drift is one run, so a drift costs
+O(1) time and memory however long it is. Who played a turn follows from
+the turn order. The cycle search, the walk-back and the cut at the
+window's end read the turns through the runs; a cut may end a run inside
+a round. No profit row is stored. A cell is a pure function of (agent,
+choice, integer delta), so ``window_rows`` rebuilds the rows of any
+stretch of turns from the window's anchors and their expanded choices,
+bit for bit the rows the kernel saw. The kernel calls it once per
+detected cycle, for the rows the termination test reads; the engine's
 lazy trace calls it for any other row.
 """
 
@@ -83,9 +89,81 @@ import functools
 import math
 import random
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+class TurnLog(NamedTuple):
+    """A window's choices, run-length: the turns played by agents are implied.
+
+    Turn u of a window starting at position pos0 is played by ``order[(pos0
+    + u) % n]``, so only the choices are kept. ``choices`` holds the stepped
+    turns in order; a run ``(k, r)`` in ``runs`` (by increasing k) stands
+    for r more rounds of ``choices[k - n : k]`` between entries k - 1 and k,
+    a drift the kernel crossed in one jump. The last 2n entries of
+    ``choices`` are always the window's last 2n turns (a run follows two
+    equal rounds of its pattern), so the kernel reads them by negative index.
+    """
+
+    choices: list[int]
+    runs: list[tuple[int, int]]
+    n: int
+
+    def pieces(self, lo: int, hi: int) -> Iterator[tuple[int, list[int], int]]:
+        """Turns lo..hi-1, in order, as pieces ``(first turn, choices, repeats)``.
+
+        A piece stands for its choices repeated; with repeats > 1 they are one
+        round, so the agents repeat too.
+        """
+        choices, n = self.choices, self.n
+        c = t = 0  # entry c of choices holds turn t
+        for k, r in (*self.runs, (len(choices), 0)):
+            x, y = max(lo, t), min(hi, t + k - c)
+            if x < y:
+                yield x, choices[x - t + c : y - t + c], 1
+            t += k - c
+            c = k
+            x, y = max(lo, t), min(hi, t + r * n)
+            if x < y:
+                ph = (x - t) % n
+                pattern = choices[k - n + ph : k] + choices[k - n : k - n + ph]
+                reps, rest = divmod(y - x, n)
+                if reps:
+                    yield x, pattern, reps
+                if rest:
+                    yield x + reps * n, pattern[:rest], 1
+            t += r * n
+            if t >= hi:
+                return
+
+    def expand(self, lo: int, hi: int) -> list[int]:
+        """The choices of turns lo..hi-1, as a plain list."""
+        out: list[int] = []
+        for _, seq, reps in self.pieces(lo, hi):
+            out += seq * reps
+        return out
+
+    def truncate(self, end: int) -> None:
+        """Drop the turns from ``end`` on; a run may be cut inside a round."""
+        choices, runs, n = self.choices, self.runs, self.n
+        c = t = 0
+        for q, (k, r) in enumerate(runs):
+            if end <= t + k - c:
+                break
+            t += k - c
+            c = k
+            if end <= t + r * n:
+                reps, rest = divmod(end - t, n)
+                runs[q:] = [(k, reps)] if reps else []
+                choices[k:] = choices[k - n : k - n + rest]
+                return
+            t += r * n
+        else:
+            q = len(runs)
+        del runs[q:], choices[end - t + c :]
 
 
 @dataclass
@@ -96,7 +174,7 @@ class WindowResult:
     window-relative 1-based step at which it was first observed), "budget"
     (step allowance exhausted) or "history_cap" (history_cap observations
     passed without a repeat).
-    players and choices cover the window's turns 1..steps, in order;
+    log holds the choices of the window's turns 1..steps, run-length;
     selcount[i][j] counts agent i's applied turns on j. When status is
     "detected" or "history_cap", the final turn's board update is pending:
     selcount covers only the first steps-1 turns. profit_rows holds the
@@ -107,8 +185,7 @@ class WindowResult:
     status: str
     steps: int
     s0_rel: int
-    players: list[int]
-    choices: list[int]
+    log: TurnLog
     profit_rows: np.ndarray | None
     selcount: list[list[int]]
 
@@ -163,8 +240,8 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     sel = [[0] * m for _ in range(n)]
     rows = [[0.0] * m for _ in range(n)]  # each agent's profit row, as of its last turn
     all_cols = range(m)
-    players: list[int] = []
     choices: list[int] = []
+    log = TurnLog(choices, [], n)
     # Only the observations of the window's first player i0 (steps t = 1 mod
     # n) are recorded, keyed on delta's hash alone. If the first repeat is
     # step t* = s* + lam (n divides lam), step t + lam repeats step t for
@@ -173,7 +250,8 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     # before them agree finds (s*, t*). A key hit is only a candidate; a hit
     # that is not the same state goes to `collided`, so a later true repeat
     # is still found.
-    i0 = order_l[pos0 % n]
+    agents = order_l[pos0 % n :] + order_l[: pos0 % n]  # a round's players, in turn order
+    i0 = agents[0]
     history: dict[int, int] = {}
     collided: dict[int, list[int]] = {}
     h = 0
@@ -208,11 +286,10 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
         # agent i's last turn (the last n turns) have changed. On float anchors
         # the cell repeats numpy's b_i * (net0f[i] + d * delta[i]) - C[i]: the
         # same IEEE operations in the same order, so bit for bit the same row.
-        cols = choices[t - n : t] if t >= n else all_cols
+        cols = choices[-n:] if t >= n else all_cols
         for j in cols:
             row[j] = b_i * ((net0_i[j] + unit * (col[j] - n * sel_i[j])) / den) - C_i[j]
         j = row.index(max(row))  # lowest index on ties, like argmax
-        players.append(i)
         choices.append(j)
         t += 1
         if i == i0:
@@ -220,16 +297,24 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
             if first is None:
                 history[h] = t
             else:
-                s = _find_repeat(first, collided.get(h, ()), t, players, choices, n, m)
+                s = _find_repeat(first, collided.get(h, ()), t, log, m)
                 if s > 0:
                     # With observations s and s+lam equal, s-1 and s-1+lam
                     # are equal iff turns s-1 and s-1+lam (one agent, as n
                     # divides lam) took the same choice: a choice is a function
                     # of the observation, and for n >= 2 a turn's update
-                    # differs between choices.
+                    # differs between choices. The turns are read a stretch
+                    # of lam at a time.
                     lam = t - s
-                    while s > 1 and choices[s - 2] == choices[s - 2 + lam]:
-                        s -= 1
+                    while s > 1:
+                        lo = max(0, s - 1 - lam)
+                        turns = log.expand(lo, s - 1 + lam)
+                        k = s - 1 - lo
+                        while k and turns[k - 1] == turns[k - 1 + lam]:
+                            k -= 1
+                        s = lo + k + 1
+                        if k:
+                            break
                     if s + lam <= last:
                         status = "detected"
                         s0 = s
@@ -241,30 +326,28 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
             # a drift may run on from this round, which began at turn t - 1.
             if (
                 t > next_try
-                and choices[t - 1] == choices[t - 1 - n]
-                and choices[t - 1 - n : t - 1] == choices[t - 1 - 2 * n : t - 1 - n]
+                and choices[-1] == choices[-1 - n]
+                and choices[-1 - n : -1] == choices[-1 - 2 * n : -1 - n]
             ):
-                t0 = t - 1
                 # A drift of a dozen turns costs less to step through than to
                 # search. Past base_stop a pending repeat may need the jump, so
                 # any drift is taken.
                 min_steps = 12 if t < base_stop else 0
+                pattern = choices[-1 - n : -1]
                 r = _drift_rounds(
-                    net0, unit, den, b_l, C_l, players, choices, col, sel, rows,
-                    t0, max_rounds, min_steps,
+                    net0, unit, den, b_l, C_l, agents, pattern, col, sel, rows,
+                    max_rounds, min_steps,
                 )
                 if r:
-                    # Replace turn t0, whose update is not applied yet, by r
-                    # rounds of the pattern.
-                    pat_a = players[t0 - n : t0]
-                    pat_c = choices[t0 - n : t0]
-                    players[t0:] = pat_a * r
-                    choices[t0:] = pat_c * r
-                    for a_k, c_k in zip(pat_a, pat_c):
+                    # Turn t - 1, whose update is not applied yet, begins r
+                    # rounds of the pattern: one run in the log.
+                    choices.pop()
+                    log.runs.append((len(choices), r))
+                    for a_k, c_k in zip(agents, pattern):
                         h += r * inc[a_k][c_k]
                         col[c_k] += r
                         sel[a_k][c_k] += r
-                    t = t0 + r * n
+                    t += r * n - 1
                     if r < max_rounds:  # the drift's end: look it up
                         stop = max(stop, base_stop + 2 * n, t + 1)
                     continue
@@ -276,60 +359,59 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     # Cut the window at step `end`: take the updates applied past its last
     # applied turn back out of sel (a hit's own turn was never applied).
     keep = end if status == "budget" else end - 1
-    done = t - 1 if hit else t
-    for a_k, c_k in zip(players[keep:done], choices[keep:done]):
-        sel[a_k][c_k] -= 1
-    del players[end:], choices[end:]
+    for u, seq, reps in log.pieces(keep, t - 1 if hit else t):
+        for k, c_k in enumerate(seq, pos0 + u):
+            sel[order_l[k % n]][c_k] -= reps
+    log.truncate(end)
     cycle_rows = None
     if status == "detected":
         # Take the cycle's applied turns back from the window's counts.
+        cycle = log.expand(s0, end)
         start = [row[:] for row in sel]
-        for a_k, c_k in zip(players[s0 : end - 1], choices[s0 : end - 1]):
-            start[a_k][c_k] -= 1
-        cycle_rows = window_rows(net0, unit, den, b_l, C_l, players, choices, start, s0, end)
+        for k, c_k in enumerate(cycle[:-1], pos0 + s0):
+            start[order_l[k % n]][c_k] -= 1
+        cycle_rows = window_rows(net0, unit, den, b_l, C_l, order_l, pos0 + s0, cycle, start)
     return WindowResult(
         status=status,
         steps=end,
         s0_rel=s0,
-        players=players,
-        choices=choices,
+        log=log,
         profit_rows=cycle_rows,
         selcount=sel,
     )
 
 
 def _drift_rounds(
-    net0, unit, den, b, C, players, choices, col, sel, rows, t0, max_rounds, min_steps
+    net0, unit, den, b, C, agents, pattern, col, sel, rows, max_rounds, min_steps
 ):
-    """How many rounds from turn t0 on repeat the round before it, at most max_rounds.
+    """How many rounds from the next turn on repeat the round before it, at most max_rounds.
 
-    Turns t0-n..t0-1 are one round, pattern P; turn t0 starts the next, and
-    its player already chose as in P. col and sel are the counts before turn
-    t0, and rows the cached rows of the agents' turns in P. "Every turn
-    follows P" holds up to some round and fails from then on (see the module
-    docstring), so a search over the kernel's own cells finds that round.
-    Returns 0, leaving rows as they are, if P puts all n agents on one column
-    (a repeat, not a drift), if a float estimate from the cached rows is
-    below min_steps turns, or if a turn of round t0 leaves P; otherwise rows
-    holds each agent's row at its turn of the last round.
+    In the round P just played, agents[q] chose pattern[q]; the next turn
+    starts a new round, and its player already chose as in P. col and sel
+    are the counts before that turn, and rows the cached rows of the agents'
+    turns in P. "Every turn follows P" holds up to some round and fails
+    from then on (see the module docstring), so a search over the kernel's
+    own cells finds that round. Returns 0, leaving rows as they are, if P
+    puts all n agents on one column (a repeat, not a drift), if a float
+    estimate from the cached rows is below min_steps turns, or if a turn of
+    the next round leaves P; otherwise rows holds each agent's row at its
+    turn of the last round.
     """
     n = len(C)
-    pat_a = players[t0 - n : t0]
-    pat_c = choices[t0 - n : t0]
     cnt = [0] * len(C[0])
-    for p in pat_c:
+    for p in pattern:
         cnt[p] += 1
     if max(cnt) == n:
         return 0
     # Agent a's gap from p to column j shrinks by b_a*d*(n - cnt[p] +
     # cnt[j]) <= 2*b_a*d*(n - cnt[p]) a round, and its row is cached at
-    # round -1 (turn t0's player's at round 0). That bounds, roughly from
+    # round -1 (the next turn's player's at round 0). That bounds, roughly from
     # below, the rounds it keeps p: an estimate used only to skip short
     # drifts and to check first the agent likeliest to leave P.
     dval = unit / den
     min_rounds = min_steps / n
     turns = []
-    for q, (a, p) in enumerate(zip(pat_a, pat_c)):
+    for q, (a, p) in enumerate(zip(agents, pattern)):
         row = rows[a]
         est = (row[p] - sorted(row)[-2]) / (2 * b[a] * (n - cnt[p])) / dval + (q == 0)
         if est < min_rounds:
@@ -338,7 +420,7 @@ def _drift_rounds(
     turns.sort()  # the likeliest to leave P first
     pre = col[:]  # col plus the counts of the pattern's turns before agent a's
     cells = [None] * n
-    for q, (a, p) in enumerate(zip(pat_a, pat_c)):
+    for q, (a, p) in enumerate(zip(agents, pattern)):
         sel_a = sel[a]
         base = [c - n * s for c, s in zip(pre, sel_a)]
         step = cnt[:]
@@ -385,48 +467,51 @@ def _drift_rounds(
     return hi
 
 
-def window_rows(net0, unit, den, b, C, players, choices, sel, lo, hi) -> np.ndarray:
-    """The profit rows of a window's 0-based turns lo..hi-1, evaluated from scratch.
+def window_rows(net0, unit, den, b, C, order, pos, choices, sel) -> np.ndarray:
+    """The profit rows of consecutive turns of a window, evaluated from scratch.
 
     ``net0``, ``unit``, ``den``, ``b`` and ``C`` are the window's anchors as
-    ``run_window`` took them. ``sel[i][j]`` counts agent i's turns on j
-    among turns 0..lo-1; it is not modified. Every cell is the kernel's one
-    expression at the integer delta the agent observed, so each row is bit
-    for bit the row the kernel took its argmax over. Returns a read-only
-    (hi - lo) x m array.
+    ``run_window`` took them. Turn k of the stretch is played by
+    ``order[(pos + k) % n]`` and chose ``choices[k]``; ``sel[i][j]`` counts
+    agent i's turns on j before the stretch and is not modified. Every cell
+    is the kernel's one expression at the integer delta the agent observed,
+    so each row is bit for bit the row the kernel took its argmax over.
+    Returns a read-only len(choices) x m array.
     """
     n = len(C)
     sel = [row[:] for row in sel]
     col = [sum(c) for c in zip(*sel)]
     cols = range(len(C[0]))
     out = array("d")
-    for t in range(lo, hi):
-        i = players[t]
+    for k, c in enumerate(choices, pos):
+        i = order[k % n]
         sel_i = sel[i]
         b_i, C_i, net0_i = b[i], C[i], net0[i]
         out.fromlist(
             [b_i * ((net0_i[j] + unit * (col[j] - n * sel_i[j])) / den) - C_i[j] for j in cols]
         )
-        j = choices[t]
-        col[j] += 1
-        sel_i[j] += 1
-    rows = np.frombuffer(out, dtype=np.float64).reshape(hi - lo, len(cols))
+        col[c] += 1
+        sel_i[c] += 1
+    rows = np.frombuffer(out, dtype=np.float64).reshape(len(choices), len(cols))
     rows.flags.writeable = False
     return rows
 
 
-def _find_repeat(first, more, t, players, choices, n, m):
+def _find_repeat(first, more, t, log, m):
     """The earlier step whose observation step t repeats exactly, or -1.
 
     Observations s < t see the same delta iff turns s..t-1 left it unchanged:
     every column gained as many +1s as -n, i.e. each agent chose it equally
     often. Then each agent had as many turns, so (t - s) % n == 0 and the
-    same agent is on turn too.
+    same agent is on turn too. A turn's agent is a function of its phase in
+    the round, so the turns are counted by phase.
     """
+    n = log.n
     for s in (first, *more):
-        counts = [0] * (n * m)  # agent a's count on choice j at a*m + j
-        for a, j in zip(players[s - 1 : t - 1], choices[s - 1 : t - 1]):
-            counts[a * m + j] += 1
-        if counts[:m] * n == counts:  # every agent's row equals agent 0's
+        counts = [[0] * m for _ in range(n)]
+        for u, seq, reps in log.pieces(s - 1, t - 1):
+            for k, j in enumerate(seq, u):
+                counts[k % n][j] += reps
+        if all(row == counts[0] for row in counts):
             return s
     return -1

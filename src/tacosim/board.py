@@ -3,10 +3,10 @@
 All traded quantities are exact rationals, so settlements and the board an
 agent observes are exact. ``ExactAmount`` is the stdlib ``Fraction``:
 canonical lowest terms, positive denominator, value-based equality and
-hashing. The engine, and the display replay of ``experiments.run_example``,
+hashing. The engine, and the display replay of ``example.run_example``,
 run on an integer lattice of the same values (see ``engine``).
 ``PublicBoard`` is only the result type: the lattice builds one when a
-run's ``final_board`` or a display row is read, and nothing here mutates it.
+run's ``final_board`` is read, and nothing here mutates it.
 """
 
 from __future__ import annotations

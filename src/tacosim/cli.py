@@ -15,17 +15,17 @@ import argparse
 import dataclasses
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .board import exact
 from .errors import TacoError
+from .example import ExampleRun, run_example
 from .experiments import (
     ExperimentConfig,
-    ExampleRun,
     RunResult,
     SCHEMA_VERSION,
     config_lines,
-    run_example,
     run_interrupt,
     run_montecarlo,
     run_scalability,
@@ -71,9 +71,17 @@ def _parse_value(key: str, raw: str):
     raise ValueError(f"unknown configuration key {key!r}")
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a key = value config file; # starts a comment."""
-    data: dict[str, str] = {}
+def _parsed(source: str, convert, raw):
+    """convert(raw), a value that does not convert reported with its source."""
+    try:
+        return convert(raw)
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{source}: {e}") from None
+
+
+def load_config_file(path: str | Path) -> dict:
+    """Parse a key = value config file into typed values; # starts a comment."""
+    data: dict = {}
     for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -84,27 +92,35 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        data[key] = val.strip()
+        data[key] = _parsed(f"{path}:{lineno}: {key}", partial(_parse_value, key), val.strip())
     return data
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     if getattr(args, "config", None):
-        for key, raw in load_config_file(args.config).items():
-            values[key] = _parse_value(key, raw)
+        values.update(load_config_file(args.config))
     for key in _CONFIG_KEYS:
         raw = getattr(args, key, None)
         if raw is not None:
-            values[key] = _parse_value(key, raw)
+            values[key] = _parsed(_flag(key), partial(_parse_value, key), raw)
     return ExperimentConfig(**values)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _arg(args: argparse.Namespace, key: str, convert):
+    """A subcommand's own flag value, converted."""
+    return _parsed(_flag(key), convert, getattr(args, key))
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE", help="key = value configuration file")
     for key in _CONFIG_KEYS:
         sub.add_argument(
-            f"--{key.replace('_', '-')}",
+            _flag(key),
             dest=key,
             metavar="VALUE",
             default=None,
@@ -196,8 +212,10 @@ def _finish_run(res: RunResult) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    epsilon = float(args.epsilon)
-    run = run_example(epsilon=epsilon, d0=exact(args.d0), gamma=exact(args.gamma))
+    run = run_example(
+        epsilon=_arg(args, "epsilon", float), d0=_arg(args, "d0", exact),
+        gamma=_arg(args, "gamma", exact),
+    )
     _print_example(run)
     if args.out:
         _write_example_files(run, Path(args.out))
@@ -241,12 +259,12 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     print(
         bound_report(
-            int(args.n),
-            int(args.m),
-            exact(args.gamma),
-            float(args.epsilon),
-            exact(args.d0),
-            float(args.b_max),
+            _arg(args, "n", int),
+            _arg(args, "m", int),
+            _arg(args, "gamma", exact),
+            _arg(args, "epsilon", float),
+            _arg(args, "d0", exact),
+            _arg(args, "b_max", float),
         ),
         end="",
     )

@@ -28,11 +28,13 @@ Backend selection: the TACO_BACKEND environment variable ("auto", "numpy",
 "exact") or an explicit argument. "auto" is "numpy".
 
 The run keeps no per-step object. Each window is kept as its anchors plus
-the kernel's player and choice lists; a cycle's profit rows come back from
-the kernel with the detection.
-The outcome's trace is a lazy sequence over those window records that
-rebuilds a window's profit rows with ``_fastpath.window_rows`` when one of
-its steps is first read.
+the kernel's run-length turn log (``_fastpath.TurnLog``: the stepped
+choices, and one run per drift the kernel jumped); step k+1 was played by
+``order[k % n]``, so no player list is stored. A cycle's profit rows come
+back from the kernel with the detection. The outcome's trace is a lazy
+sequence over those window records: a window's choices are expanded, and
+its profit rows rebuilt with ``_fastpath.window_rows``, only when one of
+its steps is read.
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ class _Window(NamedTuple):
     """One constant-d window as the trace keeps it: first step, turns, anchors."""
 
     g0: int
-    players: list[int]
-    choices: list[int]
+    steps: int
+    log: _fastpath.TurnLog
     net0: list[list[int]] | list[list[float]]
     unit: int | float
     den: int | float
@@ -144,39 +146,43 @@ class Trace(Sequence[TraceStep]):
 
     ``trace[k]`` is step k+1 (negative indices count from the end), a
     slice is a list of ``TraceStep``s, as a list's slice would be, and
-    iteration yields the steps in order. A step's profit row is rebuilt
-    with ``_fastpath.window_rows``, the same function that rebuilds a
-    cycle's rows, so it is bit for bit the row the kernel saw. The rows of
-    one window are built on first access and kept until a step of another
-    window is read, so reading the steps in order costs one rebuild per
-    window. Each ``TraceStep`` is a new object; its ``profit_row`` is a
-    read-only view.
+    iteration yields the steps in order. Step k+1 is played by
+    ``order[k % n]``. A window keeps its choices run-length; they are
+    expanded, and its profit rows rebuilt with ``_fastpath.window_rows``
+    (the same function that rebuilds a cycle's rows, so each row is bit
+    for bit the row the kernel saw), when one of its steps is first read,
+    and kept until a step of another window is read. Reading the steps in
+    order costs one expansion per window. Each ``TraceStep`` is a new
+    object; its ``profit_row`` is a read-only view.
     """
 
-    def __init__(self, b: list[float], C: list[list[float]]):
+    def __init__(self, b: list[float], C: list[list[float]], order: list[int]):
         self._b = b
         self._C = C
+        self._order = order
         self._windows: list[_Window] = []
         self._len = 0
-        self._cached: tuple[int, np.ndarray] | None = None
+        self._cached: tuple[int, list[int], np.ndarray] | None = None
 
     def _append(self, window: _Window) -> None:
         self._windows.append(window)
-        self._len = window.g0 + len(window.players)
+        self._len = window.g0 + window.steps
 
     def __len__(self) -> int:
         return self._len
 
-    def _rows(self, w: int) -> np.ndarray:
+    def _turns(self, w: int) -> tuple[list[int], np.ndarray]:
+        """Window w's choices, expanded, and its profit rows."""
         if self._cached is None or self._cached[0] != w:
             win = self._windows[w]
+            choices = win.log.expand(0, win.steps)
             zero = [[0] * len(self._C[0]) for _ in self._C]
             rows = _fastpath.window_rows(
-                win.net0, win.unit, win.den, self._b, self._C,
-                win.players, win.choices, zero, 0, len(win.players),
+                win.net0, win.unit, win.den, self._b, self._C, self._order, win.g0,
+                choices, zero,
             )
-            self._cached = (w, rows)
-        return self._cached[1]
+            self._cached = (w, choices, rows)
+        return self._cached[1:]
 
     def __getitem__(self, k: int | slice) -> TraceStep | list[TraceStep]:
         if isinstance(k, slice):
@@ -187,14 +193,17 @@ class Trace(Sequence[TraceStep]):
         if not 0 <= k < self._len:
             raise IndexError("trace index out of range")
         w = bisect.bisect_right(self._windows, k, key=operator.attrgetter("g0")) - 1
-        win = self._windows[w]
-        r = k - win.g0
-        return TraceStep(k + 1, win.players[r], win.choices[r], self._rows(w)[r])
+        choices, rows = self._turns(w)
+        r = k - self._windows[w].g0
+        return TraceStep(k + 1, self._order[k % len(self._order)], choices[r], rows[r])
 
     def __iter__(self) -> Iterator[TraceStep]:
+        order, n = self._order, len(self._order)
         for w, win in enumerate(self._windows):
-            steps = range(win.g0 + 1, win.g0 + len(win.players) + 1)
-            yield from map(TraceStep, steps, win.players, win.choices, self._rows(w))
+            choices, rows = self._turns(w)
+            steps = range(win.g0 + 1, win.g0 + win.steps + 1)
+            agents = (order[(k - 1) % n] for k in steps)
+            yield from map(TraceStep, steps, agents, choices, rows)
 
 
 @dataclass
@@ -202,8 +211,8 @@ class TacoOutcome:
     """A finished run: consensus, exact settlements, cycles and the trace.
 
     ``trace`` holds every executed turn as a lazy ``Trace``: it keeps each
-    window's players, choices and anchors, and builds a ``TraceStep`` with
-    its profit row when one is read. ``final_board``, the exact Fraction
+    window's run-length turn log and anchors, and builds a ``TraceStep``
+    with its profit row when one is read. ``final_board``, the exact Fraction
     board, is likewise built from the run's final lattice when first read.
     """
 
@@ -327,7 +336,7 @@ def _run(config, agents, interrupt_step, backend):
     lattice = _LatticeBoard(n, m, config.d0, config.gamma)
     selections: list[int | None] = [None] * n
     hard_cap = config.max_steps if interrupt_step is None else min(config.max_steps, interrupt_step)
-    trace = Trace(b, C)
+    trace = Trace(b, C, order)
     cycles: list[CycleRecord] = []
     terminated = False
     steps = 0
@@ -342,13 +351,12 @@ def _run(config, agents, interrupt_step, backend):
                 f"a window observed more than history_cap={config.history_cap} distinct "
                 f"states by step {g0 + win.steps} (the detector stores one per round)"
             )
-        players = win.players
-        choices = win.choices
-        trace._append(_Window(g0, players, choices, net0, unit, den))
+        trace._append(_Window(g0, win.steps, win.log, net0, unit, den))
         steps = g0 + win.steps
         # Turns are cyclic, so the last n turns hold each agent's last selection.
-        for a_k, c_k in zip(players[-n:], choices[-n:]):
-            selections[a_k] = c_k
+        tail = win.log.expand(max(0, win.steps - n), win.steps)
+        for k, c_k in enumerate(tail, steps - len(tail)):
+            selections[order[k % n]] = c_k
         if win.status != "detected":
             _advance_board(lattice, win.selcount, win.steps)
             break
@@ -356,7 +364,8 @@ def _run(config, agents, interrupt_step, backend):
         _advance_board(lattice, win.selcount, win.steps - 1)
         # A cycle never leaves its window: count it from the window's turns.
         s0 = win.s0_rel
-        cycle_log = list(zip(players[s0:], choices[s0:]))
+        agents = [order[k % n] for k in range(g0 + s0, steps)]
+        cycle_log = list(zip(agents, win.log.expand(s0, win.steps)))
         counts, active = span_counts(cycle_log, 1, len(cycle_log), n, m)
         cyc = CycleRecord(
             start_step=g0 + s0 + 1,
@@ -366,7 +375,7 @@ def _run(config, agents, interrupt_step, backend):
             agent_turn_profits=[[] for _ in range(n)],
             d_at_detection=lattice.d,
         )
-        for a_k, row in zip(players[s0:], win.profit_rows):
+        for a_k, row in zip(agents, win.profit_rows):
             cyc.agent_turn_profits[a_k].append(row)
         _check_cycle_structure(cyc, n)
         cycles.append(cyc)
@@ -374,7 +383,7 @@ def _run(config, agents, interrupt_step, backend):
         if check_termination(cyc, config.epsilon):
             terminated = True
             break
-        apply_selection(lattice, players[-1], choices[-1])
+        apply_selection(lattice, order[(steps - 1) % n], tail[-1])
     return _finish(config, lattice, selections, trace, cycles, terminated, interrupt_step)
 
 

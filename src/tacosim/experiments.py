@@ -36,7 +36,7 @@ import numpy as np
 
 from . import baselines, engine, scenario
 from .board import exact
-from .engine import TacoConfig, TacoOutcome, resolve_backend, run_interrupted, run_taco
+from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
 from .metrics import TrialResult, baseline_trial_result, taco_trial_result
 
@@ -479,55 +479,3 @@ def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None 
         "m_list = " + ",".join(str(v) for v in m_list),
     ]
     return _sweep(points, cfg, out_dir, "scalability", ("n", "m"), header)
-
-
-@dataclass
-class ExampleStep:
-    """One display row of the worked two-agent run: matrices before the
-    update, the full profit matrix, and the selections after the step."""
-
-    step: int
-    agent: int
-    offers: list[list[Fraction]]
-    pays: list[list[Fraction]]
-    profits: np.ndarray
-    selections: list[int | None]
-
-
-@dataclass
-class ExampleRun:
-    steps: list[ExampleStep]
-    outcome: TacoOutcome
-    detected_spans: list[tuple[int, int]]
-
-
-def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRun:
-    """Run the two-agent fixture on the exact backend and replay it for display.
-
-    The replay steps the engine's lattice board through the recorded turns,
-    reducing the trading unit at the end of each recorded cycle. Every
-    agent's profit row is b_i * net - C_i over the float anchors' net rows
-    (``anchors(False)``), whose entries are the correctly rounded floats of
-    the rational net, so each row is the exact backend's row bit for bit.
-    """
-    problem = scenario.example2_fixture()
-    config = TacoConfig(epsilon=epsilon, d0=d0, gamma=gamma)
-    outcome = run_taco(config, problem.agents(), backend="exact")
-    cycle_ends = {cyc.end_step for cyc in outcome.cycle_records}
-    lattice = engine._LatticeBoard(problem.n, problem.m, config.d0, config.gamma)
-    selections = [None] * problem.n
-    steps: list[ExampleStep] = []
-    for ts in outcome.trace:
-        board = lattice.to_board(selections)
-        profits = problem.b[:, None] * lattice.anchors(False)[0] - problem.C
-        selections[ts.agent] = ts.selection
-        steps.append(
-            ExampleStep(ts.step, ts.agent, board.offers, board.pays, profits, selections[:])
-        )
-        if ts.step in cycle_ends:
-            engine.reduce_trading_unit(lattice)
-        # The terminating turn's update is dropped by the engine, but nothing
-        # reads the board after the last step.
-        engine.apply_selection(lattice, ts.agent, ts.selection)
-    spans = [(cyc.start_step, cyc.end_step) for cyc in outcome.cycle_records]
-    return ExampleRun(steps=steps, outcome=outcome, detected_spans=spans)

@@ -96,8 +96,8 @@ def termination_bound(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -
 
     cycle_count is the number of trading-unit reductions after which the
     profit-spread bound falls below epsilon: the smallest r with
-    (m+1) * d0 * gamma^r * (n-1) * b_max <= epsilon, computed in exact
-    rational arithmetic. Each constant-d window can visit at most
+    (m+1) * d0 * gamma^r * (n-1) * b_max <= epsilon, exact (see
+    ``_reductions``). Each constant-d window can visit at most
     n * ((m+1)(n-1))^(n*m) states.
     """
     if n < 2:
@@ -113,16 +113,48 @@ def termination_bound(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -
     for name, value in (("epsilon", epsilon), ("b_max", b_max)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be a positive finite real, got {value}")
-    eps = Fraction(epsilon)
     basis = (m + 1) * d0 * (n - 1) * Fraction(b_max)
-    count = 0
-    level = basis
-    while level > eps:
-        level *= g
-        count += 1
+    count = _reductions(basis / Fraction(epsilon), g)
     log_per_cycle = math.log(n) + n * m * math.log((m + 1) * (n - 1))
     log_total = math.log(count) + log_per_cycle if count > 0 else -math.inf
     return TerminationBound(cycle_count=count, log_per_cycle=log_per_cycle, log_total=log_total)
+
+
+_EPS = 2.0**-52
+
+
+def _reductions(ratio: Fraction, g: Fraction) -> int:
+    """The smallest r >= 0 with ratio * g^r <= 1, for 0 < g < 1.
+
+    r is ceil(log(ratio) / log(1/g)). Both logs are floats with a bound on
+    their error, which brackets the quotient; only an integer inside the
+    bracket is checked in exact rational arithmetic, so the count costs a
+    few float operations unless the bound lies within rounding of a step.
+    """
+    if ratio <= 1:
+        return 0
+    (x, ex), (y, ey) = _log(ratio), _log(1 / g)
+    lo = (x - ex) / (y + ey) * (1 - 8 * _EPS)
+    hi = (x + ex) / (y - ey) * (1 + 8 * _EPS) if y > ey else math.inf
+    if not math.isfinite(hi):
+        raise ValueError(f"gamma = {g} is too close to 1 to count its reductions")
+    r, top = max(0, math.ceil(lo)), math.ceil(hi)
+    if r < top:
+        level = ratio * g**r
+        while r < top and level > 1:
+            level *= g
+            r += 1
+    return r
+
+
+def _log(x: Fraction) -> tuple[float, float]:
+    """log(x) of a positive rational as a float, and a bound on its absolute error."""
+    if Fraction(1, 2) <= x <= 2:
+        # Near 1 the logs of numerator and denominator would cancel.
+        v = math.log1p(float(x - 1))
+        return v, 4 * _EPS * abs(v) + 1e-300
+    a, b = math.log(x.numerator), math.log(x.denominator)
+    return a - b, 4 * _EPS * (a + b + 1)
 
 
 def bound_report(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -> str:

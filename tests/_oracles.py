@@ -14,10 +14,13 @@ blocks, the equality-constrained minimum puts every block at its weighted mean,
 and the true optimum is the feasible candidate with the smallest objective.
 With L positions that is 2**(L-1) candidates, fine for L <= 8.
 
-Last comes the dict-row output path the sweeps used before they kept typed
+Then comes the dict-row output path the sweeps used before they kept typed
 records: string rows, the ``csv.DictWriter`` writer and, above it, the summary
 that parses each metric back with ``float``. ``tests/test_oracles.py`` holds
 the records' CSV and summary bytes to it.
+
+Last, the termination bound's reduction count as the loop of exact products
+that ``metrics.termination_bound`` ran before it counted by logarithms.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from tacosim.board import exact
 from tacosim.errors import MetricUndefinedError
 from tacosim.experiments import FAILED_STATUSES, SCHEMA_VERSION, SUMMARY_METRICS, _quantiles
 from tacosim.metrics import TrialResult
@@ -343,3 +348,20 @@ def write_csv(path, rows: list[dict], columns: list[str]) -> None:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="", extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
+
+
+# --- the reduction count, one exact product per reduction ----------------------
+
+
+def termination_count(n, m, gamma, epsilon, d0, b_max) -> int:
+    """The reductions ``metrics.termination_bound`` counts, by the loop it ran
+    before it took logarithms: multiply the bound by gamma until it is at most
+    epsilon, in exact rational arithmetic."""
+    g = exact(gamma)
+    eps = Fraction(epsilon)
+    level = (m + 1) * exact(d0) * (n - 1) * Fraction(b_max)
+    count = 0
+    while level > eps:
+        level *= g
+        count += 1
+    return count

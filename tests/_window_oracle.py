@@ -5,16 +5,17 @@ builds the playing agent's whole profit row as an ndarray from the agent's
 integer delta row, takes ``argmax``, and keys the state history on the full
 delta bytes plus the agent on turn, so a repeat is found by exact equality
 with no hashing of its own. It shares no loop code with the shipped kernel;
-only ``WindowResult`` is imported, to compare like with like. Unlike the
-shipped kernel it keeps every turn's row, and returns them beside the
-result, so each row the kernel no longer stores can still be checked.
+only ``WindowResult`` and ``TurnLog`` are imported, to compare like with
+like. Unlike the shipped kernel it steps every turn, so its log holds no
+run, and it keeps every turn's row, returned beside the result, so each row
+the kernel no longer stores can still be checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tacosim._fastpath import WindowResult
+from tacosim._fastpath import TurnLog, WindowResult
 
 
 def float_net_row(net0f, dval):
@@ -97,8 +98,7 @@ def run_window_oracle(
         status=status,
         steps=t,
         s0_rel=s0,
-        players=players,
-        choices=choices,
+        log=TurnLog(choices, [], n),
         profit_rows=all_rows[s0:] if status == "detected" else None,
         selcount=selcount.tolist(),
     )

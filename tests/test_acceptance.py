@@ -15,9 +15,9 @@ import pytest
 from _oracles import brute_ordering
 from _replay import verify_run
 from tacosim.engine import TacoConfig, run_taco
+from tacosim.example import run_example
 from tacosim.experiments import (
     ExperimentConfig,
-    run_example,
     run_interrupt,
     run_scalability,
     run_sweep_gamma,

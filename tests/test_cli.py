@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -224,10 +225,50 @@ def test_bad_config_file(tmp_path, capsys):
     junk = tmp_path / "junk.cfg"
     junk.write_text("no equals sign here\n")
     assert main(["show-config", "--config", str(junk)]) == 1
+    assert f"{junk}:1: expected 'key = value'" in capsys.readouterr().err
     zero = tmp_path / "zero.cfg"
     zero.write_text("gamma = 1/0\n")
     assert main(["show-config", "--config", str(zero)]) == 1
-    assert capsys.readouterr().err.endswith("error: exact amount '1/0' has a zero denominator\n")
+    assert capsys.readouterr().err == (
+        f"error: {zero}:1: gamma: exact amount '1/0' has a zero denominator\n"
+    )
+
+
+@pytest.mark.parametrize("line, message", [
+    ("gamma = abc", "gamma: Invalid literal for Fraction: 'abc'"),
+    ("d0 = 1/0", "d0: exact amount '1/0' has a zero denominator"),
+    ("trials = many", "trials: invalid literal for int() with base 10: 'many'"),
+    ("epsilon = tiny", "epsilon: could not convert string to float: 'tiny'"),
+])
+def test_bad_config_value_names_its_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# first line\n{line}\n")
+    assert main(["show-config", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}:2: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["show-config", "--d0", "abc"],
+    ["montecarlo", "--d0", "abc", "--out-dir", ""],
+    ["example", "--d0", "abc", "--out", ""],
+    ["bound", "--d0", "abc"],
+])
+def test_bad_flag_value_names_its_flag(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --d0: Invalid literal for Fraction: 'abc'\n"
+    assert captured.out == ""
+
+
+def test_bound_near_gamma_one_is_counted_quickly(capsys):
+    # About 7 million reductions: counted from logarithms, not one by one.
+    start = time.perf_counter()
+    assert main(["bound", "--epsilon", "1e-30", "--gamma", "99999/100000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "trading-unit reductions until guaranteed tolerance: 7035814" in out
 
 
 def test_show_config_defaults(capsys):
@@ -283,11 +324,17 @@ BAD_CAPS = [
 ]
 
 
+def _bad_cap_error(flag, message):
+    # A value that does not parse is reported with its flag; a value out of
+    # range is named by the check that refuses it.
+    return f"error: {flag}: {message}\n" if flag == "--d0" else f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag, value, message", BAD_CAPS)
 def test_show_config_rejects_bad_caps(capsys, flag, value, message):
     assert main(["show-config", flag, value]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == _bad_cap_error(flag, message)
     assert captured.out == ""
 
 
@@ -309,7 +356,7 @@ def test_montecarlo_rejects_bad_caps_before_any_trial(
     ]) == 1
     assert executed == []
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == _bad_cap_error(flag, message)
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 

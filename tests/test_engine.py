@@ -1,5 +1,6 @@
 """Auction engine: golden trace, termination, interruption, backend parity."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -325,7 +326,7 @@ def test_window_buffer_growth_matches_numpy():
         )
         assert got.status == "detected"
         assert got.steps > 256
-        _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C))
+        _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
 
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
@@ -377,8 +378,8 @@ def test_window_selcount_counts_applied_turns(budget, history_cap, status):
     assert win.status == status
     applied = win.steps if status == "budget" else win.steps - 1
     expected = np.zeros((3, 5), dtype=np.int64)
-    for i, j in zip(win.players[:applied], win.choices[:applied]):
-        expected[i, j] += 1
+    for u, j in enumerate(win.log.expand(0, applied)):
+        expected[order[(1 + u) % 3], j] += 1
     np.testing.assert_array_equal(win.selcount, expected)
 
 
@@ -534,20 +535,27 @@ def test_tie_prone_backend_agreement():
         assert numpy_run.settlements == exact_run.settlements
 
 
-def _rebuilt_rows(win, net0, unit, den, b, C):
-    """Every row of a kernel window, rebuilt from its anchors and choices."""
+def _rebuilt_rows(win, net0, unit, den, b, C, order, pos0):
+    """Every row of a kernel window, rebuilt from its anchors and expanded choices."""
     n, m = C.shape
     zero = [[0] * m for _ in range(n)]
     return _fastpath.window_rows(
-        net0, unit, den, b.tolist(), C.tolist(), win.players, win.choices, zero, 0, win.steps
+        net0, unit, den, b.tolist(), C.tolist(), np.asarray(order).tolist(), pos0,
+        win.log.expand(0, win.steps), zero,
     )
 
 
 def _assert_same_window(got, ref, ref_rows, anchors):
-    # The kernel stores no row: every row rebuilt from the window's anchors,
-    # and the cycle rows it returns, must be the oracle's bytes.
+    # The kernel stores no row: every row rebuilt from the window's anchors
+    # (net0, unit, den, b, C, order, pos0), and the cycle rows it returns,
+    # must be the oracle's bytes. The kernel's log, expanded, holds exactly
+    # the oracle's turns, and its last 2n entries are the last 2n turns.
     assert (got.status, got.steps, got.s0_rel) == (ref.status, ref.steps, ref.s0_rel)
-    assert (got.players, got.choices) == (ref.players, ref.choices)
+    turns = got.log.expand(0, got.steps + 1)
+    assert turns == ref.log.expand(0, ref.steps + 1)
+    assert len(turns) == got.steps
+    tail = 2 * got.log.n
+    assert got.log.choices[-tail:] == turns[-tail:]
     rows = _rebuilt_rows(got, *anchors)
     assert rows.shape == ref_rows.shape
     assert rows.tobytes() == ref_rows.tobytes()
@@ -589,7 +597,7 @@ def oracle_windows(monkeypatch):
         ref, ref_rows = window_oracle.run_window_oracle(
             net_row, b, C, order, pos0, budget, history_cap
         )
-        _assert_same_window(got, ref, ref_rows, (net0, unit, den, b, C))
+        _assert_same_window(got, ref, ref_rows, (net0, unit, den, b, C, order, pos0))
         seen.add(got.status)
         return got
 
@@ -655,7 +663,7 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
     order = np.arange(n, dtype=np.int64)
     lattice = engine._LatticeBoard(n, m, Fraction(1, 100), Fraction(1, 2))
     window, net_row = _window_anchors(lattice, backend)
-    anchors = (*window, problem.b, problem.C)
+    anchors = (*window, problem.b, problem.C, order, 1)
 
     def run():
         return _fastpath.run_window(
@@ -712,7 +720,7 @@ def test_window_ends_match_the_oracle_near_the_first_repeat(monkeypatch, n, keys
         for _ in range(int(rng.integers(0, 3 * n))):
             engine.apply_selection(lattice, int(rng.integers(n)), int(rng.integers(m)))
         window, net_row = _window_anchors(lattice, ("numpy", "exact")[trial % 2])
-        anchors = (*window, b, C)
+        anchors = (*window, b, C, order, pos0)
         full, _ = window_oracle.run_window_oracle(net_row, b, C, order, pos0, 10**6, 10**6)
         assert full.status == "detected"
         t_star = full.steps
@@ -769,21 +777,22 @@ def drift_jumps(monkeypatch):
     jumps = []
     drift_rounds = _fastpath._drift_rounds
 
-    def counted(net0, unit, den, b, C, players, choices, col, sel, rows, t0, *rest):
-        args = (net0, unit, den, b, C, players, choices, col, sel, rows, t0, *rest)
+    def counted(net0, unit, den, b, C, agents, pattern, col, sel, rows, *rest):
+        args = (net0, unit, den, b, C, agents, pattern, col, sel, rows, *rest)
         before = np.array(rows).tobytes()
         rounds = drift_rounds(*args)
         if not rounds:
             assert np.array(rows).tobytes() == before
         else:
+            # Every turn before the jump is applied, so sel counts them all.
+            t0 = sum(map(sum, sel))
             jumps.append((t0, rounds))
-            n, m = len(C), len(C[0])
-            pat_a, pat_c = players[t0 - n : t0], choices[t0 - n : t0]
+            n = len(C)
             every = _fastpath.window_rows(
-                net0, unit, den, b, C, players[:t0] + pat_a * rounds,
-                choices[:t0] + pat_c * rounds, [[0] * m for _ in range(n)], 0, t0 + rounds * n,
+                net0, unit, den, b, C, agents, 0, pattern * rounds, sel
             )
-            for a, row in zip(pat_a, every[-n:]):
+            assert every.shape[0] == rounds * n
+            for a, row in zip(agents, every[-n:]):
                 assert np.array(rows[a]).tobytes() == row.tobytes()
         return rounds
 
@@ -813,7 +822,7 @@ def _drift_windows(backend, denominators):
             pos0 = int(rng.integers(n))
             args = (*window, problem.b.tolist(), problem.C.tolist(), order.tolist(), pos0)
             oracle_args = (net_row, problem.b, problem.C, order, pos0)
-            anchors = (*window, problem.b, problem.C)
+            anchors = (*window, problem.b, problem.C, order, pos0)
             yield args, oracle_args, anchors
 
 
@@ -861,7 +870,7 @@ def test_drift_jumps_with_many_agents_match_the_oracle(drift_jumps, backend):
     ref, ref_rows = window_oracle.run_window_oracle(
         net_row, problem.b, problem.C, order, 0, 10**6, 10**6
     )
-    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C))
+    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
     assert drift_jumps
 
 
@@ -889,3 +898,43 @@ def test_drift_window_ends_match_the_oracle(drift_jumps, backend):
             _assert_same_window(got, ref, ref_rows, anchors)
             cuts_checked += len(marks) > 1
     assert cuts_checked >= 100
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drift_jump_stores_one_run(backend):
+    # A drift is one run in the window's log, however many rounds it spans:
+    # the worked example's 100,003-step window at d0 = 1/60000 keeps a few
+    # log entries and the run allocates nothing per turn.
+    config = TacoConfig(epsilon=1e-6, d0="1/60000", gamma="9/10")
+    agents = example2_fixture().agents()
+    tracemalloc.start()
+    try:
+        outcome = run_taco(config, agents, backend=backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.steps == 100_003
+    (win,) = outcome.trace._windows
+    assert win.log.runs
+    assert len(win.log.choices) + len(win.log.runs) < 64
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_expanded_log_matches_the_oracle(backend):
+    # The worked example's window at d0 = 1/2000 is one long drift: its log,
+    # expanded, is the oracle's turns one for one.
+    problem = example2_fixture()
+    lattice = engine._LatticeBoard(2, 2, Fraction(1, 2000), Fraction(9, 10))
+    anchors, net_row = _window_anchors(lattice, backend)
+    order = np.arange(2)
+    got = _fastpath.run_window(
+        *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**6, 10**6
+    )
+    ref, ref_rows = window_oracle.run_window_oracle(
+        net_row, problem.b, problem.C, order, 0, 10**6, 10**6
+    )
+    assert got.log.runs and not ref.log.runs
+    assert got.steps == ref.steps > 3000
+    assert got.log.expand(0, got.steps) == ref.log.choices
+    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))

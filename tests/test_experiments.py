@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tacosim import experiments
+from tacosim.example import run_example
 from tacosim.experiments import (
     MECHANISMS,
     ExperimentConfig,
@@ -19,7 +20,6 @@ from tacosim.experiments import (
     config_lines,
     make_instance,
     record_columns,
-    run_example,
     run_interrupt,
     run_montecarlo,
     run_scalability,

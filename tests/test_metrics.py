@@ -131,6 +131,13 @@ def test_termination_bound_epsilon_shift():
             assert b == 0
 
 
+def test_termination_bound_gamma_too_close_to_one():
+    # 1 - gamma below the smallest float: the count would pass 10**300.
+    gamma = Fraction(10**400 - 1, 10**400)
+    with pytest.raises(ValueError, match="too close to 1"):
+        termination_bound(2, 2, gamma, 0.1, 1, 1.2)
+
+
 def test_termination_bound_validation():
     with pytest.raises(ValueError):
         termination_bound(1, 2, "9/10", 0.1, 1, 1.0)

@@ -8,6 +8,7 @@ CSV and summary bytes of the dict-row path they replaced.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -188,9 +189,13 @@ def test_cycle_checks_match_numpy_on_reproducer(monkeypatch, backend):
     repeats = []
     find_repeat = _fastpath._find_repeat
 
-    def recorded(first, more, t, players, choices, n, m):
-        s = find_repeat(first, more, t, players, choices, n, m)
-        repeats.append((first, tuple(more), t, players[:], choices[:], n, m, s))
+    def recorded(first, more, t, log, m):
+        s = find_repeat(first, more, t, log, m)
+        # The kernel's log goes on growing: keep a copy. A turn's agent is a
+        # function of its phase u % n, so the oracle counts phases as agents.
+        log = _fastpath.TurnLog(log.choices[:], log.runs[:], log.n)
+        players = [u % log.n for u in range(t)]
+        repeats.append((first, tuple(more), t, log, players, log.expand(0, t), m, s))
         return s
 
     monkeypatch.setattr(_fastpath, "_find_repeat", recorded)
@@ -225,12 +230,12 @@ def test_cycle_checks_match_numpy_on_reproducer(monkeypatch, backend):
                 engine._check_cycle_structure(bad, n)
     assert cycles > 1000
     assert len(repeats) >= cycles
-    for first, more, t, players, choices, n, m, s in repeats:
-        assert s == ref.find_repeat(first, more, t, players, choices, n, m)
+    for first, more, t, log, players, choices, m, s in repeats:
+        assert s == ref.find_repeat(first, more, t, players, choices, log.n, m)
         # Every earlier start, repeat or not, as a candidate on its own.
         for cand in range(max(1, t - 40), t):
-            assert find_repeat(cand, (), t, players, choices, n, m) == (
-                ref.find_repeat(cand, (), t, players, choices, n, m)
+            assert find_repeat(cand, (), t, log, m) == (
+                ref.find_repeat(cand, (), t, players, choices, log.n, m)
             )
 
 
@@ -276,3 +281,21 @@ def test_interrupted_outcomes_match_numpy():
                 metrics.taco_trial_result(problem, outcome),
                 ref.taco_trial_result(problem, outcome),
             )
+
+
+def test_termination_count_matches_the_product_loop():
+    # The count from bracketed logarithms is the loop's on a grid, and on
+    # bounds that land exactly on epsilon (n = 2, m = 1, d0 = 1/2 and
+    # b_max = 1 give a bound of 1, and epsilon is a power of gamma), where
+    # the bracket holds an integer and the exact check decides.
+    grid = itertools.product(
+        (2, 3, 5), (1, 2, 4), ("1/2", "7/8", "9/10", "99/100"),
+        (0.3, 1e-3, 1e-9), ("1", "1/3", "7/2"), (0.5, 1.2),
+    )
+    for n, m, gamma, eps, d0, b_max in grid:
+        got = metrics.termination_bound(n, m, gamma, eps, d0, b_max).cycle_count
+        assert got == ref.termination_count(n, m, gamma, eps, d0, b_max)
+    for k in range(70):
+        for gamma, eps in (("1/2", 2.0**-k), ("1/4", 4.0**-k), ("3/4", 0.75**k)):
+            got = metrics.termination_bound(2, 1, gamma, eps, "1/2", 1).cycle_count
+            assert got == ref.termination_count(2, 1, gamma, eps, "1/2", 1)
