@@ -119,6 +119,9 @@ class TurnLog(NamedTuple):
         round, so the agents repeat too.
         """
         choices, n = self.choices, self.n
+        if not self.runs:
+            yield lo, choices[lo:hi], 1
+            return
         c = t = 0  # entry c of choices holds turn t
         for k, r in (*self.runs, (len(choices), 0)):
             x, y = max(lo, t), min(hi, t + k - c)
@@ -141,29 +144,26 @@ class TurnLog(NamedTuple):
 
     def expand(self, lo: int, hi: int) -> list[int]:
         """The choices of turns lo..hi-1, as a plain list."""
+        if not self.runs:
+            return self.choices[lo:hi]
         out: list[int] = []
         for _, seq, reps in self.pieces(lo, hi):
             out += seq * reps
         return out
 
     def truncate(self, end: int) -> None:
-        """Drop the turns from ``end`` on; a run may be cut inside a round."""
-        choices, runs, n = self.choices, self.runs, self.n
-        c = t = 0
-        for q, (k, r) in enumerate(runs):
-            if end <= t + k - c:
-                break
-            t += k - c
-            c = k
-            if end <= t + r * n:
-                reps, rest = divmod(end - t, n)
-                runs[q:] = [(k, reps)] if reps else []
-                choices[k:] = choices[k - n : k - n + rest]
-                return
-            t += r * n
-        else:
-            q = len(runs)
-        del runs[q:], choices[end - t + c :]
+        """Drop the turns from ``end`` on; a run may end inside a round."""
+        if not self.runs:
+            del self.choices[end:]
+            return
+        choices: list[int] = []
+        runs = []
+        for _, seq, reps in self.pieces(0, end):
+            if reps > 1:  # a run's rounds, which follow one round of its pattern
+                runs.append((len(choices), reps))
+            else:
+                choices += seq
+        self.choices[:], self.runs[:] = choices, runs
 
 
 @dataclass
@@ -508,10 +508,9 @@ def _find_repeat(first, more, t, log, m):
     """
     n = log.n
     for s in (first, *more):
-        counts = [[0] * m for _ in range(n)]
-        for u, seq, reps in log.pieces(s - 1, t - 1):
-            for k, j in enumerate(seq, u):
-                counts[k % n][j] += reps
-        if all(row == counts[0] for row in counts):
+        counts = [0] * (n * m)  # phase q's count on choice j at q*m + j
+        for k, j in enumerate(log.expand(s - 1, t - 1), s - 1):
+            counts[k % n * m + j] += 1
+        if counts[:m] * n == counts:  # every phase's row equals phase 0's
             return s
     return -1
