@@ -116,6 +116,13 @@ def _arg(args: argparse.Namespace, key: str, convert):
     return _parsed(_flag(key), convert, getattr(args, key))
 
 
+def _list_arg(args: argparse.Namespace, key: str, convert) -> list:
+    """A comma-separated flag value, each item converted; empty items are skipped."""
+    return _arg(
+        args, key, lambda raw: [convert(tok.strip()) for tok in raw.split(",") if tok.strip()]
+    )
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE", help="key = value configuration file")
     for key in _CONFIG_KEYS:
@@ -234,25 +241,20 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    gammas = [exact(tok) for tok in args.gammas.split(",") if tok.strip()]
+    gammas = _list_arg(args, "gammas", exact)
     return _finish_run(run_sweep_gamma(cfg, gammas, _out_dir(cfg)))
 
 
 def _cmd_interrupt(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    steps = []
-    for tok in args.steps.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        steps.append(0 if tok.lower() == "natural" else int(tok))
+    steps = _list_arg(args, "steps", lambda tok: 0 if tok.lower() == "natural" else int(tok))
     return _finish_run(run_interrupt(cfg, steps, _out_dir(cfg)))
 
 
 def _cmd_scalability(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
+    n_list = _list_arg(args, "n_list", int)
+    m_list = _list_arg(args, "m_list", int)
     return _finish_run(run_scalability(cfg, n_list, m_list, _out_dir(cfg)))
 
 

@@ -262,6 +262,19 @@ def test_bad_flag_value_names_its_flag(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-gamma", "--gammas", "1/2,1/0"], "--gammas: exact amount '1/0' has a zero denominator"),
+    (["interrupt", "--steps", "natural,abc"], "--steps: invalid literal for int() with base 10: 'abc'"),
+    (["scalability", "--n-list", "2,x"], "--n-list: invalid literal for int() with base 10: 'x'"),
+    (["scalability", "--m-list", "y"], "--m-list: invalid literal for int() with base 10: 'y'"),
+])
+def test_bad_list_flag_item_names_its_flag(capsys, argv, message):
+    assert main([*argv, "--trials", "1", "--out-dir", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_bound_near_gamma_one_is_counted_quickly(capsys):
     # About 7 million reductions: counted from logarithms, not one by one.
     start = time.perf_counter()
