@@ -97,7 +97,7 @@ import numpy as np
 
 
 class TurnLog(NamedTuple):
-    """A window's choices, run-length: the turns played by agents are implied.
+    """A window's choices, run-length; who played each turn follows from the order.
 
     Turn u of a window starting at position pos0 is played by ``order[(pos0
     + u) % n]``, so only the choices are kept. ``choices`` holds the stepped
