@@ -119,9 +119,6 @@ class TurnLog(NamedTuple):
         round, so the agents repeat too.
         """
         choices, n = self.choices, self.n
-        if not self.runs:
-            yield lo, choices[lo:hi], 1
-            return
         c = t = 0  # entry c of choices holds turn t
         for k, r in (*self.runs, (len(choices), 0)):
             x, y = max(lo, t), min(hi, t + k - c)
@@ -144,8 +141,6 @@ class TurnLog(NamedTuple):
 
     def expand(self, lo: int, hi: int) -> list[int]:
         """The choices of turns lo..hi-1, as a plain list."""
-        if not self.runs:
-            return self.choices[lo:hi]
         out: list[int] = []
         for _, seq, reps in self.pieces(lo, hi):
             out += seq * reps
@@ -153,9 +148,6 @@ class TurnLog(NamedTuple):
 
     def truncate(self, end: int) -> None:
         """Drop the turns from ``end`` on; a run may end inside a round."""
-        if not self.runs:
-            del self.choices[end:]
-            return
         choices: list[int] = []
         runs = []
         for _, seq, reps in self.pieces(0, end):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -126,10 +127,12 @@ _EPS = 2.0**-52
 def _reductions(ratio: Fraction, g: Fraction) -> int:
     """The smallest r >= 0 with ratio * g^r <= 1, for 0 < g < 1.
 
-    r is ceil(log(ratio) / log(1/g)). Both logs are floats with a bound on
-    their error, which brackets the quotient; only an integer inside the
-    bracket is checked in exact rational arithmetic, so the count costs a
-    few float operations unless the bound lies within rounding of a step.
+    r is ceil(q) for q = log(ratio) / log(1/g). Float logs with a bound on
+    their error bracket q; while the bracket holds an integer, decimal logs
+    at twice the digits narrow it. Only an integer q stays in every bracket,
+    and then ratio = (1/g)^q has numerator g.denominator^q: so the exact
+    product ratio * g^r is taken only when g.denominator^r is no longer than
+    ratio's numerator, and never costs more than the inputs' size.
     """
     if ratio <= 1:
         return 0
@@ -139,12 +142,38 @@ def _reductions(ratio: Fraction, g: Fraction) -> int:
     if not math.isfinite(hi):
         raise ValueError(f"gamma = {g} is too close to 1 to count its reductions")
     r, top = max(0, math.ceil(lo)), math.ceil(hi)
-    if r < top:
-        level = ratio * g**r
-        while r < top and level > 1:
-            level *= g
-            r += 1
+    digits = 16
+    while r < top:
+        if r + 1 == top and r * (g.denominator.bit_length() - 1) < ratio.numerator.bit_length():
+            return r if ratio * g**r <= 1 else top
+        digits *= 2
+        bracket = _decimal_bracket(ratio, g, digits)
+        if bracket:
+            r, top = max(r, math.ceil(bracket[0])), min(top, math.ceil(bracket[1]))
     return r
+
+
+def _decimal_bracket(ratio: Fraction, g: Fraction, digits: int) -> tuple[Decimal, Decimal] | None:
+    """Bounds on log(ratio) / log(1/g) from logs correctly rounded to
+    ``digits`` digits, or None if log(1/g) is not resolved at that precision.
+
+    Each ln, difference and quotient is off by at most half a unit in the
+    last digit, 10**(1 - digits) / 2 relative; ``tol`` is twenty times that.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        tol = Decimal(10) ** (2 - digits)
+        x, ex = _decimal_log(ratio, tol)
+        y, ey = _decimal_log(1 / g, tol)
+        if y <= ey:
+            return None
+        return (x - ex) / (y + ey) * (1 - tol), (x + ex) / (y - ey) * (1 + tol)
+
+
+def _decimal_log(x: Fraction, tol: Decimal) -> tuple[Decimal, Decimal]:
+    """log(x) of a rational >= 1 in the current decimal context, and a bound on its error."""
+    a, b = Decimal(x.numerator).ln(), Decimal(x.denominator).ln()
+    return a - b, (a + b) * tol
 
 
 def _log(x: Fraction) -> tuple[float, float]:

@@ -775,7 +775,13 @@ def drift_jumps(monkeypatch):
     declined search must leave the cached rows bit for bit as they were.
     """
     jumps = []
+    logs = []
     drift_rounds = _fastpath._drift_rounds
+    turn_log = _fastpath.TurnLog
+
+    def recorded(*args):
+        logs.append(turn_log(*args))
+        return logs[-1]
 
     def counted(net0, unit, den, b, C, agents, pattern, col, sel, rows, *rest):
         args = (net0, unit, den, b, C, agents, pattern, col, sel, rows, *rest)
@@ -784,18 +790,23 @@ def drift_jumps(monkeypatch):
         if not rounds:
             assert np.array(rows).tobytes() == before
         else:
-            # Every turn before the jump is applied, so sel counts them all.
-            t0 = sum(map(sum, sel))
+            # The log holds every turn so far; the last, not yet applied,
+            # begins the jump. Rebuild the jumped rows from zero counts.
+            log, n, m = logs[-1], len(C), len(C[0])
+            t0 = len(log.choices) + n * sum(r for _, r in log.runs) - 1
+            turns = log.expand(0, t0)
+            assert sum(map(sum, sel)) == t0
+            assert turns[-n:] == pattern
             jumps.append((t0, rounds))
-            n = len(C)
             every = _fastpath.window_rows(
-                net0, unit, den, b, C, agents, 0, pattern * rounds, sel
+                net0, unit, den, b, C, agents, 0, turns + pattern * rounds,
+                [[0] * m for _ in range(n)],
             )
-            assert every.shape[0] == rounds * n
             for a, row in zip(agents, every[-n:]):
                 assert np.array(rows[a]).tobytes() == row.tobytes()
         return rounds
 
+    monkeypatch.setattr(_fastpath, "TurnLog", recorded)
     monkeypatch.setattr(_fastpath, "_drift_rounds", counted)
     return jumps
 

@@ -1,6 +1,8 @@
 """Outcome metrics: gaps, Gini, transfers, the analytic bound, spread monitor."""
 
 import math
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +131,38 @@ def test_termination_bound_epsilon_shift():
             assert b == a - 1
         else:
             assert b == 0
+
+
+@pytest.mark.parametrize("gamma, k", [
+    (Fraction(99999, 100000), 7_000_000),
+    (Fraction(10**12 - 1, 10**12), 70_000_000_000_000),
+])
+def test_termination_bound_on_a_boundary_near_gamma_one(gamma, k):
+    # Epsilon a few floats either side of the bound after k reductions: the
+    # count turns from k + 1 to k among them, so each lies within float
+    # rounding of a boundary, where no float logarithm settles it. A 50-digit
+    # decimal power of gamma is the reference; the count must not take the
+    # exact power, which has over a hundred million bits.
+    basis = 3 * Fraction(1.2)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        eps = float(Decimal(1.2) * 3 * (Decimal(gamma.numerator) / gamma.denominator) ** k)
+    counts = []
+    for _ in range(7):
+        eps = math.nextafter(eps, 0.0)
+    start = time.perf_counter()
+    for _ in range(14):
+        eps = math.nextafter(eps, 1.0)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            above = Decimal(basis.numerator) / basis.denominator / Decimal(eps) * (
+                Decimal(gamma.numerator) / gamma.denominator
+            ) ** k > 1
+        got = termination_bound(2, 2, gamma, eps, 1, 1.2).cycle_count
+        assert got == k + above
+        counts.append(got)
+    assert time.perf_counter() - start < 1.0
+    assert counts[0] == k + 1 and counts[-1] == k
 
 
 def test_termination_bound_gamma_too_close_to_one():
