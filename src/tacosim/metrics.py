@@ -121,28 +121,19 @@ def termination_bound(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -
     return TerminationBound(cycle_count=count, log_per_cycle=log_per_cycle, log_total=log_total)
 
 
-_EPS = 2.0**-52
-
-
 def _reductions(ratio: Fraction, g: Fraction) -> int:
     """The smallest r >= 0 with ratio * g^r <= 1, for 0 < g < 1.
 
-    r is ceil(q) for q = log(ratio) / log(1/g). Float logs with a bound on
-    their error bracket q; while the bracket holds an integer, decimal logs
-    at twice the digits narrow it. Only an integer q stays in every bracket,
-    and then ratio = (1/g)^q has numerator g.denominator^q: so the exact
-    product ratio * g^r is taken only when g.denominator^r is no longer than
-    ratio's numerator, and never costs more than the inputs' size.
+    r is ceil(q) for q = log(ratio) / log(1/g). Decimal logs with a bound on
+    their error bracket q, at twice the digits while the bracket holds an
+    integer. Only an integer q stays in every bracket, and then ratio =
+    (1/g)^q has numerator g.denominator^q: so the exact product ratio * g^r
+    is taken only when g.denominator^r is no longer than ratio's numerator,
+    and costs no more than the inputs' size.
     """
     if ratio <= 1:
         return 0
-    (x, ex), (y, ey) = _log(ratio), _log(1 / g)
-    lo = (x - ex) / (y + ey) * (1 - 8 * _EPS)
-    hi = (x + ex) / (y - ey) * (1 + 8 * _EPS) if y > ey else math.inf
-    if not math.isfinite(hi):
-        raise ValueError(f"gamma = {g} is too close to 1 to count its reductions")
-    r, top = max(0, math.ceil(lo)), math.ceil(hi)
-    digits = 16
+    r, top, digits = 0, math.inf, 16
     while r < top:
         if r + 1 == top and r * (g.denominator.bit_length() - 1) < ratio.numerator.bit_length():
             return r if ratio * g**r <= 1 else top
@@ -174,16 +165,6 @@ def _decimal_log(x: Fraction, tol: Decimal) -> tuple[Decimal, Decimal]:
     """log(x) of a rational >= 1 in the current decimal context, and a bound on its error."""
     a, b = Decimal(x.numerator).ln(), Decimal(x.denominator).ln()
     return a - b, (a + b) * tol
-
-
-def _log(x: Fraction) -> tuple[float, float]:
-    """log(x) of a positive rational as a float, and a bound on its absolute error."""
-    if Fraction(1, 2) <= x <= 2:
-        # Near 1 the logs of numerator and denominator would cancel.
-        v = math.log1p(float(x - 1))
-        return v, 4 * _EPS * abs(v) + 1e-300
-    a, b = math.log(x.numerator), math.log(x.denominator)
-    return a - b, 4 * _EPS * (a + b + 1)
 
 
 def bound_report(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -> str:

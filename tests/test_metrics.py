@@ -165,11 +165,15 @@ def test_termination_bound_on_a_boundary_near_gamma_one(gamma, k):
     assert counts[0] == k + 1 and counts[-1] == k
 
 
-def test_termination_bound_gamma_too_close_to_one():
-    # 1 - gamma below the smallest float: the count would pass 10**300.
+def test_termination_bound_gamma_within_a_float_of_one():
+    # 1 - gamma below the smallest float: the count passes 10**400. log(1/gamma)
+    # is 10**-400 to 400 digits and the bound over epsilon is 36 to 16, so the
+    # count is ln(36) * 10**400 to float precision; loosening epsilon to
+    # epsilon/gamma still removes exactly one reduction.
     gamma = Fraction(10**400 - 1, 10**400)
-    with pytest.raises(ValueError, match="too close to 1"):
-        termination_bound(2, 2, gamma, 0.1, 1, 1.2)
+    count = termination_bound(2, 2, gamma, 0.1, 1, 1.2).cycle_count
+    assert count / 10**400 == pytest.approx(math.log(36), rel=1e-14)
+    assert termination_bound(2, 2, gamma, Fraction(0.1) / gamma, 1, 1.2).cycle_count == count - 1
 
 
 def test_termination_bound_validation():
