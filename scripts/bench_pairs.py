@@ -27,7 +27,9 @@ interquartile range) and ``worse_beyond_bound`` (the change's median is
 worse than the parent's by more than the metric's ``bound`` in
 ``BENCHMARK.json``, a fraction of the parent's median). Every field is written by this script;
 the file is rewritten after every run, so an interrupted batch keeps the
-pairs it finished.
+pairs it finished. At the end it prints one verdict line per workload and
+metric: both medians, the change's wins over the pairs, ``gain_rule_met``
+and ``worse_beyond_bound``.
 """
 
 from __future__ import annotations
@@ -204,7 +206,22 @@ def main(argv=None) -> int:
               f"({out['tier1'][side]['wall_s']} s)", flush=True)
         save()
     print(f"wrote {path}")
+    for line in verdict_lines(out["gated"]):
+        print(line)
     return 0
+
+
+def verdict_lines(gated: dict) -> list[str]:
+    """One line per (workload, metric): medians, wins and the benchmark's two rules."""
+    lines = []
+    for workload, entry in gated.items():
+        for name, m in entry.get("summary", {}).items():
+            lines.append(
+                f"{workload} {name}: parent {m['parent']['median']:.6g} change "
+                f"{m['change']['median']:.6g} ({m['median_change_rel']:+.1%}), wins "
+                f"{m['change_wins']}/{m['pairs']}, gain_rule_met {m['gain_rule_met']}, "
+                f"worse_beyond_bound {m['worse_beyond_bound']}")
+    return lines
 
 
 if __name__ == "__main__":

@@ -33,11 +33,14 @@ p_i]``, p_i being i's choice and cnt_j the number of agents on j. Each
 correctly rounded operation of a cell is nondecreasing in that integer
 (b > 0 and unit > 0 are checked, and den > 0), so agent i's own cell can
 only fall as r grows and every other cell only rise: "every agent repeats"
-holds up to some round and fails from then on. An exponential then a
-binary search over the kernel's own cell expression finds that round R in
-O(log R) row evaluations; the turn log takes the R rounds as one run, and
-the counts and the state key grow by R times the round's. A round of all
-n agents on one column leaves delta unchanged: a repeat, not a drift.
+holds up to some round and fails from then on. An agent's gap between its
+choice and another option falls by a fixed amount a round, so the cached
+rows predict that round R; a search over the kernel's own cell expression
+starts at the prediction, gallops away from it with doubling steps and
+bisects: two row evaluations when the prediction is right, O(log e) when it
+is e rounds off. The turn log takes the R rounds as one run, and the counts
+and the state key grow by R times the round's. A round of all n agents on
+one column leaves delta unchanged: a repeat, not a drift.
 
 The detector records nothing inside a jump. Drift states are distinct, and
 a later state equal to a skipped one follows the same drift to the same
@@ -48,8 +51,8 @@ end, and the turns run on past `stop` to look that end up; past `stop`
 any drift is jumped, and the turns run two rounds further, so a repeat
 that lies before the budget or the cap, behind a skipped state, still
 shows. A drift longer than `stop` steps holds no such repeat and ends the
-window there. A drift predicted from the cached rows to last under a dozen
-turns is stepped: the search would cost more.
+window there. A drift that prediction puts under a dozen turns is
+stepped, not searched.
 
 Every cell is one expression of the window's anchors ``(net0, unit,
 den)``: agent i on choice j at integer delta k has the profit ``b_i *
@@ -147,15 +150,21 @@ class TurnLog(NamedTuple):
         return out
 
     def truncate(self, end: int) -> None:
-        """Drop the turns from ``end`` on; a run may end inside a round."""
-        choices: list[int] = []
-        runs = []
-        for _, seq, reps in self.pieces(0, end):
-            if reps > 1:  # a run's rounds, which follow one round of its pattern
-                runs.append((len(choices), reps))
-            else:
-                choices += seq
-        self.choices[:], self.runs[:] = choices, runs
+        """Drop the turns from ``end`` on, in place; a run may end inside a round."""
+        choices, runs, n = self.choices, self.runs, self.n
+        t = len(choices) + n * sum(r for _, r in runs)  # the turns held
+        while runs and end < t - len(choices) + runs[-1][0]:  # end is before the run's end
+            k, r = runs.pop()
+            t -= len(choices) - k + r * n  # the run's first turn
+            del choices[k:]
+            if end > t:  # keep the run's whole rounds, as a run if more than one
+                reps, rest = divmod(end - t, n)
+                if reps > 1:
+                    runs.append((k, reps))
+                    reps = 0
+                choices += choices[k - n : k] * reps + choices[k - n : k - n + rest]
+                return
+        del choices[len(choices) - t + end :]
 
 
 @dataclass
@@ -169,9 +178,9 @@ class WindowResult:
     log holds the choices of the window's turns 1..steps, run-length;
     selcount[i][j] counts agent i's applied turns on j. When status is
     "detected" or "history_cap", the final turn's board update is pending:
-    selcount covers only the first steps-1 turns. profit_rows holds the
-    cycle's rows only, those of the 0-based turns s0_rel..steps-1 (rebuilt
-    by ``window_rows``), and is None unless status is "detected".
+    selcount covers only the first steps-1 turns. cycle and profit_rows hold
+    the choices and the rows (by ``window_rows``) of the 0-based turns
+    s0_rel..steps-1, None unless status is "detected"; tail the last n choices.
     """
 
     status: str
@@ -180,6 +189,8 @@ class WindowResult:
     log: TurnLog
     profit_rows: np.ndarray | None
     selcount: list[list[int]]
+    cycle: list[int] | None
+    tail: list[int]
 
 
 def run_window(
@@ -355,7 +366,7 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
         for k, c_k in enumerate(seq, pos0 + u):
             sel[order_l[k % n]][c_k] -= reps
     log.truncate(end)
-    cycle_rows = None
+    cycle = cycle_rows = None
     if status == "detected":
         # Take the cycle's applied turns back from the window's counts.
         cycle = log.expand(s0, end)
@@ -370,6 +381,8 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
         log=log,
         profit_rows=cycle_rows,
         selcount=sel,
+        cycle=cycle,
+        tail=choices[-n:],
     )
 
 
@@ -383,11 +396,12 @@ def _drift_rounds(
     are the counts before that turn, and rows the cached rows of the agents'
     turns in P. "Every turn follows P" holds up to some round and fails
     from then on (see the module docstring), so a search over the kernel's
-    own cells finds that round. Returns 0, leaving rows as they are, if P
-    puts all n agents on one column (a repeat, not a drift), if a float
-    estimate from the cached rows is below min_steps turns, or if a turn of
-    the next round leaves P; otherwise rows holds each agent's row at its
-    turn of the last round.
+    own cells, started at the last round the cached rows predict, finds that
+    round: two row evaluations when the estimate is right, O(log e) when it
+    is e rounds off. Returns 0, leaving rows as they are, if P puts all n
+    agents on one column (a repeat, not a drift), if the estimate is below
+    min_steps turns, or if a turn of the next round leaves P; otherwise rows
+    holds each agent's row at its turn of the last round.
     """
     n = len(C)
     cnt = [0] * len(C[0])
@@ -395,67 +409,73 @@ def _drift_rounds(
         cnt[p] += 1
     if max(cnt) == n:
         return 0
-    # Agent a's gap from p to column j shrinks by b_a*d*(n - cnt[p] +
-    # cnt[j]) <= 2*b_a*d*(n - cnt[p]) a round, and its row is cached at
-    # round -1 (the next turn's player's at round 0). That bounds, roughly from
-    # below, the rounds it keeps p: an estimate used only to skip short
-    # drifts and to check first the agent likeliest to leave P.
+    # Agent a's gap from p to option j falls by b_a*d*(n - cnt[p] + cnt[j])
+    # a round from its cached row, which is at round 0 for the next turn's
+    # player and round -1 for the others: that predicts the last round at
+    # which a keeps p against j. A fall that rounds to 0.0 predicts nothing,
+    # and every estimate is clamped to max_rounds - 1.
     dval = unit / den
-    min_rounds = min_steps / n
-    turns = []
-    for q, (a, p) in enumerate(zip(agents, pattern)):
-        row = rows[a]
-        est = (row[p] - sorted(row)[-2]) / (2 * b[a] * (n - cnt[p])) / dval + (q == 0)
-        if est < min_rounds:
-            return 0
-        turns.append((est, q, a, p))
-    turns.sort()  # the likeliest to leave P first
+    checks = []
     pre = col[:]  # col plus the counts of the pattern's turns before agent a's
-    cells = [None] * n
     for q, (a, p) in enumerate(zip(agents, pattern)):
-        sel_a = sel[a]
-        base = [c - n * s for c, s in zip(pre, sel_a)]
+        row, bd, est = rows[a], b[a] * dval, max_rounds - 1.0
+        for j, x in enumerate(row):
+            fall = bd * (n - cnt[p] + cnt[j])
+            if j != p and fall > 0:
+                est = min(est, (row[p] - x) / fall - (q > 0))
         step = cnt[:]
         step[p] -= n
-        cells[q] = (base, step)
+        checks.append((est, a, p, [c - n * s for c, s in zip(pre, sel[a])], step))
         pre[p] += 1
-    cols = range(len(cnt))
-
-    def rows_at(r):
-        """Every agent's row at round r, or None if one of them leaves P."""
-        out = []
-        for _, q, a, p in turns:
-            base, step = cells[q]
-            b_a, C_a, net0_a = b[a], C[a], net0[a]
-            row = [
-                b_a * ((net0_a[j] + unit * (base[j] + r * step[j])) / den) - C_a[j] for j in cols
-            ]
-            if row.index(max(row)) != p:
-                return None
-            out.append(row)
-        return out
-
-    # Every turn follows P at round lo (round -1 was P) and one leaves it at
-    # round hi (max_rounds stands in for "later"). Double from round 0 until
-    # the end is bracketed, then bisect.
-    lo, hi, lo_rows, r = -1, max_rounds, None, 0
-    while r < hi:
-        got = rows_at(r)
-        if got is None:
-            hi = r
-            break
-        lo, lo_rows, r = r, got, 2 * r + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        got = rows_at(mid)
-        if got is None:
-            hi = mid
-        else:
-            lo, lo_rows = mid, got
-    if lo < 0:
+    checks.sort()  # the likeliest to leave P first
+    guess = checks[0][0]  # the drift's last round
+    if (guess + 1) * n < min_steps:
         return 0
-    for (_, _, a, _), row in zip(turns, lo_rows):
-        rows[a][:] = row
+    cols = range(len(cnt))
+    passed = {}  # the rows of each round evaluated
+    end = _first_failing(
+        lambda r: passed.setdefault(r, _rows_at(r, net0, unit, den, b, C, checks, cols)),
+        int(guess), max_rounds,
+    )
+    if end:
+        for (_, a, *_), row in zip(checks, passed[end - 1]):
+            rows[a][:] = row
+    return end
+
+
+def _rows_at(r, net0, unit, den, b, C, checks, cols):
+    """Each checked agent's row at round r of a drift, or None if one leaves its choice."""
+    out = []
+    for _, a, p, base, step in checks:
+        b_a, C_a, net0_a = b[a], C[a], net0[a]
+        row = [b_a * ((net0_a[j] + unit * (base[j] + r * step[j])) / den) - C_a[j] for j in cols]
+        if row.index(max(row)) != p:
+            return None
+        out.append(row)
+    return out
+
+
+def _first_failing(ok, guess, max_rounds):
+    """The first round in 0..max_rounds-1 at which ok fails, or max_rounds if none does.
+
+    ok holds up to some round and fails from then on. It is evaluated at the
+    guess, clamped to that range, then at doubling steps away from it until
+    the first failing round is bracketed, then by bisection: at most 2 + 2 *
+    ceil(log2(|guess - answer| + 1)) evaluations, 2 if the guess is the last
+    round at which ok holds.
+    """
+    lo, hi, step = -1, max_rounds, 1
+    mid = min(max(guess, 0), max_rounds - 1)
+    while hi - lo > 1:
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+        # Gallop while no round has failed, or none has held; then bisect.
+        mid = lo + step if hi == max_rounds else hi - step if lo < 0 else (lo + hi) // 2
+        step *= 2
+        if not lo < mid < hi:
+            mid = (lo + hi) // 2
     return hi
 
 
@@ -496,13 +516,14 @@ def _find_repeat(first, more, t, log, m):
     every column gained as many +1s as -n, i.e. each agent chose it equally
     often. Then each agent had as many turns, so (t - s) % n == 0 and the
     same agent is on turn too. A turn's agent is a function of its phase in
-    the round, so the turns are counted by phase.
+    the round, so the turns are counted by phase, a run's rounds at once.
     """
     n = log.n
     for s in (first, *more):
         counts = [0] * (n * m)  # phase q's count on choice j at q*m + j
-        for k, j in enumerate(log.expand(s - 1, t - 1), s - 1):
-            counts[k % n * m + j] += 1
+        for u, seq, reps in log.pieces(s - 1, t - 1):
+            for k, j in enumerate(seq, u):
+                counts[k % n * m + j] += reps
         if counts[:m] * n == counts:  # every phase's row equals phase 0's
             return s
     return -1

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _fastpath
 from .agent import AgentPrivate
-from .board import CycleRecord, PublicBoard, exact, span_counts
+from .board import CycleRecord, PublicBoard, exact
 from .errors import HistoryLimitError, NoTerminationError
 
 ENV_VAR = "TACO_BACKEND"
@@ -354,8 +354,7 @@ def _run(config, agents, interrupt_step, backend):
         trace._append(_Window(g0, win.steps, win.log, net0, unit, den))
         steps = g0 + win.steps
         # Turns are cyclic, so the last n turns hold each agent's last selection.
-        tail = win.log.expand(max(0, win.steps - n), win.steps)
-        for k, c_k in enumerate(tail, steps - len(tail)):
+        for k, c_k in enumerate(win.tail, steps - len(win.tail)):
             selections[order[k % n]] = c_k
         if win.status != "detected":
             _advance_board(lattice, win.selcount, win.steps)
@@ -364,26 +363,26 @@ def _run(config, agents, interrupt_step, backend):
         _advance_board(lattice, win.selcount, win.steps - 1)
         # A cycle never leaves its window: count it from the window's turns.
         s0 = win.s0_rel
-        agents = [order[k % n] for k in range(g0 + s0, steps)]
-        cycle_log = list(zip(agents, win.log.expand(s0, win.steps)))
-        counts, active = span_counts(cycle_log, 1, len(cycle_log), n, m)
+        counts = [[0] * m for _ in range(n)]
+        profits = [[] for _ in range(n)]
+        for k, c_k, row in zip(range(g0 + s0, steps), win.cycle, win.profit_rows):
+            counts[order[k % n]][c_k] += 1
+            profits[order[k % n]].append(row)
         cyc = CycleRecord(
             start_step=g0 + s0 + 1,
             end_step=steps,
-            active_choices=active,
-            choice_counts=counts,
-            agent_turn_profits=[[] for _ in range(n)],
+            active_choices=frozenset(win.cycle),
+            choice_counts=np.array(counts, dtype=np.int64),
+            agent_turn_profits=profits,
             d_at_detection=lattice.d,
         )
-        for a_k, row in zip(agents, win.profit_rows):
-            cyc.agent_turn_profits[a_k].append(row)
         _check_cycle_structure(cyc, n)
         cycles.append(cyc)
         reduce_trading_unit(lattice)
         if check_termination(cyc, config.epsilon):
             terminated = True
             break
-        apply_selection(lattice, order[(steps - 1) % n], tail[-1])
+        apply_selection(lattice, order[(steps - 1) % n], win.tail[-1])
     return _finish(config, lattice, selections, trace, cycles, terminated, interrupt_step)
 
 

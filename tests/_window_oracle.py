@@ -101,5 +101,7 @@ def run_window_oracle(
         log=TurnLog(choices, [], n),
         profit_rows=all_rows[s0:] if status == "detected" else None,
         selcount=selcount.tolist(),
+        cycle=choices[s0:] if status == "detected" else None,
+        tail=choices[-n:],
     )
     return result, all_rows

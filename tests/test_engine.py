@@ -1,5 +1,6 @@
 """Auction engine: golden trace, termination, interruption, backend parity."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 import _window_oracle as window_oracle
 from _replay import apply_selection, new_board, reduce_trading_unit, verify_run
-from tacosim import _fastpath, engine
+from tacosim import _fastpath, engine, experiments
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
 from tacosim.board import CycleRecord
@@ -566,6 +567,13 @@ def _assert_same_window(got, ref, ref_rows, anchors):
     else:
         assert got.profit_rows is None and ref.profit_rows is None
     assert got.selcount == ref.selcount
+    # The choices the kernel hands the engine are the log's, expanded.
+    n = got.log.n
+    assert got.tail == got.log.expand(max(0, got.steps - n), got.steps) == ref.tail
+    if ref.status == "detected":
+        assert got.cycle == got.log.expand(got.s0_rel, got.steps) == ref.cycle
+    else:
+        assert got.cycle is None and ref.cycle is None
 
 
 @pytest.fixture
@@ -949,3 +957,156 @@ def test_expanded_log_matches_the_oracle(backend):
     assert got.steps == ref.steps > 3000
     assert got.log.expand(0, got.steps) == ref.log.choices
     _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_window_kernel_matches_oracle_on_montecarlo_instances(monkeypatch, oracle_windows, backend):
+    # The sweep's own instances, built as the experiments build them
+    # (instance stream 0 of each trial's seed path), until 200 windows have
+    # been checked against the oracle.
+    cfg = experiments.ExperimentConfig()
+    run_window = _fastpath.run_window
+    windows = []
+
+    def counted(*args):
+        windows.append(args)
+        return run_window(*args)
+
+    monkeypatch.setattr(_fastpath, "run_window", counted)
+    trial = 0
+    while len(windows) < 200:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, trial, 0]))
+        problem, eps = experiments.make_instance(cfg, rng)
+        config = TacoConfig(epsilon=eps, d0=cfg.d0, gamma=cfg.gamma)
+        run_taco(config, problem.agents(), backend=backend)
+        trial += 1
+    assert oracle_windows == {"detected"}
+
+
+@pytest.mark.parametrize("max_rounds", (1, 2, 3, 7, 64))
+def test_first_failing_round_matches_a_linear_scan(max_rounds):
+    # The drift search's gallop from a guess, then bisection, on every
+    # monotone predicate over max_rounds rounds and every guess, including
+    # guesses out of range. Threshold 0 is a drift whose first round already
+    # leaves the pattern. No round is evaluated twice, and a guess e rounds
+    # off costs at most 2 + 2*ceil(log2(e + 1)) evaluations.
+    for threshold in range(max_rounds + 1):
+        want = next((r for r in range(max_rounds) if not r < threshold), max_rounds)
+        for guess in range(-3, max_rounds + 4):
+            seen = []
+
+            def ok(r):
+                assert 0 <= r < max_rounds
+                seen.append(r)
+                return r < threshold
+
+            assert _fastpath._first_failing(ok, guess, max_rounds) == want
+            assert len(seen) == len(set(seen))
+            assert len(seen) <= 2 + 2 * math.ceil(math.log2(abs(guess - want) + 1))
+            if guess == want - 1:
+                assert len(seen) <= 2
+
+
+def test_drift_search_leaving_at_its_first_round_writes_no_row():
+    # Cached rows that predict a long drift where the pattern's first turn
+    # already leaves it: at zero delta agent 0 of the worked example prefers
+    # option 1, not the pattern's 0. The search returns 0 and leaves every
+    # cached row as it was.
+    problem = example2_fixture()
+    rows = [[100.0, 0.0], [0.0, 100.0]]
+    rounds = _fastpath._drift_rounds(
+        [[0.0, 0.0], [0.0, 0.0]], 0.01, 1.0, problem.b.tolist(), problem.C.tolist(),
+        [0, 1], [0, 1], [0, 0], [[0, 0], [0, 0]], rows, 50, 0,
+    )
+    assert rounds == 0
+    assert rows == [[100.0, 0.0], [0.0, 100.0]]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drift_search_starts_at_its_estimate(monkeypatch, backend):
+    # The cached rows predict a drift's last round, so a search costs about
+    # two row evaluations however long the drift: the worked example's one
+    # 49,998-round drift at d0 = 1/60000 takes at most 4, and the drift
+    # windows at most 3 a jump on average.
+    evals, jumps = [], []
+    rows_at, drift_rounds = _fastpath._rows_at, _fastpath._drift_rounds
+
+    def counted_rows(*args):
+        evals.append(args[0])
+        return rows_at(*args)
+
+    def counted_search(*args):
+        rounds = drift_rounds(*args)
+        if rounds:
+            jumps.append(rounds)
+        return rounds
+
+    monkeypatch.setattr(_fastpath, "_rows_at", counted_rows)
+    monkeypatch.setattr(_fastpath, "_drift_rounds", counted_search)
+    config = TacoConfig(epsilon=1e-6, d0="1/60000", gamma="9/10")
+    outcome = run_taco(config, example2_fixture().agents(), backend=backend)
+    assert outcome.steps == 100_003
+    assert 49_998 in jumps
+    assert len(evals) <= 4
+    evals.clear()
+    jumps.clear()
+    for args, _, _ in _drift_windows(backend, (200, 2000, 20000)):
+        _fastpath.run_window(*args, 10**6, 10**6)
+    assert len(jumps) >= 10
+    assert len(evals) <= 3 * len(jumps)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drift_search_where_the_fall_rounds_to_zero(backend):
+    # At d0 = 1e-323 the float trading unit is positive, so drift jumps stay
+    # on, but b_a * d rounds to 0.0 at b = (0.1, 0.2): the estimate must skip
+    # the zero fall, not divide by it, and the window must still be the
+    # oracle's. Its 10^4-step budget ends inside one run of 4,998 rounds.
+    problem = ChoiceProblem(n=2, m=2, C=example2_fixture().C, b=[0.1, 0.2])
+    lattice = engine._LatticeBoard(2, 2, Fraction(1, 10**323), Fraction(9, 10))
+    anchors, net_row = _window_anchors(lattice, backend)
+    assert anchors[1] / anchors[2] > 0 and 0.1 * (anchors[1] / anchors[2]) == 0.0
+    order = np.arange(2)
+    got = _fastpath.run_window(
+        *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**4, 10**6
+    )
+    ref, ref_rows = window_oracle.run_window_oracle(
+        net_row, problem.b, problem.C, order, 0, 10**4, 10**6
+    )
+    assert got.status == "budget"
+    assert [r for _, r in got.log.runs] == [4998]
+    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+
+
+def test_find_repeat_counts_a_run_by_its_rounds():
+    # _find_repeat counts a run as its pattern times its rounds, without
+    # expanding it. Two stepped rounds of [0, 1] and a run of three more,
+    # then five rounds of [1, 0]: each agent chose each option five times,
+    # so step 21 repeats step 1. Every other pair of steps one agent apart
+    # gets the answer the expanded turns give.
+    log = _fastpath.TurnLog([0, 1, 0, 1] + [1, 0] * 5, [(4, 3)], 2)
+    assert _fastpath._find_repeat(1, (), 21, log, 2) == 1
+    turns = log.expand(0, 20)
+    for s in range(1, 21):
+        for t in range(s + 2, 22, 2):
+            counts = [[0, 0], [0, 0]]
+            for k in range(s - 1, t - 1):
+                counts[k % 2][turns[k]] += 1
+            want = s if counts[0] == counts[1] else -1
+            assert _fastpath._find_repeat(s, (), t, log, 2) == want
+
+
+def test_truncate_keeps_the_turns_before_the_cut():
+    # truncate drops turns from the back, in place, and ends a run inside a
+    # round where the cut falls there: every cut keeps exactly the turns
+    # before it, and the last 2n entries of choices are the last 2n turns.
+    n = 2
+    full = _fastpath.TurnLog([1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0], [(4, 3), (8, 2)], n)
+    turns = full.expand(0, 21)
+    assert len(turns) == 21
+    for end in range(22):
+        log = _fastpath.TurnLog(full.choices[:], full.runs[:], n)
+        log.truncate(end)
+        assert log.expand(0, end + 1) == turns[:end]
+        assert len(log.choices) + n * sum(r for _, r in log.runs) == end
+        assert log.choices[-2 * n :] == turns[:end][-2 * n :]
