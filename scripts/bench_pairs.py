@@ -29,7 +29,8 @@ worse than the parent's by more than the metric's ``bound`` in
 the file is rewritten after every run, so an interrupted batch keeps the
 pairs it finished. At the end it prints one verdict line per workload and
 metric: both medians, the change's wins over the pairs, ``gain_rule_met``
-and ``worse_beyond_bound``.
+and ``worse_beyond_bound``; then one line per workload and per-layer metric
+of the traced runs: both sides' values and the relative change.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
               f"({out['tier1'][side]['wall_s']} s)", flush=True)
         save()
     print(f"wrote {path}")
-    for line in verdict_lines(out["gated"]):
+    for line in verdict_lines(out["gated"]) + layer_lines(out["traced"]):
         print(line)
     return 0
 
@@ -222,6 +223,30 @@ def verdict_lines(gated: dict) -> list[str]:
                 f"{m['change_wins']}/{m['pairs']}, gain_rule_met {m['gain_rule_met']}, "
                 f"worse_beyond_bound {m['worse_beyond_bound']}")
     return lines
+
+
+def layer_lines(traced: dict) -> list[str]:
+    """One line per (workload, traced per-layer metric): both values and the relative change."""
+    lines = []
+    for workload, entry in traced.items():
+        parent = entry["parent"]["result_line"]["metrics"]
+        change = entry["change"]["result_line"]["metrics"]
+        for name in {**parent, **change}:
+            p, c = (side.get(name, {}).get("value") for side in (parent, change))
+            unit = (change.get(name) or parent[name])["unit"]
+            if p is None or c is None:
+                rel = "n/a"
+            elif p:
+                rel = f"{c / p - 1:+.1%}"
+            else:
+                rel = "+0.0%" if c == p else "n/a"
+            lines.append(f"{workload} traced {name} ({unit}): parent {_num(p)} change "
+                         f"{_num(c)} ({rel})")
+    return lines
+
+
+def _num(value) -> str:
+    return "-" if value is None else f"{value:.6g}"
 
 
 if __name__ == "__main__":

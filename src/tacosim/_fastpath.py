@@ -78,19 +78,18 @@ reads by negative index, and a jumped drift is one run, so a drift costs
 O(1) time and memory however long it is. Who played a turn follows from
 the turn order. The cycle search, the walk-back and the cut at the
 window's end read the turns through the runs; a cut may end a run inside
-a round. No profit row is stored. A cell is a pure function of (agent,
-choice, integer delta), so ``window_rows`` rebuilds the rows of any
-stretch of turns from the window's anchors and their expanded choices,
-bit for bit the rows the kernel saw. The kernel calls it once per
-detected cycle, for the rows the termination test reads; the engine's
-lazy trace calls it for any other row.
+a round. No profit row is stored beyond each agent's cached one. A
+cycle of one round (all n agents on one column) hands back the cached
+rows, in turn order: each is its agent's row at the same state. A cell
+is a pure function of (agent, choice, integer delta), so ``window_rows``
+rebuilds, bit for bit, the rows of a longer cycle and those the engine's
+lazy trace reads, from the window's anchors and expanded choices.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -179,8 +178,8 @@ class WindowResult:
     selcount[i][j] counts agent i's applied turns on j. When status is
     "detected" or "history_cap", the final turn's board update is pending:
     selcount covers only the first steps-1 turns. cycle and profit_rows hold
-    the choices and the rows (by ``window_rows``) of the 0-based turns
-    s0_rel..steps-1, None unless status is "detected"; tail the last n choices.
+    the choices and the read-only rows of the 0-based turns s0_rel..steps-1,
+    None unless status is "detected"; tail the last n choices.
     """
 
     status: str
@@ -227,12 +226,18 @@ def _zobrist_keys(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     delta[r][j])``. A turn of agent i on j adds 1 to delta[:, j] and
     subtracts n from delta[i][j], so it moves the sum by ``inc[i][j] =
     sum_r Z[r][j] - n * Z[i][j]``. Returns inc. The agent on turn needs no
-    key: only the window's first player's observations are recorded.
+    key: only the window's first player's observations are recorded. Z is
+    the splitmix64 sequence (Steele, Lea & Flood, OOPSLA 2014) seeded by
+    the shape.
     """
-    rng = random.Random(f"tacosim-zobrist-{n}x{m}")
-    Z = [[rng.getrandbits(64) for _ in range(m)] for _ in range(n)]
-    colsum = [sum(col) for col in zip(*Z)]
-    return tuple(tuple(c - n * z for c, z in zip(colsum, row)) for row in Z)
+    x, Z = n << 32 | m, []  # Z[i * m + j]
+    for _ in range(n * m):
+        x = (x + 0x9E3779B97F4A7C15) % 2**64
+        z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        Z.append(z ^ z >> 31)
+    colsum = [sum(Z[j::m]) for j in range(m)]
+    return tuple(tuple(c - n * z for c, z in zip(colsum, Z[i : i + m])) for i in range(0, n * m, m))
 
 
 def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history_cap):
@@ -254,7 +259,11 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     # that is not the same state goes to `collided`, so a later true repeat
     # is still found.
     agents = order_l[pos0 % n :] + order_l[: pos0 % n]  # a round's players, in turn order
-    i0 = agents[0]
+    # Turn t is played in phase t % n, by agents[t % n]: per phase, that agent's
+    # row, counts, valuation, costs, anchors and hash increments, and the next phase.
+    phases = [(rows[i], sel[i], b_l[i], C_l[i], net0[i], inc[i], (q + 1) % n)
+              for q, i in enumerate(agents)]
+    ph = 0
     history: dict[int, int] = {}
     collided: dict[int, list[int]] = {}
     h = 0
@@ -279,12 +288,7 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     hit = False
     t = 0
     while t < stop:
-        i = order_l[(pos0 + t) % n]
-        row = rows[i]
-        sel_i = sel[i]
-        b_i = b_l[i]
-        C_i = C_l[i]
-        net0_i = net0[i]
+        row, sel_i, b_i, C_i, net0_i, inc_i, next_ph = phases[ph]
         # A first turn fills the row; after that only the columns chosen since
         # agent i's last turn (the last n turns) have changed. On float anchors
         # the cell repeats numpy's b_i * (net0f[i] + d * delta[i]) - C[i]: the
@@ -295,7 +299,7 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
         j = row.index(max(row))  # lowest index on ties, like argmax
         choices.append(j)
         t += 1
-        if i == i0:
+        if not ph:
             first = history.get(h)
             if first is None:
                 history[h] = t
@@ -356,9 +360,10 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
                     continue
                 if t < base_stop:
                     next_try = min(t + 2 * n, base_stop - 1)
-        h += inc[i][j]
+        h += inc_i[j]
         col[j] += 1
         sel_i[j] += 1
+        ph = next_ph
     # Cut the window at step `end`: take the updates applied past its last
     # applied turn back out of sel (a hit's own turn was never applied).
     keep = end if status == "budget" else end - 1
@@ -368,12 +373,17 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     log.truncate(end)
     cycle = cycle_rows = None
     if status == "detected":
-        # Take the cycle's applied turns back from the window's counts.
         cycle = log.expand(s0, end)
-        start = [row[:] for row in sel]
-        for k, c_k in enumerate(cycle[:-1], pos0 + s0):
-            start[order_l[k % n]][c_k] -= 1
-        cycle_rows = window_rows(net0, unit, den, b_l, C_l, order_l, pos0 + s0, cycle, start)
+        if end - s0 == n:
+            # The state repeats every n turns from s0 on, so each cycle turn saw
+            # the row its agent last took an argmax over: the cached one.
+            cycle_rows = np.array([rows[order_l[k % n]] for k in range(pos0 + s0, pos0 + end)])
+            cycle_rows.flags.writeable = False
+        else:  # rebuilt, with the cycle's applied turns taken back from the counts
+            start = [row[:] for row in sel]
+            for k, c_k in enumerate(cycle[:-1], pos0 + s0):
+                start[order_l[k % n]][c_k] -= 1
+            cycle_rows = window_rows(net0, unit, den, b_l, C_l, order_l, pos0 + s0, cycle, start)
     return WindowResult(
         status=status,
         steps=end,
@@ -488,7 +498,8 @@ def window_rows(net0, unit, den, b, C, order, pos, choices, sel) -> np.ndarray:
     agent i's turns on j before the stretch and is not modified. Every cell
     is the kernel's one expression at the integer delta the agent observed,
     so each row is bit for bit the row the kernel took its argmax over.
-    Returns a read-only len(choices) x m array.
+    Returns a read-only len(choices) x m array. The kernel calls it only for
+    cycles longer than one round; the engine's lazy trace for its rows.
     """
     n = len(C)
     sel = [row[:] for row in sel]

@@ -11,6 +11,7 @@ run's ``final_board`` is read, and nothing here mutates it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,7 +77,9 @@ class CycleRecord:
     The cycle spans steps ``start_step..end_step`` inclusive; replaying those
     selections maps the board back onto itself (up to the constant column
     shift of the net matrix). ``agent_turn_profits[i]`` holds the profit rows
-    agent i saw at its own turns inside the span.
+    agent i saw at its own turns inside the span, and ``spreads[i]``, computed
+    on first read, the max minus the min of those rows' profits at the active
+    choices, pooled: what the termination test and the spread metric compare.
     """
 
     start_step: int
@@ -90,17 +93,13 @@ class CycleRecord:
     def length(self) -> int:
         return self.end_step - self.start_step + 1
 
+    @functools.cached_property
+    def spreads(self) -> list[float]:
+        active = sorted(self.active_choices)
+        return [_profit_spread(rows, active) for rows in self.agent_turn_profits]
 
-def span_counts(
-    selection_log: list[tuple[int, int]], start_step: int, end_step: int, n: int, m: int
-) -> tuple[np.ndarray, frozenset[int]]:
-    """Per-(agent, choice) selection counts and active choice set over a span.
 
-    ``selection_log[k]`` is the (agent, choice) pair of step k+1; the span is
-    inclusive on both ends.
-    """
-    counts = [[0] * m for _ in range(n)]
-    for agent, choice in selection_log[start_step - 1 : end_step]:
-        counts[agent][choice] += 1
-    active = frozenset(j for j, col in enumerate(zip(*counts)) if any(col))
-    return np.array(counts, dtype=np.int64), active
+def _profit_spread(rows: list[np.ndarray], active: list[int]) -> float:
+    """Max minus min of the profits at the active choices, pooled across rows."""
+    vals = [r[j] for r in map(np.ndarray.tolist, rows) for j in active]
+    return max(vals) - min(vals)

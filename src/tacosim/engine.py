@@ -262,27 +262,14 @@ def run_interrupted(
 def check_termination(cycle: CycleRecord, epsilon: float) -> bool:
     """True iff every agent's observed profit spread inside the cycle is < epsilon.
 
-    The spread is over the cycle's active choices, pooled across the profit
-    rows the agent saw at its own turns within the span.
+    The spread (``cycle.spreads``) is over the cycle's active choices, pooled
+    across the profit rows the agent saw at its own turns within the span.
     """
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    active = sorted(cycle.active_choices)
-    for rows in cycle.agent_turn_profits:
-        if not rows:
-            raise ValueError("agent_turn_profits must be populated for every agent")
-        if _profit_spread(rows, active) >= epsilon:
-            return False
-    return True
-
-
-def _profit_spread(rows: list[np.ndarray], active: list[int]) -> float:
-    """Max minus min of the profits at the active choices, pooled across rows."""
-    vals: list[float] = []
-    for row in rows:
-        r = row.tolist()
-        vals += [r[j] for j in active]
-    return max(vals) - min(vals)
+    if not all(cycle.agent_turn_profits):
+        raise ValueError("agent_turn_profits must be populated for every agent")
+    return not any(spread >= epsilon for spread in cycle.spreads)
 
 
 def settle(board: _LatticeBoard, j_star: int) -> list[Fraction]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import ChoiceProblem, _sum
 from .board import exact
-from .engine import TacoOutcome, _profit_spread
+from .engine import TacoOutcome
 from .errors import MetricUndefinedError
 
 
@@ -207,11 +207,9 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     n = len(b)
     worst = 0.0
     for cyc in outcome.cycle_records:
-        active = sorted(cyc.active_choices)
-        p = len(active)
+        p = len(cyc.active_choices)
         d = float(cyc.d_at_detection)
-        for i, rows in enumerate(cyc.agent_turn_profits):
-            spread = _profit_spread(rows, active)
+        for i, spread in enumerate(cyc.spreads):
             bound = (p + 1) * d * (n - 1) * b[i]
             if bound == 0.0:
                 if spread > 0.0:

@@ -137,17 +137,22 @@ def enumerate_options(scenario: WaypointScenario, b, max_agents: int = 7) -> Cho
     e = scenario.e.tolist()
     k = scenario.k.tolist()
     shift = [t * scenario.D for t in range(n)]
-    rows: list[list[float]] = [[] for _ in range(n)]
     walk, labels = _orderings(n)
+    rows = [[0.0] * len(labels) for _ in range(n)]
     stacks = [None] * (n + 1)  # stacks[t]: pooled blocks of the first t positions
-    for order, depth in walk:
+    for col, (order, depth) in enumerate(walk):
         stack = stacks[depth]
         for t in range(depth, n):
             i = order[t]
             stack = stacks[t + 1] = _pool(stack, e[i] - shift[t], k[i])
-        for i, v, s in zip(order, _block_values(stack), shift):
-            x = (v + s) - e[i]
-            rows[i].append(k[i] * (x * x))
+        # Each block holds its positions' fitted value: walk them last first.
+        t = n
+        while stack is not None:
+            v, _, size, stack = stack
+            for t in range(t - 1, t - 1 - size, -1):
+                i = order[t]
+                x = (v + shift[t]) - e[i]
+                rows[i][col] = k[i] * (x * x)
     # C-contiguous like np.column_stack's C, so C.mean() sums in the same order.
     C = np.array(rows, dtype=np.float64).reshape(n, len(labels))
     return ChoiceProblem(n=n, m=C.shape[1], C=C, b=np.asarray(b, dtype=np.float64),

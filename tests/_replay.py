@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from tacosim.agent import AgentPrivate
-from tacosim.board import CycleRecord, PublicBoard, exact, span_counts
+from tacosim.board import CycleRecord, PublicBoard, exact
 from tacosim.engine import TacoConfig, TacoOutcome, check_termination
 from tacosim.baselines import ChoiceProblem
 from tacosim.errors import HistoryLimitError
@@ -146,6 +146,21 @@ class StateKey:
     @classmethod
     def from_board(cls, board: PublicBoard, playing_agent: int) -> "StateKey":
         return cls(net=tuple(map(tuple, net(board))), playing_agent=playing_agent)
+
+
+def span_counts(
+    selection_log: list[tuple[int, int]], start_step: int, end_step: int, n: int, m: int
+) -> tuple[np.ndarray, frozenset[int]]:
+    """Per-(agent, choice) selection counts and active choice set over a span.
+
+    ``selection_log[k]`` is the (agent, choice) pair of step k+1; the span is
+    inclusive on both ends.
+    """
+    counts = [[0] * m for _ in range(n)]
+    for agent, choice in selection_log[start_step - 1 : end_step]:
+        counts[agent][choice] += 1
+    active = frozenset(j for j, col in enumerate(zip(*counts)) if any(col))
+    return np.array(counts, dtype=np.int64), active
 
 
 def record_and_detect(

@@ -1,0 +1,45 @@
+"""The paired-benchmark script's report lines, on synthetic batches."""
+
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _side(**metrics):
+    return {"result_line": {"metrics": {
+        name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()
+    }}}
+
+
+def test_layer_lines_compare_both_traced_sides():
+    traced = {
+        "montecarlo": {
+            "seed": 3,
+            "parent": _side(**{"fastpath.busy_s": (0.5, "s"), "engine.steps": (100, "count"),
+                               "board.cells_reanchored": (0, "count"),
+                               "scenario.pava_solves": (0, "count")}),
+            "change": _side(**{"fastpath.busy_s": (0.4, "s"), "engine.steps": (100, "count"),
+                               "board.cells_reanchored": (0, "count"),
+                               "scenario.pava_solves": (24, "count"),
+                               "metrics.busy_s": (0.08, "s")}),
+        },
+        "long_window": {
+            "seed": 3,
+            "parent": _side(**{"fastpath.windows": (2, "count")}),
+            "change": _side(**{"fastpath.windows": (3, "count")}),
+        },
+    }
+    assert bench_pairs.layer_lines(traced) == [
+        "montecarlo traced fastpath.busy_s (s): parent 0.5 change 0.4 (-20.0%)",
+        "montecarlo traced engine.steps (count): parent 100 change 100 (+0.0%)",
+        "montecarlo traced board.cells_reanchored (count): parent 0 change 0 (+0.0%)",
+        "montecarlo traced scenario.pava_solves (count): parent 0 change 24 (n/a)",
+        "montecarlo traced metrics.busy_s (s): parent - change 0.08 (n/a)",
+        "long_window traced fastpath.windows (count): parent 2 change 3 (+50.0%)",
+    ]
+    assert bench_pairs.layer_lines({}) == []

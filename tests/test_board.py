@@ -13,8 +13,9 @@ from _replay import (
     new_board,
     record_and_detect,
     reduce_trading_unit,
+    span_counts,
 )
-from tacosim.board import exact, span_counts
+from tacosim.board import exact
 from tacosim.errors import HistoryLimitError
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import _window_oracle as window_oracle
 from _replay import apply_selection, new_board, reduce_trading_unit, verify_run
-from tacosim import _fastpath, engine, experiments
+from tacosim import _fastpath, board, engine, experiments
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
 from tacosim.board import CycleRecord
@@ -981,6 +981,103 @@ def test_window_kernel_matches_oracle_on_montecarlo_instances(monkeypatch, oracl
         run_taco(config, problem.agents(), backend=backend)
         trial += 1
     assert oracle_windows == {"detected"}
+
+
+def _cycle_rows_rebuilt(win, anchors):
+    """Assert a detected window's cycle rows are ``window_rows``' rebuild, byte for byte.
+
+    ``anchors`` are the window's (net0, unit, den, b, C, order, pos0). Returns
+    the cycle's length in rounds.
+    """
+    assert win.status == "detected"
+    rows = _rebuilt_rows(win, *anchors)
+    assert win.profit_rows.shape == (win.steps - win.s0_rel, rows.shape[1])
+    assert win.profit_rows.tobytes() == rows[win.s0_rel :].tobytes()
+    return (win.steps - win.s0_rel) // win.log.n
+
+
+def _run_ends(log):
+    """The turn right after each run of a window's log."""
+    t = c = 0
+    for k, r in log.runs:
+        t += k - c + r * log.n
+        c = k
+        yield t
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_round_cycle_rows_are_the_rebuilt_rows(monkeypatch, backend):
+    # A cycle of one round takes its rows from the kernel's cached rows, in
+    # turn order; a longer one rebuilds them. Either way they are the rows
+    # window_rows rebuilds from the window's anchors: on the sweep's own
+    # windows (one-round cycles, most of them found by the walk-back, and a
+    # few two-round ones), on one-round cycles right after a drift jump, and
+    # on the 13-agent drift problem.
+    cfg = experiments.ExperimentConfig()
+    run_window = _fastpath.run_window
+    rounds = []
+    walked_back = 0
+
+    def checked(net0, unit, den, b, C, order, pos0, budget, history_cap):
+        nonlocal walked_back
+        win = run_window(net0, unit, den, b, C, order, pos0, budget, history_cap)
+        anchors = (net0, unit, den, np.array(b), np.array(C), order, pos0)
+        rounds.append(_cycle_rows_rebuilt(win, anchors))
+        # The key hit is at a first player's turn; the walk-back moved it.
+        walked_back += rounds[-1] == 1 and (win.s0_rel - 1) % len(b) != 0
+        return win
+
+    monkeypatch.setattr(_fastpath, "run_window", checked)
+    trial = 0
+    while rounds.count(1) < 200 or max(rounds) < 2:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, trial, 0]))
+        problem, eps = experiments.make_instance(cfg, rng)
+        run_taco(TacoConfig(epsilon=eps, d0=cfg.d0, gamma=cfg.gamma), problem.agents(),
+                 backend=backend)
+        trial += 1
+    monkeypatch.undo()
+    assert walked_back >= 100
+    assert max(rounds) >= 2
+
+    after_jump = 0
+    for args, _, anchors in _drift_windows(backend, (200, 2000, 20000)):
+        win = _fastpath.run_window(*args, 10**6, 10**6)
+        if win.status == "detected" and _cycle_rows_rebuilt(win, anchors) == 1:
+            after_jump += any(e <= win.s0_rel <= e + win.log.n for e in _run_ends(win.log))
+    assert after_jump >= 2
+
+    n, m = 13, 2
+    problem = random_problem(n, m, np.random.default_rng(4))
+    lattice = engine._LatticeBoard(n, m, Fraction(1, 2000), Fraction(7, 10))
+    window, _ = _window_anchors(lattice, backend)
+    win = _fastpath.run_window(
+        *window, problem.b.tolist(), problem.C.tolist(), list(range(n)), 0, 10**6, 10**6
+    )
+    assert win.log.runs
+    _cycle_rows_rebuilt(win, (*window, problem.b, problem.C, np.arange(n), 0))
+
+
+def test_cycle_spreads_are_computed_once(monkeypatch):
+    # The termination test and the spread metric both read CycleRecord.spreads,
+    # so each agent's spread of each cycle is computed once per run.
+    calls = []
+    profit_spread = board._profit_spread
+
+    def counted(rows, active):
+        calls.append(1)
+        return profit_spread(rows, active)
+
+    monkeypatch.setattr(board, "_profit_spread", counted)
+    cfg = experiments.ExperimentConfig()
+    for trial in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, trial, 0]))
+        problem, eps = experiments.make_instance(cfg, rng)
+        config = TacoConfig(epsilon=eps, d0=cfg.d0, gamma=cfg.gamma)
+        calls.clear()
+        outcome = run_taco(config, problem.agents())
+        experiments.taco_trial_result(problem, outcome)
+        assert outcome.cycles_detected >= 1
+        assert len(calls) == problem.n * outcome.cycles_detected
 
 
 @pytest.mark.parametrize("max_rounds", (1, 2, 3, 7, 64))

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import _oracles as ref
+from _replay import span_counts
 from tacosim import _fastpath, baselines, engine, metrics
 from tacosim.baselines import ChoiceProblem, _sum
-from tacosim.board import span_counts
 from tacosim.engine import TacoConfig, check_termination, run_interrupted, run_taco
 from tacosim.errors import MetricUndefinedError
 from tacosim.experiments import (
