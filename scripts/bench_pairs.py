@@ -14,7 +14,8 @@ last stdout line (the JSON result line) and its
 ``.tacobench/result_<W>_trace<N>.json`` report are collected. Last, each side
 runs the Tier-1 suite once (ROADMAP's verify command, on this interpreter);
 the command as run, its wall time and outcome counts go under
-``tier1.<side>``.
+``tier1.<side>``. Each side's ``src/tacosim/*.py`` line counts, the total
+and one per module, go under ``<side>.src_lines``.
 The output holds
 the environment, the seeds, every pair, and per metric the median, quartiles
 (``statistics.quantiles(method='inclusive')``), the wins of the change
@@ -29,8 +30,9 @@ worse than the parent's by more than the metric's ``bound`` in
 the file is rewritten after every run, so an interrupted batch keeps the
 pairs it finished. At the end it prints one verdict line per workload and
 metric: both medians, the change's wins over the pairs, ``gain_rule_met``
-and ``worse_beyond_bound``; then one line per workload and per-layer metric
-of the traced runs: both sides' values and the relative change.
+and ``worse_beyond_bound``; then the ``src/tacosim`` line counts of both
+sides, the total and per module; then one line per workload and per-layer
+metric of the traced runs: both sides' values and the relative change.
 """
 
 from __future__ import annotations
@@ -76,6 +78,13 @@ def git(checkout: Path, *args: str) -> str:
 
 def git_sha(checkout: Path) -> str:
     return git(checkout, "rev-parse", "HEAD")
+
+
+def src_lines(checkout: Path) -> dict:
+    """Line counts of a checkout's src/tacosim/*.py, as ``wc -l`` counts them."""
+    modules = {p.name: p.read_bytes().count(b"\n")
+               for p in sorted((checkout / "src" / "tacosim").glob("*.py"))}
+    return {"total": sum(modules.values()), "modules": modules}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -167,8 +176,8 @@ def main(argv=None) -> int:
         "what": git(sides["change"], "log", "-1", "--format=%s"),
         "how": PROTOCOL.format(seconds=seconds, trace_seed=TRACE_SEED, seeds=args.seeds),
         "quartiles": QUARTILES,
-        "parent": {"git_sha": git_sha(sides["parent"])},
-        "change": {"git_sha": git_sha(sides["change"])},
+        "parent": {"git_sha": git_sha(sides["parent"]), "src_lines": src_lines(sides["parent"])},
+        "change": {"git_sha": git_sha(sides["change"]), "src_lines": src_lines(sides["change"])},
         "env": None,
         "gated": {},
         "traced": {},
@@ -207,7 +216,9 @@ def main(argv=None) -> int:
               f"({out['tier1'][side]['wall_s']} s)", flush=True)
         save()
     print(f"wrote {path}")
-    for line in verdict_lines(out["gated"]) + layer_lines(out["traced"]):
+    lines = verdict_lines(out["gated"])
+    lines += src_line_lines(out["parent"]["src_lines"], out["change"]["src_lines"])
+    for line in lines + layer_lines(out["traced"]):
         print(line)
     return 0
 
@@ -222,6 +233,17 @@ def verdict_lines(gated: dict) -> list[str]:
                 f"{m['change']['median']:.6g} ({m['median_change_rel']:+.1%}), wins "
                 f"{m['change_wins']}/{m['pairs']}, gain_rule_met {m['gain_rule_met']}, "
                 f"worse_beyond_bound {m['worse_beyond_bound']}")
+    return lines
+
+
+def src_line_lines(parent: dict, change: dict) -> list[str]:
+    """Both sides' src/tacosim line counts: the total, then one line per module."""
+    lines = [f"src/tacosim lines: parent {parent['total']} change {change['total']} "
+             f"({change['total'] - parent['total']:+d})"]
+    for name in sorted({**parent["modules"], **change["modules"]}):
+        p, c = parent["modules"].get(name), change["modules"].get(name)
+        lines.append(f"src/tacosim/{name} lines: parent {_num(p)} change {_num(c)} "
+                     f"({(c or 0) - (p or 0):+d})")
     return lines
 
 

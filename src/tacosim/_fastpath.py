@@ -79,23 +79,22 @@ O(1) time and memory however long it is. Who played a turn follows from
 the turn order. The cycle search, the walk-back and the cut at the
 window's end read the turns through the runs; a cut may end a run inside
 a round. No profit row is stored beyond each agent's cached one. A
-cycle of one round (all n agents on one column) hands back the cached
-rows, in turn order: each is its agent's row at the same state. A cell
-is a pure function of (agent, choice, integer delta), so ``window_rows``
-rebuilds, bit for bit, the rows of a longer cycle and those the engine's
-lazy trace reads, from the window's anchors and expanded choices.
+cycle of one round (all n agents on one column) hands back a copy of each
+cached row, in turn order: each is its agent's row at the same state. A
+cell is a pure function of (agent, choice, integer delta), so
+``window_rows`` rebuilds, bit for bit, the rows of a longer cycle and those
+the engine's lazy trace reads, from the window's anchors and expanded
+choices. Every row handed out is a tuple of the Python floats computed
+here, so it is read-only and needs no conversion on the way to its readers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 
 class TurnLog(NamedTuple):
@@ -178,18 +177,40 @@ class WindowResult:
     selcount[i][j] counts agent i's applied turns on j. When status is
     "detected" or "history_cap", the final turn's board update is pending:
     selcount covers only the first steps-1 turns. cycle and profit_rows hold
-    the choices and the read-only rows of the 0-based turns s0_rel..steps-1,
-    None unless status is "detected"; tail the last n choices.
+    the choices and the rows, each a tuple of floats, of the 0-based turns
+    s0_rel..steps-1, None unless status is "detected"; tail the last n choices.
     """
 
     status: str
     steps: int
     s0_rel: int
     log: TurnLog
-    profit_rows: np.ndarray | None
+    profit_rows: list[tuple[float, ...]] | None
     selcount: list[list[int]]
     cycle: list[int] | None
     tail: list[int]
+
+
+@functools.lru_cache(maxsize=64)
+def _zobrist_keys(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Deterministic state-hash increments for an n x m board.
+
+    With random 64-bit keys Z, the key of a delta is ``sum(Z[r][j] *
+    delta[r][j])``. A turn of agent i on j adds 1 to delta[:, j] and
+    subtracts n from delta[i][j], so it moves the sum by ``inc[i][j] =
+    sum_r Z[r][j] - n * Z[i][j]``. Returns inc. The agent on turn needs no
+    key: only the window's first player's observations are recorded. Z is
+    the splitmix64 sequence (Steele, Lea & Flood, OOPSLA 2014) seeded by
+    the shape.
+    """
+    x, Z = n << 32 | m, []  # Z[i * m + j]
+    for _ in range(n * m):
+        x = (x + 0x9E3779B97F4A7C15) % 2**64
+        z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        Z.append(z ^ z >> 31)
+    colsum = [sum(Z[j::m]) for j in range(m)]
+    return tuple(tuple(c - n * z for c, z in zip(colsum, Z[i : i + m])) for i in range(0, n * m, m))
 
 
 def run_window(
@@ -215,33 +236,7 @@ def run_window(
     """
     if budget <= 0:
         raise ValueError(f"window budget must be positive, got {budget}")
-    return _run_window_scalar(net0, unit, den, b, C, order, pos0, budget, history_cap)
-
-
-@functools.lru_cache(maxsize=64)
-def _zobrist_keys(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Deterministic state-hash increments for an n x m board.
-
-    With random 64-bit keys Z, the key of a delta is ``sum(Z[r][j] *
-    delta[r][j])``. A turn of agent i on j adds 1 to delta[:, j] and
-    subtracts n from delta[i][j], so it moves the sum by ``inc[i][j] =
-    sum_r Z[r][j] - n * Z[i][j]``. Returns inc. The agent on turn needs no
-    key: only the window's first player's observations are recorded. Z is
-    the splitmix64 sequence (Steele, Lea & Flood, OOPSLA 2014) seeded by
-    the shape.
-    """
-    x, Z = n << 32 | m, []  # Z[i * m + j]
-    for _ in range(n * m):
-        x = (x + 0x9E3779B97F4A7C15) % 2**64
-        z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
-        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
-        Z.append(z ^ z >> 31)
-    colsum = [sum(Z[j::m]) for j in range(m)]
-    return tuple(tuple(c - n * z for c, z in zip(colsum, Z[i : i + m])) for i in range(0, n * m, m))
-
-
-def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history_cap):
-    n, m = len(C_l), len(C_l[0])
+    n, m = len(C), len(C[0])
     inc = _zobrist_keys(n, m)
     # The board change since the window began: delta[i][j] = col[j] - n*sel[i][j].
     col = [0] * m
@@ -258,10 +253,10 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     # before them agree finds (s*, t*). A key hit is only a candidate; a hit
     # that is not the same state goes to `collided`, so a later true repeat
     # is still found.
-    agents = order_l[pos0 % n :] + order_l[: pos0 % n]  # a round's players, in turn order
+    agents = order[pos0 % n :] + order[: pos0 % n]  # a round's players, in turn order
     # Turn t is played in phase t % n, by agents[t % n]: per phase, that agent's
     # row, counts, valuation, costs, anchors and hash increments, and the next phase.
-    phases = [(rows[i], sel[i], b_l[i], C_l[i], net0[i], inc[i], (q + 1) % n)
+    phases = [(rows[i], sel[i], b[i], C[i], net0[i], inc[i], (q + 1) % n)
               for q, i in enumerate(agents)]
     ph = 0
     history: dict[int, int] = {}
@@ -281,7 +276,7 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     # need, and ends the window.
     base_stop = stop
     max_rounds = stop // n + 3
-    next_try = 2 * n if n > 1 and unit / den > 0 and min(b_l) > 0 else math.inf
+    next_try = 2 * n if n > 1 and unit / den > 0 and min(b) > 0 else math.inf
     status = "budget" if last <= history_cap else "history_cap"
     end = last
     s0 = -1
@@ -342,7 +337,7 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
                 min_steps = 12 if t < base_stop else 0
                 pattern = choices[-1 - n : -1]
                 r = _drift_rounds(
-                    net0, unit, den, b_l, C_l, agents, pattern, col, sel, rows,
+                    net0, unit, den, b, C, agents, pattern, col, sel, rows,
                     max_rounds, min_steps,
                 )
                 if r:
@@ -369,7 +364,7 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
     keep = end if status == "budget" else end - 1
     for u, seq, reps in log.pieces(keep, t - 1 if hit else t):
         for k, c_k in enumerate(seq, pos0 + u):
-            sel[order_l[k % n]][c_k] -= reps
+            sel[order[k % n]][c_k] -= reps
     log.truncate(end)
     cycle = cycle_rows = None
     if status == "detected":
@@ -377,13 +372,12 @@ def _run_window_scalar(net0, unit, den, b_l, C_l, order_l, pos0, budget, history
         if end - s0 == n:
             # The state repeats every n turns from s0 on, so each cycle turn saw
             # the row its agent last took an argmax over: the cached one.
-            cycle_rows = np.array([rows[order_l[k % n]] for k in range(pos0 + s0, pos0 + end)])
-            cycle_rows.flags.writeable = False
+            cycle_rows = [tuple(rows[order[k % n]]) for k in range(pos0 + s0, pos0 + end)]
         else:  # rebuilt, with the cycle's applied turns taken back from the counts
             start = [row[:] for row in sel]
             for k, c_k in enumerate(cycle[:-1], pos0 + s0):
-                start[order_l[k % n]][c_k] -= 1
-            cycle_rows = window_rows(net0, unit, den, b_l, C_l, order_l, pos0 + s0, cycle, start)
+                start[order[k % n]][c_k] -= 1
+            cycle_rows = window_rows(net0, unit, den, b, C, order, pos0 + s0, cycle, start)
     return WindowResult(
         status=status,
         steps=end,
@@ -489,7 +483,7 @@ def _first_failing(ok, guess, max_rounds):
     return hi
 
 
-def window_rows(net0, unit, den, b, C, order, pos, choices, sel) -> np.ndarray:
+def window_rows(net0, unit, den, b, C, order, pos, choices, sel) -> list[tuple[float, ...]]:
     """The profit rows of consecutive turns of a window, evaluated from scratch.
 
     ``net0``, ``unit``, ``den``, ``b`` and ``C`` are the window's anchors as
@@ -498,26 +492,23 @@ def window_rows(net0, unit, den, b, C, order, pos, choices, sel) -> np.ndarray:
     agent i's turns on j before the stretch and is not modified. Every cell
     is the kernel's one expression at the integer delta the agent observed,
     so each row is bit for bit the row the kernel took its argmax over.
-    Returns a read-only len(choices) x m array. The kernel calls it only for
+    Returns one tuple of m floats per turn. The kernel calls it only for
     cycles longer than one round; the engine's lazy trace for its rows.
     """
     n = len(C)
     sel = [row[:] for row in sel]
     col = [sum(c) for c in zip(*sel)]
     cols = range(len(C[0]))
-    out = array("d")
+    out = []
     for k, c in enumerate(choices, pos):
         i = order[k % n]
         sel_i = sel[i]
         b_i, C_i, net0_i = b[i], C[i], net0[i]
-        out.fromlist(
-            [b_i * ((net0_i[j] + unit * (col[j] - n * sel_i[j])) / den) - C_i[j] for j in cols]
-        )
+        row = [b_i * ((net0_i[j] + unit * (col[j] - n * sel_i[j])) / den) - C_i[j] for j in cols]
+        out.append(tuple(row))
         col[c] += 1
         sel_i[c] += 1
-    rows = np.frombuffer(out, dtype=np.float64).reshape(len(choices), len(cols))
-    rows.flags.writeable = False
-    return rows
+    return out
 
 
 def _find_repeat(first, more, t, log, m):

@@ -61,7 +61,7 @@ class PublicBoard:
     selections: list[int | None] = field(default_factory=list)
 
     # Nothing in the package calls this; the benchmark tracer wraps it by name
-    # (board.net_float), so it stays until the tracer drops it (ROADMAP item 6).
+    # (board.net_float), so it stays until the tracer drops it (ROADMAP item 4).
     def net_float(self) -> np.ndarray:
         return np.array(
             [[float(self.offers[i][j] - self.pays[i][j]) for j in range(self.m)]
@@ -76,17 +76,19 @@ class CycleRecord:
 
     The cycle spans steps ``start_step..end_step`` inclusive; replaying those
     selections maps the board back onto itself (up to the constant column
-    shift of the net matrix). ``agent_turn_profits[i]`` holds the profit rows
-    agent i saw at its own turns inside the span, and ``spreads[i]``, computed
-    on first read, the max minus the min of those rows' profits at the active
-    choices, pooled: what the termination test and the spread metric compare.
+    shift of the net matrix). ``choice_counts[i][j]`` counts agent i's turns
+    on choice j inside the span; ``agent_turn_profits[i]`` holds the rows
+    (tuples of m floats) agent i saw at its turns there, and ``spreads[i]``,
+    computed on first read, the max minus the min of those rows' profits at
+    the active choices, pooled: what the termination test and the spread
+    metric compare.
     """
 
     start_step: int
     end_step: int
     active_choices: frozenset[int]
-    choice_counts: np.ndarray
-    agent_turn_profits: list[list[np.ndarray]]
+    choice_counts: tuple[tuple[int, ...], ...]
+    agent_turn_profits: list[list[tuple[float, ...]]]
     d_at_detection: Fraction | None = None
 
     @property
@@ -99,7 +101,7 @@ class CycleRecord:
         return [_profit_spread(rows, active) for rows in self.agent_turn_profits]
 
 
-def _profit_spread(rows: list[np.ndarray], active: list[int]) -> float:
+def _profit_spread(rows: list[tuple[float, ...]], active: list[int]) -> float:
     """Max minus min of the profits at the active choices, pooled across rows."""
-    vals = [r[j] for r in map(np.ndarray.tolist, rows) for j in active]
+    vals = [r[j] for r in rows for j in active]
     return max(vals) - min(vals)

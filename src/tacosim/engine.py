@@ -31,7 +31,8 @@ The run keeps no per-step object. Each window is kept as its anchors plus
 the kernel's run-length turn log (``_fastpath.TurnLog``: the stepped
 choices, and one run per drift the kernel jumped); step k+1 was played by
 ``order[k % n]``, so no player list is stored. A cycle's profit rows come
-back from the kernel with the detection. The outcome's trace is a lazy
+back from the kernel with the detection, as tuples of floats, and its
+counts are tallied into tuples of ints. The outcome's trace is a lazy
 sequence over those window records: a window's choices are expanded, and
 its profit rows rebuilt with ``_fastpath.window_rows``, only when one of
 its steps is read.
@@ -49,8 +50,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from . import _fastpath
 from .agent import AgentPrivate
@@ -122,12 +121,12 @@ def check_run_params(d0, gamma, epsilon, max_steps, history_cap):
 
 @dataclass(slots=True)
 class TraceStep:
-    """One executed turn: the profit row is the playing agent's, pre-update."""
+    """One executed turn: the playing agent's pre-update profit row, a tuple of floats."""
 
     step: int
     agent: int
     selection: int
-    profit_row: np.ndarray
+    profit_row: tuple[float, ...]
 
 
 class _Window(NamedTuple):
@@ -153,7 +152,7 @@ class Trace(Sequence[TraceStep]):
     for bit the row the kernel saw), when one of its steps is first read,
     and kept until a step of another window is read. Reading the steps in
     order costs one expansion per window. Each ``TraceStep`` is a new
-    object; its ``profit_row`` is a read-only view.
+    object; its ``profit_row`` is one of the window's row tuples, read-only.
     """
 
     def __init__(self, b: list[float], C: list[list[float]], order: list[int]):
@@ -162,7 +161,7 @@ class Trace(Sequence[TraceStep]):
         self._order = order
         self._windows: list[_Window] = []
         self._len = 0
-        self._cached: tuple[int, list[int], np.ndarray] | None = None
+        self._cached: tuple[int, list[int], list[tuple[float, ...]]] | None = None
 
     def _append(self, window: _Window) -> None:
         self._windows.append(window)
@@ -171,7 +170,7 @@ class Trace(Sequence[TraceStep]):
     def __len__(self) -> int:
         return self._len
 
-    def _turns(self, w: int) -> tuple[list[int], np.ndarray]:
+    def _turns(self, w: int) -> tuple[list[int], list[tuple[float, ...]]]:
         """Window w's choices, expanded, and its profit rows."""
         if self._cached is None or self._cached[0] != w:
             win = self._windows[w]
@@ -359,7 +358,7 @@ def _run(config, agents, interrupt_step, backend):
             start_step=g0 + s0 + 1,
             end_step=steps,
             active_choices=frozenset(win.cycle),
-            choice_counts=np.array(counts, dtype=np.int64),
+            choice_counts=tuple(map(tuple, counts)),
             agent_turn_profits=profits,
             d_at_detection=lattice.d,
         )
@@ -478,8 +477,7 @@ def _check_cycle_structure(cyc: CycleRecord, n: int) -> None:
     # mean a detector bug, so fail loudly.
     if cyc.length <= 0 or cyc.length % n != 0:
         raise AssertionError(f"cycle length {cyc.length} is not a positive multiple of n={n}")
-    counts = cyc.choice_counts.tolist()
-    if any(row != counts[0] for row in counts):
+    if len(set(cyc.choice_counts)) > 1:
         raise AssertionError("cycle choice counts differ across agents")
 
 

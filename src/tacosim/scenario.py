@@ -21,6 +21,8 @@ import numpy as np
 from .baselines import ChoiceProblem
 from .errors import ResourceLimitError
 
+MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
+
 
 @dataclass(frozen=True)
 class WaypointScenario:
@@ -122,17 +124,18 @@ def _orderings(n: int) -> tuple[tuple, tuple[str, ...]]:
     return tuple(zip(orders, depths)), labels
 
 
-def enumerate_options(scenario: WaypointScenario, b, max_agents: int = 7) -> ChoiceProblem:
+def enumerate_options(scenario: WaypointScenario, b) -> ChoiceProblem:
     """One option per arrival ordering, in lexicographic order; m = n!.
 
     The caller supplies the valuation vector b; option j's cost for agent i is
     k[i] * x[i]**2 under ordering j's optimal adjustment, computed with the
     float operations of `solve_ordering` and `k * x**2`, so bit-identically.
+    Above MAX_AGENTS agents it raises ResourceLimitError.
     """
     n = scenario.n
-    if n > max_agents:
+    if n > MAX_AGENTS:
         raise ResourceLimitError(
-            f"n={n} yields {math.factorial(n)} orderings, above the n<={max_agents} cap"
+            f"n={n} yields {math.factorial(n)} orderings, above the n<={MAX_AGENTS} cap"
         )
     e = scenario.e.tolist()
     k = scenario.k.tolist()
@@ -177,7 +180,6 @@ def random_waypoint_problem(
     D: float = 1.0,
     k_range: tuple[float, float] = (0.5, 2.0),
     b_range: tuple[float, float] = (0.5, 1.5),
-    max_agents: int = 7,
 ) -> ChoiceProblem:
     """Sampled waypoint instance with the documented default ranges.
 
@@ -191,7 +193,7 @@ def random_waypoint_problem(
         e = rng.uniform(0.0, n * D, size=n)
         k = rng.uniform(k_range[0], k_range[1], size=n)
         b = rng.uniform(b_range[0], b_range[1], size=n)
-        problem = enumerate_options(WaypointScenario(e=e, k=k, D=D), b, max_agents)
+        problem = enumerate_options(WaypointScenario(e=e, k=k, D=D), b)
         if problem.C.sum(axis=0).min() > 0:
             return problem
 

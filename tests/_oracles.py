@@ -132,7 +132,7 @@ def cycle_spread_ratio(outcome, valuations) -> float:
         p = len(active)
         d = float(cyc.d_at_detection)
         for i, rows in enumerate(cyc.agent_turn_profits):
-            vals = np.concatenate([row[active] for row in rows])
+            vals = np.concatenate([np.asarray(row)[active] for row in rows])
             spread = float(vals.max() - vals.min())
             bound = (p + 1) * d * (n - 1) * float(b[i])
             if bound == 0.0:
@@ -220,14 +220,6 @@ def egalitarian(problem) -> int:
 # --- numpy oracles: per-cycle checks ------------------------------------------
 
 
-def span_counts(selection_log, start_step, end_step, n, m):
-    counts = np.zeros((n, m), dtype=np.int64)
-    for agent, choice in selection_log[start_step - 1 : end_step]:
-        counts[agent, choice] += 1
-    active = frozenset(int(j) for j in np.nonzero(counts.sum(axis=0))[0])
-    return counts, active
-
-
 def check_termination(cycle, epsilon) -> bool:
     if not (epsilon > 0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -238,7 +230,7 @@ def check_termination(cycle, epsilon) -> bool:
         lo = math.inf
         hi = -math.inf
         for row in rows:
-            vals = row[active]
+            vals = np.asarray(row)[active]
             lo = min(lo, float(vals.min()))
             hi = max(hi, float(vals.max()))
         if hi - lo >= epsilon:
@@ -248,7 +240,7 @@ def check_termination(cycle, epsilon) -> bool:
 
 def cycle_structure_ok(cyc, n) -> bool:
     """The engine's structural check on a cycle, as a predicate."""
-    counts = cyc.choice_counts
+    counts = np.asarray(cyc.choice_counts)
     if cyc.length <= 0 or cyc.length % n != 0:
         return False
     return n == 1 or bool((counts == counts[0]).all())

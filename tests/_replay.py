@@ -150,17 +150,23 @@ class StateKey:
 
 def span_counts(
     selection_log: list[tuple[int, int]], start_step: int, end_step: int, n: int, m: int
-) -> tuple[np.ndarray, frozenset[int]]:
+) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """Per-(agent, choice) selection counts and active choice set over a span.
 
     ``selection_log[k]`` is the (agent, choice) pair of step k+1; the span is
-    inclusive on both ends.
+    inclusive on both ends. The counts are one tuple of ints per agent, the
+    type of ``CycleRecord.choice_counts``.
     """
     counts = [[0] * m for _ in range(n)]
     for agent, choice in selection_log[start_step - 1 : end_step]:
         counts[agent][choice] += 1
     active = frozenset(j for j, col in enumerate(zip(*counts)) if any(col))
-    return np.array(counts, dtype=np.int64), active
+    return tuple(map(tuple, counts)), active
+
+
+def row_bytes(rows) -> bytes:
+    """The float64 bytes of a profit row, or of a sequence of rows stacked."""
+    return np.array(rows, dtype=np.float64).tobytes()
 
 
 def record_and_detect(
@@ -282,7 +288,7 @@ def verify_run(
         )
         if exact_rows:
             ref = profit_row(agents[ts.agent], board)
-            assert ref.tobytes() == np.asarray(ts.profit_row).tobytes(), (
+            assert ref.tobytes() == row_bytes(ts.profit_row), (
                 f"traced profit row is not the exact reference row at step {ts.step}"
             )
             assert ts.selection == int(np.argmax(ref)), (
@@ -309,9 +315,9 @@ def verify_run(
         assert cyc.length % n == 0 and cyc.length > 0
         assert cyc.d_at_detection == board.d, "cycle recorded the wrong trading unit"
         counts, active = span_counts(selections, cyc.start_step, cyc.end_step, n, m)
-        assert (counts == cyc.choice_counts).all()
+        assert counts == cyc.choice_counts
         assert active == cyc.active_choices
-        assert (counts == counts[0]).all(), "per-agent selection counts differ"
+        assert len(set(counts)) == 1, "per-agent selection counts differ"
 
         d = float(board.d)
         act = sorted(active)

@@ -43,3 +43,31 @@ def test_layer_lines_compare_both_traced_sides():
         "long_window traced fastpath.windows (count): parent 2 change 3 (+50.0%)",
     ]
     assert bench_pairs.layer_lines({}) == []
+
+
+def test_src_lines_count_each_module_of_both_sides(tmp_path):
+    files = {
+        "parent": {"engine.py": "a\nb\nc\n", "_fastpath.py": "x\n" * 5, "gone.py": "y\n"},
+        "change": {"engine.py": "a\nb\n", "_fastpath.py": "x\n" * 5, "new.py": ""},
+    }
+    counts = {}
+    for side, modules in files.items():
+        package = tmp_path / side / "src" / "tacosim"
+        package.mkdir(parents=True)
+        (package / "notes.txt").write_text("not a module\n")
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        counts[side] = bench_pairs.src_lines(tmp_path / side)
+    assert counts["parent"] == {
+        "total": 9, "modules": {"_fastpath.py": 5, "engine.py": 3, "gone.py": 1}
+    }
+    assert counts["change"] == {
+        "total": 7, "modules": {"_fastpath.py": 5, "engine.py": 2, "new.py": 0}
+    }
+    assert bench_pairs.src_line_lines(counts["parent"], counts["change"]) == [
+        "src/tacosim lines: parent 9 change 7 (-2)",
+        "src/tacosim/_fastpath.py lines: parent 5 change 5 (+0)",
+        "src/tacosim/engine.py lines: parent 3 change 2 (-1)",
+        "src/tacosim/gone.py lines: parent 1 change - (-1)",
+        "src/tacosim/new.py lines: parent - change 0 (+0)",
+    ]

@@ -160,7 +160,7 @@ def test_record_and_detect_golden_cycle():
             assert cyc.end_step == 5
             assert cyc.length == 2
             assert cyc.active_choices == frozenset({1})
-            assert (cyc.choice_counts == np.array([[0, 1], [0, 1]])).all()
+            assert cyc.choice_counts == ((0, 1), (0, 1))
 
 
 def test_record_and_detect_single_agent():
@@ -195,8 +195,8 @@ def test_record_and_detect_history_cap():
 def test_span_counts():
     log = [(0, 1), (1, 0), (0, 1), (1, 1), (0, 1)]
     counts, active = span_counts(log, 4, 5, 2, 2)
-    assert (counts == np.array([[0, 1], [0, 1]])).all()
+    assert counts == ((0, 1), (0, 1))
     assert active == frozenset({1})
     counts_all, active_all = span_counts(log, 1, 5, 2, 2)
-    assert counts_all.sum() == 5
+    assert counts_all == ((0, 3), (1, 1))
     assert active_all == frozenset({0, 1})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import _window_oracle as window_oracle
-from _replay import apply_selection, new_board, reduce_trading_unit, verify_run
+from _replay import apply_selection, new_board, reduce_trading_unit, row_bytes, verify_run
 from tacosim import _fastpath, board, engine, experiments
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
@@ -61,7 +61,7 @@ def test_golden_run(backend):
     assert (cyc.start_step, cyc.end_step, cyc.length) == (4, 5, 2)
     assert cyc.active_choices == frozenset({1})
     assert cyc.d_at_detection == Fraction(1)
-    assert (cyc.choice_counts == np.array([[0, 1], [0, 1]])).all()
+    assert cyc.choice_counts == ((0, 1), (0, 1))
     # The detecting turn's board update is dropped on termination, so the
     # settled board is the one the detecting agent observed.
     board = outcome.final_board
@@ -116,9 +116,8 @@ def test_check_termination():
             start_step=1,
             end_step=len(rows_by_agent),
             active_choices=frozenset(active),
-            choice_counts=np.zeros((len(rows_by_agent), 2), dtype=np.int64),
-            agent_turn_profits=[[np.asarray(r, dtype=np.float64) for r in rows]
-                                for rows in rows_by_agent],
+            choice_counts=((0, 0),) * len(rows_by_agent),
+            agent_turn_profits=[list(map(tuple, rows)) for rows in rows_by_agent],
         )
 
     wide = record({0, 1}, [[[1.0, 2.0]], [[0.0, 0.05]]])
@@ -355,8 +354,8 @@ def test_detected_window_returns_the_cycle_rows(backend):
             )
             assert got.status == ref.status == "detected"
             assert (got.steps, got.s0_rel) == (ref.steps, ref.s0_rel)
-            assert got.profit_rows.shape == (got.steps - got.s0_rel, m)
-            assert got.profit_rows.tobytes() == ref_rows[got.s0_rel :].tobytes()
+            assert len(got.profit_rows) == got.steps - got.s0_rel
+            assert row_bytes(got.profit_rows) == ref_rows[got.s0_rel :].tobytes()
             late_starts += got.s0_rel > n
             engine._advance_board(lattice, got.selcount, got.steps - 1)
             engine.reduce_trading_unit(lattice)
@@ -558,12 +557,11 @@ def _assert_same_window(got, ref, ref_rows, anchors):
     tail = 2 * got.log.n
     assert got.log.choices[-tail:] == turns[-tail:]
     rows = _rebuilt_rows(got, *anchors)
-    assert rows.shape == ref_rows.shape
-    assert rows.tobytes() == ref_rows.tobytes()
+    assert len(rows) == len(ref_rows)
+    assert row_bytes(rows) == ref_rows.tobytes()
     if ref.status == "detected":
-        cycle_shape = (got.steps - got.s0_rel, ref_rows.shape[1])
-        assert got.profit_rows.shape == ref.profit_rows.shape == cycle_shape
-        assert got.profit_rows.tobytes() == ref_rows[got.s0_rel :].tobytes()
+        assert len(got.profit_rows) == len(ref.profit_rows) == got.steps - got.s0_rel
+        assert row_bytes(got.profit_rows) == ref_rows[got.s0_rel :].tobytes()
     else:
         assert got.profit_rows is None and ref.profit_rows is None
     assert got.selcount == ref.selcount
@@ -793,10 +791,10 @@ def drift_jumps(monkeypatch):
 
     def counted(net0, unit, den, b, C, agents, pattern, col, sel, rows, *rest):
         args = (net0, unit, den, b, C, agents, pattern, col, sel, rows, *rest)
-        before = np.array(rows).tobytes()
+        before = row_bytes(rows)
         rounds = drift_rounds(*args)
         if not rounds:
-            assert np.array(rows).tobytes() == before
+            assert row_bytes(rows) == before
         else:
             # The log holds every turn so far; the last, not yet applied,
             # begins the jump. Rebuild the jumped rows from zero counts.
@@ -811,7 +809,7 @@ def drift_jumps(monkeypatch):
                 [[0] * m for _ in range(n)],
             )
             for a, row in zip(agents, every[-n:]):
-                assert np.array(rows[a]).tobytes() == row.tobytes()
+                assert row_bytes(rows[a]) == row_bytes(row)
         return rounds
 
     monkeypatch.setattr(_fastpath, "TurnLog", recorded)
@@ -991,8 +989,8 @@ def _cycle_rows_rebuilt(win, anchors):
     """
     assert win.status == "detected"
     rows = _rebuilt_rows(win, *anchors)
-    assert win.profit_rows.shape == (win.steps - win.s0_rel, rows.shape[1])
-    assert win.profit_rows.tobytes() == rows[win.s0_rel :].tobytes()
+    assert len(win.profit_rows) == win.steps - win.s0_rel
+    assert row_bytes(win.profit_rows) == row_bytes(rows[win.s0_rel :])
     return (win.steps - win.s0_rel) // win.log.n
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from _replay import row_bytes
 from tacosim.cli import main
 from tacosim.engine import TacoConfig, run_taco
 from tacosim.experiments import (
@@ -115,7 +116,7 @@ def test_long_window_outcome_is_pinned(backend):
         h.update(f"{cyc.start_step},{cyc.end_step};".encode())
         for rows in cyc.agent_turn_profits:
             for row in rows:
-                h.update(row.tobytes())
+                h.update(row_bytes(row))
     facts = (outcome.settlements, outcome.final_d, outcome.steps, outcome.cycles_detected)
     h.update(repr(facts).encode())
     assert h.hexdigest() == LONG_WINDOW[backend]

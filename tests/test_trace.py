@@ -6,15 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _replay import verify_run
+from _replay import row_bytes, verify_run
+from tacosim import _fastpath
 from tacosim.baselines import ChoiceProblem
 from tacosim.engine import Trace, TacoConfig, run_interrupted, run_taco
 from tacosim.errors import NoTerminationError
-from tacosim.scenario import example2_fixture
+from tacosim.scenario import example2_fixture, random_problem
 
 
 def _step_facts(ts):
-    return ts.step, ts.agent, ts.selection, ts.profit_row.tobytes()
+    return ts.step, ts.agent, ts.selection, row_bytes(ts.profit_row)
 
 
 def _multi_window_instances():
@@ -60,7 +61,7 @@ def test_trace_access_order_does_not_change_steps(multi_window, backend):
             seen = [[] for _ in cyc.agent_turn_profits]
             for k in range(cyc.start_step - 1, cyc.end_step):
                 seen[facts[k][1]].append(facts[k][3])
-            assert [[r.tobytes() for r in rows] for rows in cyc.agent_turn_profits] == seen
+            assert [[row_bytes(r) for r in rows] for rows in cyc.agent_turn_profits] == seen
         for bad in (outcome.steps, -outcome.steps - 1):
             with pytest.raises(IndexError):
                 trace[bad]
@@ -97,12 +98,40 @@ def test_trace_slices_are_lists_of_steps(multi_window, backend):
     assert [_step_facts(ts) for ts in trace[2:7]] == [_step_facts(ts) for ts in list(trace)[2:7]]
 
 
-def test_trace_rows_are_read_only():
+def test_trace_rows_are_read_only(monkeypatch):
+    # Every row and count leaves the engine as a tuple: a window's cycle rows,
+    # a cycle's rows and counts, and a trace step's row. The run's first cycle
+    # spans two rounds, so its rows are rebuilt; its second spans one, so its
+    # rows are copies of the kernel's cached ones.
+    problem = random_problem(3, 4, np.random.default_rng(1))
+    config = TacoConfig(epsilon=1e-3 * float(problem.C.mean()), d0=1, gamma="7/10")
+    run_window = _fastpath.run_window
+    windows = []
+
+    def recorded(*args):
+        windows.append(run_window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(_fastpath, "run_window", recorded)
+    for backend in ("numpy", "exact"):
+        windows.clear()
+        outcome = run_taco(config, problem.agents(), backend=backend)
+        cycles = outcome.cycle_records
+        assert [cyc.length // problem.n for cyc in cycles] == [2, 1]
+        rows = [row for win in windows for row in win.profit_rows]
+        rows += [row for cyc in cycles for seen in cyc.agent_turn_profits for row in seen]
+        rows += [ts.profit_row for ts in outcome.trace]
+        for row in rows:
+            with pytest.raises(TypeError):
+                row[0] = 0.0
+        for cyc in cycles:
+            with pytest.raises(TypeError):
+                cyc.choice_counts[0] = ()
+            for counts in cyc.choice_counts:
+                with pytest.raises(TypeError):
+                    counts[0] = 0
     outcome = run_taco(TacoConfig(epsilon=1e-6), example2_fixture().agents())
-    row = outcome.trace[0].profit_row
-    with pytest.raises(ValueError):
-        row[0] = 0.0
-    assert outcome.trace[0].profit_row.tolist() == [-10.0, -4.0]
+    assert outcome.trace[0].profit_row == (-10.0, -4.0)
 
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
