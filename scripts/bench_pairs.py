@@ -15,7 +15,11 @@ last stdout line (the JSON result line) and its
 runs the Tier-1 suite once (ROADMAP's verify command, on this interpreter);
 the command as run, its wall time and outcome counts go under
 ``tier1.<side>``. Each side's ``src/tacosim/*.py`` line counts, the total
-and one per module, go under ``<side>.src_lines``.
+and one per module, go under ``<side>.src_lines``, and the modules'
+``tokenize`` token counts beside them under ``<side>.src_tokens``: CPython
+3.11's parser grows a per-module buffer once a module passes about 4,090
+tokens, which raises the compile peak, and with it every workload's peak
+RSS when the benchmark compiles from source.
 The output holds
 the environment, the seeds, every pair, and per metric the median, quartiles
 (``statistics.quantiles(method='inclusive')``), the wins of the change
@@ -30,9 +34,10 @@ worse than the parent's by more than the metric's ``bound`` in
 the file is rewritten after every run, so an interrupted batch keeps the
 pairs it finished. At the end it prints one verdict line per workload and
 metric: both medians, the change's wins over the pairs, ``gain_rule_met``
-and ``worse_beyond_bound``; then the ``src/tacosim`` line counts of both
-sides, the total and per module; then one line per workload and per-layer
-metric of the traced runs: both sides' values and the relative change.
+and ``worse_beyond_bound``; then the ``src/tacosim`` line and token counts
+of both sides, the total and per module; then one line per workload and
+per-layer metric of the traced runs: both sides' values and the relative
+change.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 TRACE_SEED = 3
@@ -85,6 +91,16 @@ def src_lines(checkout: Path) -> dict:
     modules = {p.name: p.read_bytes().count(b"\n")
                for p in sorted((checkout / "src" / "tacosim").glob("*.py"))}
     return {"total": sum(modules.values()), "modules": modules}
+
+
+def src_tokens(checkout: Path) -> dict:
+    """``tokenize`` token counts of a checkout's src/tacosim/*.py (the ENCODING
+    and ENDMARKER tokens included), the largest and one per module."""
+    modules = {}
+    for p in sorted((checkout / "src" / "tacosim").glob("*.py")):
+        with open(p, "rb") as fh:
+            modules[p.name] = sum(1 for _ in tokenize.tokenize(fh.readline))
+    return {"max": max(modules.values(), default=0), "modules": modules}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -176,8 +192,8 @@ def main(argv=None) -> int:
         "what": git(sides["change"], "log", "-1", "--format=%s"),
         "how": PROTOCOL.format(seconds=seconds, trace_seed=TRACE_SEED, seeds=args.seeds),
         "quartiles": QUARTILES,
-        "parent": {"git_sha": git_sha(sides["parent"]), "src_lines": src_lines(sides["parent"])},
-        "change": {"git_sha": git_sha(sides["change"]), "src_lines": src_lines(sides["change"])},
+        **{side: {"git_sha": git_sha(path), "src_lines": src_lines(path),
+                  "src_tokens": src_tokens(path)} for side, path in sides.items()},
         "env": None,
         "gated": {},
         "traced": {},
@@ -218,6 +234,7 @@ def main(argv=None) -> int:
     print(f"wrote {path}")
     lines = verdict_lines(out["gated"])
     lines += src_line_lines(out["parent"]["src_lines"], out["change"]["src_lines"])
+    lines += src_token_lines(out["parent"]["src_tokens"], out["change"]["src_tokens"])
     for line in lines + layer_lines(out["traced"]):
         print(line)
     return 0
@@ -243,6 +260,17 @@ def src_line_lines(parent: dict, change: dict) -> list[str]:
     for name in sorted({**parent["modules"], **change["modules"]}):
         p, c = parent["modules"].get(name), change["modules"].get(name)
         lines.append(f"src/tacosim/{name} lines: parent {_num(p)} change {_num(c)} "
+                     f"({(c or 0) - (p or 0):+d})")
+    return lines
+
+
+def src_token_lines(parent: dict, change: dict) -> list[str]:
+    """Both sides' src/tacosim token counts: the largest module, then one line per module."""
+    lines = [f"src/tacosim largest module tokens: parent {parent['max']} change {change['max']} "
+             f"({change['max'] - parent['max']:+d})"]
+    for name in sorted({**parent["modules"], **change["modules"]}):
+        p, c = parent["modules"].get(name), change["modules"].get(name)
+        lines.append(f"src/tacosim/{name} tokens: parent {_num(p)} change {_num(c)} "
                      f"({(c or 0) - (p or 0):+d})")
     return lines
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .board import float_tuple
+
 
 @dataclass
 class AgentPrivate:
@@ -19,17 +21,19 @@ class AgentPrivate:
 
     index is the agent's position in the turn cycle; valuation is its private
     per-unit value of board credit (must be positive); cost_row[j] is its
-    private cost of choice j.
+    private cost of choice j, held as a tuple of floats.
     """
 
     index: int
     valuation: float
-    cost_row: np.ndarray
+    cost_row: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        self.cost_row = np.asarray(self.cost_row, dtype=np.float64)
-        if self.cost_row.ndim != 1:
-            raise ValueError(f"cost_row must be one-dimensional, got shape {self.cost_row.shape}")
+        try:
+            self.cost_row = float_tuple(self.cost_row)
+        except TypeError:
+            shape = np.shape(self.cost_row)
+            raise ValueError(f"cost_row must be one-dimensional, got shape {shape}") from None
         if not self.valuation > 0:
             raise ValueError(f"valuation must be positive, got {self.valuation}")
         if self.index < 0:

@@ -5,24 +5,26 @@ Unlike the auction, these mechanisms read the whole cost matrix centrally;
 they exist to benchmark outcome quality, not to model decentralization.
 
 A trial runs every mechanism and metric on one small instance, so they read
-it as Python floats (``ChoiceProblem._floats``, built once per instance)
-and repeat numpy's operations in numpy's order: the same IEEE results, and
-the same random draws, without per-call array dispatch.
+it as the Python floats ``ChoiceProblem`` holds and repeat numpy's
+operations in numpy's order: the same IEEE results, and the same random
+draws, without per-call array dispatch.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
 from .agent import AgentPrivate
+from .board import float_tuple
 
 
-def _sum(x: list[float]) -> float:
+def _sum(x: Sequence[float]) -> float:
     """Sum floats in np.add.reduce's order, so bit for bit numpy's sum.
 
     numpy adds a pairwise sum of the run to the identity 0.0 (Higham, "The
@@ -39,7 +41,7 @@ def _sum(x: list[float]) -> float:
     return 0.0 + _pairwise(x, 0, len(x))
 
 
-def _pairwise(x: list[float], lo: int, n: int) -> float:
+def _pairwise(x: Sequence[float], lo: int, n: int) -> float:
     # x[lo : lo + n] with n >= 8; a halving never leaves fewer than 64 terms.
     if n <= 128:
         r0, r1, r2, r3, r4, r5, r6, r7 = x[lo : lo + 8]
@@ -62,68 +64,71 @@ def _pairwise(x: list[float], lo: int, n: int) -> float:
     return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
 
 
-class _Floats(NamedTuple):
-    """An instance as Python floats, with its utilitarian option and total."""
+def _as_floats(value, shape: tuple[int, ...], name: str) -> tuple:
+    """value as Python floats: a tuple for shape (n,), a tuple of row tuples
+    for (n, m). Any other input takes numpy's conversion, and its errors."""
+    try:
+        out = float_tuple(value) if len(shape) == 1 else tuple(map(float_tuple, value))
+    except TypeError:
+        out = ()
+    if len(out) == shape[0] and (len(shape) == 1 or all(len(r) == shape[1] for r in out)):
+        return out
+    arr = np.array(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return _as_floats(arr, shape, name)
 
-    rows: list[list[float]]
-    b: list[float]
-    util: int
-    util_total: float
 
-    def col(self, j: int) -> list[float]:
-        """Option j's costs, one per agent (a new list)."""
-        return [row[j] for row in self.rows]
-
-
-@dataclass
 class ChoiceProblem:
     """One generated instance: cost matrix, valuations, optional labels.
 
-    C and b are read-only copies: the mechanisms and metrics read them once,
-    as floats, so an instance does not change after it is made.
+    Held once, as the Python floats every mechanism, metric and agent reads:
+    ``rows`` (C, one tuple per agent), ``valuations`` (b) and ``col_sums``
+    (numpy's ``C.sum(axis=0)``, row by row from 0.0). ``C`` and ``b`` are
+    read-only float64 arrays built on first read; an instance never changes.
     """
 
-    n: int
-    m: int
-    C: np.ndarray
-    b: np.ndarray
-    option_labels: list[str] | None = None
-
-    def __post_init__(self) -> None:
-        self.C = np.array(self.C, dtype=np.float64)
-        self.b = np.array(self.b, dtype=np.float64)
-        self.C.setflags(write=False)
-        self.b.setflags(write=False)
-        if self.C.shape != (self.n, self.m):
-            raise ValueError(f"C has shape {self.C.shape}, expected ({self.n}, {self.m})")
-        if self.b.shape != (self.n,):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({self.n},)")
-        if not (self.b > 0).all():
+    def __init__(self, n: int, m: int, C, b, option_labels: list[str] | None = None):
+        self.n, self.m, self.option_labels = n, m, option_labels
+        self.rows = _as_floats(C, (n, m), "C")
+        self.valuations = _as_floats(b, (n,), "b")
+        if not all(map((0.0).__lt__, self.valuations)):
             raise ValueError("valuations b must be positive elementwise")
-        if not (np.isfinite(self.C).all() and np.isfinite(self.b).all()):
+        if not all(map(math.isfinite, chain(*self.rows, self.valuations))):
             raise ValueError("C and b must be finite")
-        if self.option_labels is not None and len(self.option_labels) != self.m:
+        sums = [0.0] * m
+        for row in self.rows:
+            sums = list(map(operator.add, sums, row))
+        self.col_sums = tuple(sums)
+        if option_labels is not None and len(option_labels) != m:
             raise ValueError("option_labels length must equal m")
 
     @functools.cached_property
-    def _floats(self) -> _Floats:
-        """C and b as floats, built on first use.
+    def C(self) -> np.ndarray:
+        C = np.array(self.rows, dtype=np.float64).reshape(self.n, self.m)
+        C.setflags(write=False)
+        return C
 
-        The column sums repeat numpy's ``C.sum(axis=0)``: row by row from 0.0.
-        """
-        rows = self.C.tolist()
-        sums = [0.0] * self.m
-        for row in rows:
-            sums = list(map(operator.add, sums, row))
-        util = sums.index(min(sums))
-        return _Floats(rows, self.b.tolist(), util, _sum([row[util] for row in rows]))
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        b = np.array(self.valuations, dtype=np.float64)
+        b.setflags(write=False)
+        return b
+
+    def col(self, j: int) -> tuple[float, ...]:
+        """Option j's costs, one per agent."""
+        return tuple([row[j] for row in self.rows])
+
+    @functools.cached_property
+    def _utilitarian(self) -> tuple[int, float]:
+        """The cheapest option in total (lowest index on ties) and that total."""
+        util = self.col_sums.index(min(self.col_sums))
+        return util, _sum(self.col(util))
 
     def agents(self) -> list[AgentPrivate]:
         """Split the instance into per-agent private views for the auction."""
-        return [
-            AgentPrivate(index=i, valuation=float(self.b[i]), cost_row=self.C[i].copy())
-            for i in range(self.n)
-        ]
+        return [AgentPrivate(index=i, valuation=b_i, cost_row=row)
+                for i, (b_i, row) in enumerate(zip(self.valuations, self.rows))]
 
 
 def voting(problem: ChoiceProblem, rng: np.random.Generator) -> int:
@@ -133,7 +138,7 @@ def voting(problem: ChoiceProblem, rng: np.random.Generator) -> int:
     are broken uniformly at random (rng is consumed only in that case).
     """
     votes = [0] * problem.m
-    for row in problem._floats.rows:
+    for row in problem.rows:
         votes[row.index(min(row))] += 1
     top = max(votes)
     winners = [j for j, v in enumerate(votes) if v == top]
@@ -144,16 +149,16 @@ def voting(problem: ChoiceProblem, rng: np.random.Generator) -> int:
 
 def random_dictator(problem: ChoiceProblem, rng: np.random.Generator) -> int:
     """A uniformly chosen agent imposes its own cheapest option."""
-    row = problem._floats.rows[int(rng.integers(problem.n))]
+    row = problem.rows[int(rng.integers(problem.n))]
     return row.index(min(row))
 
 
 def utilitarian(problem: ChoiceProblem) -> int:
     """Option minimizing the total cost across agents (lowest index on ties)."""
-    return problem._floats.util
+    return problem._utilitarian[0]
 
 
 def egalitarian(problem: ChoiceProblem) -> int:
     """Option minimizing the worst single-agent cost (lowest index on ties)."""
-    worst = list(map(max, zip(*problem._floats.rows)))
+    worst = list(map(max, zip(*problem.rows)))
     return worst.index(min(worst))

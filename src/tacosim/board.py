@@ -24,7 +24,8 @@ def exact(value: int | str | Fraction) -> Fraction:
     """Coerce an exact input (int, Fraction, or string like "9/10") to Fraction.
 
     Floats are rejected: 0.9 is not 9/10, and silently accepting the binary
-    approximation would make every board value inexact downstream.
+    approximation would make every board value inexact downstream. A
+    Fraction, being immutable, is returned as it is.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -32,13 +33,21 @@ def exact(value: int | str | Fraction) -> Fraction:
             f"pass '9/10' or Fraction(9, 10) instead"
         )
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"exact amount {value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact amount")
+
+
+def float_tuple(values) -> tuple[float, ...]:
+    """A list or tuple of numbers, or else numpy's float64 conversion of
+    values, as a tuple of Python floats; TypeError unless one-dimensional."""
+    if not isinstance(values, (tuple, list)):
+        values = np.asarray(values, dtype=np.float64).tolist()
+    return tuple(map(float, values))
 
 
 @dataclass

@@ -126,13 +126,8 @@ def _list_arg(args: argparse.Namespace, key: str, convert) -> list:
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE", help="key = value configuration file")
     for key in _CONFIG_KEYS:
-        sub.add_argument(
-            _flag(key),
-            dest=key,
-            metavar="VALUE",
-            default=None,
-            help=f"override {key}",
-        )
+        sub.add_argument(_flag(key), dest=key, metavar="VALUE", default=None,
+                         help=f"override {key}")
 
 
 def _fmt_fraction_matrix(mat) -> str:
@@ -140,9 +135,7 @@ def _fmt_fraction_matrix(mat) -> str:
 
 
 def _fmt_float_matrix(mat) -> str:
-    return "[" + ",".join(
-        "[" + ",".join(f"{v:.6g}" for v in row) + "]" for row in mat
-    ) + "]"
+    return "[" + ",".join("[" + ",".join(f"{v:.6g}" for v in row) + "]" for row in mat) + "]"
 
 
 def _print_example(run: ExampleRun) -> None:
@@ -177,17 +170,12 @@ def _write_example_files(run: ExampleRun, out_dir: Path) -> None:
             ["step", "agent", "selection", "offers", "pays", "profits", "selections"]
         )
         for snap in run.steps:
-            writer.writerow(
-                [
-                    snap.step,
-                    snap.agent,
-                    snap.selections[snap.agent],
-                    _fmt_fraction_matrix(snap.offers),
-                    _fmt_fraction_matrix(snap.pays),
-                    _fmt_float_matrix(snap.profits),
-                    " ".join("-" if s is None else str(s) for s in snap.selections),
-                ]
-            )
+            sels = " ".join("-" if s is None else str(s) for s in snap.selections)
+            writer.writerow([
+                snap.step, snap.agent, snap.selections[snap.agent],
+                _fmt_fraction_matrix(snap.offers), _fmt_fraction_matrix(snap.pays),
+                _fmt_float_matrix(snap.profits), sels,
+            ])
     out = run.outcome
     lines = [
         f"csv_schema_version = {SCHEMA_VERSION}",
@@ -259,17 +247,9 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    print(
-        bound_report(
-            _arg(args, "n", int),
-            _arg(args, "m", int),
-            _arg(args, "gamma", exact),
-            _arg(args, "epsilon", float),
-            _arg(args, "d0", exact),
-            _arg(args, "b_max", float),
-        ),
-        end="",
-    )
+    keys = (("n", int), ("m", int), ("gamma", exact), ("epsilon", float), ("d0", exact),
+            ("b_max", float))
+    print(bound_report(*(_arg(args, key, convert) for key, convert in keys)), end="")
     return 0
 
 
@@ -319,12 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scalability)
 
     p = subs.add_parser("bound", help="print the analytic worst-case step bound")
-    p.add_argument("--n", default="2")
-    p.add_argument("--m", default="2")
-    p.add_argument("--gamma", default="9/10")
-    p.add_argument("--epsilon", default="0.1")
-    p.add_argument("--d0", default="1")
-    p.add_argument("--b-max", default="1.2")
+    for flag, default in (("--n", "2"), ("--m", "2"), ("--gamma", "9/10"), ("--epsilon", "0.1"),
+                          ("--d0", "1"), ("--b-max", "1.2")):
+        p.add_argument(flag, default=default)
     p.set_defaults(func=_cmd_bound)
 
     p = subs.add_parser("show-config", help="print the effective configuration")

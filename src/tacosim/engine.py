@@ -146,16 +146,16 @@ class Trace(Sequence[TraceStep]):
     ``trace[k]`` is step k+1 (negative indices count from the end), a
     slice is a list of ``TraceStep``s, as a list's slice would be, and
     iteration yields the steps in order. Step k+1 is played by
-    ``order[k % n]``. A window keeps its choices run-length; they are
-    expanded, and its profit rows rebuilt with ``_fastpath.window_rows``
-    (the same function that rebuilds a cycle's rows, so each row is bit
-    for bit the row the kernel saw), when one of its steps is first read,
-    and kept until a step of another window is read. Reading the steps in
-    order costs one expansion per window. Each ``TraceStep`` is a new
-    object; its ``profit_row`` is one of the window's row tuples, read-only.
+    ``order[k % n]``. Iteration and slices expand a window's run-length
+    choices and rebuild all its profit rows with ``_fastpath.window_rows``
+    (which rebuilds a cycle's rows too, so each is bit for bit the row the
+    kernel saw), kept until a step of another window is read. ``trace[k]``
+    reads a kept window, or counts the window's turns before step k+1
+    through its log and rebuilds that step's row alone. Each ``TraceStep``
+    is a new object; its ``profit_row`` is a tuple, read-only.
     """
 
-    def __init__(self, b: list[float], C: list[list[float]], order: list[int]):
+    def __init__(self, b: list[float], C: list[tuple[float, ...]], order: list[int]):
         self._b = b
         self._C = C
         self._order = order
@@ -176,25 +176,35 @@ class Trace(Sequence[TraceStep]):
             win = self._windows[w]
             choices = win.log.expand(0, win.steps)
             zero = [[0] * len(self._C[0]) for _ in self._C]
-            rows = _fastpath.window_rows(
-                win.net0, win.unit, win.den, self._b, self._C, self._order, win.g0,
-                choices, zero,
-            )
+            args = (win.net0, win.unit, win.den, self._b, self._C, self._order, win.g0)
+            rows = _fastpath.window_rows(*args, choices, zero)
             self._cached = (w, choices, rows)
         return self._cached[1:]
 
     def __getitem__(self, k: int | slice) -> TraceStep | list[TraceStep]:
         if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(self._len))]
+            return [self._step(i, True) for i in range(*k.indices(self._len))]
         k = operator.index(k)
         if k < 0:
             k += self._len
         if not 0 <= k < self._len:
             raise IndexError("trace index out of range")
+        return self._step(k, False)
+
+    def _step(self, k: int, whole: bool) -> TraceStep:
         w = bisect.bisect_right(self._windows, k, key=operator.attrgetter("g0")) - 1
-        choices, rows = self._turns(w)
-        r = k - self._windows[w].g0
-        return TraceStep(k + 1, self._order[k % len(self._order)], choices[r], rows[r])
+        win, order, r = self._windows[w], self._order, k - self._windows[w].g0
+        if whole or self._cached and self._cached[0] == w:
+            choices, rows = self._turns(w)
+            return TraceStep(k + 1, order[k % len(order)], choices[r], rows[r])
+        sel = [[0] * len(self._C[0]) for _ in self._C]  # the window's turns before k
+        for u, seq, reps in win.log.pieces(0, r):
+            for t, c in enumerate(seq, win.g0 + u):
+                sel[order[t % len(order)]][c] += reps
+        [c] = win.log.expand(r, r + 1)
+        args = (win.net0, win.unit, win.den, self._b, self._C, order, k, [c], sel)
+        [row] = _fastpath.window_rows(*args)
+        return TraceStep(k + 1, order[k % len(order)], c, row)
 
     def __iter__(self) -> Iterator[TraceStep]:
         order, n = self._order, len(self._order)
@@ -294,9 +304,8 @@ def _prepare(config, agents):
             raise ValueError(
                 f"agents must be listed in index order; agents[{pos}] has index {a.index}"
             )
-    # The kernel's inputs, as Python lists: float cost rows, valuations and
-    # the turn order.
-    C = [a.cost_row.tolist() for a in agents]
+    # The kernel's inputs: the agents' cost tuples, valuations and turn order.
+    C = [a.cost_row for a in agents]
     m = len(C[0])
     if any(len(row) != m for row in C):
         raise ValueError("all agents must share the same number of choices")
@@ -408,12 +417,12 @@ class _LatticeBoard:
         b*q^K, so each net is one correctly rounded int division. Otherwise
         those values divided once now, each correctly rounded, and 1.0.
         """
-        a, den = self.a, self.unit_den
-        net0 = [[a * (o - p) for o, p in zip(self.offers, row)] for row in self.pays]
-        unit = a * self.pk
+        a, den, offers = self.a, self.unit_den, self.offers
         if exact:
-            return net0, unit, den
-        return [[x / den for x in row] for row in net0], unit / den, 1.0
+            net0 = [[a * (o - p) for o, p in zip(offers, row)] for row in self.pays]
+            return net0, a * self.pk, den
+        net0 = [[a * (o - p) / den for o, p in zip(offers, row)] for row in self.pays]
+        return net0, a * self.pk / den, 1.0
 
     def to_board(self, selections: list[int | None]) -> PublicBoard:
         """The exact Fraction board this lattice represents."""

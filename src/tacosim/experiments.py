@@ -10,9 +10,10 @@ instance's own n (``record_columns``). Ints stay ints, ``gamma`` and ``d0``
 are exact rational strings, float cells are Python floats, and a blank cell
 (an undefined metric, a capped trial's missing fields) is None. The cost cells
 are ``repr`` strings, formatted once per option column of a trial and shared
-by every mechanism that picked it. ``csv.writer`` writes a float as its
-``repr`` and None as an empty cell, so the CSV bytes are those of formatting
-every cell by hand, and the summary reads the floats as they are.
+by every mechanism that picked it. ``write_csv`` joins a record's cells
+with "," and ends the line with "\\r\\n", None as an empty cell and any other
+cell as its ``str`` (a float's ``repr``): ``csv.writer``'s bytes, as no cell
+needs quoting. The summary reads the floats as they are.
 
 Seeding rule: each point owns a seed path, a tuple of integers starting with
 the base seed (montecarlo/sweep/interrupt: (base_seed, trial); scalability:
@@ -24,9 +25,9 @@ sampling, k=1 for voting tie-breaks, k=2 for the random dictator. The CSV
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,7 +212,8 @@ def make_instance(cfg: ExperimentConfig, rng: np.random.Generator, trial: int | 
         problem = scenario.example2_fixture()
     if cfg.epsilon is not None:
         return problem, cfg.epsilon
-    mean = float(problem.C.mean())
+    # numpy's C.mean(): the pairwise sum of C in row-major order, over n*m.
+    mean = baselines._sum(list(itertools.chain(*problem.rows))) / (problem.n * problem.m)
     eps = cfg.epsilon_rel * mean
     if not (eps > 0 and math.isfinite(eps)):
         where = "" if trial is None else f"trial {trial}: "
@@ -234,7 +236,8 @@ def _seed_column(path: tuple[int, ...]) -> int:
 
 
 def _stream(path: tuple[int, ...], k: int) -> np.random.Generator:
-    return np.random.default_rng(_seed_sequence(path + (k,)))
+    # What default_rng returns for a SeedSequence, without its dispatch.
+    return np.random.Generator(np.random.PCG64(_seed_sequence(path + (k,))))
 
 
 def _run_point(point: _Point) -> list[tuple]:
@@ -247,7 +250,7 @@ def _run_point(point: _Point) -> list[tuple]:
     tail = (point.interrupt_step,)
     # An option column's cost cells, formatted once per trial. No cost is
     # NaN: C is finite, and a settled cost is a finite cost minus b * p.
-    cost_cells = functools.cache(lambda j: tuple(map(repr, problem._floats.col(j))))
+    cost_cells = functools.cache(lambda j: tuple(map(repr, problem.col(j))))
     # A baseline's cells depend on its column only.
     baseline_cells: dict[int, tuple] = {}
     records = []
@@ -273,7 +276,7 @@ def _run_point(point: _Point) -> list[tuple]:
                 result = taco_trial_result(problem, outcome)
                 cells = _result_cells(
                     result, cost_cells(result.chosen_option),
-                    tuple(map(repr, result.settled_costs.tolist())),
+                    tuple(map(repr, result.settled_costs)),
                 )
         else:
             if mech == "voting":
@@ -296,7 +299,7 @@ def _run_point(point: _Point) -> list[tuple]:
 def _result_cells(r: TrialResult, raw: tuple[str, ...], settled: tuple[str, ...]) -> tuple:
     """A finished trial's cells from chosen_option through the cost blocks."""
     metrics = (r.og_raw, r.og_settled, r.gini_raw, r.gini_settled, r.max_cycle_spread_ratio)
-    # csv.writer would write NaN as "nan"; an undefined metric is a blank cell.
+    # NaN would be written "nan"; an undefined metric is a blank cell.
     return (
         r.chosen_option, r.steps, r.rounds, r.cycles_detected, "ok",
         *[x if x == x else None for x in metrics],
@@ -335,12 +338,11 @@ def _widen(record: tuple, max_n: int) -> tuple:
 
 
 def write_csv(path: Path, records: list[tuple], columns: list[str]) -> None:
-    """The header, then one line per record (every record as wide as columns)."""
+    """The header, then each record (as wide as columns) as ``csv.writer`` wrote it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(records)
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(",".join(["" if c is None else str(c) for c in r]) + "\r\n" for r in records)
 
 
 def _quantiles(values: list[float]) -> str:

@@ -15,17 +15,15 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
-
 from .baselines import ChoiceProblem, _sum
-from .board import exact
+from .board import exact, float_tuple
 from .engine import TacoOutcome
 from .errors import MetricUndefinedError
 
 
 def optimality_gap(costs, utilitarian_costs) -> float:
     """(total cost / total cost of the utilitarian option) - 1."""
-    return _gap(_sum(_float_list(costs)), _sum(_float_list(utilitarian_costs)))
+    return _gap(_sum(float_tuple(costs)), _sum(float_tuple(utilitarian_costs)))
 
 
 def _gap(total: float, best: float) -> float:
@@ -43,7 +41,7 @@ def gini(costs) -> float:
     costs (settled costs can dip negative, in which case the usual [0, 1-1/n]
     range no longer applies).
     """
-    return _gini(_float_list(costs))
+    return _gini(float_tuple(costs))
 
 
 def _gini(c: list[float]) -> float:
@@ -57,27 +55,21 @@ def _gini(c: list[float]) -> float:
     return diff / (2.0 * len(c) * total)
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
-
-
-def effective_costs(problem: ChoiceProblem, outcome: TacoOutcome, mode: str = "settled") -> np.ndarray:
+def effective_costs(
+    problem: ChoiceProblem, outcome: TacoOutcome, mode: str = "settled"
+) -> tuple[float, ...]:
     """Per-agent cost of the consensus choice, before or after transfers.
 
     raw ignores the settlement; settled subtracts each agent's valuation-
     weighted net receipt (equal to minus its final profit for the consensus
     choice).
     """
-    return np.array(_effective(problem, outcome, mode))
-
-
-def _effective(problem: ChoiceProblem, outcome: TacoOutcome, mode: str) -> list[float]:
-    f = problem._floats
-    raw = f.col(outcome.consensus_choice)
+    raw = problem.col(outcome.consensus_choice)
     if mode == "raw":
         return raw
     if mode == "settled":
-        return [c - b_i * float(p) for c, b_i, p in zip(raw, f.b, outcome.settlements)]
+        b, settlements = problem.valuations, outcome.settlements
+        return tuple([c - b_i * float(p) for c, b_i, p in zip(raw, b, settlements)])
     raise ValueError(f"mode must be 'raw' or 'settled', got {mode!r}")
 
 
@@ -203,7 +195,7 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     Sound runs never exceed 1. Returns 0.0 when no cycle was detected or
     every bound is vacuous (single agent).
     """
-    b = _float_list(valuations)
+    b = float_tuple(valuations)
     n = len(b)
     worst = 0.0
     for cyc in outcome.cycle_records:
@@ -230,8 +222,8 @@ class TrialResult:
 
     mechanism: str
     chosen_option: int
-    raw_costs: np.ndarray
-    settled_costs: np.ndarray
+    raw_costs: tuple[float, ...]
+    settled_costs: tuple[float, ...]
     steps: int
     rounds: int
     cycles_detected: int
@@ -250,14 +242,14 @@ def _nan_safe(metric, *args) -> float:
 
 
 def taco_trial_result(problem: ChoiceProblem, outcome: TacoOutcome) -> TrialResult:
-    util_total = problem._floats.util_total
-    raw = _effective(problem, outcome, "raw")
-    settled = _effective(problem, outcome, "settled")
+    util_total = problem._utilitarian[1]
+    raw = effective_costs(problem, outcome, "raw")
+    settled = effective_costs(problem, outcome, "settled")
     return TrialResult(
         mechanism="taco",
         chosen_option=outcome.consensus_choice,
-        raw_costs=np.array(raw),
-        settled_costs=np.array(settled),
+        raw_costs=raw,
+        settled_costs=settled,
         steps=outcome.steps,
         rounds=outcome.rounds,
         cycles_detected=outcome.cycles_detected,
@@ -265,20 +257,19 @@ def taco_trial_result(problem: ChoiceProblem, outcome: TacoOutcome) -> TrialResu
         og_settled=_nan_safe(_gap, _sum(settled), util_total),
         gini_raw=_nan_safe(_gini, raw),
         gini_settled=_nan_safe(_gini, settled),
-        max_cycle_spread_ratio=cycle_spread_ratio(outcome, problem._floats.b),
+        max_cycle_spread_ratio=cycle_spread_ratio(outcome, problem.valuations),
     )
 
 
 def baseline_trial_result(problem: ChoiceProblem, mechanism: str, choice: int) -> TrialResult:
-    f = problem._floats
-    raw = f.col(choice)
-    og = _nan_safe(_gap, _sum(raw), f.util_total)
+    raw = problem.col(choice)
+    og = _nan_safe(_gap, _sum(raw), problem._utilitarian[1])
     gi = _nan_safe(_gini, raw)
     return TrialResult(
         mechanism=mechanism,
         chosen_option=int(choice),
-        raw_costs=np.array(raw),
-        settled_costs=np.array(raw),
+        raw_costs=raw,
+        settled_costs=raw,
         steps=0,
         rounds=0,
         cycles_detected=0,

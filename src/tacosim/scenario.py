@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import ChoiceProblem
+from .board import float_tuple
 from .errors import ResourceLimitError
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
@@ -33,24 +34,27 @@ class WaypointScenario:
     adjustment x shifts arrival i to e[i] + x[i] at cost k[i] * x[i]**2.
     """
 
-    e: np.ndarray
-    k: np.ndarray
+    e: tuple[float, ...]
+    k: tuple[float, ...]
     D: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=np.float64))
-        object.__setattr__(self, "k", np.asarray(self.k, dtype=np.float64))
-        object.__setattr__(self, "D", float(self.D))
-        if self.e.ndim != 1 or self.k.shape != self.e.shape:
+        try:
+            e, k = float_tuple(self.e), float_tuple(self.k)
+        except TypeError:
+            e = k = None
+        if e is None or len(k) != len(e):
             raise ValueError("e and k must be equal-length vectors")
-        if not (self.k > 0).all():
+        for name, value in (("e", e), ("k", k), ("D", float(self.D))):
+            object.__setattr__(self, name, value)
+        if not all(map((0.0).__lt__, k)):
             raise ValueError("urgency weights k must be positive")
         if not self.D > 0:
             raise ValueError(f"separation D must be positive, got {self.D}")
 
     @property
     def n(self) -> int:
-        return int(self.e.shape[0])
+        return len(self.e)
 
 
 def pava(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -106,10 +110,11 @@ def solve_ordering(scenario: WaypointScenario, order) -> np.ndarray:
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
     idx = np.array(order, dtype=np.intp)
+    e, k = np.array(scenario.e), np.array(scenario.k)
     shift = np.arange(n, dtype=np.float64) * scenario.D
-    v = pava(scenario.e[idx] - shift, scenario.k[idx])
+    v = pava(e[idx] - shift, k[idx])
     x = np.empty(n, dtype=np.float64)
-    x[idx] = v + shift - scenario.e[idx]
+    x[idx] = v + shift - e[idx]
     return x
 
 
@@ -137,8 +142,7 @@ def enumerate_options(scenario: WaypointScenario, b) -> ChoiceProblem:
         raise ResourceLimitError(
             f"n={n} yields {math.factorial(n)} orderings, above the n<={MAX_AGENTS} cap"
         )
-    e = scenario.e.tolist()
-    k = scenario.k.tolist()
+    e, k = scenario.e, scenario.k
     shift = [t * scenario.D for t in range(n)]
     walk, labels = _orderings(n)
     rows = [[0.0] * len(labels) for _ in range(n)]
@@ -156,10 +160,7 @@ def enumerate_options(scenario: WaypointScenario, b) -> ChoiceProblem:
                 i = order[t]
                 x = (v + shift[t]) - e[i]
                 rows[i][col] = k[i] * (x * x)
-    # C-contiguous like np.column_stack's C, so C.mean() sums in the same order.
-    C = np.array(rows, dtype=np.float64).reshape(n, len(labels))
-    return ChoiceProblem(n=n, m=C.shape[1], C=C, b=np.asarray(b, dtype=np.float64),
-                         option_labels=list(labels))
+    return ChoiceProblem(n=n, m=len(labels), C=rows, b=b, option_labels=list(labels))
 
 
 def random_problem(n: int, m: int, rng: np.random.Generator) -> ChoiceProblem:
@@ -190,11 +191,12 @@ def random_waypoint_problem(
     if n < 2:
         raise ValueError(f"a waypoint instance needs n >= 2 agents, got n={n}")
     while True:
-        e = rng.uniform(0.0, n * D, size=n)
-        k = rng.uniform(k_range[0], k_range[1], size=n)
-        b = rng.uniform(b_range[0], b_range[1], size=n)
+        # The draws, as floats once: the instance never goes through an array.
+        e = rng.uniform(0.0, n * D, size=n).tolist()
+        k = rng.uniform(k_range[0], k_range[1], size=n).tolist()
+        b = rng.uniform(b_range[0], b_range[1], size=n).tolist()
         problem = enumerate_options(WaypointScenario(e=e, k=k, D=D), b)
-        if problem.C.sum(axis=0).min() > 0:
+        if min(problem.col_sums) > 0:
             return problem
 
 
@@ -203,7 +205,7 @@ def example2_fixture() -> ChoiceProblem:
     return ChoiceProblem(
         n=2,
         m=2,
-        C=np.array([[10.0, 4.0], [7.0, 9.0]]),
-        b=np.array([0.8, 1.2]),
+        C=[[10.0, 4.0], [7.0, 9.0]],
+        b=[0.8, 1.2],
         option_labels=["option-1", "option-2"],
     )

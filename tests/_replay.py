@@ -120,15 +120,15 @@ def profit_row(agent: AgentPrivate, board: PublicBoard) -> np.ndarray:
     rational; the best response is this row's ``np.argmax`` (lowest index on
     ties).
     """
-    if agent.cost_row.shape[0] != board.m:
+    if len(agent.cost_row) != board.m:
         raise ValueError(
-            f"cost_row has {agent.cost_row.shape[0]} entries but the board has m={board.m}"
+            f"cost_row has {len(agent.cost_row)} entries but the board has m={board.m}"
         )
     net_row = np.array(
         [float(board.offers[agent.index][j] - board.pays[agent.index][j]) for j in range(board.m)],
         dtype=np.float64,
     )
-    return agent.valuation * net_row - agent.cost_row
+    return agent.valuation * net_row - np.array(agent.cost_row, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,21 @@ def test_agent_validation():
         AgentPrivate(index=0, valuation=1.0, cost_row=np.eye(2))
 
 
+def test_cost_row_is_a_tuple_of_floats():
+    # Arrays, lists and tuples all become one tuple of floats, which the
+    # engine reads as it is.
+    for row in (np.array([1.0, 2.5]), [1, 2.5], (1.0, 2.5)):
+        agent = AgentPrivate(index=0, valuation=1.0, cost_row=row)
+        assert agent.cost_row == (1.0, 2.5)
+        assert type(agent.cost_row) is tuple
+        assert all(type(x) is float for x in agent.cost_row)
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        AgentPrivate(index=0, valuation=1.0, cost_row=[[1.0, 2.0], [3.0, 4.0]])
+    # A string is one number to numpy, not a row of its characters.
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(\)"):
+        AgentPrivate(index=0, valuation=1.0, cost_row="12")
+
+
 def test_profit_row_dimension_check():
     agent = AgentPrivate(index=0, valuation=1.0, cost_row=np.array([1.0, 2.0, 3.0]))
     board = new_board(1, 2, 1)

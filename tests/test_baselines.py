@@ -1,5 +1,7 @@
 """Comparison mechanisms and the shared problem container."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,45 @@ def test_choice_problem_validation():
         ChoiceProblem(n=2, m=3, C=C, b=b, option_labels=["only-one"])
 
 
+def test_choice_problem_checks_lists_like_arrays():
+    # Rows and b in Python, with the checks and messages of the array path.
+    ones = [[1.0] * 3] * 2
+    positive = "valuations b must be positive elementwise"
+    cases = [
+        (dict(n=2, m=2, C=ones, b=[1.0, 1.0]), "C has shape (2, 3), expected (2, 2)"),
+        (dict(n=2, m=3, C=ones, b=[1.0] * 3), "b has shape (3,), expected (2,)"),
+        (dict(n=2, m=3, C=[1.0, 1.0, 1.0], b=[1.0] * 2), "C has shape (3,), expected (2, 3)"),
+        (dict(n=2, m=3, C=ones, b=[1.0, 0.0]), positive),
+        (dict(n=2, m=3, C=ones, b=[1.0, math.nan]), positive),
+        (dict(n=2, m=3, C=[[1.0, math.inf, 1.0]] * 2, b=[1.0] * 2), "C and b must be finite"),
+        (dict(n=2, m=3, C=ones, b=[1.0, math.inf]), "C and b must be finite"),
+    ]
+    for kw, message in cases:
+        for convert in (list, np.array):
+            with pytest.raises(ValueError) as err:
+                ChoiceProblem(**{**kw, "C": convert(kw["C"]), "b": convert(kw["b"])})
+            assert str(err.value) == message
+    with pytest.raises(ValueError):
+        ChoiceProblem(n=2, m=2, C=[[1.0, 2.0], [3.0]], b=[1.0, 1.0])
+    # A string is one number to numpy, not a row of its characters.
+    strings = [
+        (dict(n=2, m=3, C=ones, b="12"), "b has shape (), expected (2,)"),
+        (dict(n=2, m=2, C=["12", "34"], b=[1.0] * 2), "C has shape (2,), expected (2, 2)"),
+    ]
+    for kw, message in strings:
+        with pytest.raises(ValueError) as err:
+            ChoiceProblem(**kw)
+        assert str(err.value) == message
+    # Ints are floats in the instance, and the arrays are built on first read.
+    problem = ChoiceProblem(n=2, m=2, C=[[1, 2], [3, 4]], b=(1, 2))
+    assert problem.rows == ((1.0, 2.0), (3.0, 4.0)) and problem.valuations == (1.0, 2.0)
+    assert all(type(x) is float for x in (*problem.rows[0], *problem.valuations))
+    assert problem.col_sums == (4.0, 6.0)
+    assert "C" not in vars(problem) and "b" not in vars(problem)
+    assert problem.C.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+    assert problem.b.tobytes() == np.array([1.0, 2.0]).tobytes()
+
+
 def test_choice_problem_agents():
     problem = example2_fixture()
     agents = problem.agents()
@@ -37,8 +78,10 @@ def test_choice_problem_agents():
     assert [a.valuation for a in agents] == [0.8, 1.2]
     np.testing.assert_array_equal(agents[0].cost_row, [10.0, 4.0])
     np.testing.assert_array_equal(agents[1].cost_row, [7.0, 9.0])
-    # agents() must hand out copies, not views into C.
-    agents[0].cost_row[0] = -99.0
+    # agents() hands out tuples: no agent can write into C.
+    assert all(type(a.cost_row) is tuple for a in agents)
+    with pytest.raises(TypeError):
+        agents[0].cost_row[0] = -99.0
     assert problem.C[0, 0] == 10.0
 
 

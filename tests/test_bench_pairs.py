@@ -71,3 +71,30 @@ def test_src_lines_count_each_module_of_both_sides(tmp_path):
         "src/tacosim/gone.py lines: parent 1 change - (-1)",
         "src/tacosim/new.py lines: parent - change 0 (+0)",
     ]
+
+
+def test_src_tokens_count_each_module_of_both_sides(tmp_path):
+    files = {
+        "parent": {"engine.py": "x = 1\n", "gone.py": "# only a comment\n"},
+        "change": {"engine.py": "x = (1, 2)\ny = x\n", "new.py": ""},
+    }
+    counts = {}
+    for side, modules in files.items():
+        package = tmp_path / side / "src" / "tacosim"
+        package.mkdir(parents=True)
+        (package / "notes.txt").write_text("not a module\n")
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        counts[side] = bench_pairs.src_tokens(tmp_path / side)
+    # ENCODING, the tokens of each line with its NEWLINE (NL after a comment), ENDMARKER.
+    assert counts["parent"] == {"max": 6, "modules": {"engine.py": 6, "gone.py": 4}}
+    assert counts["change"] == {"max": 14, "modules": {"engine.py": 14, "new.py": 2}}
+    assert bench_pairs.src_token_lines(counts["parent"], counts["change"]) == [
+        "src/tacosim largest module tokens: parent 6 change 14 (+8)",
+        "src/tacosim/engine.py tokens: parent 6 change 14 (+8)",
+        "src/tacosim/gone.py tokens: parent 4 change - (-4)",
+        "src/tacosim/new.py tokens: parent - change 2 (+2)",
+    ]
+    # The repository's own modules, as the batch records them.
+    repo = bench_pairs.src_tokens(Path(__file__).resolve().parents[1])
+    assert repo["max"] == max(repo["modules"].values()) and "engine.py" in repo["modules"]

@@ -26,6 +26,18 @@ def test_exact_coercion():
     assert exact(Fraction(7, 3)) == Fraction(7, 3)
 
 
+def test_exact_returns_a_fraction_as_it_is():
+    # A Fraction is immutable, so the same object comes back; everything else
+    # is still coerced to a new Fraction, or refused.
+    half = Fraction(1, 2)
+    assert exact(half) is half
+    assert type(exact(3)) is Fraction and exact(3) == 3
+    assert type(exact(True)) is Fraction and exact(True) == 1
+    assert type(exact("2/4")) is Fraction and exact("2/4") == half
+    with pytest.raises(TypeError):
+        exact(0.5)
+
+
 def test_exact_rejects_floats_and_junk():
     with pytest.raises(TypeError):
         exact(0.9)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import math
 from fractions import Fraction
 
@@ -278,6 +279,33 @@ def test_write_csv_roundtrip(tmp_path):
     assert list(back[0]) == columns
 
 
+def _csv_writer_bytes(records, columns) -> bytes:
+    """The reference writer: csv.writer's default dialect on the same records."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows(records)
+    return fh.getvalue().encode()
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    # Every kind of cell: metric floats and blanks, widened cost blocks of a
+    # two-n grid, cap and history_cap rows, and interruption steps.
+    sweeps = {
+        "montecarlo": run_montecarlo(ExperimentConfig(trials=20, base_seed=5), tmp_path / "a"),
+        "scalability": run_scalability(_quick_cfg(trials=3), [2, 4], [3], tmp_path / "b"),
+        "cap": run_montecarlo(ExperimentConfig(trials=6, max_steps=30), tmp_path / "c"),
+        "history_cap": run_montecarlo(ExperimentConfig(trials=8, history_cap=60), tmp_path / "d"),
+        "interrupt": run_interrupt(ExperimentConfig(trials=4), [0, 20, 5], tmp_path / "e"),
+    }
+    for name, res in sweeps.items():
+        assert res.csv_path.read_bytes() == _csv_writer_bytes(res.records, res.columns), name
+    statuses = {r["status"] for res in sweeps.values() for r in res.rows}
+    assert statuses == {"ok", "cap", "history_cap"}
+    assert any(r["raw_cost_4"] is None for r in sweeps["scalability"].rows)
+    assert {r["interrupt_step"] for r in sweeps["interrupt"].rows} == {0, 20, 5}
+
+
 def test_columns_for_scales_with_n():
     cols = record_columns(5)
     assert "raw_cost_5" in cols and "settled_cost_5" in cols
@@ -314,8 +342,8 @@ def test_record_cells_are_plain_python_values(tmp_path):
 def test_nan_metric_writes_an_empty_cell(tmp_path):
     # A settled total of zero leaves og and gini of the settled costs undefined.
     result = TrialResult(
-        mechanism="taco", chosen_option=1, raw_costs=np.array([1.0, 2.0]),
-        settled_costs=np.array([1.5, -1.5]), steps=4, rounds=2, cycles_detected=1,
+        mechanism="taco", chosen_option=1, raw_costs=(1.0, 2.0),
+        settled_costs=(1.5, -1.5), steps=4, rounds=2, cycles_detected=1,
         og_raw=0.0, og_settled=math.nan, gini_raw=1 / 6, gini_settled=math.nan,
         max_cycle_spread_ratio=0.5,
     )

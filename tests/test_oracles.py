@@ -22,6 +22,8 @@ from tacosim.engine import TacoConfig, check_termination, run_interrupted, run_t
 from tacosim.errors import MetricUndefinedError
 from tacosim.experiments import (
     ExperimentConfig,
+    _stream,
+    make_instance,
     run_interrupt,
     run_scalability,
     summarize,
@@ -79,12 +81,33 @@ def test_metrics_match_numpy_on_random_vectors():
                 )
 
 
+def test_instance_mean_and_column_sums_match_numpy():
+    # make_instance's mean(C) is _sum over the rows in C order, divided by
+    # n*m, and ChoiceProblem.col_sums is C.sum(axis=0) row by row: both bit
+    # for bit numpy's, on waypoint instances (n = 2..7; 7 x 5040 at the cap)
+    # and on random ones up to 7 x 1000.
+    shapes = [("waypoint", n, 0, 12 if n < 7 else 2) for n in range(2, 8)]
+    shapes += [("random", n, m, 12) for n, m in ((3, 3), (5, 20), (10, 100), (7, 1000))]
+    checked = 0
+    for scenario, n, m, trials in shapes:
+        cfg = ExperimentConfig(scenario=scenario, n=n, m=m or 24)
+        for trial in range(trials):
+            problem, eps = make_instance(cfg, _stream((13, n, trial), 0))
+            assert _bits(eps) == _bits(cfg.epsilon_rel * problem.C.mean()), (n, m, trial)
+            assert np.array(problem.col_sums).tobytes() == problem.C.sum(axis=0).tobytes()
+            assert type(problem.col_sums) is tuple
+            checked += 1
+    assert checked == 5 * 12 + 2 + 4 * 12
+
+
 def _assert_same_result(got, want):
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
-            assert isinstance(a, np.ndarray) and a.dtype == b.dtype, f.name
-            assert a.tobytes() == b.tobytes(), f.name
+            # The shipped cost vectors are tuples of Python floats.
+            assert type(a) is tuple and all(type(x) is float for x in a), f.name
+            assert b.dtype == np.float64, f.name
+            assert np.array(a, dtype=np.float64).tobytes() == b.tobytes(), f.name
         elif isinstance(b, float):
             assert _bits(a) == _bits(b), f.name
         else:
@@ -114,7 +137,9 @@ def test_trial_results_match_numpy():
         outcome = run_taco(config, problem.agents())
         for mode in ("raw", "settled"):
             got = metrics.effective_costs(problem, outcome, mode)
-            assert got.tobytes() == ref.effective_costs(problem, outcome, mode).tobytes()
+            assert type(got) is tuple and all(type(x) is float for x in got)
+            want = ref.effective_costs(problem, outcome, mode).tobytes()
+            assert np.array(got, dtype=np.float64).tobytes() == want
         want = ref.taco_trial_result(problem, outcome)
         _assert_same_result(metrics.taco_trial_result(problem, outcome), want)
         nan_fields += math.isnan(want.gini_settled) + math.isnan(want.og_raw)

@@ -163,6 +163,13 @@ def test_scenario_validation():
         WaypointScenario(e=[0.0, 1.0], k=[1.0, 0.0], D=1.0)
     with pytest.raises(ValueError):
         WaypointScenario(e=[0.0, 1.0], k=[1.0, 1.0], D=0.0)
+    for e, k in (("12", "34"), ([[0.0, 1.0]], [[1.0, 1.0]]), (np.zeros((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="e and k must be equal-length vectors"):
+            WaypointScenario(e=e, k=k, D=1.0)
+    # The vectors are held as tuples of floats, from arrays and lists alike.
+    scenario = WaypointScenario(e=np.array([0.0, 1.5]), k=[1, 2], D=1)
+    assert (scenario.e, scenario.k, scenario.D) == ((0.0, 1.5), (1.0, 2.0), 1.0)
+    assert all(type(x) is float for x in scenario.e + scenario.k)
 
 
 def test_enumerate_options_symmetric_two_agents():

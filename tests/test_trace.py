@@ -135,6 +135,35 @@ def test_trace_rows_are_read_only(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
+def test_one_step_read_rebuilds_one_row(monkeypatch, backend):
+    # trace[k] counts its window's turns before step k+1 through the turn log
+    # and rebuilds that one row; iteration rebuilds a window's rows at once.
+    # Each gives the same bytes. example2 at d0 = 1/2000 is one long window
+    # of drift runs, and the multi-window runs switch between windows.
+    config = TacoConfig(epsilon=1e-6, d0="1/2000", gamma="9/10")
+    cases = [(config, example2_fixture())] + list(_multi_window_instances())[:3]
+    window_rows = _fastpath.window_rows
+    rebuilt = []
+
+    def recorded(*args):
+        rows = window_rows(*args)
+        rebuilt.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(_fastpath, "window_rows", recorded)
+    for config, problem in cases:
+        outcome = run_taco(config, problem.agents(), backend=backend)
+        facts = [_step_facts(ts) for ts in outcome.trace]
+        L = outcome.steps
+        for k in (0, L // 3, L // 2, L - 1, -1, -L):
+            trace = run_taco(config, problem.agents(), backend=backend).trace
+            rebuilt.clear()
+            assert _step_facts(trace[k]) == facts[k]
+            assert rebuilt == [1]
+    assert L > 2 * problem.n
+
+
+@pytest.mark.parametrize("backend", ("numpy", "exact"))
 def test_truncated_traces_are_prefixes_of_the_full_trace(multi_window, backend):
     # A step cap or an interruption cuts a window short; the truncated
     # window's record must rebuild the same steps as the full run's.
