@@ -24,8 +24,9 @@ between the two. Settlements are exact rationals read off the final
 lattice on every backend; the Fraction board (final_board) is built from
 it only when read.
 
-Backend selection: the TACO_BACKEND environment variable ("auto", "numpy",
-"exact") or an explicit argument. "auto" is "numpy".
+Backend selection: an explicit argument ("auto", "numpy", "exact"); None
+or "auto" defers to the TACO_BACKEND environment variable, and "auto" there,
+or no variable, is "numpy".
 
 The run keeps no per-step object. Each window is kept as its anchors plus
 the kernel's run-length turn log (``_fastpath.TurnLog``: the stepped
@@ -33,9 +34,10 @@ choices, and one run per drift the kernel jumped); step k+1 was played by
 ``order[k % n]``, so no player list is stored. A cycle's profit rows come
 back from the kernel with the detection, as tuples of floats, and its
 counts are tallied into tuples of ints. The outcome's trace is a lazy
-sequence over those window records: a window's choices are expanded, and
-its profit rows rebuilt with ``_fastpath.window_rows``, only when one of
-its steps is read.
+sequence over those window records, and a read rebuilds only the steps it
+covers: their window's earlier turns are counted through the log, their
+choices expanded and their profit rows rebuilt with
+``_fastpath.window_rows``. Nothing is kept between reads.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ BACKENDS = ("auto", "numpy", "exact")
 
 
 def resolve_backend(name: str | None = None) -> str:
-    """Map a requested backend (or the TACO_BACKEND default) to a concrete one."""
-    if name is None:
+    """Map a requested backend to a concrete one; None and "auto" read TACO_BACKEND."""
+    if name is None or name.lower() == "auto":
         name = os.environ.get(ENV_VAR, "auto")
     name = name.lower()
     if name not in BACKENDS:
@@ -146,13 +148,15 @@ class Trace(Sequence[TraceStep]):
     ``trace[k]`` is step k+1 (negative indices count from the end), a
     slice is a list of ``TraceStep``s, as a list's slice would be, and
     iteration yields the steps in order. Step k+1 is played by
-    ``order[k % n]``. Iteration and slices expand a window's run-length
-    choices and rebuild all its profit rows with ``_fastpath.window_rows``
-    (which rebuilds a cycle's rows too, so each is bit for bit the row the
-    kernel saw), kept until a step of another window is read. ``trace[k]``
-    reads a kept window, or counts the window's turns before step k+1
-    through its log and rebuilds that step's row alone. Each ``TraceStep``
-    is a new object; its ``profit_row`` is a tuple, read-only.
+    ``order[k % n]``. Every read goes through one span reader: for each
+    window the span covers, it counts the window's turns before its part
+    through the run-length log (a run's rounds at once), expands only that
+    part's choices and rebuilds only its rows with ``_fastpath.window_rows``,
+    which rebuilds a cycle's rows too, so each is bit for bit the row the
+    kernel saw. ``trace[k]`` reads one step, a slice the span from its
+    smallest to its largest index, iteration every window in turn. Nothing
+    is kept between reads. Each ``TraceStep`` is a new object; its
+    ``profit_row`` is a tuple, read-only.
     """
 
     def __init__(self, b: list[float], C: list[tuple[float, ...]], order: list[int]):
@@ -161,7 +165,6 @@ class Trace(Sequence[TraceStep]):
         self._order = order
         self._windows: list[_Window] = []
         self._len = 0
-        self._cached: tuple[int, list[int], list[tuple[float, ...]]] | None = None
 
     def _append(self, window: _Window) -> None:
         self._windows.append(window)
@@ -170,49 +173,41 @@ class Trace(Sequence[TraceStep]):
     def __len__(self) -> int:
         return self._len
 
-    def _turns(self, w: int) -> tuple[list[int], list[tuple[float, ...]]]:
-        """Window w's choices, expanded, and its profit rows."""
-        if self._cached is None or self._cached[0] != w:
-            win = self._windows[w]
-            choices = win.log.expand(0, win.steps)
-            zero = [[0] * len(self._C[0]) for _ in self._C]
-            args = (win.net0, win.unit, win.den, self._b, self._C, self._order, win.g0)
-            rows = _fastpath.window_rows(*args, choices, zero)
-            self._cached = (w, choices, rows)
-        return self._cached[1:]
-
     def __getitem__(self, k: int | slice) -> TraceStep | list[TraceStep]:
         if isinstance(k, slice):
-            return [self._step(i, True) for i in range(*k.indices(self._len))]
+            r = range(*k.indices(self._len))
+            if not r:
+                return []
+            lo, hi = sorted((r[0], r[-1]))
+            span = list(self._span(lo, hi + 1))
+            return [span[i - lo] for i in r]
         k = operator.index(k)
         if k < 0:
             k += self._len
         if not 0 <= k < self._len:
             raise IndexError("trace index out of range")
-        return self._step(k, False)
-
-    def _step(self, k: int, whole: bool) -> TraceStep:
-        w = bisect.bisect_right(self._windows, k, key=operator.attrgetter("g0")) - 1
-        win, order, r = self._windows[w], self._order, k - self._windows[w].g0
-        if whole or self._cached and self._cached[0] == w:
-            choices, rows = self._turns(w)
-            return TraceStep(k + 1, order[k % len(order)], choices[r], rows[r])
-        sel = [[0] * len(self._C[0]) for _ in self._C]  # the window's turns before k
-        for u, seq, reps in win.log.pieces(0, r):
-            for t, c in enumerate(seq, win.g0 + u):
-                sel[order[t % len(order)]][c] += reps
-        [c] = win.log.expand(r, r + 1)
-        args = (win.net0, win.unit, win.den, self._b, self._C, order, k, [c], sel)
-        [row] = _fastpath.window_rows(*args)
-        return TraceStep(k + 1, order[k % len(order)], c, row)
+        return next(self._span(k, k + 1))
 
     def __iter__(self) -> Iterator[TraceStep]:
+        return self._span(0, self._len)
+
+    def _span(self, lo: int, hi: int) -> Iterator[TraceStep]:
+        """Steps lo+1..hi, one window's part at a time."""
         order, n = self._order, len(self._order)
-        for w, win in enumerate(self._windows):
-            choices, rows = self._turns(w)
-            steps = range(win.g0 + 1, win.g0 + win.steps + 1)
-            agents = (order[(k - 1) % n] for k in steps)
-            yield from map(TraceStep, steps, agents, choices, rows)
+        w = bisect.bisect_right(self._windows, lo, key=operator.attrgetter("g0")) - 1
+        for win in self._windows[w:]:
+            if win.g0 >= hi:
+                return
+            x, y = max(lo, win.g0), min(hi, win.g0 + win.steps)
+            sel = [[0] * len(self._C[0]) for _ in self._C]  # the window's turns before x
+            for u, seq, reps in win.log.pieces(0, x - win.g0):
+                for t, c in enumerate(seq, win.g0 + u):
+                    sel[order[t % n]][c] += reps
+            choices = win.log.expand(x - win.g0, y - win.g0)
+            args = (win.net0, win.unit, win.den, self._b, self._C, order, x, choices, sel)
+            rows = _fastpath.window_rows(*args)
+            agents = (order[k % n] for k in range(x, y))
+            yield from map(TraceStep, range(x + 1, y + 1), agents, choices, rows)
 
 
 @dataclass

@@ -145,8 +145,8 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         # An unknown name fails here, before any trial; "auto" defers to
-        # TACO_BACKEND at run time, so that name is checked too.
-        resolve_backend(None if self.backend == "auto" else self.backend)
+        # TACO_BACKEND, so that name is checked too.
+        resolve_backend(self.backend)
         if not (self.k_min > 0 and self.k_max >= self.k_min):
             raise ValueError("urgency range must satisfy 0 < k_min <= k_max")
         if not (self.b_min > 0 and self.b_max >= self.b_min):
@@ -260,14 +260,13 @@ def _run_point(point: _Point) -> list[tuple]:
                 epsilon=eps, d0=cfg.d0, gamma=cfg.gamma,
                 max_steps=cfg.max_steps, history_cap=cfg.history_cap,
             )
-            backend = None if cfg.backend == "auto" else cfg.backend
             try:
                 if point.interrupt_step > 0:
                     outcome = run_interrupted(
-                        taco_cfg, problem.agents(), point.interrupt_step, backend=backend
+                        taco_cfg, problem.agents(), point.interrupt_step, backend=cfg.backend
                     )
                 else:
-                    outcome = run_taco(taco_cfg, problem.agents(), backend=backend)
+                    outcome = run_taco(taco_cfg, problem.agents(), backend=cfg.backend)
             except NoTerminationError:
                 cells = (None, cfg.max_steps, None, None, "cap") + (None,) * (5 + 2 * n)
             except HistoryLimitError:

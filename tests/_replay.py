@@ -244,6 +244,53 @@ def _check_window(window_J, d: float, b, n: int, m: int, tol: float) -> None:
         )
 
 
+def rational_departures(
+    problem: ChoiceProblem, config: TacoConfig, outcome: TacoOutcome
+) -> tuple[int | None, list[int]]:
+    """Where ``outcome`` leaves the rational decision rule, or ``(None, [])``.
+
+    Replays the outcome's choices on the ``Fraction`` board above, with b, C
+    and epsilon taken as the exact values of their floats, so agent i's value
+    of option j is ``b_i*N_ij - C_ij`` with no rounding. Returns the first
+    step (1-based) whose selection is not the lowest-index maximiser of its
+    agent's values, or None, and the indices into ``outcome.cycle_records``
+    of the cycles whose termination decision differs from "every agent's
+    spread over its values on the active choices, pooled across its turns in
+    the cycle, is < epsilon". The replay follows the outcome's choices past
+    a departure, so later cycles are judged on the board the run really had.
+    """
+    n, m = problem.n, problem.m
+    b = [Fraction(x) for x in problem.valuations]
+    C = [[Fraction(x) for x in row] for row in problem.rows]
+    eps = Fraction(config.epsilon)
+    board = new_board(n, m, config.d0)
+    cycles = outcome.cycle_records
+    cycle_at = {cyc.end_step: k for k, cyc in enumerate(cycles)}
+    first, bad_cycles, values = None, [], []
+    for ts in outcome.trace:
+        i, offers, pays = ts.agent, board.offers[ts.agent], board.pays[ts.agent]
+        V = [b[i] * (offers[j] - pays[j]) - C[i][j] for j in range(m)]
+        values.append((i, V))
+        if first is None and V.index(max(V)) != ts.selection:
+            first = ts.step
+        k = cycle_at.get(ts.step)
+        if k is None:
+            apply_selection(board, ts.agent, ts.selection)
+            continue
+        cyc = cycles[k]
+        pooled = [[] for _ in range(n)]
+        for a, V in values[cyc.start_step - 1 : cyc.end_step]:
+            pooled[a] += (V[j] for j in cyc.active_choices)
+        stops = all(max(vals) - min(vals) < eps for vals in pooled)
+        stopped = outcome.terminated_naturally and k == len(cycles) - 1
+        if stops != stopped:
+            bad_cycles.append(k)
+        reduce_trading_unit(board, config.gamma)
+        if not stopped:
+            apply_selection(board, ts.agent, ts.selection)
+    return first, bad_cycles
+
+
 def verify_run(
     problem: ChoiceProblem,
     config: TacoConfig,

@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 
 import _window_oracle as window_oracle
-from _replay import apply_selection, new_board, reduce_trading_unit, row_bytes, verify_run
+from _replay import (
+    apply_selection,
+    new_board,
+    rational_departures,
+    reduce_trading_unit,
+    row_bytes,
+    verify_run,
+)
 from tacosim import _fastpath, board, engine, experiments
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
 from tacosim.board import CycleRecord
 from tacosim.engine import (
     TacoConfig,
+    TraceStep,
     check_termination,
     run_interrupted,
     run_taco,
@@ -454,6 +462,7 @@ def test_backend_resolution(monkeypatch):
     assert engine.resolve_backend("numpy") == "numpy"
     assert engine.resolve_backend("exact") == "exact"
     assert engine.resolve_backend(None) == "numpy"
+    assert engine.resolve_backend("auto") == "numpy"
     with pytest.raises(ValueError):
         engine.resolve_backend("numba")
     with pytest.raises(ValueError):
@@ -461,6 +470,9 @@ def test_backend_resolution(monkeypatch):
     monkeypatch.setenv(engine.ENV_VAR, "numpy")
     assert engine.resolve_backend(None) == "numpy"
     monkeypatch.setenv(engine.ENV_VAR, "exact")
+    # "auto" means what no name means: the variable, else numpy.
+    assert engine.resolve_backend("auto") == engine.resolve_backend(None) == "exact"
+    assert engine.resolve_backend("numpy") == "numpy"
     outcome = run_taco(_config(), example2_fixture().agents())
     assert outcome.steps == 5 and outcome.settlements == [Fraction(-1), Fraction(1)]
     monkeypatch.setenv(engine.ENV_VAR, "numba")
@@ -533,6 +545,56 @@ def test_tie_prone_backend_agreement():
         numpy_run = run_taco(config, problem.agents(), backend="numpy")
         assert [t.selection for t in numpy_run.trace] == [t.selection for t in exact_run.trace]
         assert numpy_run.settlements == exact_run.settlements
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the tie rule in ROADMAP item 1: both backends decide by a float argmax, and "
+    "8 numpy runs and 3 exact runs of the reproducer leave the rational best response",
+)
+def test_tie_prone_runs_follow_the_rational_rule():
+    departures = []
+    for k, (config, problem) in enumerate(_tie_prone_instances()):
+        for backend in BACKENDS:
+            outcome = run_taco(config, problem.agents(), backend=backend)
+            if rational_departures(problem, config, outcome) != (None, []):
+                departures.append((k, backend))
+    assert departures == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the tie rule in ROADMAP item 1: at step 61 numpy picks option 13 over "
+    "option 12, two cells 2 ulps apart where the rational rule picks 12, and ends at "
+    "63 steps; exact ends at 71 with other settlements",
+)
+def test_headline_trial_follows_the_rational_rule():
+    # Default montecarlo, base seed 3, trial 431: its instance is stream 0 of
+    # the seed path (3, 431). The tacobench gate re-runs only trials 0-7.
+    cfg = experiments.ExperimentConfig(base_seed=3)
+    problem, eps = experiments.make_instance(cfg, experiments._stream((3, 431), 0), 431)
+    config = TacoConfig(epsilon=eps, d0=cfg.d0, gamma=cfg.gamma)
+    runs = [run_taco(config, problem.agents(), backend=backend) for backend in BACKENDS]
+    for outcome in runs:
+        assert rational_departures(problem, config, outcome) == (None, [])
+    assert [t.selection for t in runs[0].trace] == [t.selection for t in runs[1].trace]
+    assert runs[0].settlements == runs[1].settlements
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_worked_example_follows_the_rational_rule(backend):
+    problem = example2_fixture()
+    config = _config(d0="1/2000")
+    outcome = run_taco(config, problem.agents(), backend=backend)
+    assert (outcome.steps, outcome.cycles_detected) == (3337, 1)
+    assert rational_departures(problem, config, outcome) == (None, [])
+    # The oracle sees a changed decision: a run claimed to go on past its
+    # final cycle, and a selection moved off the best response.
+    outcome.terminated_naturally = False
+    assert rational_departures(problem, config, outcome) == (None, [outcome.cycles_detected - 1])
+    short = run_taco(_config(), problem.agents(), backend=backend)
+    short.trace = [TraceStep(1, 0, 0, ())] + list(short.trace)[1:]
+    assert rational_departures(problem, _config(), short)[0] == 1
 
 
 def _rebuilt_rows(win, net0, unit, den, b, C, order, pos0):

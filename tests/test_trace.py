@@ -136,10 +136,11 @@ def test_trace_rows_are_read_only(monkeypatch):
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
 def test_one_step_read_rebuilds_one_row(monkeypatch, backend):
-    # trace[k] counts its window's turns before step k+1 through the turn log
-    # and rebuilds that one row; iteration rebuilds a window's rows at once.
-    # Each gives the same bytes. example2 at d0 = 1/2000 is one long window
-    # of drift runs, and the multi-window runs switch between windows.
+    # A read counts the turns of a window before its span through the turn
+    # log and rebuilds only the span's rows, one window_rows call per window
+    # it covers; iteration rebuilds each window once. Each gives the same
+    # bytes. example2 at d0 = 1/2000 is one long window of drift runs, and
+    # the multi-window runs switch between windows.
     config = TacoConfig(epsilon=1e-6, d0="1/2000", gamma="9/10")
     cases = [(config, example2_fixture())] + list(_multi_window_instances())[:3]
     window_rows = _fastpath.window_rows
@@ -153,14 +154,53 @@ def test_one_step_read_rebuilds_one_row(monkeypatch, backend):
     monkeypatch.setattr(_fastpath, "window_rows", recorded)
     for config, problem in cases:
         outcome = run_taco(config, problem.agents(), backend=backend)
+        rebuilt.clear()
         facts = [_step_facts(ts) for ts in outcome.trace]
+        assert rebuilt == [g1 - g0 for g0, g1 in _window_bounds(outcome)]
         L = outcome.steps
         for k in (0, L // 3, L // 2, L - 1, -1, -L):
             trace = run_taco(config, problem.agents(), backend=backend).trace
             rebuilt.clear()
             assert _step_facts(trace[k]) == facts[k]
             assert rebuilt == [1]
+        # A slice of k steps inside one window is one call of k rows; a
+        # strided slice rebuilds the span between its ends.
+        for g0, g1 in _window_bounds(outcome):
+            for s in (slice(g0, g1), slice(g1 - 3, g1), slice(g0 + 1, g1 - 1, 2),
+                      slice(g1 - 1, g0, -3), slice(g0, g0 + 1)):
+                want = facts[s]
+                rebuilt.clear()
+                got = outcome.trace[s]
+                assert [_step_facts(ts) for ts in got] == want, s
+                r = range(*s.indices(L))
+                assert rebuilt == ([max(r) - min(r) + 1] if r else []), s
+        # A slice across windows is one call per window it covers.
+        bounds = _window_bounds(outcome)
+        if len(bounds) > 1:
+            rebuilt.clear()
+            lo, hi = bounds[0][1] - 2, bounds[1][0] + 3
+            assert [_step_facts(ts) for ts in outcome.trace[lo:hi]] == facts[lo:hi]
+            assert rebuilt == [2, 3]
     assert L > 2 * problem.n
+
+    # example2 at d0 = 1/60000 is one 100,003-step window: its last 3 steps
+    # are 3 rebuilt rows, not the window's.
+    config = TacoConfig(epsilon=1e-6, d0="1/60000", gamma="9/10")
+    outcome = run_taco(config, example2_fixture().agents(), backend=backend)
+    assert outcome.steps == 100003
+    rebuilt.clear()
+    tail = outcome.trace[-3:]
+    assert rebuilt == [3]
+    assert [ts.step for ts in tail] == [100001, 100002, 100003]
+    want = [_step_facts(outcome.trace[k]) for k in (-3, -2, -1)]
+    assert [_step_facts(ts) for ts in tail] == want
+
+
+def _window_bounds(outcome):
+    """(first step index, end) of each window: the windows end at the cycles."""
+    ends = [cyc.end_step for cyc in outcome.cycle_records if cyc.end_step < outcome.steps]
+    starts = [0] + ends
+    return list(zip(starts, ends + [outcome.steps]))
 
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
@@ -194,6 +234,10 @@ def test_truncated_traces_are_prefixes_of_the_full_trace(multi_window, backend):
 def test_outcome_with_its_trace_pickles(multi_window, backend):
     config, problem = multi_window[0]
     outcome = run_taco(config, problem.agents(), backend=backend)
+    # The trace keeps no rows between reads, so reading it changes no byte.
+    before = pickle.dumps(outcome)
+    outcome.trace[3], outcome.trace[-1], outcome.trace[2:9:3], list(outcome.trace)
+    assert pickle.dumps(outcome) == before
     copy = pickle.loads(pickle.dumps(outcome))
     assert [_step_facts(ts) for ts in copy.trace] == [_step_facts(ts) for ts in outcome.trace]
     # final_board is built from the kept lattice on first read, before or
