@@ -12,10 +12,9 @@ hit the step cap or the state-history cap.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
+import typing
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from .board import exact
@@ -33,13 +32,6 @@ from .experiments import (
 )
 from .metrics import bound_report
 
-_CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
-
-_INT_KEYS = {"n", "m", "trials", "base_seed", "max_steps", "history_cap", "workers"}
-_FLOAT_KEYS = {"epsilon_rel", "separation", "k_min", "k_max", "b_min", "b_max"}
-_FRACTION_KEYS = {"gamma", "d0"}
-_STR_KEYS = {"scenario", "backend", "out_dir"}
-
 # Per-subcommand default overrides, applied below config file and flags.
 # The scalability grid keeps the coarse unit d0=1 with Uniform(0,1) costs;
 # the waypoint commands inherit the negotiation-scale default from
@@ -55,20 +47,16 @@ _COMMAND_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _parse_value(key: str, raw: str):
-    if key == "epsilon":
-        return None if str(raw).strip().lower() in ("", "none") else float(raw)
-    if key == "mechanisms":
-        return tuple(tok.strip() for tok in str(raw).split(",") if tok.strip())
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _FRACTION_KEYS:
-        return exact(str(raw))
-    if key in _STR_KEYS:
-        return str(raw)
-    raise ValueError(f"unknown configuration key {key!r}")
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+# Each configuration key's parser, chosen by its annotation in ExperimentConfig;
+# an empty value or "none" is None.
+_PARSE_AS = {int: int, float: float, str: str, Fraction: exact, tuple[str, ...]: _names,
+             float | None: lambda raw: None if raw.strip().lower() in ("", "none") else float(raw)}
+_CONFIG_PARSERS = {key: _PARSE_AS[hint]
+                   for key, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def _parsed(source: str, convert, raw):
@@ -90,9 +78,9 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, val = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        data[key] = _parsed(f"{path}:{lineno}: {key}", partial(_parse_value, key), val.strip())
+        data[key] = _parsed(f"{path}:{lineno}: {key}", _CONFIG_PARSERS[key], val.strip())
     return data
 
 
@@ -100,10 +88,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key, parse in _CONFIG_PARSERS.items():
         raw = getattr(args, key, None)
         if raw is not None:
-            values[key] = _parsed(_flag(key), partial(_parse_value, key), raw)
+            values[key] = _parsed(_flag(key), parse, raw)
     return ExperimentConfig(**values)
 
 
@@ -118,14 +106,12 @@ def _arg(args: argparse.Namespace, key: str, convert):
 
 def _list_arg(args: argparse.Namespace, key: str, convert) -> list:
     """A comma-separated flag value, each item converted; empty items are skipped."""
-    return _arg(
-        args, key, lambda raw: [convert(tok.strip()) for tok in raw.split(",") if tok.strip()]
-    )
+    return _arg(args, key, lambda raw: [convert(tok) for tok in _names(raw)])
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_PARSERS:
         sub.add_argument(_flag(key), dest=key, metavar="VALUE", default=None,
                          help=f"override {key}")
 

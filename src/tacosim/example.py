@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import engine, scenario
 from .engine import TacoConfig, TacoOutcome, run_taco
 
@@ -25,7 +23,7 @@ class ExampleStep:
     agent: int
     offers: list[list[Fraction]]
     pays: list[list[Fraction]]
-    profits: np.ndarray
+    profits: tuple[tuple[float, ...], ...]
     selections: list[int | None]
 
 
@@ -53,14 +51,15 @@ def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRu
     lattice = engine._LatticeBoard(problem.n, problem.m, config.d0, config.gamma)
     offers = [[Fraction(0)] * problem.m for _ in range(problem.n)]
     pays = [row[:] for row in offers]
-    net = np.zeros((problem.n, problem.m))
+    net = [[0.0] * problem.m for _ in range(problem.n)]
     selections: list[int | None] = [None] * problem.n
     steps: list[ExampleStep] = []
     for ts in outcome.trace:
         i, j = ts.agent, ts.selection
         selections[i] = j
         shown = [[row[:] for row in rows] for rows in (offers, pays)]
-        profits = problem.b[:, None] * net - problem.C
+        profits = tuple(tuple(b_i * x - c for x, c in zip(row, costs))
+                        for b_i, row, costs in zip(problem.valuations, net, problem.rows))
         steps.append(ExampleStep(ts.step, i, *shown, profits, selections[:]))
         if ts.step in cycle_ends:
             engine.reduce_trading_unit(lattice)
@@ -72,6 +71,6 @@ def run_example(epsilon: float = 1e-6, d0=1, gamma=Fraction(9, 10)) -> ExampleRu
         shared = Fraction(a * offer, den)  # offers are column-uniform
         for k, row in enumerate(lattice.pays):
             offers[k][j] = shared
-            net[k, j] = a * (offer - row[j]) / den
+            net[k][j] = a * (offer - row[j]) / den
     spans = [(cyc.start_step, cyc.end_step) for cyc in outcome.cycle_records]
     return ExampleRun(steps=steps, outcome=outcome, detected_spans=spans)

@@ -467,6 +467,9 @@ def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None 
     m_list = [int(v) for v in m_list]
     if not n_list or not m_list:
         raise ValueError("n and m lists must be nonempty")
+    for v in n_list + m_list:
+        if v < 1:
+            raise ValueError(f"n and m list entries must be at least 1, got {v}")
     points = []
     for n in n_list:
         for m in m_list:

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one reported line each.
+"""Acceptance gate: eleven end-to-end checks, one reported line each.
 
 Each test ends in a single criterion(...) call whose recorded line is printed
 in the terminal summary. The three Monte Carlo artifacts (decay sweep,
@@ -14,6 +14,8 @@ import pytest
 
 from _oracles import brute_ordering
 from _replay import verify_run
+from tacosim import experiments
+from tacosim.baselines import ChoiceProblem
 from tacosim.engine import TacoConfig, run_taco
 from tacosim.example import run_example
 from tacosim.experiments import (
@@ -185,8 +187,8 @@ def test_criterion_05_guaranteed_termination(criterion, sweep_suite):
     )
 
 
-def test_criterion_06_mechanism_ordering(criterion, sweep_suite):
-    rows = [r for r in sweep_suite.rows if r.get("gamma") == "9/10"]
+def _mechanism_ordering(rows):
+    """Criterion 06's check on one 1000-trial sweep: (verdict, medians line)."""
     og_taco = _median(rows, "og_raw", mechanism="taco")
     og_vote = _median(rows, "og_raw", mechanism="voting")
     og_dict = _median(rows, "og_raw", mechanism="random_dictator")
@@ -196,11 +198,15 @@ def test_criterion_06_mechanism_ordering(criterion, sweep_suite):
     ok = og_taco <= og_vote and og_taco <= og_dict
     ok = ok and len(og_util) == 1000 and max(map(abs, og_util)) == 0.0
     ok = ok and gini_taco <= gini_dict
-    criterion(
-        6, "mechanism-ordering", ok,
+    return ok, (
         f"median gap {og_taco:.4f} vs voting {og_vote:.4f} / dictator {og_dict:.4f}; "
-        f"settled Gini {gini_taco:.4f} vs dictator {gini_dict:.4f}",
+        f"settled Gini {gini_taco:.4f} vs dictator {gini_dict:.4f}"
     )
+
+
+def test_criterion_06_mechanism_ordering(criterion, sweep_suite):
+    ok, detail = _mechanism_ordering([r for r in sweep_suite.rows if r.get("gamma") == "9/10"])
+    criterion(6, "mechanism-ordering", ok, detail)
 
 
 def test_criterion_07_interruption_tradeoff(criterion, interrupt_suite):
@@ -280,4 +286,28 @@ def test_criterion_10_ordering_solver_oracle(criterion):
         10, "ordering-solver-oracle", ok,
         f"1000 instances, max minimizer gap {worst_x:.2e}, "
         f"max objective gap {worst_obj:.2e}, {elapsed:.2f} s",
+    )
+
+
+def test_criterion_11_ordering_under_option_relabelling(criterion, sweep_suite, monkeypatch):
+    # Criterion 06's sweep again, each trial's options permuted by its own
+    # seeded permutation; every mechanism keeps its usual stream, and each
+    # instance keeps the tolerance of its unpermuted costs.
+    make_instance = experiments.make_instance
+
+    def relabelled(cfg, rng, trial):
+        problem, eps = make_instance(cfg, rng, trial)
+        perm = np.random.default_rng(np.random.SeedSequence([9, trial])).permutation(problem.m)
+        rows = [[row[j] for j in perm.tolist()] for row in problem.rows]
+        return ChoiceProblem(problem.n, problem.m, rows, problem.valuations), eps
+
+    monkeypatch.setattr(experiments, "make_instance", relabelled)
+    t0 = time.perf_counter()
+    relabelled_rows = experiments.run_montecarlo(ExperimentConfig(trials=1000)).rows
+    elapsed = time.perf_counter() - t0
+    ok, after = _mechanism_ordering(relabelled_rows)
+    _, before = _mechanism_ordering([r for r in sweep_suite.rows if r.get("gamma") == "9/10"])
+    criterion(
+        11, "ordering-under-relabelling", ok,
+        f"relabelled: {after}; as drawn: {before}; {elapsed:.2f} s",
     )

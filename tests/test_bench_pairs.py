@@ -98,3 +98,6 @@ def test_src_tokens_count_each_module_of_both_sides(tmp_path):
     # The repository's own modules, as the batch records them.
     repo = bench_pairs.src_tokens(Path(__file__).resolve().parents[1])
     assert repo["max"] == max(repo["modules"].values()) and "engine.py" in repo["modules"]
+    # Past about 4,090 tokens CPython 3.11's parser grows a buffer for the
+    # module, which raises every workload's peak RSS when compiled from source.
+    assert repo["max"] < 4000, repo["modules"]

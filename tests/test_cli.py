@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import tacosim
 from tacosim import experiments
 from tacosim.cli import load_config_file, main
+from tacosim.experiments import ExperimentConfig
 
 
 def _read_rows(path):
@@ -275,6 +277,25 @@ def test_bad_list_flag_item_names_its_flag(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n-list", "-1"), ("--m-list", "-3"), ("--n-list", "0"), ("--m-list", "0"),
+])
+def test_scalability_refuses_a_grid_size_below_one_before_any_trial(
+    monkeypatch, capsys, flag, value
+):
+    # A negative size used to end in an OverflowError from the seed path,
+    # and a zero one failed only inside the first trial.
+    executed = []
+    monkeypatch.setattr(experiments, "_execute", lambda points, w: executed.append(w))
+    argv = ["scalability", "--n-list", "3", "--m-list", "3", flag, value, "--out-dir", ""]
+    assert main(argv) == 1
+    assert executed == []
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n and m list entries must be at least 1, got {value}\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_bound_near_gamma_one_is_counted_quickly(capsys):
     # About 7 million reductions: counted from logarithms, not one by one.
     start = time.perf_counter()
@@ -300,15 +321,41 @@ def test_show_config_flag_override(capsys):
     assert "mechanisms = taco" in out
 
 
+# A value other than its default for every configuration key, so that reading
+# show-config's output back exercises the parser of each key type.
+NON_DEFAULT_FLAGS = {
+    "scenario": "random", "n": "5", "m": "6", "trials": "7", "base_seed": "8",
+    "gamma": "3/10", "d0": "1/7", "epsilon_rel": "0.01", "max_steps": "500",
+    "history_cap": "400", "mechanisms": "taco,voting", "separation": "2.5",
+    "k_min": "0.25", "k_max": "3.0", "b_min": "0.75", "b_max": "2.25", "workers": "2",
+    "backend": "exact", "out_dir": "elsewhere",
+}
+
+
 def test_show_config_output_is_a_valid_config_file(tmp_path, capsys):
-    assert main(["show-config", "--gamma", "3/10", "--trials", "7"]) == 0
-    text = capsys.readouterr().out
-    cfg_file = tmp_path / "echo.cfg"
-    cfg_file.write_text(text)
-    values = load_config_file(cfg_file)
-    assert values["gamma"] == "3/10" or str(values["gamma"]) == "3/10"
-    assert main(["show-config", "--config", str(cfg_file)]) == 0
-    assert capsys.readouterr().out == text
+    default = ExperimentConfig()
+    for epsilon in ("0.125", "none"):
+        flags = dict(NON_DEFAULT_FLAGS, epsilon=epsilon)
+        assert flags.keys() == default.__dataclass_fields__.keys()
+        argv = [arg for key, val in flags.items() for arg in (f"--{key.replace('_', '-')}", val)]
+        assert main(["show-config", *argv]) == 0
+        text = capsys.readouterr().out
+        cfg_file = tmp_path / "echo.cfg"
+        cfg_file.write_text(text)
+        values = load_config_file(cfg_file)
+        assert values["gamma"] == "3/10" or str(values["gamma"]) == "3/10"
+        cfg = ExperimentConfig(**values)
+        assert cfg == ExperimentConfig(
+            scenario="random", n=5, m=6, trials=7, base_seed=8, gamma=Fraction(3, 10),
+            d0=Fraction(1, 7), epsilon=None if epsilon == "none" else 0.125,
+            epsilon_rel=0.01, max_steps=500, history_cap=400, mechanisms=("taco", "voting"),
+            separation=2.5, k_min=0.25, k_max=3.0, b_min=0.75, b_max=2.25, workers=2,
+            backend="exact", out_dir="elsewhere",
+        )
+        changed = [key for key in flags if getattr(cfg, key) != getattr(default, key)]
+        assert changed == [key for key in flags if key != "epsilon" or epsilon != "none"]
+        assert main(["show-config", "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_show_config_rejects_unknown_backend(capsys):

@@ -214,8 +214,9 @@ def test_run_scalability_forces_random_scenario(tmp_path):
     for row in res.rows:
         assert (row["n"], row["m"]) == (2, 3)
     assert "[n=2 m=3 taco]" in res.summary_text
-    with pytest.raises(ValueError):
-        run_scalability(cfg, [], [3], tmp_path)
+    for n_list, m_list in (([], [3]), ([0], [3]), ([-1], [3]), ([2], [0]), ([2], [-1])):
+        with pytest.raises(ValueError):
+            run_scalability(cfg, n_list, m_list, tmp_path)
 
 
 def test_cap_rows_are_reported(tmp_path):
