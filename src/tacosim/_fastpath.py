@@ -31,16 +31,18 @@ with i0 repeating its choice, agent i's delta on column j is
 ``base_ij + r*step_ij`` at round r ahead, ``step_ij = cnt_j - n*[j ==
 p_i]``, p_i being i's choice and cnt_j the number of agents on j. Each
 correctly rounded operation of a cell is nondecreasing in that integer
-(b > 0 and unit > 0 are checked, and den > 0), so agent i's own cell can
-only fall as r grows and every other cell only rise: "every agent repeats"
-holds up to some round and fails from then on. An agent's gap between its
-choice and another option falls by a fixed amount a round, so the cached
-rows predict that round R; a search over the kernel's own cell expression
-starts at the prediction, gallops away from it with doubling steps and
-bisects: two row evaluations when the prediction is right, O(log e) when it
-is e rounds off. The turn log takes the R rounds as one run, and the counts
-and the state key grow by R times the round's. A round of all n agents on
-one column leaves delta unchanged: a repeat, not a drift.
+(the engine refuses b <= 0, and den > 0), so agent i's own cell can only
+fall as r grows and every other cell only rise: "every agent repeats"
+holds up to some round and fails from then on. So every window may jump:
+a float unit that underflows to 0.0 only makes the cells constant. An
+agent's gap between its choice and another option falls by a fixed amount
+a round, so the cached rows predict that round R; a search over the
+kernel's own cell expression starts at the prediction, gallops away from
+it with doubling steps and bisects: two row evaluations when the
+prediction is right, O(log e) when it is e rounds off. The turn log
+takes the R rounds as one run, and the counts and the state key grow by R
+times the round's. A round of all n agents on one column leaves delta
+unchanged: the detector finds that repeat first.
 
 The detector records nothing inside a jump. Drift states are distinct, and
 a later state equal to a skipped one follows the same drift to the same
@@ -91,7 +93,6 @@ here, so it is read-only and needs no conversion on the way to its readers.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -268,15 +269,10 @@ def run_window(
     # turns run on to it.
     last = min(budget, max(history_cap, 0) + 1)
     stop = last + (1 - last) % n
-    # Drift jumps (see the module docstring) need every cell nondecreasing
-    # in its integer delta: b > 0 and unit > 0. The search's estimate
-    # divides by the float unit/den, which is 0.0 on int anchors whose
-    # trading unit lies below the smallest float, so that is what is tested.
-    # A jump of max_rounds runs past any drift end a repeat t* <= last can
-    # need, and ends the window.
+    # A drift jump (see the module docstring) of max_rounds runs past any
+    # drift end a repeat t* <= last can need, and ends the window.
     base_stop = stop
     max_rounds = stop // n + 3
-    next_try = 2 * n if n > 1 and unit / den > 0 and min(b) > 0 else math.inf
     status = "budget" if last <= history_cap else "history_cap"
     end = last
     s0 = -1
@@ -327,7 +323,7 @@ def run_window(
             # i0 repeats its choice of a round ago, after two equal rounds:
             # a drift may run on from this round, which began at turn t - 1.
             if (
-                t > next_try
+                t > 2 * n
                 and choices[-1] == choices[-1 - n]
                 and choices[-1 - n : -1] == choices[-1 - 2 * n : -1 - n]
             ):
@@ -353,8 +349,6 @@ def run_window(
                     if r < max_rounds:  # the drift's end: look it up
                         stop = max(stop, base_stop + 2 * n, t + 1)
                     continue
-                if t < base_stop:
-                    next_try = min(t + 2 * n, base_stop - 1)
         h += inc_i[j]
         col[j] += 1
         sel_i[j] += 1
@@ -402,17 +396,15 @@ def _drift_rounds(
     from then on (see the module docstring), so a search over the kernel's
     own cells, started at the last round the cached rows predict, finds that
     round: two row evaluations when the estimate is right, O(log e) when it
-    is e rounds off. Returns 0, leaving rows as they are, if P puts all n
-    agents on one column (a repeat, not a drift), if the estimate is below
-    min_steps turns, or if a turn of the next round leaves P; otherwise rows
-    holds each agent's row at its turn of the last round.
+    is e rounds off. Returns 0, leaving rows as they are, if the estimate
+    is below min_steps turns or if a turn of the next round leaves P;
+    otherwise rows holds each agent's row at its turn of the last round.
+    A P of all n agents on one column never gets here (module docstring).
     """
     n = len(C)
     cnt = [0] * len(C[0])
     for p in pattern:
         cnt[p] += 1
-    if max(cnt) == n:
-        return 0
     # Agent a's gap from p to option j falls by b_a*d*(n - cnt[p] + cnt[j])
     # a round from its cached row, which is at round 0 for the next turn's
     # player and round -1 for the others: that predicts the last round at

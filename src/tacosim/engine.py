@@ -309,6 +309,8 @@ def _prepare(config, agents):
     b = [float(a.valuation) for a in agents]
     if not all(map(math.isfinite, itertools.chain(b, *C))):
         raise ValueError("costs and valuations must be finite")
+    if min(b) <= 0:  # the kernel's drift jumps need every cell monotone in delta
+        raise ValueError(f"valuations must be positive, got {min(b)}")
     if config.turn_order is None:
         order = list(range(n))
     else:

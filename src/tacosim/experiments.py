@@ -135,12 +135,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"epsilon_rel must be a positive finite real, got {self.epsilon_rel}"
             )
-        self.mechanisms = tuple(self.mechanisms)
+        self.mechanisms = _list_entries(tuple(self.mechanisms), "mechanism")
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}; expected subset of {MECHANISMS}")
-        if not self.mechanisms:
-            raise ValueError("at least one mechanism is required")
         self.workers = int(self.workers)
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
@@ -429,6 +427,18 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
     return out
 
 
+def _list_entries(values, what):
+    """values, refused if empty or if an entry repeats an earlier one by value.
+
+    A repeated entry would run its trials twice and count them twice.
+    """
+    if not values:
+        raise ValueError(f"the {what} list must be nonempty")
+    if dup := [v for k, v in enumerate(values) if v in values[:k]]:
+        raise ValueError(f"the {what} list holds {dup[0]} twice")
+    return values
+
+
 def run_montecarlo(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
     """All configured mechanisms on the same per-trial instances."""
     points = [_Point(cfg, t, (cfg.base_seed, t), 0) for t in range(cfg.trials)]
@@ -437,9 +447,7 @@ def run_montecarlo(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRes
 
 def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) -> RunResult:
     """Monte Carlo per gamma; trial t sees the identical instance at every gamma."""
-    gammas = [exact(g) for g in gammas]
-    if not gammas:
-        raise ValueError("gamma list must be nonempty")
+    gammas = _list_entries([exact(g) for g in gammas], "gamma")
     points = []
     for g in gammas:
         gcfg = dataclasses.replace(cfg, gamma=g)
@@ -450,9 +458,7 @@ def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) 
 
 def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> RunResult:
     """Forced-interruption sweep; step 0 means natural termination."""
-    steps = [int(s) for s in steps]
-    if not steps:
-        raise ValueError("interruption step list must be nonempty")
+    steps = _list_entries([int(s) for s in steps], "interruption step")
     for s in steps:
         if s < 0:
             raise ValueError(f"interruption steps must be >= 0, got {s}")
@@ -463,10 +469,8 @@ def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> 
 
 def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None = None) -> RunResult:
     """Grid over (n, m) with random Uniform(0,1) instances."""
-    n_list = [int(v) for v in n_list]
-    m_list = [int(v) for v in m_list]
-    if not n_list or not m_list:
-        raise ValueError("n and m lists must be nonempty")
+    n_list = _list_entries([int(v) for v in n_list], "n")
+    m_list = _list_entries([int(v) for v in m_list], "m")
     for v in n_list + m_list:
         if v < 1:
             raise ValueError(f"n and m list entries must be at least 1, got {v}")

@@ -6,6 +6,7 @@ interruption sweep, scalability grid) are session-scoped so the suite pays
 for them once.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -187,8 +188,47 @@ def test_criterion_05_guaranteed_termination(criterion, sweep_suite):
     )
 
 
+BASELINES = ("voting", "random_dictator", "utilitarian", "egalitarian")
+
+
+def _sign_test(better, worse):
+    """The exact two-sided sign-test p-value of better against worse; ties are dropped."""
+    n = better + worse
+    return min(1.0, 2 * sum(math.comb(n, k) for k in range(min(better, worse) + 1)) / 2**n)
+
+
+def _paired_counts(rows, key):
+    """TACo against each baseline on key, trial by trial: {baseline: (better, tie, worse, p)}.
+
+    Lower is better. A trial in which either value is undefined is skipped.
+    """
+    by_trial = {}
+    for r in rows:
+        v = r.get(key)
+        if r.get("status") == "ok" and v not in (None, "") and not math.isnan(float(v)):
+            by_trial.setdefault(r["trial"], {})[r["mechanism"]] = float(v)
+    out = {}
+    for base in BASELINES:
+        pairs = [(t["taco"], t[base]) for t in by_trial.values() if "taco" in t and base in t]
+        better = sum(a < b for a, b in pairs)
+        worse = sum(a > b for a, b in pairs)
+        out[base] = (better, len(pairs) - better - worse, worse, _sign_test(better, worse))
+    return out
+
+
+def _paired_line(rows):
+    """TACo's better/tie/worse counts and sign-test p against each baseline, per metric."""
+    parts = []
+    for key in ("gini_settled", "og_settled"):
+        counts = _paired_counts(rows, key).items()
+        parts.append(f"{key} " + ", ".join(
+            f"{base} {b}/{t}/{w} p={p:.2g}" for base, (b, t, w, p) in counts
+        ))
+    return "TACo better/tie/worse: " + "; ".join(parts)
+
+
 def _mechanism_ordering(rows):
-    """Criterion 06's check on one 1000-trial sweep: (verdict, medians line)."""
+    """Criterion 06's check on one 1000-trial sweep: (verdict, medians and paired counts)."""
     og_taco = _median(rows, "og_raw", mechanism="taco")
     og_vote = _median(rows, "og_raw", mechanism="voting")
     og_dict = _median(rows, "og_raw", mechanism="random_dictator")
@@ -200,12 +240,17 @@ def _mechanism_ordering(rows):
     ok = ok and gini_taco <= gini_dict
     return ok, (
         f"median gap {og_taco:.4f} vs voting {og_vote:.4f} / dictator {og_dict:.4f}; "
-        f"settled Gini {gini_taco:.4f} vs dictator {gini_dict:.4f}"
+        f"settled Gini {gini_taco:.4f} vs dictator {gini_dict:.4f}; {_paired_line(rows)}"
     )
 
 
 def test_criterion_06_mechanism_ordering(criterion, sweep_suite):
-    ok, detail = _mechanism_ordering([r for r in sweep_suite.rows if r.get("gamma") == "9/10"])
+    rows = [r for r in sweep_suite.rows if r.get("gamma") == "9/10"]
+    ok, detail = _mechanism_ordering(rows)
+    # "Significantly more fairly", paired: TACo's settled Gini beats each
+    # baseline in more trials than it loses, by an exact sign test.
+    for better, _, worse, p in _paired_counts(rows, "gini_settled").values():
+        ok = ok and better > worse and p < 1e-6
     criterion(6, "mechanism-ordering", ok, detail)
 
 

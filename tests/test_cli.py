@@ -296,6 +296,26 @@ def test_scalability_refuses_a_grid_size_below_one_before_any_trial(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["montecarlo", "--mechanisms", "taco,taco"], "the mechanism list holds taco twice"),
+    (["sweep-gamma", "--gammas", "9/10,0.9"], "the gamma list holds 9/10 twice"),
+    (["interrupt", "--steps", "natural,0"], "the interruption step list holds 0 twice"),
+    (["interrupt", "--steps", "5,5"], "the interruption step list holds 5 twice"),
+    (["scalability", "--n-list", "3,3"], "the n list holds 3 twice"),
+    (["scalability", "--m-list", "4,4"], "the m list holds 4 twice"),
+])
+def test_a_repeated_list_entry_is_refused_before_any_trial(monkeypatch, capsys, argv, message):
+    # A repeated entry used to run its trials twice: three trials of
+    # --mechanisms taco,taco gave quantiles over n=6 and every TACo row twice.
+    executed = []
+    monkeypatch.setattr(experiments, "_execute", lambda points, w: executed.append(w))
+    assert main([*argv, "--trials", "3", "--out-dir", ""]) == 1
+    assert executed == []
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_bound_near_gamma_one_is_counted_quickly(capsys):
     # About 7 million reductions: counted from logarithms, not one by one.
     start = time.perf_counter()

@@ -1235,6 +1235,61 @@ def test_drift_search_where_the_fall_rounds_to_zero(backend):
     _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_drift_jumps_where_the_float_unit_underflows(backend):
+    # At d0 = 1e-330 the float trading unit is 0.0: on numpy anchors every
+    # cell is constant in delta, on exact anchors one correctly rounded int
+    # division, monotone either way. Every per-round fall rounds to 0.0, so
+    # the estimate is max_rounds - 1 and the search checks it; the window
+    # must jump and still be the oracle's.
+    for k in range(4):
+        problem = random_problem(3, 3, np.random.default_rng(k))
+        lattice = engine._LatticeBoard(3, 3, Fraction(1, 10**330), Fraction(1, 2))
+        anchors, net_row = _window_anchors(lattice, backend)
+        assert anchors[1] / anchors[2] == 0.0
+        order = np.arange(3)
+        got = _fastpath.run_window(
+            *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**4, 10**6
+        )
+        ref, ref_rows = window_oracle.run_window_oracle(
+            net_row, problem.b, problem.C, order, 0, 10**4, 10**6
+        )
+        assert got.log.runs, k
+        _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_refuses_a_valuation_set_non_positive_after_construction(backend):
+    # AgentPrivate checks b > 0 only when built; the engine checks it again,
+    # since a drift jump is sound only where every cell is monotone in delta.
+    agents = example2_fixture().agents()
+    agents[1].valuation = -0.5
+    with pytest.raises(ValueError, match="valuations must be positive"):
+        run_taco(_config(), agents, backend=backend)
+
+
+def test_drift_search_stays_off_the_headline_workload(monkeypatch):
+    # The drift search runs only where a drift is long: never on 200 default
+    # montecarlo instances, at most twice a backend on the worked example's
+    # 100,003-step window at d0 = 1/60000.
+    calls = []
+    drift_rounds = _fastpath._drift_rounds
+
+    def counted(*args):
+        calls.append(args)
+        return drift_rounds(*args)
+
+    monkeypatch.setattr(_fastpath, "_drift_rounds", counted)
+    cfg = experiments.ExperimentConfig(trials=200, base_seed=42, mechanisms=("taco",))
+    experiments.run_montecarlo(cfg)
+    assert not calls
+    config = TacoConfig(epsilon=1e-6, d0="1/60000", gamma="9/10")
+    for backend in BACKENDS:
+        calls.clear()
+        assert run_taco(config, example2_fixture().agents(), backend=backend).steps == 100_003
+        assert 1 <= len(calls) <= 2, backend
+
+
 def test_find_repeat_counts_a_run_by_its_rounds():
     # _find_repeat counts a run as its pattern times its rounds, without
     # expanding it. Two stepped rounds of [0, 1] and a run of three more,

@@ -219,6 +219,24 @@ def test_run_scalability_forces_random_scenario(tmp_path):
             run_scalability(cfg, n_list, m_list, tmp_path)
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda cfg: dataclasses.replace(cfg, mechanisms=("taco", "voting", "taco")),
+     "the mechanism list holds taco twice"),
+    (lambda cfg: run_sweep_gamma(cfg, ["9/10", "1/2", "0.9"]), "the gamma list holds 9/10 twice"),
+    (lambda cfg: run_interrupt(cfg, [0, 5, 0]), "the interruption step list holds 0 twice"),
+    (lambda cfg: run_scalability(cfg, [3, 2, 3], [2]), "the n list holds 3 twice"),
+    (lambda cfg: run_scalability(cfg, [3], [2, 2]), "the m list holds 2 twice"),
+])
+def test_a_repeated_list_entry_is_refused_before_any_trial(monkeypatch, run, message):
+    # Entries are compared by value. A repeated one would run its trials
+    # twice and count each of them twice in its summary.
+    executed = []
+    monkeypatch.setattr(experiments, "_execute", lambda points, w: executed.append(w))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(_quick_cfg(trials=2, mechanisms=("taco",)))
+    assert executed == []
+
+
 def test_cap_rows_are_reported(tmp_path):
     cfg = ExperimentConfig(
         scenario="example2", trials=1, epsilon=1e-6, d0=1, max_steps=3,

@@ -3,7 +3,9 @@
 Each test compares the engine with itself, so it needs no second
 implementation of the arithmetic. Scaling b, C and epsilon by a power of two
 is exact in floating point, and relabelling the agents while carrying the
-turn order with them only renames who plays each turn.
+turn order with them only renames who plays each turn. Relabelling the
+options is not a symmetry where a decision is an exact tie, since the
+lowest index wins it: one such instance is pinned.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ import pytest
 from _replay import row_bytes
 from tacosim.baselines import ChoiceProblem
 from tacosim.engine import TacoConfig, run_taco
+from tacosim.experiments import ExperimentConfig
+from tacosim.metrics import effective_costs
 from tacosim.scenario import random_waypoint_problem
 
 BACKENDS = ("numpy", "exact")
@@ -126,3 +130,27 @@ def test_agent_relabelling_permutes_settlements(instances, backend):
             assert [row_bytes(rows) for rows in cyc.agent_turn_profits] == [
                 row_bytes(ref.agent_turn_profits[old]) for old in perm
             ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_option_relabelling_moves_a_zero_cost_tie(backend):
+    # Instance 12 of a waypoint sequence, its options permuted: one agent
+    # has six zero-cost options, so its best response is an exact tie that
+    # the lowest index breaks, and the relabelled run ends on other costs.
+    # This is the tie rule's label dependence, kept as tested behaviour.
+    rng, perm_rng = np.random.default_rng(3), np.random.default_rng(9)
+    for _ in range(13):
+        problem = random_waypoint_problem(4, rng)
+        perm = perm_rng.permutation(24).tolist()
+    assert sorted(row.count(0.0) for row in problem.rows) == [0, 0, 0, 6]
+    relabelled = ChoiceProblem(
+        n=4, m=24, C=[[row[j] for j in perm] for row in problem.rows], b=problem.valuations
+    )
+    defaults = ExperimentConfig()
+    config = TacoConfig(
+        epsilon=1e-3 * float(problem.C.mean()), d0=defaults.d0, gamma=defaults.gamma
+    )
+    base = run_taco(config, problem.agents(), backend=backend)
+    run = run_taco(config, relabelled.agents(), backend=backend)
+    costs = [effective_costs(problem, base, mode) for mode in ("raw", "settled")]
+    assert [effective_costs(relabelled, run, mode) for mode in ("raw", "settled")] != costs
