@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .board import float_tuple
 
 
@@ -32,6 +30,8 @@ class AgentPrivate:
         try:
             self.cost_row = float_tuple(self.cost_row)
         except TypeError:
+            import numpy as np
+
             shape = np.shape(self.cost_row)
             raise ValueError(f"cost_row must be one-dimensional, got shape {shape}") from None
         if not self.valuation > 0:

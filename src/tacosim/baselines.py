@@ -17,11 +17,13 @@ import math
 import operator
 from collections.abc import Sequence
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .agent import AgentPrivate
 from .board import float_tuple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _sum(x: Sequence[float]) -> float:
@@ -73,6 +75,8 @@ def _as_floats(value, shape: tuple[int, ...], name: str) -> tuple:
         out = ()
     if len(out) == shape[0] and (len(shape) == 1 or all(len(r) == shape[1] for r in out)):
         return out
+    import numpy as np
+
     arr = np.array(value, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -105,12 +109,16 @@ class ChoiceProblem:
 
     @functools.cached_property
     def C(self) -> np.ndarray:
+        import numpy as np
+
         C = np.array(self.rows, dtype=np.float64).reshape(self.n, self.m)
         C.setflags(write=False)
         return C
 
     @functools.cached_property
     def b(self) -> np.ndarray:
+        import numpy as np
+
         b = np.array(self.valuations, dtype=np.float64)
         b.setflags(write=False)
         return b
@@ -131,7 +139,7 @@ class ChoiceProblem:
                 for i, (b_i, row) in enumerate(zip(self.valuations, self.rows))]
 
 
-def voting(problem: ChoiceProblem, rng: np.random.Generator) -> int:
+def voting(problem: ChoiceProblem, rng) -> int:
     """Plurality: each agent votes its own cheapest option, most votes wins.
 
     Personal ties go to the lowest option index; ties between winning options
@@ -147,7 +155,7 @@ def voting(problem: ChoiceProblem, rng: np.random.Generator) -> int:
     return winners[int(rng.integers(len(winners)))]
 
 
-def random_dictator(problem: ChoiceProblem, rng: np.random.Generator) -> int:
+def random_dictator(problem: ChoiceProblem, rng) -> int:
     """A uniformly chosen agent imposes its own cheapest option."""
     row = problem.rows[int(rng.integers(problem.n))]
     return row.index(min(row))

@@ -14,8 +14,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ExactAmount = Fraction
 
@@ -46,6 +48,8 @@ def float_tuple(values) -> tuple[float, ...]:
     """A list or tuple of numbers, or else numpy's float64 conversion of
     values, as a tuple of Python floats; TypeError unless one-dimensional."""
     if not isinstance(values, (tuple, list)):
+        import numpy as np
+
         values = np.asarray(values, dtype=np.float64).tolist()
     return tuple(map(float, values))
 
@@ -72,6 +76,8 @@ class PublicBoard:
     # Nothing in the package calls this; the benchmark tracer wraps it by name
     # (board.net_float), so it stays until the tracer drops it (ROADMAP item 4).
     def net_float(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[float(self.offers[i][j] - self.pays[i][j]) for j in range(self.m)]
              for i in range(self.n)],

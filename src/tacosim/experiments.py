@@ -17,10 +17,14 @@ needs quoting. The summary reads the floats as they are.
 
 Seeding rule: each point owns a seed path, a tuple of integers starting with
 the base seed (montecarlo/sweep/interrupt: (base_seed, trial); scalability:
-(base_seed, n, m, trial)). Stream k of a point is
-numpy.random.default_rng(SeedSequence(path + (k,))) with k=0 for instance
-sampling, k=1 for voting tie-breaks, k=2 for the random dictator. The CSV
-"seed" column is SeedSequence(path).generate_state(1)[0].
+(base_seed, n, m, trial)). Stream k of a point is numpy's
+default_rng(SeedSequence(path + (k,))), a PCG64 stream, with k=0 for
+instance sampling, k=1 for voting tie-breaks, k=2 for the random dictator.
+The CSV "seed" column is SeedSequence(path).generate_state(1)[0]. Both are
+computed in Python ints (``_rng``) and tested against numpy, so a CSV does
+not depend on the installed numpy: NEP 19 fixes a bit generator's stream
+across numpy versions, but not the ``Generator`` methods that turn it into
+draws.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import baselines, engine, scenario
+from . import _rng, baselines, engine, scenario
 from .board import exact
 from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
@@ -193,7 +195,7 @@ class _Point:
     interrupt_step: int  # 0 = run to natural termination
 
 
-def make_instance(cfg: ExperimentConfig, rng: np.random.Generator, trial: int | None = None):
+def make_instance(cfg: ExperimentConfig, rng, trial: int | None = None):
     """Sample the trial instance and resolve its absolute epsilon.
 
     A relative tolerance that does not give a positive finite epsilon on
@@ -222,20 +224,12 @@ def make_instance(cfg: ExperimentConfig, rng: np.random.Generator, trial: int | 
     return problem, eps
 
 
-def _seed_sequence(path: tuple[int, ...]) -> np.random.SeedSequence:
-    # A uint32 array is the entropy numpy makes of the int list when every
-    # entry fits one word, at about half the cost; a larger base seed keeps
-    # the list. Every entry is nonnegative.
-    return np.random.SeedSequence(np.array(path, np.uint32) if max(path) < 2**32 else list(path))
-
-
 def _seed_column(path: tuple[int, ...]) -> int:
-    return int(_seed_sequence(path).generate_state(1)[0])
+    return _rng.seed_words(path, 1)[0]
 
 
-def _stream(path: tuple[int, ...], k: int) -> np.random.Generator:
-    # What default_rng returns for a SeedSequence, without its dispatch.
-    return np.random.Generator(np.random.PCG64(_seed_sequence(path + (k,))))
+def _stream(path: tuple[int, ...], k: int) -> _rng.Stream:
+    return _rng.Stream(path + (k,))
 
 
 def _run_point(point: _Point) -> list[tuple]:
@@ -343,15 +337,39 @@ def write_csv(path: Path, records: list[tuple], columns: list[str]) -> None:
 
 
 def _quantiles(values: list[float]) -> str:
-    arr = np.array(values, dtype=np.float64)
-    arr = arr[np.isfinite(arr)]
-    if arr.size == 0:
+    stats = _stats(values)
+    if stats is None:
         return "n=0"
-    q1, med, q3 = np.percentile(arr, [25, 50, 75], method="linear")
+    q1, med, q3, top, mean, std, n = stats
     return (
         f"median={med:.6g} q1={q1:.6g} q3={q3:.6g} "
-        f"max={arr.max():.6g} mean={arr.mean():.6g} std={arr.std(ddof=1) if arr.size > 1 else 0.0:.6g} n={arr.size}"
+        f"max={top:.6g} mean={mean:.6g} std={std:.6g} n={n}"
     )
+
+
+def _stats(values: list[float]) -> tuple | None:
+    """numpy's linear percentiles 25, 50 and 75, max, mean and std(ddof=1)
+    of the finite values as floats, and their count; None if there are none."""
+    arr = [x for x in map(float, values) if math.isfinite(x)]
+    n = len(arr)
+    if n == 0:
+        return None
+    # Mean and deviations in record order: numpy's pairwise sum depends on it.
+    mean = baselines._sum(arr) / n
+    var = baselines._sum([(x - mean) * (x - mean) for x in arr]) / (n - 1) if n > 1 else 0.0
+    arr.sort()
+    q1, med, q3 = (_percentile(arr, q) for q in (0.25, 0.5, 0.75))
+    return q1, med, q3, arr[-1], mean, math.sqrt(var), n
+
+
+def _percentile(arr: list[float], q: float) -> float:
+    """numpy's percentile(method="linear") of sorted arr at fraction q."""
+    v = (len(arr) - 1) * q
+    lo = math.floor(v)
+    hi = min(lo + 1, len(arr) - 1)
+    t = v - lo
+    d = arr[hi] - arr[lo]
+    return arr[hi] - d * (1 - t) if t >= 0.5 else arr[lo] + d * t
 
 
 def _failures(records) -> int:

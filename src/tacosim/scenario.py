@@ -15,12 +15,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .baselines import ChoiceProblem
 from .board import float_tuple
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
 
@@ -63,6 +65,8 @@ def pava(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Returns the unique nondecreasing minimizer of sum w_t * (v_t - targets_t)^2.
     Merged blocks take the weighted mean of their targets.
     """
+    import numpy as np
+
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if t.ndim != 1 or t.shape != w.shape:
@@ -105,6 +109,8 @@ def solve_ordering(scenario: WaypointScenario, order) -> np.ndarray:
     constraints into "v nondecreasing", a weighted isotonic regression on
     targets e[order[t]] - t*D with weights k[order[t]].
     """
+    import numpy as np
+
     n = scenario.n
     order = tuple(int(i) for i in order)
     if sorted(order) != list(range(n)):
@@ -163,21 +169,24 @@ def enumerate_options(scenario: WaypointScenario, b) -> ChoiceProblem:
     return ChoiceProblem(n=n, m=len(labels), C=rows, b=b, option_labels=list(labels))
 
 
-def random_problem(n: int, m: int, rng: np.random.Generator) -> ChoiceProblem:
+def random_problem(n: int, m: int, rng) -> ChoiceProblem:
     """Uniform(0,1) cost matrix and valuations; C is drawn first, then b.
 
-    Exact zero draws for b are redrawn to keep valuations strictly positive.
+    rng is a ``numpy.random.Generator`` or an ``experiments`` stream, which
+    draws the same numbers. Exact zero draws for b are redrawn, in order, to
+    keep valuations strictly positive.
     """
     C = rng.random((n, m))
-    b = rng.random(n)
-    while (b == 0).any():
-        b[b == 0] = rng.random(int((b == 0).sum()))
+    b = float_tuple(rng.random(n))
+    while 0.0 in b:
+        redraws = iter(float_tuple(rng.random(b.count(0.0))))
+        b = tuple(next(redraws) if v == 0.0 else v for v in b)
     return ChoiceProblem(n=n, m=m, C=C, b=b)
 
 
 def random_waypoint_problem(
     n: int,
-    rng: np.random.Generator,
+    rng,
     D: float = 1.0,
     k_range: tuple[float, float] = (0.5, 2.0),
     b_range: tuple[float, float] = (0.5, 1.5),
@@ -187,14 +196,15 @@ def random_waypoint_problem(
     ETAs are Uniform(0, n*D), so arrivals genuinely conflict. Degenerate
     instances whose best ordering needs no adjustment at all (total cost 0,
     where the optimality gap is undefined) are resampled; n < 2 is rejected.
+    rng is drawn as in ``random_problem``.
     """
     if n < 2:
         raise ValueError(f"a waypoint instance needs n >= 2 agents, got n={n}")
     while True:
-        # The draws, as floats once: the instance never goes through an array.
-        e = rng.uniform(0.0, n * D, size=n).tolist()
-        k = rng.uniform(k_range[0], k_range[1], size=n).tolist()
-        b = rng.uniform(b_range[0], b_range[1], size=n).tolist()
+        # WaypointScenario and ChoiceProblem take the draws as floats once.
+        e = rng.uniform(0.0, n * D, size=n)
+        k = rng.uniform(k_range[0], k_range[1], size=n)
+        b = rng.uniform(b_range[0], b_range[1], size=n)
         problem = enumerate_options(WaypointScenario(e=e, k=k, D=D), b)
         if min(problem.col_sums) > 0:
             return problem

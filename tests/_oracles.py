@@ -34,7 +34,7 @@ import numpy as np
 
 from tacosim.board import exact
 from tacosim.errors import MetricUndefinedError
-from tacosim.experiments import FAILED_STATUSES, SCHEMA_VERSION, SUMMARY_METRICS, _quantiles
+from tacosim.experiments import FAILED_STATUSES, SCHEMA_VERSION, SUMMARY_METRICS
 from tacosim.metrics import TrialResult
 
 
@@ -258,6 +258,29 @@ def find_repeat(first, more, t, players, choices, n, m):
 
 
 # --- the summary of string rows, one pass per (group, mechanism, metric) -------
+
+
+def summary_stats(values):
+    """numpy's linear percentiles 25, 50 and 75, max, mean and std(ddof=1) of
+    the finite values as floats, and their count; None if there are none."""
+    arr = np.array(values, dtype=np.float64)
+    arr = arr[np.isfinite(arr)]
+    if arr.size == 0:
+        return None
+    q1, med, q3 = np.percentile(arr, [25, 50, 75], method="linear")
+    std = arr.std(ddof=1) if arr.size > 1 else 0.0
+    return tuple(map(float, (q1, med, q3, arr.max(), arr.mean(), std))) + (int(arr.size),)
+
+
+def _quantiles(values) -> str:
+    stats = summary_stats(values)
+    if stats is None:
+        return "n=0"
+    q1, med, q3, top, mean, std, n = stats
+    return (
+        f"median={med:.6g} q1={q1:.6g} q3={q3:.6g} "
+        f"max={top:.6g} mean={mean:.6g} std={std:.6g} n={n}"
+    )
 
 
 def summarize(rows, group_keys, header_lines) -> str:

@@ -444,9 +444,9 @@ def test_long_window_engine_parity():
 
 def test_trading_unit_below_the_smallest_float():
     # At d = 1e-400 every float net is 0.0, so the agents never leave their
-    # cheapest options and the window drifts until max_steps. The drift search
-    # divides by the float d, which the int anchors round to 0.0: the exact
-    # backend must step on, as numpy does, not divide by zero.
+    # cheapest options and the window drifts until max_steps. The float falls
+    # b * d of the drift search round to 0.0 too and predict no end, so both
+    # backends jump the drift to the step cap in one run and agree.
     config = _config(d0=Fraction(1, 10**400), gamma="1/2", max_steps=300)
     selections = []
     for backend in BACKENDS:

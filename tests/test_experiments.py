@@ -9,13 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tacosim import experiments
+from _oracles import summary_stats
+from tacosim import _rng, experiments
 from tacosim.example import run_example
 from tacosim.experiments import (
     MECHANISMS,
     ExperimentConfig,
     _seed_column,
-    _seed_sequence,
+    _stats,
     _stream,
     _widen,
     config_lines,
@@ -104,14 +105,48 @@ def test_seed_column_deterministic():
 
 @pytest.mark.parametrize("base", [0, 2**32 - 1, 2**32, 2**64 + 3])
 def test_seed_path_entropy_is_the_int_list(base):
-    # A uint32 array where every entry fits, the list beyond: the same words.
+    # numpy's SeedSequence of the path as an int list: its words, its
+    # generator's draws and the seed column.
     for path in ((base, 0), (base, 7, 0), (base, 5, 100, 3, 2)):
         want = np.random.SeedSequence(list(path)).generate_state(4)
-        assert (_seed_sequence(path).generate_state(4) == want).all()
+        assert _rng.seed_words(path, 4) == want.tolist()
     path = (base, 7)
     want = np.random.default_rng(np.random.SeedSequence([base, 7, 1])).random(3)
-    assert (_stream(path, 1).random(3) == want).all()
+    assert _stream(path, 1).random(3) == want.tolist()
     assert _seed_column(path) == int(np.random.SeedSequence([base, 7]).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("scenario", ["waypoint", "random"])
+def test_make_instance_takes_a_numpy_generator_or_a_stream(scenario):
+    # The same seed path gives the same instance through either generator.
+    cfg = ExperimentConfig(scenario=scenario, n=3, m=5)
+    for trial in range(20):
+        numpy_rng = np.random.default_rng(np.random.SeedSequence([42, trial, 0]))
+        a, eps_a = make_instance(cfg, numpy_rng)
+        b, eps_b = make_instance(cfg, _stream((42, trial), 0))
+        assert (a.rows, a.valuations, eps_a) == (b.rows, b.valuations, eps_b)
+        assert type(a.rows[0][0]) is type(b.valuations[0]) is float
+
+
+def test_summary_statistics_are_numpys():
+    rng = np.random.default_rng(24)
+    inf, nan = math.inf, math.nan
+    cases = [
+        [], [nan, inf, -inf], [2.5], [3.0, -1.0], [0.7] * 9, [0.0, -0.0, 0.0],
+        [5, 3, 9, 1, 100, 7, 7, 2],  # ints, as in the steps, rounds and cycles columns
+        [1.0, inf, 0.25, -inf, nan, 4.0, 1e-300],
+        (rng.random(1000) * rng.choice([-1e3, 1.0, 1e6], 1000)).tolist(),
+        rng.lognormal(0.0, 3.0, 777).tolist(),
+    ]
+    for values in cases:
+        got, want = _stats(values), summary_stats(values)
+        assert got == want, values[:8]
+        if got is not None:  # equal, and the same sign of zero
+            assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+    assert experiments._quantiles([nan]) == "n=0"
+    assert experiments._quantiles([2, 4]) == (
+        "median=3 q1=2.5 q3=3.5 max=4 mean=3 std=1.41421 n=2"
+    )
 
 
 def test_make_instance_refuses_a_nonfinite_relative_epsilon():

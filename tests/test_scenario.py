@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_isotonic, brute_ordering
+from tacosim._rng import Stream
 from tacosim.errors import ResourceLimitError
 from tacosim.scenario import (
     WaypointScenario,
@@ -241,6 +242,36 @@ def test_random_problem_deterministic_and_in_range():
     assert a.C.shape == (3, 5)
     assert ((a.C >= 0) & (a.C < 1)).all()
     assert ((a.b > 0) & (a.b < 1)).all()
+
+
+def test_generators_take_a_numpy_generator_or_a_stream():
+    # One code path: numpy's ndarray draws and the stream's lists build the
+    # same instance from the same seed path.
+    for trial in range(20):
+        path = (9, trial, 0)
+        for build in (lambda r: random_problem(3, 5, r), lambda r: random_waypoint_problem(4, r)):
+            a = build(np.random.default_rng(np.random.SeedSequence(list(path))))
+            b = build(Stream(path))
+            assert (a.rows, a.valuations) == (b.rows, b.valuations)
+
+
+class _Scripted:
+    """Hands out the given draws in order, as a generator's random(size)."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        out = self.draws.pop(0)
+        assert np.shape(out) == ((size,) if isinstance(size, int) else size)
+        return out
+
+
+def test_random_problem_redraws_zero_valuations_in_order():
+    # numpy's b[b == 0] = rng.random(count), until no zero is left.
+    rng = _Scripted([[0.5]] * 3, [0.0, 0.3, 0.0], [0.25, 0.0], [0.75])
+    problem = random_problem(3, 1, rng)
+    assert problem.valuations == (0.25, 0.3, 0.75) and rng.draws == []
 
 
 def test_random_waypoint_problem_deterministic_and_positive():
