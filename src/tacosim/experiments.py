@@ -33,6 +33,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +42,7 @@ from . import _rng, baselines, engine, scenario
 from .board import exact
 from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
-from .metrics import TrialResult, baseline_trial_result, taco_trial_result
+from .metrics import TrialResult, _stats, baseline_trial_result, taco_trial_result
 
 SCHEMA_VERSION = 1
 
@@ -155,13 +156,36 @@ class ExperimentConfig:
             raise ValueError(f"separation must be positive, got {self.separation}")
 
 
+class Row(Mapping):
+    """A read-only view of one record, keyed by its sweep's columns."""
+
+    __slots__ = ("_record", "_at")
+
+    def __init__(self, record: tuple, at: dict[str, int]):
+        self._record = record
+        self._at = at
+
+    def __getitem__(self, key):
+        return self._record[self._at[key]]
+
+    def __iter__(self):
+        return iter(self._at)
+
+    def __len__(self):
+        return len(self._at)
+
+    def __repr__(self):
+        return f"Row({dict(self)})"
+
+
 @dataclass
 class RunResult:
     """A sweep's records and output.
 
     ``records`` holds one tuple per (trial, mechanism) in ``columns`` order
-    (see the module docstring); ``rows`` is the same data as one dict per
-    record, keyed by ``columns``, built on first access.
+    (see the module docstring); ``rows`` holds one read-only mapping per
+    record, keyed by ``columns``: a view over ``records``, built on first
+    access (``dict(row)`` is a mutable copy).
     """
 
     records: list[tuple]
@@ -172,17 +196,9 @@ class RunResult:
     failures: int
 
     @functools.cached_property
-    def rows(self) -> list[dict]:
-        columns = self.columns
-        # Filling a copy of a dict that already has every key never resizes
-        # it, which is cheaper than dict(zip(...)).
-        template = dict.fromkeys(columns)
-        rows = []
-        for r in self.records:
-            row = template.copy()
-            row.update(zip(columns, r))
-            rows.append(row)
-        return rows
+    def rows(self) -> list[Row]:
+        at = {name: i for i, name in enumerate(self.columns)}
+        return [Row(r, at) for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -232,13 +248,17 @@ def _stream(path: tuple[int, ...], k: int) -> _rng.Stream:
     return _rng.Stream(path + (k,))
 
 
+# A config's gamma and d0 cells: one string per value, shared by its records.
+_text = functools.lru_cache(maxsize=64, typed=True)(str)
+
+
 def _run_point(point: _Point) -> list[tuple]:
     cfg = point.cfg
     path = point.seed_path
     problem, eps = make_instance(cfg, _stream(path, 0), point.trial)
     n = problem.n
     seed = _seed_column(path)
-    instance = (n, problem.m, str(cfg.gamma), eps, str(cfg.d0))
+    instance = (n, problem.m, _text(cfg.gamma), eps, _text(cfg.d0))
     tail = (point.interrupt_step,)
     # An option column's cost cells, formatted once per trial. No cost is
     # NaN: C is finite, and a settled cost is a finite cost minus b * p.
@@ -345,31 +365,6 @@ def _quantiles(values: list[float]) -> str:
         f"median={med:.6g} q1={q1:.6g} q3={q3:.6g} "
         f"max={top:.6g} mean={mean:.6g} std={std:.6g} n={n}"
     )
-
-
-def _stats(values: list[float]) -> tuple | None:
-    """numpy's linear percentiles 25, 50 and 75, max, mean and std(ddof=1)
-    of the finite values as floats, and their count; None if there are none."""
-    arr = [x for x in map(float, values) if math.isfinite(x)]
-    n = len(arr)
-    if n == 0:
-        return None
-    # Mean and deviations in record order: numpy's pairwise sum depends on it.
-    mean = baselines._sum(arr) / n
-    var = baselines._sum([(x - mean) * (x - mean) for x in arr]) / (n - 1) if n > 1 else 0.0
-    arr.sort()
-    q1, med, q3 = (_percentile(arr, q) for q in (0.25, 0.5, 0.75))
-    return q1, med, q3, arr[-1], mean, math.sqrt(var), n
-
-
-def _percentile(arr: list[float], q: float) -> float:
-    """numpy's percentile(method="linear") of sorted arr at fraction q."""
-    v = (len(arr) - 1) * q
-    lo = math.floor(v)
-    hi = min(lo + 1, len(arr) - 1)
-    t = v - lo
-    d = arr[hi] - arr[lo]
-    return arr[hi] - d * (1 - t) if t >= 0.5 else arr[lo] + d * t
 
 
 def _failures(records) -> int:

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import math
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,6 @@ from tacosim.experiments import (
     MECHANISMS,
     ExperimentConfig,
     _seed_column,
-    _stats,
     _stream,
     _widen,
     config_lines,
@@ -28,7 +29,7 @@ from tacosim.experiments import (
     run_sweep_gamma,
     write_csv,
 )
-from tacosim.metrics import TrialResult, bound_report
+from tacosim.metrics import TrialResult, _stats, bound_report
 
 
 def _quick_cfg(**kw):
@@ -391,6 +392,49 @@ def test_record_cells_are_plain_python_values(tmp_path):
                 # np.float64 is a float, but csv.writer would write its repr.
                 assert type(cell) in (int, float, str, type(None))
         assert all(list(row) == res.columns for row in res.rows)
+
+
+def test_rows_are_read_only_views_of_the_records():
+    cfg = _quick_cfg(trials=3)
+    sweeps = {
+        "montecarlo": run_montecarlo(cfg),
+        "cap": run_montecarlo(ExperimentConfig(trials=6, max_steps=30)),
+        "sweep_gamma": run_sweep_gamma(cfg, ["1/2", "9/10"]),
+        "interrupt": run_interrupt(cfg, [0, 2]),
+        "scalability": run_scalability(cfg, [2, 4], [3]),
+    }
+    assert sweeps["cap"].failures > 0
+    assert any(r["raw_cost_4"] is None for r in sweeps["scalability"].rows)
+    for name, res in sweeps.items():
+        assert len(res.rows) == len(res.records), name
+        for row, record in zip(res.rows, res.records):
+            assert row == dict(zip(res.columns, record)), name
+            assert list(row) == res.columns, name
+        row = res.rows[0]
+        assert row.get("nope") is None and "status" in row
+        with pytest.raises(TypeError):
+            row["trial"] = 0
+        copy = dict(row)
+        copy["trial"] = -1
+        assert row["trial"] == res.records[0][0]
+        assert pickle.loads(pickle.dumps(res)).rows == res.rows, name
+
+
+def test_rows_hold_no_copy_of_the_records():
+    res = run_montecarlo(_quick_cfg(trials=100))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = res.rows
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(res.records) == 100 * len(MECHANISMS)
+    # A row that copied its record into a dict held about 840 bytes.
+    assert held / len(res.records) < 128
+    # Every record of a config shares one gamma and one d0 string.
+    assert res.records[0][5] is res.records[-1][5]
+    assert res.records[0][7] is res.records[-1][7]
 
 
 def test_nan_metric_writes_an_empty_cell(tmp_path):
