@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import float_tuple
+from .board import float_tuple, shape_of
 
 
 @dataclass
@@ -30,9 +30,7 @@ class AgentPrivate:
         try:
             self.cost_row = float_tuple(self.cost_row)
         except TypeError:
-            import numpy as np
-
-            shape = np.shape(self.cost_row)
+            shape = shape_of(self.cost_row)
             raise ValueError(f"cost_row must be one-dimensional, got shape {shape}") from None
         if not self.valuation > 0:
             raise ValueError(f"valuation must be positive, got {self.valuation}")

@@ -17,13 +17,9 @@ import math
 import operator
 from collections.abc import Sequence
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from .agent import AgentPrivate
-from .board import float_tuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from .board import float_tuple, shape_of
 
 
 def _sum(x: Sequence[float]) -> float:
@@ -68,19 +64,14 @@ def _pairwise(x: Sequence[float], lo: int, n: int) -> float:
 
 def _as_floats(value, shape: tuple[int, ...], name: str) -> tuple:
     """value as Python floats: a tuple for shape (n,), a tuple of row tuples
-    for (n, m). Any other input takes numpy's conversion, and its errors."""
+    for (n, m); ValueError naming value's shape for any other."""
     try:
         out = float_tuple(value) if len(shape) == 1 else tuple(map(float_tuple, value))
     except TypeError:
         out = ()
     if len(out) == shape[0] and (len(shape) == 1 or all(len(r) == shape[1] for r in out)):
         return out
-    import numpy as np
-
-    arr = np.array(value, dtype=np.float64)
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return _as_floats(arr, shape, name)
+    raise ValueError(f"{name} has shape {shape_of(value)}, expected {shape}")
 
 
 class ChoiceProblem:
@@ -88,8 +79,9 @@ class ChoiceProblem:
 
     Held once, as the Python floats every mechanism, metric and agent reads:
     ``rows`` (C, one tuple per agent), ``valuations`` (b) and ``col_sums``
-    (numpy's ``C.sum(axis=0)``, row by row from 0.0). ``C`` and ``b`` are
-    read-only float64 arrays built on first read; an instance never changes.
+    (numpy's ``C.sum(axis=0)``, row by row from 0.0). C and b may be given as
+    nested lists or tuples, or any sized iterables such as ndarrays; every
+    field is a tuple, so an instance never changes.
     """
 
     def __init__(self, n: int, m: int, C, b, option_labels: list[str] | None = None):
@@ -106,22 +98,6 @@ class ChoiceProblem:
         self.col_sums = tuple(sums)
         if option_labels is not None and len(option_labels) != m:
             raise ValueError("option_labels length must equal m")
-
-    @functools.cached_property
-    def C(self) -> np.ndarray:
-        import numpy as np
-
-        C = np.array(self.rows, dtype=np.float64).reshape(self.n, self.m)
-        C.setflags(write=False)
-        return C
-
-    @functools.cached_property
-    def b(self) -> np.ndarray:
-        import numpy as np
-
-        b = np.array(self.valuations, dtype=np.float64)
-        b.setflags(write=False)
-        return b
 
     def col(self, j: int) -> tuple[float, ...]:
         """Option j's costs, one per agent."""

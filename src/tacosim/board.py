@@ -7,6 +7,11 @@ hashing. The engine, and the display replay of ``example.run_example``,
 run on an integer lattice of the same values (see ``engine``).
 ``PublicBoard`` is only the result type: the lattice builds one when a
 run's ``final_board`` is read, and nothing here mutates it.
+
+``float_tuple`` reads every vector input of the package (cost rows,
+valuations, ETAs) as Python floats. Lists and tuples convert directly; any
+other input, an ndarray included, is first checked one-dimensional by
+``shape_of``, numpy's shape computed without numpy.
 """
 
 from __future__ import annotations
@@ -14,10 +19,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ExactAmount = Fraction
 
@@ -45,13 +46,25 @@ def exact(value: int | str | Fraction) -> Fraction:
 
 
 def float_tuple(values) -> tuple[float, ...]:
-    """A list or tuple of numbers, or else numpy's float64 conversion of
-    values, as a tuple of Python floats; TypeError unless one-dimensional."""
-    if not isinstance(values, (tuple, list)):
-        import numpy as np
-
-        values = np.asarray(values, dtype=np.float64).tolist()
+    """A one-dimensional sequence of numbers (a list, a tuple, or any sized
+    iterable, an ndarray included) as a tuple of Python floats; TypeError
+    for any other shape."""
+    if not isinstance(values, (tuple, list)) and len(shape_of(values)) != 1:
+        raise TypeError("expected a one-dimensional sequence of numbers")
     return tuple(map(float, values))
+
+
+def shape_of(value) -> tuple[int, ...]:
+    """numpy's shape of nested sequences, as far as they are regular: () for
+    a str, bytes, scalar or 0-d array, (len,) above ragged elements."""
+    if isinstance(value, (str, bytes)):
+        return ()
+    try:
+        n = len(value)
+    except TypeError:
+        return ()
+    inner = {shape_of(v) for v in value}
+    return (n, *inner.pop()) if len(inner) == 1 else (n,)
 
 
 @dataclass
@@ -73,9 +86,10 @@ class PublicBoard:
     epoch: int = 0
     selections: list[int | None] = field(default_factory=list)
 
-    # Nothing in the package calls this; the benchmark tracer wraps it by name
-    # (board.net_float), so it stays until the tracer drops it (ROADMAP item 4).
-    def net_float(self) -> np.ndarray:
+    # Nothing in the package calls this, and it is the one numpy import left
+    # in it: the benchmark tracer wraps it by name (board.net_float), so it
+    # waits for the tracer's span change (ROADMAP item 4) to be deleted.
+    def net_float(self):  # -> numpy.ndarray of float64, n x m
         import numpy as np
 
         return np.array(

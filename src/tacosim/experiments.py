@@ -120,6 +120,11 @@ class ExperimentConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         self.n = int(self.n)
         self.m = int(self.m)
+        least = 2 if self.scenario == "waypoint" else 1  # a waypoint needs two arrivals
+        if self.n < least:
+            raise ValueError(f"the {self.scenario} scenario needs n >= {least}, got n={self.n}")
+        if self.m < 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
         self.trials = int(self.trials)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
@@ -148,6 +153,14 @@ class ExperimentConfig:
         # An unknown name fails here, before any trial; "auto" defers to
         # TACO_BACKEND, so that name is checked too.
         resolve_backend(self.backend)
+        # An infinite range would fail every trial's draws instead.
+        for key in ("k_min", "k_max", "b_min", "b_max", "separation"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        if not math.isfinite(self.n * self.separation):
+            raise ValueError(
+                f"separation must keep n * separation finite, got {self.n} * {self.separation}"
+            )
         if not (self.k_min > 0 and self.k_max >= self.k_min):
             raise ValueError("urgency range must satisfy 0 < k_min <= k_max")
         if not (self.b_min > 0 and self.b_max >= self.b_min):

@@ -15,14 +15,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .baselines import ChoiceProblem
 from .board import float_tuple
 from .errors import ResourceLimitError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
 
@@ -59,24 +55,24 @@ class WaypointScenario:
         return len(self.e)
 
 
-def pava(targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def pava(targets, weights) -> tuple[float, ...]:
     """Weighted isotonic regression by pool-adjacent-violators.
 
-    Returns the unique nondecreasing minimizer of sum w_t * (v_t - targets_t)^2.
-    Merged blocks take the weighted mean of their targets.
+    Returns the unique nondecreasing minimizer of sum w_t * (v_t - targets_t)^2,
+    one float per target. Merged blocks take the weighted mean of their targets.
     """
-    import numpy as np
-
-    t = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if t.ndim != 1 or t.shape != w.shape:
+    try:
+        t, w = float_tuple(targets), float_tuple(weights)
+    except TypeError:
+        t = w = None
+    if t is None or len(t) != len(w):
         raise ValueError("targets and weights must be equal-length vectors")
-    if not (w > 0).all():
+    if not all(map((0.0).__lt__, w)):
         raise ValueError("weights must be positive")
     stack = None
-    for ti, wi in zip(t.tolist(), w.tolist()):
+    for ti, wi in zip(t, w):
         stack = _pool(stack, ti, wi)
-    return np.array(_block_values(stack), dtype=np.float64)
+    return tuple(_block_values(stack))
 
 
 def _pool(stack, target: float, weight: float):
@@ -101,27 +97,25 @@ def _block_values(stack) -> list[float]:
     return [mean for mean, _, size, _ in reversed(blocks) for _ in range(size)]
 
 
-def solve_ordering(scenario: WaypointScenario, order) -> np.ndarray:
-    """Cheapest adjustment vector x for a fixed arrival ordering.
+def solve_ordering(scenario: WaypointScenario, order) -> tuple[float, ...]:
+    """Cheapest adjustment vector x for a fixed arrival ordering, one float
+    per agent.
 
     order[t] is the agent arriving in position t. Substituting
     v_t = e[order[t]] + x[order[t]] - t*D turns the chained separation
     constraints into "v nondecreasing", a weighted isotonic regression on
     targets e[order[t]] - t*D with weights k[order[t]].
     """
-    import numpy as np
-
     n = scenario.n
     order = tuple(int(i) for i in order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
-    idx = np.array(order, dtype=np.intp)
-    e, k = np.array(scenario.e), np.array(scenario.k)
-    shift = np.arange(n, dtype=np.float64) * scenario.D
-    v = pava(e[idx] - shift, k[idx])
-    x = np.empty(n, dtype=np.float64)
-    x[idx] = v + shift - e[idx]
-    return x
+    e, k, D = scenario.e, scenario.k, scenario.D
+    v = pava([e[i] - t * D for t, i in enumerate(order)], [k[i] for i in order])
+    x = [0.0] * n
+    for t, i in enumerate(order):
+        x[i] = (v[t] + t * D) - e[i]
+    return tuple(x)
 
 
 @functools.cache

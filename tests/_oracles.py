@@ -1,11 +1,19 @@
 """Reference implementations, independent of the shipped code.
 
+First, an instance's cost matrix and valuations as the float64 arrays the
+numpy oracles read (``C_of``, ``b_of``); the package itself holds them only
+as tuples of Python floats.
+
 The numpy oracles below are the array implementations that the per-trial
 metrics, baselines, cycle checks and summary used before they moved to
 Python floats; ``tests/test_oracles.py`` holds the shipped code to them bit
 for bit.
 
-The brute-force oracles for the ordering solver follow.
+The ordering solver's references follow: the array form ``solve_ordering``
+had before it moved to Python floats, over a textbook list ``pava`` that
+shares no code with the package's pooling step, so that
+``tests/test_scenario.py`` holds both ``enumerate_options`` and
+``scenario.solve_ordering`` to them bit for bit; and the brute-force oracles.
 
 The chain-constrained quadratic program behind each arrival ordering is solved
 here by exhaustive search over tight-constraint subsets: each subset of the
@@ -36,6 +44,56 @@ from tacosim.board import exact
 from tacosim.errors import MetricUndefinedError
 from tacosim.experiments import FAILED_STATUSES, SCHEMA_VERSION, SUMMARY_METRICS
 from tacosim.metrics import TrialResult
+
+
+def C_of(problem) -> np.ndarray:
+    """problem's cost matrix as a read-only, C-contiguous n x m float64 array."""
+    C = np.array(problem.rows, dtype=np.float64).reshape(problem.n, problem.m)
+    C.setflags(write=False)
+    return C
+
+
+def b_of(problem) -> np.ndarray:
+    """problem's valuations as a read-only float64 vector."""
+    b = np.array(problem.valuations, dtype=np.float64)
+    b.setflags(write=False)
+    return b
+
+
+# --- the ordering solver -----------------------------------------------------
+
+
+def pava(targets, weights) -> np.ndarray:
+    """Textbook pool-adjacent-violators on parallel lists: a merged block's
+    mean is (m1*w1 + m2*w2) / (w1 + w2), its weight w1 + w2."""
+    means, wsums, sizes = [], [], []
+    for ti, wi in zip(targets, weights):
+        means.append(float(ti))
+        wsums.append(float(wi))
+        sizes.append(1)
+        while len(means) > 1 and means[-2] > means[-1]:
+            wm = wsums[-2] + wsums[-1]
+            means[-2] = (means[-2] * wsums[-2] + means[-1] * wsums[-1]) / wm
+            wsums[-2] = wm
+            sizes[-2] += sizes[-1]
+            means.pop()
+            wsums.pop()
+            sizes.pop()
+    return np.repeat(np.array(means, dtype=np.float64), sizes)
+
+
+def solve_ordering(scenario, order) -> np.ndarray:
+    """Cheapest adjustment vector for one arrival ordering, in arrays: pava
+    on targets e[order] - t*D with weights k[order], then x[order] = v +
+    t*D - e[order]."""
+    n = scenario.n
+    idx = np.array(order, dtype=np.intp)
+    e, k = np.array(scenario.e), np.array(scenario.k)
+    shift = np.arange(n, dtype=np.float64) * scenario.D
+    v = pava(e[idx] - shift, k[idx])
+    x = np.empty(n, dtype=np.float64)
+    x[idx] = v + shift - e[idx]
+    return x
 
 
 def brute_isotonic(targets, weights) -> tuple[np.ndarray, float]:
@@ -114,12 +172,12 @@ def gini(costs) -> float:
 
 def effective_costs(problem, outcome, mode="settled") -> np.ndarray:
     j = outcome.consensus_choice
-    raw = problem.C[:, j].astype(np.float64).copy()
+    raw = C_of(problem)[:, j].astype(np.float64).copy()
     if mode == "raw":
         return raw
     if mode == "settled":
         receipts = np.array([float(p) for p in outcome.settlements], dtype=np.float64)
-        return raw - problem.b * receipts
+        return raw - b_of(problem) * receipts
     raise ValueError(f"mode must be 'raw' or 'settled', got {mode!r}")
 
 
@@ -151,7 +209,7 @@ def _nan_safe(metric, *args) -> float:
 
 
 def taco_trial_result(problem, outcome) -> TrialResult:
-    util_costs = problem.C[:, utilitarian(problem)]
+    util_costs = C_of(problem)[:, utilitarian(problem)]
     raw = effective_costs(problem, outcome, "raw")
     settled = effective_costs(problem, outcome, "settled")
     return TrialResult(
@@ -166,13 +224,13 @@ def taco_trial_result(problem, outcome) -> TrialResult:
         og_settled=_nan_safe(optimality_gap, settled, util_costs),
         gini_raw=_nan_safe(gini, raw),
         gini_settled=_nan_safe(gini, settled),
-        max_cycle_spread_ratio=cycle_spread_ratio(outcome, problem.b),
+        max_cycle_spread_ratio=cycle_spread_ratio(outcome, b_of(problem)),
     )
 
 
 def baseline_trial_result(problem, mechanism, choice) -> TrialResult:
-    util_costs = problem.C[:, utilitarian(problem)]
-    raw = problem.C[:, choice].astype(np.float64).copy()
+    util_costs = C_of(problem)[:, utilitarian(problem)]
+    raw = C_of(problem)[:, choice].astype(np.float64).copy()
     og = _nan_safe(optimality_gap, raw, util_costs)
     gi = _nan_safe(gini, raw)
     return TrialResult(
@@ -197,7 +255,7 @@ def baseline_trial_result(problem, mechanism, choice) -> TrialResult:
 def voting(problem, rng) -> int:
     votes = np.zeros(problem.m, dtype=np.int64)
     for i in range(problem.n):
-        votes[int(np.argmin(problem.C[i]))] += 1
+        votes[int(np.argmin(C_of(problem)[i]))] += 1
     winners = np.flatnonzero(votes == votes.max())
     if winners.size == 1:
         return int(winners[0])
@@ -206,15 +264,15 @@ def voting(problem, rng) -> int:
 
 def random_dictator(problem, rng) -> int:
     dictator = int(rng.integers(problem.n))
-    return int(np.argmin(problem.C[dictator]))
+    return int(np.argmin(C_of(problem)[dictator]))
 
 
 def utilitarian(problem) -> int:
-    return int(np.argmin(problem.C.sum(axis=0)))
+    return int(np.argmin(C_of(problem).sum(axis=0)))
 
 
 def egalitarian(problem) -> int:
-    return int(np.argmin(problem.C.max(axis=0)))
+    return int(np.argmin(C_of(problem).max(axis=0)))
 
 
 # --- numpy oracles: per-cycle checks ------------------------------------------

@@ -218,7 +218,7 @@ def _profits(problem: ChoiceProblem, board) -> np.ndarray:
     for i in range(problem.n):
         for j in range(problem.m):
             net = board.offers[i][j] - board.pays[i][j]
-            out[i, j] = float(problem.b[i]) * float(net) - problem.C[i, j]
+            out[i, j] = problem.valuations[i] * float(net) - problem.rows[i][j]
     return out
 
 
@@ -376,7 +376,7 @@ def verify_run(
         for i in range(n):
             vals = np.concatenate([r[act] for r in agent_rows[i]])
             spread = float(vals.max() - vals.min())
-            ceiling = (p + 1) * d * (n - 1) * float(problem.b[i])
+            ceiling = (p + 1) * d * (n - 1) * problem.valuations[i]
             assert spread <= ceiling + tol, (
                 f"cycle spread {spread} exceeds ceiling {ceiling} for agent {i}"
             )
@@ -387,7 +387,7 @@ def verify_run(
         else:
             assert not passes, "engine kept running past a cycle that passed the test"
 
-        _check_window(window_J, d, problem.b, n, m, tol)
+        _check_window(window_J, d, problem.valuations, n, m, tol)
         reduce_trading_unit(board, config.gamma)
         history.clear()
         window_J = []
@@ -397,7 +397,7 @@ def verify_run(
 
     if window_J:
         # Budget-truncated tail window of an interrupted run.
-        _check_window(window_J, float(board.d), problem.b, n, m, tol)
+        _check_window(window_J, float(board.d), problem.valuations, n, m, tol)
 
     assert board.d == outcome.final_d
     voted = {}

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import brute_ordering
+from _oracles import C_of, brute_ordering
 from _replay import verify_run
 from tacosim import experiments
 from tacosim.baselines import ChoiceProblem
@@ -163,7 +163,7 @@ def test_criterion_04_window_invariants_replay(criterion):
         m = int(rng.integers(2, 9))
         problem = random_problem(n, m, rng)
         config = TacoConfig(
-            epsilon=1e-3 * float(problem.C.mean()), d0=1, gamma="7/10"
+            epsilon=1e-3 * float(C_of(problem).mean()), d0=1, gamma="7/10"
         )
         outcome = run_taco(config, problem.agents())
         report = verify_run(problem, config, outcome, tol=1e-9)
@@ -321,7 +321,7 @@ def test_criterion_10_ordering_solver_oracle(criterion):
         e = rng.uniform(0.0, n * D, size=n)
         k = rng.uniform(0.5, 2.0, size=n)
         order = tuple(rng.permutation(n))
-        x = solve_ordering(WaypointScenario(e=e, k=k, D=D), order)
+        x = np.array(solve_ordering(WaypointScenario(e=e, k=k, D=D), order))
         want_x, want_obj = brute_ordering(e, k, D, order)
         worst_x = max(worst_x, float(np.abs(x - want_x).max()))
         worst_obj = max(worst_obj, abs(float(np.sum(k * x**2)) - want_obj))

@@ -102,6 +102,11 @@ def test_cost_row_is_a_tuple_of_floats():
     # A string is one number to numpy, not a row of its characters.
     with pytest.raises(ValueError, match=r"one-dimensional, got shape \(\)"):
         AgentPrivate(index=0, valuation=1.0, cost_row="12")
+    # Arrays are refused with numpy's own shape, computed without numpy.
+    for row in (np.ones((2, 1)), np.array(5.0), np.float64(5.0), iter([1.0, 2.0])):
+        with pytest.raises(ValueError) as err:
+            AgentPrivate(index=0, valuation=1.0, cost_row=row)
+        assert str(err.value) == f"cost_row must be one-dimensional, got shape {np.shape(row)}"
 
 
 def test_profit_row_dimension_check():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import C_of, b_of
 from tacosim.baselines import (
     ChoiceProblem,
     egalitarian,
@@ -61,14 +62,14 @@ def test_choice_problem_checks_lists_like_arrays():
         with pytest.raises(ValueError) as err:
             ChoiceProblem(**kw)
         assert str(err.value) == message
-    # Ints are floats in the instance, and the arrays are built on first read.
+    # Ints are floats in the instance, which holds no array form.
     problem = ChoiceProblem(n=2, m=2, C=[[1, 2], [3, 4]], b=(1, 2))
     assert problem.rows == ((1.0, 2.0), (3.0, 4.0)) and problem.valuations == (1.0, 2.0)
     assert all(type(x) is float for x in (*problem.rows[0], *problem.valuations))
     assert problem.col_sums == (4.0, 6.0)
-    assert "C" not in vars(problem) and "b" not in vars(problem)
-    assert problem.C.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
-    assert problem.b.tobytes() == np.array([1.0, 2.0]).tobytes()
+    assert not hasattr(problem, "C") and not hasattr(problem, "b")
+    assert C_of(problem).tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+    assert b_of(problem).tobytes() == np.array([1.0, 2.0]).tobytes()
 
 
 def test_choice_problem_agents():
@@ -82,23 +83,28 @@ def test_choice_problem_agents():
     assert all(type(a.cost_row) is tuple for a in agents)
     with pytest.raises(TypeError):
         agents[0].cost_row[0] = -99.0
-    assert problem.C[0, 0] == 10.0
+    assert C_of(problem)[0, 0] == 10.0
 
 
 def test_choice_problem_is_read_only():
     # The mechanisms read C and b once per instance, so neither may change:
-    # writing raises, and the caller's arrays are copied, not shared.
+    # the instance holds tuples, writing raises, and the caller's arrays are
+    # copied, not shared. The tests' arrays of it are read-only too.
     C = np.array([[1.0, 5.0], [1.0, 5.0]])
     b = np.ones(2)
     problem = ChoiceProblem(n=2, m=2, C=C, b=b)
     assert utilitarian(problem) == 0
+    with pytest.raises(TypeError):
+        problem.rows[0][0] = 9.0
+    with pytest.raises(TypeError):
+        problem.valuations[0] = 2.0
     with pytest.raises(ValueError):
-        problem.C[:, 0] = 9.0
+        C_of(problem)[:, 0] = 9.0
     with pytest.raises(ValueError):
-        problem.b[0] = 2.0
+        b_of(problem)[0] = 2.0
     C[:, 0] = 9.0
     b[0] = 2.0
-    assert problem.C[0, 0] == 1.0 and problem.b[0] == 1.0
+    assert C_of(problem)[0, 0] == 1.0 and b_of(problem)[0] == 1.0
     assert utilitarian(problem) == 0
 
 
@@ -156,8 +162,8 @@ def test_utilitarian_gap_is_zero_by_construction():
     for _ in range(30):
         problem = random_problem(int(rng.integers(1, 6)), int(rng.integers(1, 8)), rng)
         j = utilitarian(problem)
-        best = problem.C[:, int(problem.C.sum(axis=0).argmin())]
-        assert optimality_gap(problem.C[:, j], best) == 0.0
+        best = C_of(problem)[:, int(C_of(problem).sum(axis=0).argmin())]
+        assert optimality_gap(C_of(problem)[:, j], best) == 0.0
 
 
 def test_egalitarian():

@@ -15,7 +15,7 @@ from _replay import (
     reduce_trading_unit,
     span_counts,
 )
-from tacosim.board import exact
+from tacosim.board import exact, float_tuple, shape_of
 from tacosim.errors import HistoryLimitError
 
 
@@ -45,6 +45,30 @@ def test_exact_rejects_floats_and_junk():
         exact([1, 2])
     with pytest.raises(ValueError):
         exact("not-a-number")
+
+
+def test_shape_of_is_numpys_shape():
+    # The vector inputs' shape, computed in Python: nested len, () for a
+    # str, bytes, scalar or 0-d array.
+    cases = [
+        [], [1.0, 2.0], (1, 2, 3), [[1.0, 2.0], [3.0, 4.0]], [(1.0,), (2.0,)], "12", b"12",
+        3.5, np.float64(1.0), np.array(5.0), np.zeros(3), np.zeros((2, 1)), np.zeros((2, 3, 4)),
+        range(4), ["12", "34"],
+    ]
+    for value in cases:
+        assert shape_of(value) == np.shape(value), value
+    # numpy refuses a ragged nesting; its regular prefix is what is reported.
+    assert shape_of([[1.0, 2.0], [3.0]]) == (2,)
+
+
+def test_float_tuple_takes_any_one_dimensional_sequence():
+    for values in ([1, 2.5], (1, 2.5), np.array([1.0, 2.5]), np.array([1, 2]) * 1.25, range(2)):
+        out = float_tuple(values)
+        assert type(out) is tuple and all(type(x) is float for x in out)
+        assert out == tuple(np.asarray(values, dtype=np.float64).tolist())
+    for values in ("12", 3.0, np.array(3.0), np.zeros((2, 2)), [[1.0], [2.0]], iter([1.0])):
+        with pytest.raises(TypeError):
+            float_tuple(values)
 
 
 def test_new_board_zeroed():

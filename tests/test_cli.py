@@ -401,6 +401,12 @@ BAD_CAPS = [
     ("--epsilon", "inf", "epsilon must be a positive finite real, got inf"),
     ("--epsilon-rel", "nan", "epsilon_rel must be a positive finite real, got nan"),
     ("--d0", "1/0", "exact amount '1/0' has a zero denominator"),
+    ("--m", "0", "m must be at least 1, got 0"),
+    ("--n", "0", "the waypoint scenario needs n >= 2, got n=0"),
+    ("--k-max", "inf", "k_max must be finite, got inf"),
+    ("--b-max", "inf", "b_max must be finite, got inf"),
+    ("--separation", "inf", "separation must be finite, got inf"),
+    ("--separation", "1e308", "separation must keep n * separation finite, got 4 * 1e+308"),
 ]
 
 
@@ -423,8 +429,10 @@ def test_show_config_rejects_bad_caps(capsys, flag, value, message):
 def test_montecarlo_rejects_bad_caps_before_any_trial(
     tmp_path, monkeypatch, capsys, workers, flag, value, message
 ):
-    # The engine would refuse these only at the first TACo trial, after
-    # instance generation; the experiment config refuses them first.
+    # These would fail only inside the trials: the engine's checks at the
+    # first TACo trial, after instance generation, and a size below one or an
+    # infinite range in instance generation itself, as a ZeroDivisionError or
+    # an OverflowError traceback. The experiment config refuses them first.
     executed = []
     execute = experiments._execute
     monkeypatch.setattr(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import _window_oracle as window_oracle
+from _oracles import C_of, b_of
 from _replay import (
     apply_selection,
     new_board,
@@ -259,7 +260,7 @@ def test_termination_property_sweep():
         m = int(rng.integers(1, 11))
         gamma = gammas[trial % len(gammas)]
         problem = random_problem(n, m, rng)
-        eps = 1e-3 * float(problem.C.mean())
+        eps = 1e-3 * float(C_of(problem).mean())
         config = TacoConfig(epsilon=eps, d0=1, gamma=gamma)
         outcome = run_taco(config, problem.agents())
         assert outcome.terminated_naturally
@@ -279,7 +280,7 @@ def _equivalence_instances():
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 9))
         problem = random_problem(n, m, rng)
-        eps = 1e-3 * float(problem.C.mean())
+        eps = 1e-3 * float(C_of(problem).mean())
         yield TacoConfig(epsilon=eps, d0=1, gamma="7/10"), problem
 
 
@@ -327,14 +328,14 @@ def test_window_buffer_growth_matches_numpy():
     for backend in BACKENDS:
         anchors, net_row = _window_anchors(lattice, backend)
         got = _fastpath.run_window(
-            *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 5000, 10**6
+            *anchors, list(problem.valuations), list(problem.rows), order.tolist(), 0, 5000, 10**6
         )
         ref, ref_rows = window_oracle.run_window_oracle(
-            net_row, problem.b, problem.C, order, 0, 5000, 10**6
+            net_row, b_of(problem), C_of(problem), order, 0, 5000, 10**6
         )
         assert got.status == "detected"
         assert got.steps > 256
-        _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+        _assert_same_window(got, ref, ref_rows, (*anchors, b_of(problem), C_of(problem), order, 0))
 
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
@@ -354,11 +355,11 @@ def test_detected_window_returns_the_cycle_rows(backend):
             anchors, net_row = _window_anchors(lattice, backend)
             pos0 = int(rng.integers(n))
             got = _fastpath.run_window(
-                *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(),
+                *anchors, list(problem.valuations), list(problem.rows), order.tolist(),
                 pos0, 10**6, 10**6,
             )
             ref, ref_rows = window_oracle.run_window_oracle(
-                net_row, problem.b, problem.C, order, pos0, 10**6, 10**6
+                net_row, b_of(problem), C_of(problem), order, pos0, 10**6, 10**6
             )
             assert got.status == ref.status == "detected"
             assert (got.steps, got.s0_rel) == (ref.steps, ref.s0_rel)
@@ -380,7 +381,7 @@ def test_window_selcount_counts_applied_turns(budget, history_cap, status):
     problem = random_problem(3, 5, np.random.default_rng(5))
     order = np.arange(3, dtype=np.int64)
     win = _fastpath.run_window(
-        np.zeros((3, 5)).tolist(), 1 / 100, 1.0, problem.b.tolist(), problem.C.tolist(),
+        np.zeros((3, 5)).tolist(), 1 / 100, 1.0, list(problem.valuations), list(problem.rows),
         order.tolist(), 1, budget, history_cap,
     )
     assert win.status == status
@@ -505,7 +506,7 @@ def test_replay_verifier_random_instances():
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 7))
         problem = random_problem(n, m, rng)
-        eps = 1e-3 * float(problem.C.mean())
+        eps = 1e-3 * float(C_of(problem).mean())
         config = TacoConfig(epsilon=eps, d0=1, gamma="7/10")
         outcome = run_taco(config, problem.agents())
         report = verify_run(problem, config, outcome)
@@ -702,7 +703,7 @@ def test_window_kernel_matches_oracle_on_random_problems(oracle_windows, backend
     for n, m in ((2, 2), (3, 5), (4, 24), (6, 40), (10, 100)):
         for _ in range(3):
             problem = random_problem(n, m, rng)
-            eps = 1e-3 * float(problem.C.mean())
+            eps = 1e-3 * float(C_of(problem).mean())
             for d0 in (1, "1/20"):
                 config = TacoConfig(epsilon=eps, d0=d0, gamma="7/10")
                 for run in _oracle_runs(config, problem):
@@ -731,16 +732,16 @@ def test_window_kernel_confirms_colliding_keys(monkeypatch, budget, history_cap,
     order = np.arange(n, dtype=np.int64)
     lattice = engine._LatticeBoard(n, m, Fraction(1, 100), Fraction(1, 2))
     window, net_row = _window_anchors(lattice, backend)
-    anchors = (*window, problem.b, problem.C, order, 1)
+    anchors = (*window, b_of(problem), C_of(problem), order, 1)
 
     def run():
         return _fastpath.run_window(
-            *window, problem.b.tolist(), problem.C.tolist(), order.tolist(),
+            *window, list(problem.valuations), list(problem.rows), order.tolist(),
             1, budget, history_cap,
         )
 
     ref, ref_rows = window_oracle.run_window_oracle(
-        net_row, problem.b, problem.C, order, 1, budget, history_cap
+        net_row, b_of(problem), C_of(problem), order, 1, budget, history_cap
     )
     real = run()
     monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)
@@ -778,7 +779,7 @@ def test_window_ends_match_the_oracle_near_the_first_repeat(monkeypatch, n, keys
         m = int(rng.integers(2, 6))
         if trial < 6:
             problem = random_problem(n, m, rng)
-            b, C = problem.b, problem.C
+            b, C = b_of(problem), C_of(problem)
         else:  # the tie-prone grid of the reproducer, where cycles run longer
             C = rng.integers(0, 6, (n, m)) * 0.1
             b = rng.choice([0.1, 0.3, 0.7, 1.1, 1.3], n)
@@ -899,9 +900,9 @@ def _drift_windows(backend, denominators):
             window, net_row = _window_anchors(lattice, backend)
             order = rng.permutation(n).astype(np.int64)
             pos0 = int(rng.integers(n))
-            args = (*window, problem.b.tolist(), problem.C.tolist(), order.tolist(), pos0)
-            oracle_args = (net_row, problem.b, problem.C, order, pos0)
-            anchors = (*window, problem.b, problem.C, order, pos0)
+            args = (*window, list(problem.valuations), list(problem.rows), order.tolist(), pos0)
+            oracle_args = (net_row, b_of(problem), C_of(problem), order, pos0)
+            anchors = (*window, b_of(problem), C_of(problem), order, pos0)
             yield args, oracle_args, anchors
 
 
@@ -944,12 +945,12 @@ def test_drift_jumps_with_many_agents_match_the_oracle(drift_jumps, backend):
     anchors, net_row = _window_anchors(lattice, backend)
     order = np.arange(n)
     got = _fastpath.run_window(
-        *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**6, 10**6
+        *anchors, list(problem.valuations), list(problem.rows), order.tolist(), 0, 10**6, 10**6
     )
     ref, ref_rows = window_oracle.run_window_oracle(
-        net_row, problem.b, problem.C, order, 0, 10**6, 10**6
+        net_row, b_of(problem), C_of(problem), order, 0, 10**6, 10**6
     )
-    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+    _assert_same_window(got, ref, ref_rows, (*anchors, b_of(problem), C_of(problem), order, 0))
     assert drift_jumps
 
 
@@ -1008,15 +1009,15 @@ def test_expanded_log_matches_the_oracle(backend):
     anchors, net_row = _window_anchors(lattice, backend)
     order = np.arange(2)
     got = _fastpath.run_window(
-        *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**6, 10**6
+        *anchors, list(problem.valuations), list(problem.rows), order.tolist(), 0, 10**6, 10**6
     )
     ref, ref_rows = window_oracle.run_window_oracle(
-        net_row, problem.b, problem.C, order, 0, 10**6, 10**6
+        net_row, b_of(problem), C_of(problem), order, 0, 10**6, 10**6
     )
     assert got.log.runs and not ref.log.runs
     assert got.steps == ref.steps > 3000
     assert got.log.expand(0, got.steps) == ref.log.choices
-    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+    _assert_same_window(got, ref, ref_rows, (*anchors, b_of(problem), C_of(problem), order, 0))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -1111,10 +1112,10 @@ def test_one_round_cycle_rows_are_the_rebuilt_rows(monkeypatch, backend):
     lattice = engine._LatticeBoard(n, m, Fraction(1, 2000), Fraction(7, 10))
     window, _ = _window_anchors(lattice, backend)
     win = _fastpath.run_window(
-        *window, problem.b.tolist(), problem.C.tolist(), list(range(n)), 0, 10**6, 10**6
+        *window, list(problem.valuations), list(problem.rows), list(range(n)), 0, 10**6, 10**6
     )
     assert win.log.runs
-    _cycle_rows_rebuilt(win, (*window, problem.b, problem.C, np.arange(n), 0))
+    _cycle_rows_rebuilt(win, (*window, b_of(problem), C_of(problem), np.arange(n), 0))
 
 
 def test_cycle_spreads_are_computed_once(monkeypatch):
@@ -1172,7 +1173,7 @@ def test_drift_search_leaving_at_its_first_round_writes_no_row():
     problem = example2_fixture()
     rows = [[100.0, 0.0], [0.0, 100.0]]
     rounds = _fastpath._drift_rounds(
-        [[0.0, 0.0], [0.0, 0.0]], 0.01, 1.0, problem.b.tolist(), problem.C.tolist(),
+        [[0.0, 0.0], [0.0, 0.0]], 0.01, 1.0, list(problem.valuations), list(problem.rows),
         [0, 1], [0, 1], [0, 0], [[0, 0], [0, 0]], rows, 50, 0,
     )
     assert rounds == 0
@@ -1219,20 +1220,20 @@ def test_drift_search_where_the_fall_rounds_to_zero(backend):
     # on, but b_a * d rounds to 0.0 at b = (0.1, 0.2): the estimate must skip
     # the zero fall, not divide by it, and the window must still be the
     # oracle's. Its 10^4-step budget ends inside one run of 4,998 rounds.
-    problem = ChoiceProblem(n=2, m=2, C=example2_fixture().C, b=[0.1, 0.2])
+    problem = ChoiceProblem(n=2, m=2, C=example2_fixture().rows, b=[0.1, 0.2])
     lattice = engine._LatticeBoard(2, 2, Fraction(1, 10**323), Fraction(9, 10))
     anchors, net_row = _window_anchors(lattice, backend)
     assert anchors[1] / anchors[2] > 0 and 0.1 * (anchors[1] / anchors[2]) == 0.0
     order = np.arange(2)
     got = _fastpath.run_window(
-        *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**4, 10**6
+        *anchors, list(problem.valuations), list(problem.rows), order.tolist(), 0, 10**4, 10**6
     )
     ref, ref_rows = window_oracle.run_window_oracle(
-        net_row, problem.b, problem.C, order, 0, 10**4, 10**6
+        net_row, b_of(problem), C_of(problem), order, 0, 10**4, 10**6
     )
     assert got.status == "budget"
     assert [r for _, r in got.log.runs] == [4998]
-    _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+    _assert_same_window(got, ref, ref_rows, (*anchors, b_of(problem), C_of(problem), order, 0))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -1249,13 +1250,13 @@ def test_drift_jumps_where_the_float_unit_underflows(backend):
         assert anchors[1] / anchors[2] == 0.0
         order = np.arange(3)
         got = _fastpath.run_window(
-            *anchors, problem.b.tolist(), problem.C.tolist(), order.tolist(), 0, 10**4, 10**6
+            *anchors, list(problem.valuations), list(problem.rows), order.tolist(), 0, 10**4, 10**6
         )
         ref, ref_rows = window_oracle.run_window_oracle(
-            net_row, problem.b, problem.C, order, 0, 10**4, 10**6
+            net_row, b_of(problem), C_of(problem), order, 0, 10**4, 10**6
         )
         assert got.log.runs, k
-        _assert_same_window(got, ref, ref_rows, (*anchors, problem.b, problem.C, order, 0))
+        _assert_same_window(got, ref, ref_rows, (*anchors, b_of(problem), C_of(problem), order, 0))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -5,13 +5,14 @@ import dataclasses
 import io
 import math
 import pickle
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _oracles import summary_stats
+from _oracles import C_of, b_of, summary_stats
 from tacosim import _rng, experiments
 from tacosim.example import run_example
 from tacosim.experiments import (
@@ -66,6 +67,24 @@ def test_config_validation():
         ExperimentConfig(gamma=1)
     with pytest.raises(ValueError):
         ExperimentConfig(base_seed=-1)
+    # Sizes below one and infinite ranges, named, before any trial draws.
+    refused = [
+        (dict(scenario="random", n=0), "the random scenario needs n >= 1, got n=0"),
+        (dict(scenario="random", m=0), "m must be at least 1, got 0"),
+        (dict(n=1), "the waypoint scenario needs n >= 2, got n=1"),
+        (dict(scenario="example2", n=-1), "the example2 scenario needs n >= 1, got n=-1"),
+        (dict(k_max=math.inf), "k_max must be finite"),
+        (dict(k_min=math.nan), "k_min must be finite"),
+        (dict(b_max=math.inf), "b_max must be finite"),
+        (dict(b_min=-math.inf), "b_min must be finite"),
+        (dict(separation=math.inf), "separation must be finite"),
+        (dict(separation=1e308), "separation must keep n * separation finite"),
+        (dict(n=7, separation=3e307), "separation must keep n * separation finite"),
+    ]
+    for kwargs, message in refused:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**kwargs)
+    ExperimentConfig(n=2, m=1, separation=1e307, k_max=1e308, b_max=1e308)
 
 
 def test_config_lines_defaults():
@@ -80,17 +99,17 @@ def test_make_instance_deterministic():
     cfg = _quick_cfg()
     a, eps_a = make_instance(cfg, _stream((42, 0), 0))
     b, eps_b = make_instance(cfg, _stream((42, 0), 0))
-    np.testing.assert_array_equal(a.C, b.C)
-    np.testing.assert_array_equal(a.b, b.b)
+    np.testing.assert_array_equal(C_of(a), C_of(b))
+    np.testing.assert_array_equal(b_of(a), b_of(b))
     assert eps_a == eps_b == 0.1
     c, _ = make_instance(cfg, _stream((42, 1), 0))
-    assert not np.array_equal(a.C, c.C)
+    assert not np.array_equal(C_of(a), C_of(c))
 
 
 def test_make_instance_epsilon_resolution():
     rel = _quick_cfg(epsilon=None, epsilon_rel=1e-3)
     problem, eps = make_instance(rel, _stream((42, 0), 0))
-    assert eps == pytest.approx(1e-3 * float(problem.C.mean()))
+    assert eps == pytest.approx(1e-3 * float(C_of(problem).mean()))
     fixture_cfg = ExperimentConfig(scenario="example2", epsilon=0.5)
     problem, eps = make_instance(fixture_cfg, _stream((42, 0), 0))
     assert (problem.n, problem.m) == (2, 2) and eps == 0.5
@@ -155,7 +174,7 @@ def test_make_instance_refuses_a_nonfinite_relative_epsilon():
     problem, _ = make_instance(ExperimentConfig(), _stream((42, 3), 0))
     with pytest.raises(ValueError) as err:
         make_instance(cfg, _stream((42, 3), 0), 3)
-    mean = float(problem.C.mean())
+    mean = float(C_of(problem).mean())
     assert str(err.value) == (
         f"trial 3: epsilon_rel * mean(C) = 1e+308 * {mean!r} = inf "
         "is not a positive finite tolerance"

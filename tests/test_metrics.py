@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import b_of
 from tacosim.baselines import ChoiceProblem
 from tacosim.engine import TacoConfig, run_interrupted, run_taco
 from tacosim.errors import MetricUndefinedError
@@ -63,7 +64,7 @@ def test_effective_costs_golden():
     np.testing.assert_allclose(settled, [4.8, 7.8])
     # The settled total differs from raw exactly by the valuation-weighted
     # transfers, which do not net out across agents unless valuations match.
-    transfer = float(np.dot(problem.b, [float(p) for p in outcome.settlements]))
+    transfer = float(np.dot(b_of(problem), [float(p) for p in outcome.settlements]))
     assert type(settled) is tuple
     assert sum(settled) == pytest.approx(13.0 - transfer)
     with pytest.raises(ValueError):
@@ -196,9 +197,9 @@ def test_cycle_spread_ratio_no_cycles_is_zero():
     config = TacoConfig(epsilon=1e-6, d0=1, gamma="9/10")
     outcome = run_interrupted(config, example2_fixture().agents(), 1)
     assert outcome.cycles_detected == 0
-    assert cycle_spread_ratio(outcome, example2_fixture().b) == 0.0
+    assert cycle_spread_ratio(outcome, b_of(example2_fixture())) == 0.0
 
 
 def test_cycle_spread_ratio_golden_within_bound():
-    ratio = cycle_spread_ratio(_golden_outcome(), example2_fixture().b)
+    ratio = cycle_spread_ratio(_golden_outcome(), b_of(example2_fixture()))
     assert 0.0 <= ratio <= 1.0

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import _oracles as ref
+from _oracles import C_of, b_of
 from _replay import span_counts
 from tacosim import _fastpath, baselines, engine, metrics
 from tacosim.baselines import ChoiceProblem, _sum
@@ -93,8 +94,8 @@ def test_instance_mean_and_column_sums_match_numpy():
         cfg = ExperimentConfig(scenario=scenario, n=n, m=m or 24)
         for trial in range(trials):
             problem, eps = make_instance(cfg, _stream((13, n, trial), 0))
-            assert _bits(eps) == _bits(cfg.epsilon_rel * problem.C.mean()), (n, m, trial)
-            assert np.array(problem.col_sums).tobytes() == problem.C.sum(axis=0).tobytes()
+            assert _bits(eps) == _bits(cfg.epsilon_rel * C_of(problem).mean()), (n, m, trial)
+            assert np.array(problem.col_sums).tobytes() == C_of(problem).sum(axis=0).tobytes()
             assert type(problem.col_sums) is tuple
             checked += 1
     assert checked == 5 * 12 + 2 + 4 * 12
@@ -162,7 +163,7 @@ def test_baselines_match_numpy_and_draw_the_same():
             theirs = np.random.default_rng(k)
             assert getattr(baselines, mech)(problem, mine) == getattr(ref, mech)(problem, theirs)
             assert mine.bit_generator.state == theirs.bit_generator.state
-        votes = np.bincount(problem.C.argmin(axis=1), minlength=problem.m)
+        votes = np.bincount(C_of(problem).argmin(axis=1), minlength=problem.m)
         ties += int((votes == votes.max()).sum() > 1)
     assert ties > 50  # voting's random tie-break was exercised
 
@@ -228,8 +229,8 @@ def test_cycle_checks_match_numpy_on_reproducer(monkeypatch, backend):
     for config, problem in _tie_prone_instances():
         n, m = problem.n, problem.m
         outcome = run_taco(config, problem.agents(), backend=backend)
-        assert _bits(metrics.cycle_spread_ratio(outcome, problem.b)) == _bits(
-            ref.cycle_spread_ratio(outcome, problem.b)
+        assert _bits(metrics.cycle_spread_ratio(outcome, b_of(problem))) == _bits(
+            ref.cycle_spread_ratio(outcome, b_of(problem))
         )
         log = [(ts.agent, ts.selection) for ts in outcome.trace]
         for cyc in outcome.cycle_records:

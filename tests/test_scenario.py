@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from _oracles import brute_isotonic, brute_ordering
+import _oracles as ref
+from _oracles import C_of, b_of, brute_isotonic, brute_ordering
 from tacosim._rng import Stream
 from tacosim.errors import ResourceLimitError
 from tacosim.scenario import (
@@ -20,6 +21,7 @@ from tacosim.scenario import (
 
 
 def test_pava_simple_merges():
+    assert pava([1.0, 0.0], [1.0, 1.0]) == (0.5, 0.5)
     np.testing.assert_allclose(pava([1.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
     np.testing.assert_allclose(pava([3.0, 1.0, 2.0], [1.0, 1.0, 1.0]), [2.0, 2.0, 2.0])
     np.testing.assert_allclose(pava([1.0, 0.0], [3.0, 1.0]), [0.75, 0.75])
@@ -47,25 +49,6 @@ def test_pava_matches_brute_force():
         assert (np.diff(got) >= -1e-12).all()
 
 
-def _list_pava(targets, weights):
-    # Textbook pool-adjacent-violators on parallel lists: a merged block's mean
-    # is (m1*w1 + m2*w2) / (w1 + w2), its weight w1 + w2.
-    means, wsums, sizes = [], [], []
-    for ti, wi in zip(targets, weights):
-        means.append(float(ti))
-        wsums.append(float(wi))
-        sizes.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            wm = wsums[-2] + wsums[-1]
-            means[-2] = (means[-2] * wsums[-2] + means[-1] * wsums[-1]) / wm
-            wsums[-2] = wm
-            sizes[-2] += sizes[-1]
-            means.pop()
-            wsums.pop()
-            sizes.pop()
-    return np.repeat(means, sizes)
-
-
 def test_pava_bytes_match_list_reference():
     # pava and enumerate_options share one pooling loop, so comparing them
     # cannot see a change to its arithmetic; this pins it independently.
@@ -74,7 +57,9 @@ def test_pava_bytes_match_list_reference():
         L = int(rng.integers(0, 12))
         targets = rng.normal(size=L) * 3.0
         weights = rng.random(L) + 0.1
-        assert pava(targets, weights).tobytes() == _list_pava(targets, weights).tobytes()
+        got = pava(targets, weights)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == ref.pava(targets, weights).tobytes()
 
 
 def test_pava_kkt_certificate():
@@ -99,8 +84,8 @@ def test_pava_kkt_certificate():
 def test_solve_ordering_symmetric_pair():
     scenario = WaypointScenario(e=[0.0, 0.0], k=[1.0, 1.0], D=2.0)
     x = solve_ordering(scenario, (0, 1))
-    np.testing.assert_allclose(x, [-1.0, 1.0])
-    np.testing.assert_allclose(scenario.k * x**2, [1.0, 1.0])
+    assert x == (-1.0, 1.0)
+    np.testing.assert_allclose(np.array(scenario.k) * np.array(x) ** 2, [1.0, 1.0])
 
 
 def test_solve_ordering_single_tight_constraint():
@@ -122,7 +107,7 @@ def test_solve_ordering_feasible_and_optimal():
         D = float(rng.random() + 0.5)
         order = tuple(rng.permutation(n))
         scenario = WaypointScenario(e=e, k=k, D=D)
-        x = solve_ordering(scenario, order)
+        x = np.array(solve_ordering(scenario, order))
         arrivals = e + x
         for t in range(n - 1):
             assert arrivals[order[t + 1]] - arrivals[order[t]] >= D - 1e-9
@@ -141,7 +126,7 @@ def test_solve_ordering_relabel_equivariance():
         k = rng.random(n) + 0.3
         order = tuple(rng.permutation(n))
         relabel = rng.permutation(n)
-        x = solve_ordering(WaypointScenario(e=e, k=k, D=1.0), order)
+        x = np.array(solve_ordering(WaypointScenario(e=e, k=k, D=1.0), order))
         x2 = solve_ordering(
             WaypointScenario(e=e[relabel], k=k[relabel], D=1.0),
             tuple(int(np.where(relabel == i)[0][0]) for i in order),
@@ -178,14 +163,14 @@ def test_enumerate_options_symmetric_two_agents():
     problem = enumerate_options(scenario, b=[1.0, 1.0])
     assert problem.m == 2
     assert problem.option_labels == ["order(0,1)", "order(1,0)"]
-    np.testing.assert_allclose(problem.C, [[1.0, 1.0], [1.0, 1.0]])
+    np.testing.assert_allclose(C_of(problem), [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_enumerate_options_single_agent():
     problem = enumerate_options(WaypointScenario(e=[3.0], k=[2.0], D=1.0), b=[1.0])
     assert (problem.n, problem.m) == (1, 1)
     assert problem.option_labels == ["order(0)"]
-    np.testing.assert_allclose(problem.C, [[0.0]])
+    np.testing.assert_allclose(C_of(problem), [[0.0]])
 
 
 def test_enumerate_options_lexicographic():
@@ -198,15 +183,17 @@ def test_enumerate_options_lexicographic():
     for j, perm in enumerate(
         [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     ):
-        x = solve_ordering(scenario, perm)
-        assert problem.C[:, j].tobytes() == (scenario.k * x**2).tobytes()
+        x = np.array(solve_ordering(scenario, perm))
+        assert C_of(problem)[:, j].tobytes() == (np.array(scenario.k) * x**2).tobytes()
 
 
 def test_enumerate_options_bytes_match_solve_ordering():
-    # The prefix-sharing walk must reproduce every per-ordering solve bit for
-    # bit, including the C-contiguous layout that fixes C.mean()'s summation
-    # order (the montecarlo epsilon column is epsilon_rel * C.mean()). The
-    # last instances have n = 7, the cap: 5040 orderings each.
+    # The prefix-sharing walk and solve_ordering must both reproduce the array
+    # reference's per-ordering solve bit for bit (the reference shares no
+    # pooling code with them), and the rows, read in row-major order as a
+    # C-contiguous array, must give C.mean()'s summation order (the montecarlo
+    # epsilon column is epsilon_rel * C.mean()). The last instances have
+    # n = 7, the cap: 5040 orderings each.
     rng = np.random.default_rng(5)
     for trial in range(1022):
         n = 1 + trial % 6 if trial < 1020 else 7
@@ -215,15 +202,18 @@ def test_enumerate_options_bytes_match_solve_ordering():
             e=rng.uniform(0.0, n * D, size=n), k=rng.uniform(0.5, 2.0, size=n), D=D
         )
         problem = enumerate_options(scenario, b=np.ones(n))
-        columns = [
-            scenario.k * solve_ordering(scenario, perm) ** 2
-            for perm in itertools.permutations(range(n))
-        ]
-        assert problem.C.flags.c_contiguous
-        assert problem.C.shape == (n, len(columns))
+        k = np.array(scenario.k)
+        columns = []
+        for perm in itertools.permutations(range(n)):
+            x = ref.solve_ordering(scenario, perm)
+            assert np.array(solve_ordering(scenario, perm)).tobytes() == x.tobytes(), (trial, perm)
+            columns.append(k * x**2)
+        C = C_of(problem)
+        assert C.flags.c_contiguous
+        assert C.shape == (n, len(columns))
         for j, column in enumerate(columns):
-            assert problem.C[:, j].tobytes() == column.tobytes(), (trial, j)
-        assert problem.C.mean().tobytes() == np.column_stack(columns).mean().tobytes()
+            assert C[:, j].tobytes() == column.tobytes(), (trial, j)
+        assert C.mean().tobytes() == np.column_stack(columns).mean().tobytes()
 
 
 def test_enumerate_options_agent_cap():
@@ -235,13 +225,13 @@ def test_enumerate_options_agent_cap():
 def test_random_problem_deterministic_and_in_range():
     a = random_problem(3, 5, np.random.default_rng(9))
     b = random_problem(3, 5, np.random.default_rng(9))
-    np.testing.assert_array_equal(a.C, b.C)
-    np.testing.assert_array_equal(a.b, b.b)
+    np.testing.assert_array_equal(C_of(a), C_of(b))
+    np.testing.assert_array_equal(b_of(a), b_of(b))
     c = random_problem(3, 5, np.random.default_rng(10))
-    assert not np.array_equal(a.C, c.C)
-    assert a.C.shape == (3, 5)
-    assert ((a.C >= 0) & (a.C < 1)).all()
-    assert ((a.b > 0) & (a.b < 1)).all()
+    assert not np.array_equal(C_of(a), C_of(c))
+    assert C_of(a).shape == (3, 5)
+    assert ((C_of(a) >= 0) & (C_of(a) < 1)).all()
+    assert ((b_of(a) > 0) & (b_of(a) < 1)).all()
 
 
 def test_generators_take_a_numpy_generator_or_a_stream():
@@ -277,12 +267,12 @@ def test_random_problem_redraws_zero_valuations_in_order():
 def test_random_waypoint_problem_deterministic_and_positive():
     a = random_waypoint_problem(3, np.random.default_rng(21))
     b = random_waypoint_problem(3, np.random.default_rng(21))
-    np.testing.assert_array_equal(a.C, b.C)
-    np.testing.assert_array_equal(a.b, b.b)
+    np.testing.assert_array_equal(C_of(a), C_of(b))
+    np.testing.assert_array_equal(b_of(a), b_of(b))
     assert (a.n, a.m) == (3, 6)
-    assert a.C.sum(axis=0).min() > 0
-    assert ((a.b >= 0.5) & (a.b < 1.5)).all()
-    assert (a.C >= 0).all()
+    assert C_of(a).sum(axis=0).min() > 0
+    assert ((b_of(a) >= 0.5) & (b_of(a) < 1.5)).all()
+    assert (C_of(a) >= 0).all()
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -299,6 +289,6 @@ def test_random_waypoint_problem_rejects_fewer_than_two_agents(n):
 def test_example2_fixture_values():
     problem = example2_fixture()
     assert (problem.n, problem.m) == (2, 2)
-    np.testing.assert_allclose(problem.C, [[10.0, 4.0], [7.0, 9.0]])
-    np.testing.assert_allclose(problem.b, [0.8, 1.2])
+    np.testing.assert_allclose(C_of(problem), [[10.0, 4.0], [7.0, 9.0]])
+    np.testing.assert_allclose(b_of(problem), [0.8, 1.2])
     assert problem.option_labels == ["option-1", "option-2"]

@@ -11,6 +11,7 @@ lowest index wins it: one such instance is pinned.
 import numpy as np
 import pytest
 
+from _oracles import C_of
 from _replay import row_bytes
 from tacosim.baselines import ChoiceProblem
 from tacosim.engine import TacoConfig, run_taco
@@ -37,7 +38,7 @@ def _instances():
     for _ in range(100):
         problem = random_waypoint_problem(4, rng)
         order = tuple(rng.permutation(4).tolist())
-        eps = 1e-3 * float(problem.C.mean())
+        eps = 1e-3 * float(C_of(problem).mean())
         out.append((TacoConfig(epsilon=eps, d0="1/50", gamma="9/10", turn_order=order), problem))
     return out
 
@@ -148,7 +149,7 @@ def test_option_relabelling_moves_a_zero_cost_tie(backend):
     )
     defaults = ExperimentConfig()
     config = TacoConfig(
-        epsilon=1e-3 * float(problem.C.mean()), d0=defaults.d0, gamma=defaults.gamma
+        epsilon=1e-3 * float(C_of(problem).mean()), d0=defaults.d0, gamma=defaults.gamma
     )
     base = run_taco(config, problem.agents(), backend=backend)
     run = run_taco(config, relabelled.agents(), backend=backend)

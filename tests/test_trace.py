@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _oracles import C_of
 from _replay import row_bytes, verify_run
 from tacosim import _fastpath
 from tacosim.baselines import ChoiceProblem
@@ -104,7 +105,7 @@ def test_trace_rows_are_read_only(monkeypatch):
     # spans two rounds, so its rows are rebuilt; its second spans one, so its
     # rows are copies of the kernel's cached ones.
     problem = random_problem(3, 4, np.random.default_rng(1))
-    config = TacoConfig(epsilon=1e-3 * float(problem.C.mean()), d0=1, gamma="7/10")
+    config = TacoConfig(epsilon=1e-3 * float(C_of(problem).mean()), d0=1, gamma="7/10")
     run_window = _fastpath.run_window
     windows = []
 

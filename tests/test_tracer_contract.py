@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import tacosim
+from _oracles import C_of
 from tacosim import engine
 from tacosim.engine import TacoConfig
 from tacosim.scenario import random_problem
@@ -30,7 +31,7 @@ def _load_spans():
 
 def test_tracer_wraps_the_engine_call_path():
     problem = random_problem(3, 4, np.random.default_rng(1))
-    config = TacoConfig(epsilon=1e-3 * float(problem.C.mean()), d0=1, gamma="7/10")
+    config = TacoConfig(epsilon=1e-3 * float(C_of(problem).mean()), d0=1, gamma="7/10")
     tracer = _load_spans().Tracer()
     original = engine.apply_selection
     tracer.install()
