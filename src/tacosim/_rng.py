@@ -5,15 +5,18 @@ bit on Python ints rather than loading ``numpy.random``:
 
 - ``seed_words(path, count)`` is ``SeedSequence(list(path)).generate_state(count)``:
   the path's entries as 32-bit words, least significant first, hashed into a
-  pool of four words and hashed out again (O'Neill's seed_seq_fe);
+  pool of four words and hashed out again (O'Neill's seed_seq_fe), as the
+  batch of one of ``seed_words_many(paths, count)``, which hashes each path
+  in a 96-bit lane of one int (Fisher and Dietz, "Compiling for SIMD Within
+  a Register", LCPC 1998);
 - ``Stream(path)`` is ``Generator(PCG64(SeedSequence(list(path))))``: a PCG
   XSL-RR 128/64 generator (O'Neill, "PCG: A Family of Simple Fast
   Space-Efficient Statistically Good Algorithms for Random Number
-  Generation", 2014) seeded from eight such words, with the ``random``,
-  ``uniform`` and ``integers(high)`` draws of numpy's ``Generator``. Bounded
-  integers use Lemire's method ("Fast Random Integer Generation in an
-  Interval", ACM TOMACS 2019), 32-bit draws taking the halves of one 64-bit
-  output in turn.
+  Generation", 2014) seeded from eight such words (``Stream(words=...)``
+  takes them precomputed), with the ``random``, ``uniform`` and
+  ``integers(high)`` draws of numpy's ``Generator``. Bounded integers use
+  Lemire's method ("Fast Random Integer Generation in an Interval", ACM
+  TOMACS 2019), 32-bit draws taking the halves of one 64-bit output in turn.
 
 ``tests/test_rng.py`` holds both to numpy's own ``SeedSequence``, ``PCG64``
 and ``Generator``, bit for bit, refusals included.
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import struct
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -68,31 +73,61 @@ def _pool_plan(n_words: int):
     return consts[:4], tuple((src, dst, x, m) for (src, dst), (x, m) in zip(steps, consts[4:]))
 
 
-def seed_words(path, count: int) -> list[int]:
-    """numpy's ``SeedSequence(list(path)).generate_state(count)``, as ints."""
-    words = []
-    for entry in path:
-        if entry < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(entry & _MASK32)
-        while entry := entry >> 32:
+def seed_words_many(paths, count: int) -> list[list[int]]:
+    """``seed_words(path, count)`` of each path, in order, all checked before any is hashed.
+
+    Paths of one word count are hashed together, each a 96-bit lane of one int: a lane
+    holds a 32-bit word times a 32-bit constant, plus the ``2**64`` that keeps a mix's
+    difference non-negative, so no carry or borrow crosses lanes. ``v >> 16`` pulls in
+    the next lane's low bits, so lanes are masked back to 32 bits after it.
+    """
+    groups: dict[int, list] = {}
+    for i, path in enumerate(paths):
+        words = []
+        for entry in map(operator.index, path):
+            if entry < 0:
+                raise ValueError("expected non-negative integer")
             words.append(entry & _MASK32)
-    fill, steps = _pool_plan(len(words))
-    pool = []
-    for w, (x, m) in zip(words[:4] + [0] * (4 - len(words)), fill):
-        v = (w ^ x) * m & _MASK32
-        pool.append(v ^ v >> 16)
+            while entry := entry >> 32:
+                words.append(entry & _MASK32)
+        groups.setdefault(len(words), []).append((i, words))
+    out: list = [None] * sum(map(len, groups.values()))
+    for n_words, group in groups.items():
+        at, words = zip(*group)
+        for i, w in zip(at, _hash_lanes(words, n_words, count)):
+            out[i] = w
+    return out
+
+
+def _hash_lanes(words, n_words: int, count: int) -> list[list[int]]:
+    """seed_seq_fe over paths of n_words words each, one lane per path."""
+    lanes = len(words)
+    ones = int.from_bytes((b"\1" + bytes(11)) * lanes, "little")
+    mask, bias = _MASK32 * ones, ones << 64
+    # Word j of every path as one int, padded with zeros to the pool's four.
+    lane = "<" + "I8x" * lanes
+    cols = [int.from_bytes(struct.pack(lane, *column), "little") for column in zip(*words)]
+    cols += [0] * (4 - n_words)
+    fill, steps = _pool_plan(n_words)
+    for j, (x, m) in enumerate(fill):
+        v = (cols[j] ^ x * ones) * m & mask
+        cols[j] = (v ^ v >> 16) & mask
     # The pool replaces the first four words; the rest stay sources.
-    words[:4] = pool
     for src, dst, x, m in steps:
-        v = (words[src] ^ x) * m & _MASK32
-        r = (_MIX_L * words[dst] - _MIX_R * (v ^ v >> 16)) & _MASK32
-        words[dst] = r ^ r >> 16
+        v = (cols[src] ^ x * ones) * m & mask
+        r = (_MIX_L * cols[dst] + bias - _MIX_R * ((v ^ v >> 16) & mask)) & mask
+        cols[dst] = (r ^ r >> 16) & mask
     out = []
     for i, (x, m) in enumerate(_hash_consts(_INIT_B, _MULT_B, count)):
-        v = (words[i & 3] ^ x) * m & _MASK32
-        out.append(v ^ v >> 16)
-    return out
+        v = (cols[i & 3] ^ x * ones) * m & mask
+        out.append(((v ^ v >> 16) & mask).to_bytes(12 * lanes, "little"))
+    flat = struct.unpack("<" + "I8x" * (lanes * count), b"".join(out))
+    return [list(flat[p::lanes]) for p in range(lanes)]
+
+
+def seed_words(path, count: int) -> list[int]:
+    """numpy's ``SeedSequence(list(path)).generate_state(count)``, as ints."""
+    return seed_words_many((path,), count)[0]
 
 
 def _shaped(flat: list, shape: tuple[int, ...]) -> list:
@@ -114,8 +149,8 @@ class Stream:
 
     __slots__ = ("_state", "_inc", "_half")
 
-    def __init__(self, path) -> None:
-        w0, w1, w2, w3, w4, w5, w6, w7 = seed_words(path, 8)
+    def __init__(self, path=None, *, words=None) -> None:
+        w0, w1, w2, w3, w4, w5, w6, w7 = seed_words(path, 8) if words is None else words
         # PCG64 reads the eight words as four little-endian 64-bit halves:
         # initstate w1:w0:w3:w2 and initseq w5:w4:w7:w6, high to low.
         inc = ((w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 | 1) & _MASK128

@@ -20,8 +20,9 @@ the base seed (montecarlo/sweep/interrupt: (base_seed, trial); scalability:
 (base_seed, n, m, trial)). Stream k of a point is numpy's
 default_rng(SeedSequence(path + (k,))), a PCG64 stream, with k=0 for
 instance sampling, k=1 for voting tie-breaks, k=2 for the random dictator.
-The CSV "seed" column is SeedSequence(path).generate_state(1)[0]. Both are
-computed in Python ints (``_rng``) and tested against numpy, so a CSV does
+The CSV "seed" column is SeedSequence(path).generate_state(1)[0], a 32-bit
+hash that does not give the path back. Both are computed in Python ints
+(``_rng``, ``_BATCH`` points a call) and tested against numpy, so a CSV does
 not depend on the installed numpy: NEP 19 fixes a bit generator's stream
 across numpy versions, but not the ``Generator`` methods that turn it into
 draws.
@@ -42,7 +43,7 @@ from . import _rng, baselines, engine, scenario
 from .board import exact
 from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
-from .metrics import TrialResult, _stats, baseline_trial_result, taco_trial_result
+from .metrics import _result_cells, _stats, baseline_trial_result, taco_trial_result
 
 SCHEMA_VERSION = 1
 
@@ -253,24 +254,31 @@ def make_instance(cfg: ExperimentConfig, rng, trial: int | None = None):
     return problem, eps
 
 
-def _seed_column(path: tuple[int, ...]) -> int:
-    return _rng.seed_words(path, 1)[0]
-
-
-def _stream(path: tuple[int, ...], k: int) -> _rng.Stream:
-    return _rng.Stream(path + (k,))
-
-
 # A config's gamma and d0 cells: one string per value, shared by its records.
 _text = functools.lru_cache(maxsize=64, typed=True)(str)
 
 
-def _run_point(point: _Point) -> list[tuple]:
+_BATCH = 32  # points whose seed paths one _rng.seed_words_many call hashes
+
+
+def _run_chunk(points: list[_Point]) -> list[tuple]:
+    """The points' records, in order, seeding _BATCH points at a time."""
+    records = []
+    for at in range(0, len(points), _BATCH):
+        batch = points[at : at + _BATCH]
+        paths = [p.seed_path + k for p in batch for k in ((0,), (1,), (2,), ())]
+        words = _rng.seed_words_many(paths, 8)
+        for i, point in enumerate(batch):
+            records += _run_point(point, words[4 * i : 4 * i + 4])
+    return records
+
+
+def _run_point(point: _Point, words: list[list[int]]) -> list[tuple]:
+    """A point's records, from the seed words of path + (0,), (1,), (2,) and of path."""
     cfg = point.cfg
-    path = point.seed_path
-    problem, eps = make_instance(cfg, _stream(path, 0), point.trial)
+    problem, eps = make_instance(cfg, _rng.Stream(words=words[0]), point.trial)
     n = problem.n
-    seed = _seed_column(path)
+    seed = words[3][0]
     instance = (n, problem.m, _text(cfg.gamma), eps, _text(cfg.d0))
     tail = (point.interrupt_step,)
     # An option column's cost cells, formatted once per trial. No cost is
@@ -304,9 +312,9 @@ def _run_point(point: _Point) -> list[tuple]:
                 )
         else:
             if mech == "voting":
-                choice = baselines.voting(problem, _stream(path, 1))
+                choice = baselines.voting(problem, _rng.Stream(words=words[1]))
             elif mech == "random_dictator":
-                choice = baselines.random_dictator(problem, _stream(path, 2))
+                choice = baselines.random_dictator(problem, _rng.Stream(words=words[2]))
             elif mech == "utilitarian":
                 choice = baselines.utilitarian(problem)
             else:
@@ -320,27 +328,17 @@ def _run_point(point: _Point) -> list[tuple]:
     return records
 
 
-def _result_cells(r: TrialResult, raw: tuple[str, ...], settled: tuple[str, ...]) -> tuple:
-    """A finished trial's cells from chosen_option through the cost blocks."""
-    metrics = (r.og_raw, r.og_settled, r.gini_raw, r.gini_settled, r.max_cycle_spread_ratio)
-    # NaN would be written "nan"; an undefined metric is a blank cell.
-    return (
-        r.chosen_option, r.steps, r.rounds, r.cycles_detected, "ok",
-        *[x if x == x else None for x in metrics],
-    ) + raw + settled
-
-
 def _execute(points: list[_Point], workers: int) -> list[tuple]:
     if workers > 1 and len(points) > 1:
         # Imported here: multiprocessing is ~18 ms of a serial sweep's start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(points) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_run_point, points, chunksize=chunk))
-    else:
-        nested = map(_run_point, points)
-    return [record for records in nested for record in records]
+        size = max(1, len(points) // (workers * 8))
+        chunks = [points[at : at + size] for at in range(0, len(points), size)]
+        # The pool starts all its workers at once: no more than there are chunks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            return [record for records in pool.map(_run_chunk, chunks) for record in records]
+    return _run_chunk(points)
 
 
 def record_columns(max_n: int) -> list[str]:

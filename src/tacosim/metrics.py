@@ -234,6 +234,16 @@ class TrialResult:
     max_cycle_spread_ratio: float
 
 
+def _result_cells(r: TrialResult, raw: tuple[str, ...], settled: tuple[str, ...]) -> tuple:
+    """A finished trial's cells from chosen_option through the cost blocks."""
+    metrics = (r.og_raw, r.og_settled, r.gini_raw, r.gini_settled, r.max_cycle_spread_ratio)
+    # NaN would be written "nan"; an undefined metric is a blank cell.
+    return (
+        r.chosen_option, r.steps, r.rounds, r.cycles_detected, "ok",
+        *[x if x == x else None for x in metrics],
+    ) + raw + settled
+
+
 def _nan_safe(metric, *args) -> float:
     try:
         return float(metric(*args))

@@ -17,7 +17,7 @@ from _replay import (
     row_bytes,
     verify_run,
 )
-from tacosim import _fastpath, board, engine, experiments
+from tacosim import _fastpath, _rng, board, engine, experiments
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
 from tacosim.board import CycleRecord
@@ -573,7 +573,7 @@ def test_headline_trial_follows_the_rational_rule():
     # Default montecarlo, base seed 3, trial 431: its instance is stream 0 of
     # the seed path (3, 431). The tacobench gate re-runs only trials 0-7.
     cfg = experiments.ExperimentConfig(base_seed=3)
-    problem, eps = experiments.make_instance(cfg, experiments._stream((3, 431), 0), 431)
+    problem, eps = experiments.make_instance(cfg, _rng.Stream((3, 431, 0)), 431)
     config = TacoConfig(epsilon=eps, d0=cfg.d0, gamma=cfg.gamma)
     runs = [run_taco(config, problem.agents(), backend=backend) for backend in BACKENDS]
     for outcome in runs:

@@ -1,5 +1,6 @@
 """Experiment driver: seeding, records, CSV schema, pairing, summaries, worked example."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -13,13 +14,11 @@ import numpy as np
 import pytest
 
 from _oracles import C_of, b_of, summary_stats
-from tacosim import _rng, experiments
+from tacosim import _rng, baselines, experiments
 from tacosim.example import run_example
 from tacosim.experiments import (
     MECHANISMS,
     ExperimentConfig,
-    _seed_column,
-    _stream,
     _widen,
     config_lines,
     make_instance,
@@ -30,7 +29,7 @@ from tacosim.experiments import (
     run_sweep_gamma,
     write_csv,
 )
-from tacosim.metrics import TrialResult, _stats, bound_report
+from tacosim.metrics import TrialResult, _result_cells, _stats, bound_report
 
 
 def _quick_cfg(**kw):
@@ -97,30 +96,30 @@ def test_config_lines_defaults():
 
 def test_make_instance_deterministic():
     cfg = _quick_cfg()
-    a, eps_a = make_instance(cfg, _stream((42, 0), 0))
-    b, eps_b = make_instance(cfg, _stream((42, 0), 0))
+    a, eps_a = make_instance(cfg, _rng.Stream((42, 0, 0)))
+    b, eps_b = make_instance(cfg, _rng.Stream((42, 0, 0)))
     np.testing.assert_array_equal(C_of(a), C_of(b))
     np.testing.assert_array_equal(b_of(a), b_of(b))
     assert eps_a == eps_b == 0.1
-    c, _ = make_instance(cfg, _stream((42, 1), 0))
+    c, _ = make_instance(cfg, _rng.Stream((42, 1, 0)))
     assert not np.array_equal(C_of(a), C_of(c))
 
 
 def test_make_instance_epsilon_resolution():
     rel = _quick_cfg(epsilon=None, epsilon_rel=1e-3)
-    problem, eps = make_instance(rel, _stream((42, 0), 0))
+    problem, eps = make_instance(rel, _rng.Stream((42, 0, 0)))
     assert eps == pytest.approx(1e-3 * float(C_of(problem).mean()))
     fixture_cfg = ExperimentConfig(scenario="example2", epsilon=0.5)
-    problem, eps = make_instance(fixture_cfg, _stream((42, 0), 0))
+    problem, eps = make_instance(fixture_cfg, _rng.Stream((42, 0, 0)))
     assert (problem.n, problem.m) == (2, 2) and eps == 0.5
     waypoint_cfg = ExperimentConfig(scenario="waypoint", n=3)
-    problem, _ = make_instance(waypoint_cfg, _stream((42, 0), 0))
+    problem, _ = make_instance(waypoint_cfg, _rng.Stream((42, 0, 0)))
     assert problem.m == 6  # one option per arrival ordering
 
 
 def test_seed_column_deterministic():
-    assert _seed_column((42, 0)) == _seed_column((42, 0))
-    assert _seed_column((42, 0)) != _seed_column((42, 1))
+    assert _rng.seed_words((42, 0), 1) == _rng.seed_words((42, 0), 1)
+    assert _rng.seed_words((42, 0), 1) != _rng.seed_words((42, 1), 1)
 
 
 @pytest.mark.parametrize("base", [0, 2**32 - 1, 2**32, 2**64 + 3])
@@ -132,8 +131,9 @@ def test_seed_path_entropy_is_the_int_list(base):
         assert _rng.seed_words(path, 4) == want.tolist()
     path = (base, 7)
     want = np.random.default_rng(np.random.SeedSequence([base, 7, 1])).random(3)
-    assert _stream(path, 1).random(3) == want.tolist()
-    assert _seed_column(path) == int(np.random.SeedSequence([base, 7]).generate_state(1)[0])
+    assert _rng.Stream(path + (1,)).random(3) == want.tolist()
+    want = np.random.SeedSequence([base, 7]).generate_state(1)
+    assert _rng.seed_words(path, 1) == want.tolist()
 
 
 @pytest.mark.parametrize("scenario", ["waypoint", "random"])
@@ -143,7 +143,7 @@ def test_make_instance_takes_a_numpy_generator_or_a_stream(scenario):
     for trial in range(20):
         numpy_rng = np.random.default_rng(np.random.SeedSequence([42, trial, 0]))
         a, eps_a = make_instance(cfg, numpy_rng)
-        b, eps_b = make_instance(cfg, _stream((42, trial), 0))
+        b, eps_b = make_instance(cfg, _rng.Stream((42, trial, 0)))
         assert (a.rows, a.valuations, eps_a) == (b.rows, b.valuations, eps_b)
         assert type(a.rows[0][0]) is type(b.valuations[0]) is float
 
@@ -171,9 +171,9 @@ def test_summary_statistics_are_numpys():
 
 def test_make_instance_refuses_a_nonfinite_relative_epsilon():
     cfg = ExperimentConfig(epsilon_rel=1e308)
-    problem, _ = make_instance(ExperimentConfig(), _stream((42, 3), 0))
+    problem, _ = make_instance(ExperimentConfig(), _rng.Stream((42, 3, 0)))
     with pytest.raises(ValueError) as err:
-        make_instance(cfg, _stream((42, 3), 0), 3)
+        make_instance(cfg, _rng.Stream((42, 3, 0)), 3)
     mean = float(C_of(problem).mean())
     assert str(err.value) == (
         f"trial 3: epsilon_rel * mean(C) = 1e+308 * {mean!r} = inf "
@@ -219,6 +219,96 @@ def test_run_montecarlo_deterministic_and_worker_invariant(tmp_path):
     assert (tmp_path / "a" / "montecarlo.csv").read_bytes() == (
         tmp_path / "c" / "montecarlo.csv"
     ).read_bytes()
+
+
+_CELL = {name: i for i, name in enumerate(experiments.HEAD_COLUMNS)}
+
+
+def _assert_seeded_by_path(records, cfg_of, path_of):
+    """Each record's seed cell is numpy's SeedSequence(path).generate_state(1)[0],
+    and its instance and tie-breaks come from numpy's streams of path + (k,):
+    k = 0 for the instance, 1 for voting, 2 for the random dictator."""
+    for r in records:
+        path = list(path_of(r))
+        rng = lambda k: np.random.default_rng(np.random.SeedSequence(path + [k]))
+        assert r[_CELL["seed"]] == int(np.random.SeedSequence(path).generate_state(1)[0])
+        problem, _ = make_instance(cfg_of(r), rng(0))
+        want = {
+            "utilitarian": baselines.utilitarian(problem),
+            "voting": baselines.voting(problem, rng(1)),
+            "random_dictator": baselines.random_dictator(problem, rng(2)),
+        }
+        if r[_CELL["mechanism"]] in want:
+            assert r[_CELL["chosen_option"]] == want[r[_CELL["mechanism"]]], r
+
+
+def test_seed_batches_keep_every_trials_records():
+    # Points are seeded _BATCH at a time. At trial counts on and around those
+    # batches, serial and pooled, every trial keeps the same records.
+    batch = experiments._BATCH
+    by_trial = {}
+    for trials in (1, 2 * batch - 1, 2 * batch, 2 * batch + 1, 4 * batch + 1):
+        serial, pooled = (
+            run_montecarlo(_quick_cfg(trials=trials, workers=w)).records for w in (1, 2)
+        )
+        assert serial == pooled
+        for r in serial:
+            assert by_trial.setdefault((r[0], r[2]), r) == r
+    assert len(by_trial) == (4 * batch + 1) * len(MECHANISMS)
+    _assert_seeded_by_path(by_trial.values(), lambda r: _quick_cfg(), lambda r: (42, r[0]))
+
+
+def test_multiword_seed_paths(tmp_path):
+    # A base seed of 2**32 or more is two words of the path (base, n, m, trial).
+    base = 2**32 + 5
+    cfg = _quick_cfg(trials=3, base_seed=base)
+    res = run_scalability(cfg, [2, 3], [2, 5], tmp_path / "a")
+    pooled = run_scalability(dataclasses.replace(cfg, workers=2), [2, 3], [2, 5])
+    assert pooled.records == res.records
+    _assert_seeded_by_path(
+        res.records,
+        lambda r: dataclasses.replace(cfg, n=r[_CELL["n"]], m=r[_CELL["m"]]),
+        lambda r: (base, r[_CELL["n"]], r[_CELL["m"]], r[0]),
+    )
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that maps in-process and records
+    its max_workers and the chunk sizes it was given."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append([max_workers])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        self.made[-1].append([len(c) for c in chunks])
+        return map(fn, chunks)
+
+
+@pytest.mark.parametrize(
+    "trials, workers, pool_size", [(3, 64, 3), (2, 2, 2), (40, 5, 5), (100, 2, 2)]
+)
+def test_the_pool_starts_no_more_workers_than_chunks(monkeypatch, trials, workers, pool_size):
+    # The pool starts all of its workers at its first task, so it is capped at
+    # the number of chunks; the configured count stays in the summary header.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    cfg = _quick_cfg(trials=trials, workers=workers, mechanisms=("utilitarian",))
+    res = run_montecarlo(cfg)
+    [(made, sizes)] = _RecordingPool.made
+    assert made == pool_size
+    size = max(1, trials // (workers * 8))
+    assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
+    assert sum(sizes) == trials
+    assert res.records == run_montecarlo(dataclasses.replace(cfg, workers=1)).records
+    assert f"workers = {workers}" in res.summary_text
 
 
 def test_run_sweep_gamma_pairs_instances(tmp_path):
@@ -464,7 +554,7 @@ def test_nan_metric_writes_an_empty_cell(tmp_path):
         og_raw=0.0, og_settled=math.nan, gini_raw=1 / 6, gini_settled=math.nan,
         max_cycle_spread_ratio=0.5,
     )
-    cells = experiments._result_cells(result, ("1.0", "2.0"), ("1.5", "-1.5"))
+    cells = _result_cells(result, ("1.0", "2.0"), ("1.5", "-1.5"))
     assert cells == (1, 4, 2, 1, "ok", 0.0, None, 1 / 6, None, 0.5, "1.0", "2.0", "1.5", "-1.5")
     record = (0, 11, "taco", 2, 3, "9/10", 0.1, "1") + cells + (0,)
     path = tmp_path / "nan.csv"

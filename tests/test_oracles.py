@@ -18,12 +18,12 @@ import _oracles as ref
 from _oracles import C_of, b_of
 from _replay import span_counts
 from tacosim import _fastpath, baselines, engine, metrics
+from tacosim._rng import Stream
 from tacosim.baselines import ChoiceProblem, _sum
 from tacosim.engine import TacoConfig, check_termination, run_interrupted, run_taco
 from tacosim.errors import MetricUndefinedError
 from tacosim.experiments import (
     ExperimentConfig,
-    _stream,
     make_instance,
     run_interrupt,
     run_scalability,
@@ -93,7 +93,7 @@ def test_instance_mean_and_column_sums_match_numpy():
     for scenario, n, m, trials in shapes:
         cfg = ExperimentConfig(scenario=scenario, n=n, m=m or 24)
         for trial in range(trials):
-            problem, eps = make_instance(cfg, _stream((13, n, trial), 0))
+            problem, eps = make_instance(cfg, Stream((13, n, trial, 0)))
             assert _bits(eps) == _bits(cfg.epsilon_rel * C_of(problem).mean()), (n, m, trial)
             assert np.array(problem.col_sums).tobytes() == C_of(problem).sum(axis=0).tobytes()
             assert type(problem.col_sums) is tuple

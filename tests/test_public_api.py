@@ -16,8 +16,8 @@ def test_all_names_resolve_under_star_import():
 
 
 # With numpy blocked (an import of it raises ImportError): one auction, every
-# CLI command with its files, and the instance types, solvers and one refusal
-# on lists and tuples.
+# CLI command with its files (montecarlo also through the process pool), and
+# the instance types, solvers and one refusal on lists and tuples.
 _RUN_PATH = """
 import contextlib, io, sys, tempfile
 from pathlib import Path
@@ -33,11 +33,15 @@ commands = [
 ]
 with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main([*cmd, "--out-dir", f"{out}/{cmd[0]}"]) for cmd in commands]
+    # Pool workers run the chunks with numpy blocked too.
+    codes += [cli.main(["montecarlo", *tiny, "--workers", "2", "--out-dir", f"{out}/pool"])]
     codes += [cli.main(["example", "--out", f"{out}/example"]), cli.main(["bound"]),
               cli.main(["show-config"])]
     files = sorted(str(p.relative_to(out)) for p in Path(out).rglob("*.*"))
+    pooled = (Path(out) / "pool/montecarlo.csv").read_bytes()
+    same = pooled == (Path(out) / "montecarlo/montecarlo.csv").read_bytes()
 print(codes)
-print(files)
+print(files, same)
 problem = tacosim.ChoiceProblem(n=2, m=2, C=[(1, 2), [3.0, 4.0]], b=(1, 2.5))
 print(problem.rows, problem.valuations, problem.agents()[1].cost_row)
 print(tacosim.AgentPrivate(index=0, valuation=1.0, cost_row=[1, 2]).cost_row)
@@ -62,12 +66,13 @@ def test_numpy_stays_off_the_run_path():
         "example/example_summary.txt", "example/example_trace.csv",
         "interrupt/interrupt.csv", "interrupt/interrupt_summary.txt",
         "montecarlo/montecarlo.csv", "montecarlo/montecarlo_summary.txt",
+        "pool/montecarlo.csv", "pool/montecarlo_summary.txt",
         "scalability/scalability.csv", "scalability/scalability_summary.txt",
         "sweep-gamma/sweep_gamma.csv", "sweep-gamma/sweep_gamma_summary.txt",
     ]
     assert out.split("\n") == [
-        "[0, 0, 0, 0, 0, 0, 0]",
-        str(files),
+        "[0, 0, 0, 0, 0, 0, 0, 0]",
+        f"{files} True",
         "((1.0, 2.0), (3.0, 4.0)) (1.0, 2.5) (3.0, 4.0)",
         "(1.0, 2.0)",
         "(0.75, 0.75) (-0.75, 0.75)",

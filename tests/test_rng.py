@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tacosim._rng import Stream, seed_words
+from tacosim import _rng
+from tacosim._rng import Stream, seed_words, seed_words_many
 
 # Entries at the word boundaries: one word, the largest one-word entry, the
 # smallest two-word entry, and three words.
@@ -52,6 +53,31 @@ def test_streams_match_numpy_on_2000_paths():
         assert _draws(Stream(path), picked) == _draws(_numpy_stream(path), picked), path
 
 
+# numpy integers of one, two and three words, beside the Python ints.
+NUMPY_ENTRIES = (np.uint32(2**32 - 1), np.int8(7), np.int64(2**33 + 5), np.uint64(2**64 - 1))
+
+
+def _words(entry) -> int:
+    return max(1, -(-int(entry).bit_length() // 32))
+
+
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_a_batch_is_each_paths_words_in_order(count):
+    # One call over paths of one to six words, mixed in random order: the
+    # paths of each word count are hashed together and put back in place.
+    rng = np.random.default_rng(27)
+    entries = EDGES + NUMPY_ENTRIES + (5, 2**40 + 1)
+    paths = []
+    while len(paths) < 300:
+        path = tuple(entries[i] for i in rng.integers(len(entries), size=rng.integers(1, 5)))
+        if sum(map(_words, path)) <= 6:
+            paths.append(path)
+    assert {sum(map(_words, p)) for p in paths} == {1, 2, 3, 4, 5, 6}
+    want = [np.random.SeedSequence(list(p)).generate_state(count).tolist() for p in paths]
+    assert seed_words_many(paths, count) == want
+    assert seed_words_many(paths[:1], count) == want[:1] and seed_words_many([], count) == []
+
+
 def test_draws_are_python_numbers():
     s = Stream((42, 0))
     assert type(s.random()) is float and type(s.uniform(1, 2)) is float
@@ -89,7 +115,10 @@ def test_stream_refusals_are_numpys(draw):
 
 
 @pytest.mark.parametrize("path", [(-1,), (5, -1), (2**64, 3, -(2**40))])
-def test_negative_entries_are_refused_as_numpy_refuses_them(path):
+def test_negative_entries_are_refused_as_numpy_refuses_them(monkeypatch, path):
     want = _refusal(lambda: np.random.SeedSequence(list(path)))
     assert _refusal(lambda: seed_words(path, 1)) == want
     assert _refusal(lambda: Stream(path)) == want
+    # Anywhere in a batch, and before any of the batch is hashed.
+    monkeypatch.setattr(_rng, "_hash_lanes", None)
+    assert _refusal(lambda: seed_words_many([(7,), (8, 9), path, (1, 2)], 8)) == want
