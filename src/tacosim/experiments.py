@@ -9,11 +9,11 @@ A point returns one record per mechanism: a tuple in CSV column order for the
 instance's own n (``record_columns``). Ints stay ints, ``gamma`` and ``d0``
 are exact rational strings, float cells are Python floats, and a blank cell
 (an undefined metric, a capped trial's missing fields) is None. The cost cells
-are ``repr`` strings, formatted once per option column of a trial and shared
-by every mechanism that picked it. ``write_csv`` joins a record's cells
-with "," and ends the line with "\\r\\n", None as an empty cell and any other
-cell as its ``str`` (a float's ``repr``): ``csv.writer``'s bytes, as no cell
-needs quoting. The summary reads the floats as they are.
+are the instance's floats, shared by every mechanism that picked their option.
+``write_csv`` joins a record's cells with "," and ends the line with "\\r\\n",
+None as an empty cell and any other cell as its ``str`` (a float's ``repr``),
+each distinct cell object of a point formatted once: ``csv.writer``'s bytes,
+as no cell needs quoting. The summary reads the floats as they are.
 
 Seeding rule: each point owns a seed path, a tuple of integers starting with
 the base seed (montecarlo/sweep/interrupt: (base_seed, trial); scalability:
@@ -144,7 +144,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"epsilon_rel must be a positive finite real, got {self.epsilon_rel}"
             )
-        self.mechanisms = _list_entries(tuple(self.mechanisms), "mechanism")
+        self.mechanisms = _list_entries(self.mechanisms, "mechanism", str)
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}; expected subset of {MECHANISMS}")
@@ -281,9 +281,6 @@ def _run_point(point: _Point, words: list[list[int]]) -> list[tuple]:
     seed = words[3][0]
     instance = (n, problem.m, _text(cfg.gamma), eps, _text(cfg.d0))
     tail = (point.interrupt_step,)
-    # An option column's cost cells, formatted once per trial. No cost is
-    # NaN: C is finite, and a settled cost is a finite cost minus b * p.
-    cost_cells = functools.cache(lambda j: tuple(map(repr, problem.col(j))))
     # A baseline's cells depend on its column only.
     baseline_cells: dict[int, tuple] = {}
     records = []
@@ -305,11 +302,7 @@ def _run_point(point: _Point, words: list[list[int]]) -> list[tuple]:
             except HistoryLimitError:
                 cells = (None,) * 4 + ("history_cap",) + (None,) * (5 + 2 * n)
             else:
-                result = taco_trial_result(problem, outcome)
-                cells = _result_cells(
-                    result, cost_cells(result.chosen_option),
-                    tuple(map(repr, result.settled_costs)),
-                )
+                cells = _result_cells(taco_trial_result(problem, outcome))
         else:
             if mech == "voting":
                 choice = baselines.voting(problem, _rng.Stream(words=words[1]))
@@ -322,8 +315,7 @@ def _run_point(point: _Point, words: list[list[int]]) -> list[tuple]:
             cells = baseline_cells.get(choice)
             if cells is None:
                 result = baseline_trial_result(problem, mech, choice)
-                raw = cost_cells(choice)
-                cells = baseline_cells[choice] = _result_cells(result, raw, raw)
+                cells = baseline_cells[choice] = _result_cells(result)
         records.append((point.trial, seed, mech) + instance + cells + tail)
     return records
 
@@ -359,12 +351,27 @@ def _widen(record: tuple, max_n: int) -> tuple:
     return record[:split] + pad + record[split:-1] + pad + record[-1:]
 
 
-def write_csv(path: Path, records: list[tuple], columns: list[str]) -> None:
-    """The header, then each record (as wide as columns) as ``csv.writer`` wrote it."""
+def write_csv(path: Path, records, columns: list[str]) -> None:
+    """The header, then each record (as wide as columns) as ``csv.writer`` wrote it.
+
+    A point's records share cell objects, so each is formatted once: the memo
+    is keyed by id and holds the cell, so that no id is reused while it lives,
+    and a new trial index starts a new memo. A memo keyed by value would write
+    -0.0 as 0.0, or True as 1.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        fh.writelines(",".join(["" if c is None else str(c) for c in r]) + "\r\n" for r in records)
+        trial = memo = None
+        for r in records:
+            if memo is None or r[0] != trial:
+                trial, memo = r[0], {id(None): (None, "")}
+            line = []
+            for c in r:
+                if (hit := memo.get(id(c))) is None:
+                    hit = memo[id(c)] = (c, str(c))
+                line.append(hit[1])
+            fh.write(",".join(line) + "\r\n")
 
 
 def _quantiles(values: list[float]) -> str:
@@ -451,11 +458,14 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
     return out
 
 
-def _list_entries(values, what):
-    """values, refused if empty or if an entry repeats an earlier one by value.
-
-    A repeated entry would run its trials twice and count them twice.
+def _list_entries(values, what, convert):
+    """The entries of values, converted, as a tuple; refused if values is a str
+    (read one character at a time), if empty, or if an entry repeats an
+    earlier one by value: it would run its trials twice and count them twice.
     """
+    if isinstance(values, str):
+        raise ValueError(f"the {what} list must be a list of entries, not the string {values!r}")
+    values = tuple(map(convert, values))
     if not values:
         raise ValueError(f"the {what} list must be nonempty")
     if dup := [v for k, v in enumerate(values) if v in values[:k]]:
@@ -471,7 +481,7 @@ def run_montecarlo(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRes
 
 def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) -> RunResult:
     """Monte Carlo per gamma; trial t sees the identical instance at every gamma."""
-    gammas = _list_entries([exact(g) for g in gammas], "gamma")
+    gammas = _list_entries(gammas, "gamma", exact)
     points = []
     for g in gammas:
         gcfg = dataclasses.replace(cfg, gamma=g)
@@ -482,7 +492,7 @@ def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) 
 
 def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> RunResult:
     """Forced-interruption sweep; step 0 means natural termination."""
-    steps = _list_entries([int(s) for s in steps], "interruption step")
+    steps = _list_entries(steps, "interruption step", int)
     for s in steps:
         if s < 0:
             raise ValueError(f"interruption steps must be >= 0, got {s}")
@@ -493,8 +503,8 @@ def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> 
 
 def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None = None) -> RunResult:
     """Grid over (n, m) with random Uniform(0,1) instances."""
-    n_list = _list_entries([int(v) for v in n_list], "n")
-    m_list = _list_entries([int(v) for v in m_list], "m")
+    n_list = _list_entries(n_list, "n", int)
+    m_list = _list_entries(m_list, "m", int)
     for v in n_list + m_list:
         if v < 1:
             raise ValueError(f"n and m list entries must be at least 1, got {v}")

@@ -234,14 +234,19 @@ class TrialResult:
     max_cycle_spread_ratio: float
 
 
-def _result_cells(r: TrialResult, raw: tuple[str, ...], settled: tuple[str, ...]) -> tuple:
-    """A finished trial's cells from chosen_option through the cost blocks."""
+def _result_cells(r: TrialResult) -> tuple:
+    """A finished trial's cells from chosen_option through the cost blocks.
+
+    The cost cells are the floats of ``raw_costs`` and ``settled_costs`` (a
+    baseline's settled tuple is its raw tuple). No cost is NaN: C is finite,
+    and a settled cost is a finite cost minus b * p.
+    """
     metrics = (r.og_raw, r.og_settled, r.gini_raw, r.gini_settled, r.max_cycle_spread_ratio)
     # NaN would be written "nan"; an undefined metric is a blank cell.
     return (
         r.chosen_option, r.steps, r.rounds, r.cycles_detected, "ok",
         *[x if x == x else None for x in metrics],
-    ) + raw + settled
+    ) + r.raw_costs + r.settled_costs
 
 
 def _nan_safe(metric, *args) -> float:

@@ -382,6 +382,23 @@ def test_a_repeated_list_entry_is_refused_before_any_trial(monkeypatch, run, mes
     assert executed == []
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda cfg: dataclasses.replace(cfg, mechanisms="taco"), "mechanism list .* 'taco'"),
+    (lambda cfg: run_sweep_gamma(cfg, "9/10"), "gamma list .* '9/10'"),
+    (lambda cfg: run_interrupt(cfg, "50"), "interruption step list .* '50'"),
+    (lambda cfg: run_scalability(cfg, "23", "45"), "n list .* '23'"),
+])
+def test_a_bare_string_list_is_refused_before_any_trial(monkeypatch, run, message):
+    # Read one character at a time, "50" would run steps 5 and 0 and "23"
+    # the grid n in {2, 3}; "9/10" would fail on "/" and "taco" on "t".
+    executed = []
+    monkeypatch.setattr(experiments, "_execute", lambda points, w: executed.append(w))
+    with pytest.raises(ValueError, match=f"^the {message}$") as caught:
+        run(_quick_cfg(trials=2, mechanisms=("taco",)))
+    assert "not the string" in str(caught.value)
+    assert executed == []
+
+
 def test_cap_rows_are_reported(tmp_path):
     cfg = ExperimentConfig(
         scenario="example2", trials=1, epsilon=1e-6, d0=1, max_steps=3,
@@ -462,12 +479,41 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
         "history_cap": run_montecarlo(ExperimentConfig(trials=8, history_cap=60), tmp_path / "d"),
         "interrupt": run_interrupt(ExperimentConfig(trials=4), [0, 20, 5], tmp_path / "e"),
     }
+    # Consecutive points that share a trial index, so one memo spans them.
+    one = ExperimentConfig(trials=1)
+    sweeps |= {
+        "sweep_gamma": run_sweep_gamma(one, ["9/10", "1/2"], tmp_path / "f"),
+        "interrupt_1": run_interrupt(one, [0, 20, 5], tmp_path / "g"),
+        "scalability_1": run_scalability(_quick_cfg(trials=1), [2, 4], [3], tmp_path / "h"),
+    }
     for name, res in sweeps.items():
         assert res.csv_path.read_bytes() == _csv_writer_bytes(res.records, res.columns), name
     statuses = {r["status"] for res in sweeps.values() for r in res.rows}
     assert statuses == {"ok", "cap", "history_cap"}
     assert any(r["raw_cost_4"] is None for r in sweeps["scalability"].rows)
     assert {r["interrupt_step"] for r in sweeps["interrupt"].rows} == {0, 20, 5}
+
+    # One point's cells that compare equal but print differently.
+    columns = record_columns(2)
+    twins = [
+        _record(trial=0, n=2, mechanism="taco", epsilon=0.0, og_raw=-0.0, raw_cost_1=-0.0,
+                raw_cost_2=0.0, steps=1, rounds=1.0, cycles=True, interrupt_step=True),
+        _record(trial=0, n=2, mechanism="voting", epsilon=-0.0, og_raw=0.0, raw_cost_1=0.0,
+                raw_cost_2=-0.0, steps=True, rounds=1, cycles=1.0, interrupt_step=1),
+    ]
+    path = tmp_path / "twins.csv"
+    write_csv(path, twins, columns)
+    assert path.read_bytes() == _csv_writer_bytes(twins, columns)
+
+    # A one-shot stream of fresh tuples: each record's floats are freed once it
+    # is written, so their ids come back in later records of the same trial.
+    def fresh():
+        for k in range(300):
+            yield (0, k, k / 7, -k / 7, k * 0.5, (k % 3) / 3, str(k / 11), k % 2 == 0)
+
+    columns = [f"c{i}" for i in range(8)]
+    write_csv(path, fresh(), columns)
+    assert path.read_bytes() == _csv_writer_bytes(fresh(), columns)
 
 
 def test_columns_for_scales_with_n():
@@ -491,16 +537,30 @@ def test_columns_for_scales_with_n():
 
 
 def test_record_cells_are_plain_python_values(tmp_path):
-    plain = run_montecarlo(_quick_cfg(), tmp_path)
-    capped = run_montecarlo(ExperimentConfig(trials=6, max_steps=30))
-    assert capped.failures > 0
-    for res in (plain, capped):
+    cfg = _quick_cfg(trials=3)
+    sweeps = {
+        "random": run_montecarlo(_quick_cfg(), tmp_path),
+        "waypoint": run_montecarlo(ExperimentConfig(trials=3)),
+        "capped": run_montecarlo(ExperimentConfig(trials=6, max_steps=30)),
+        "sweep_gamma": run_sweep_gamma(cfg, ["1/2", "9/10"]),
+        "interrupt": run_interrupt(cfg, [0, 2]),
+        "scalability": run_scalability(cfg, [2, 4], [3]),
+    }
+    assert sweeps["capped"].failures > 0
+    for name, res in sweeps.items():
         for record in res.records:
             assert len(record) == len(res.columns)
             for cell in record:
                 # np.float64 is a float, but csv.writer would write its repr.
                 assert type(cell) in (int, float, str, type(None))
         assert all(list(row) == res.columns for row in res.rows)
+        # Cost cells are floats; a capped row's and a widened record's are blank.
+        max_n = max(r["n"] for r in res.rows)
+        for row in res.rows:
+            for i in range(1, max_n + 1):
+                want = float if row["status"] == "ok" and i <= row["n"] else type(None)
+                assert type(row[f"raw_cost_{i}"]) is want, name
+                assert type(row[f"settled_cost_{i}"]) is want, name
 
 
 def test_rows_are_read_only_views_of_the_records():
@@ -546,6 +606,21 @@ def test_rows_hold_no_copy_of_the_records():
     assert res.records[0][7] is res.records[-1][7]
 
 
+def test_records_keep_their_cost_floats_not_their_text():
+    # The bytes that a default montecarlo's records keep once the sweep is
+    # done: the cost cells are the instance's floats, not repr strings.
+    tracemalloc.start()
+    try:
+        records = run_montecarlo(ExperimentConfig(trials=100)).records
+        kept = tracemalloc.get_traced_memory()[0]
+        del records
+        kept -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # About 2,580 bytes a trial with repr strings, about 1,960 with floats.
+    assert kept / 100 < 2300
+
+
 def test_nan_metric_writes_an_empty_cell(tmp_path):
     # A settled total of zero leaves og and gini of the settled costs undefined.
     result = TrialResult(
@@ -554,8 +629,10 @@ def test_nan_metric_writes_an_empty_cell(tmp_path):
         og_raw=0.0, og_settled=math.nan, gini_raw=1 / 6, gini_settled=math.nan,
         max_cycle_spread_ratio=0.5,
     )
-    cells = _result_cells(result, ("1.0", "2.0"), ("1.5", "-1.5"))
-    assert cells == (1, 4, 2, 1, "ok", 0.0, None, 1 / 6, None, 0.5, "1.0", "2.0", "1.5", "-1.5")
+    cells = _result_cells(result)
+    assert cells == (1, 4, 2, 1, "ok", 0.0, None, 1 / 6, None, 0.5, 1.0, 2.0, 1.5, -1.5)
+    # The cost cells are the result's own floats.
+    assert all(a is b for a, b in zip(cells[-4:], result.raw_costs + result.settled_costs))
     record = (0, 11, "taco", 2, 3, "9/10", 0.1, "1") + cells + (0,)
     path = tmp_path / "nan.csv"
     write_csv(path, [record], record_columns(2))
@@ -563,6 +640,8 @@ def test_nan_metric_writes_an_empty_cell(tmp_path):
         back = next(csv.DictReader(fh))
     assert back["og_settled"] == "" and back["gini_settled"] == ""
     assert back["og_raw"] == "0.0" and back["gini_raw"] == repr(1 / 6)
+    assert [back[f"{k}_cost_{i}"] for k in ("raw", "settled") for i in (1, 2)] == [
+        "1.0", "2.0", "1.5", "-1.5"]
     assert "nan" not in path.read_text()
 
 
