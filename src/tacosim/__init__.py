@@ -37,7 +37,6 @@ from .errors import (
 from .example import run_example
 from .experiments import (
     ExperimentConfig,
-    RunResult,
     run_interrupt,
     run_montecarlo,
     run_scalability,
@@ -55,6 +54,7 @@ from .metrics import (
     taco_trial_result,
     termination_bound,
 )
+from .report import RunResult
 from .scenario import (
     WaypointScenario,
     enumerate_options,

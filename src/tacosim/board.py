@@ -45,6 +45,14 @@ def exact(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact amount")
 
 
+def whole(value, what: str) -> int:
+    """A count or index as ``int(value)``, refused for a number it would truncate."""
+    i = int(value)
+    if not isinstance(value, str) and i != value:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return i
+
+
 def float_tuple(values) -> tuple[float, ...]:
     """A one-dimensional sequence of numbers (a list, a tuple, or any sized
     iterable, an ndarray included) as a tuple of Python floats; TypeError

@@ -22,15 +22,13 @@ from .errors import TacoError
 from .example import ExampleRun, run_example
 from .experiments import (
     ExperimentConfig,
-    RunResult,
-    SCHEMA_VERSION,
-    config_lines,
     run_interrupt,
     run_montecarlo,
     run_scalability,
     run_sweep_gamma,
 )
 from .metrics import bound_report
+from .report import SCHEMA_VERSION, RunResult, config_lines
 
 # Per-subcommand default overrides, applied below config file and flags.
 # The scalability grid keeps the coarse unit d0=1 with Uniform(0,1) costs;

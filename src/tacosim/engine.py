@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from . import _fastpath
 from .agent import AgentPrivate
-from .board import CycleRecord, PublicBoard, exact
+from .board import CycleRecord, PublicBoard, exact, whole
 from .errors import HistoryLimitError, NoTerminationError
 
 ENV_VAR = "TACO_BACKEND"
@@ -94,7 +94,7 @@ class TacoConfig:
             self.d0, self.gamma, float(self.epsilon), self.max_steps, self.history_cap
         )
         if self.turn_order is not None:
-            self.turn_order = tuple(int(i) for i in self.turn_order)
+            self.turn_order = tuple(whole(i, "a turn_order entry") for i in self.turn_order)
 
 
 def check_run_params(d0, gamma, epsilon, max_steps, history_cap):
@@ -112,10 +112,10 @@ def check_run_params(d0, gamma, epsilon, max_steps, history_cap):
         epsilon = float(epsilon)
         if not (epsilon > 0 and math.isfinite(epsilon)):
             raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
-    max_steps = int(max_steps)
+    max_steps = whole(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    history_cap = int(history_cap)
+    history_cap = whole(history_cap, "history_cap")
     if history_cap < 2:
         raise ValueError(f"history_cap must be at least 2, got {history_cap}")
     return d0, gamma, epsilon, max_steps, history_cap
@@ -257,7 +257,7 @@ def run_interrupted(
     An interrupted run takes consensus as the mode of the selections recorded
     so far and settles on the board as-is; terminated_naturally is False.
     """
-    interrupt_step = int(interrupt_step)
+    interrupt_step = whole(interrupt_step, "interrupt_step")
     if interrupt_step < 1:
         raise ValueError(f"interrupt_step must be at least 1, got {interrupt_step}")
     return _run(config, agents, interrupt_step, backend)

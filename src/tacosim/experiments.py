@@ -1,19 +1,10 @@
-"""Experiment driver: deterministic seeded trials, CSV emission, summaries.
+"""Experiment driver: configuration and deterministic seeded trials.
 
 Every command reduces to a list of points (trial x parameter variation) that
 are independent given their seed paths, so they can run in a process pool;
 records are assembled in submission order, which makes output byte-identical
-regardless of worker count.
-
-A point returns one record per mechanism: a tuple in CSV column order for the
-instance's own n (``record_columns``). Ints stay ints, ``gamma`` and ``d0``
-are exact rational strings, float cells are Python floats, and a blank cell
-(an undefined metric, a capped trial's missing fields) is None. The cost cells
-are the instance's floats, shared by every mechanism that picked their option.
-``write_csv`` joins a record's cells with "," and ends the line with "\\r\\n",
-None as an empty cell and any other cell as its ``str`` (a float's ``repr``),
-each distinct cell object of a point formatted once: ``csv.writer``'s bytes,
-as no cell needs quoting. The summary reads the floats as they are.
+regardless of worker count. A point's records are laid out, written to CSV
+and summarized by ``report``.
 
 Seeding rule: each point owns a seed path, a tuple of integers starting with
 the base seed (montecarlo/sweep/interrupt: (base_seed, trial); scalability:
@@ -34,50 +25,20 @@ import dataclasses
 import functools
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import _rng, baselines, engine, scenario
-from .board import exact
+from .board import exact, whole
 from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
-from .metrics import _result_cells, _stats, baseline_trial_result, taco_trial_result
-
-SCHEMA_VERSION = 1
+from .metrics import baseline_trial_result, taco_trial_result
+from .report import RunResult, _aligned, _failed_cells, _failures, _result_cells, config_lines
+from .report import summarize, write_csv  # wrapped here by tacobench's tracer
 
 MECHANISMS = ("taco", "voting", "random_dictator", "utilitarian", "egalitarian")
 SCENARIOS = ("waypoint", "random", "example2")
-
-# Metrics summarized per mechanism in every summary file.
-SUMMARY_METRICS = (
-    "og_raw",
-    "og_settled",
-    "gini_raw",
-    "gini_settled",
-    "steps",
-    "rounds",
-    "cycles",
-    "max_cycle_spread_ratio",
-)
-
-# Row statuses of a TACo trial that hit a safety cap: the step cap, or the
-# engine's state-history cap. Such a row carries no metrics.
-FAILED_STATUSES = ("cap", "history_cap")
-
-# The CSV columns ahead of the two cost blocks (raw_cost_1..n, then
-# settled_cost_1..n); interrupt_step is the last column.
-HEAD_COLUMNS = (
-    "trial", "seed", "mechanism", "n", "m", "gamma", "epsilon", "d0",
-    "chosen_option", "steps", "rounds", "cycles", "status",
-    "og_raw", "og_settled", "gini_raw", "gini_settled", "max_cycle_spread_ratio",
-)
-# A column's index in a record; interrupt_step is last at every n.
-_AT = {name: i for i, name in enumerate(HEAD_COLUMNS)} | {"interrupt_step": -1}
-_N = _AT["n"]
-_STATUS = _AT["status"]
-_SUMMARY_AT = tuple((metric, _AT[metric]) for metric in SUMMARY_METRICS)
 
 
 @dataclass
@@ -119,17 +80,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        self.n = int(self.n)
-        self.m = int(self.m)
+        self.n = whole(self.n, "n")
+        self.m = whole(self.m, "m")
         least = 2 if self.scenario == "waypoint" else 1  # a waypoint needs two arrivals
         if self.n < least:
             raise ValueError(f"the {self.scenario} scenario needs n >= {least}, got n={self.n}")
+        if self.scenario == "waypoint" and self.n > (most := scenario.MAX_AGENTS):
+            raise ValueError(f"the waypoint scenario needs n <= {most}, got n={self.n}")
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
-        self.trials = int(self.trials)
+        self.trials = whole(self.trials, "trials")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        self.base_seed = int(self.base_seed)
+        self.base_seed = whole(self.base_seed, "base_seed")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
         # The engine's own checks (TacoConfig), here so that they fail before
@@ -148,7 +111,7 @@ class ExperimentConfig:
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}; expected subset of {MECHANISMS}")
-        self.workers = int(self.workers)
+        self.workers = whole(self.workers, "workers")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         # An unknown name fails here, before any trial; "auto" defers to
@@ -168,51 +131,6 @@ class ExperimentConfig:
             raise ValueError("valuation range must satisfy 0 < b_min <= b_max")
         if not float(self.separation) > 0:
             raise ValueError(f"separation must be positive, got {self.separation}")
-
-
-class Row(Mapping):
-    """A read-only view of one record, keyed by its sweep's columns."""
-
-    __slots__ = ("_record", "_at")
-
-    def __init__(self, record: tuple, at: dict[str, int]):
-        self._record = record
-        self._at = at
-
-    def __getitem__(self, key):
-        return self._record[self._at[key]]
-
-    def __iter__(self):
-        return iter(self._at)
-
-    def __len__(self):
-        return len(self._at)
-
-    def __repr__(self):
-        return f"Row({dict(self)})"
-
-
-@dataclass
-class RunResult:
-    """A sweep's records and output.
-
-    ``records`` holds one tuple per (trial, mechanism) in ``columns`` order
-    (see the module docstring); ``rows`` holds one read-only mapping per
-    record, keyed by ``columns``: a view over ``records``, built on first
-    access (``dict(row)`` is a mutable copy).
-    """
-
-    records: list[tuple]
-    columns: list[str]
-    csv_path: Path | None
-    summary_path: Path | None
-    summary_text: str
-    failures: int
-
-    @functools.cached_property
-    def rows(self) -> list[Row]:
-        at = {name: i for i, name in enumerate(self.columns)}
-        return [Row(r, at) for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -298,9 +216,9 @@ def _run_point(point: _Point, words: list[list[int]]) -> list[tuple]:
                 else:
                     outcome = run_taco(taco_cfg, problem.agents(), backend=cfg.backend)
             except NoTerminationError:
-                cells = (None, cfg.max_steps, None, None, "cap") + (None,) * (5 + 2 * n)
+                cells = _failed_cells("cap", cfg.max_steps, n)
             except HistoryLimitError:
-                cells = (None,) * 4 + ("history_cap",) + (None,) * (5 + 2 * n)
+                cells = _failed_cells("history_cap", None, n)
             else:
                 cells = _result_cells(taco_trial_result(problem, outcome))
         else:
@@ -333,94 +251,6 @@ def _execute(points: list[_Point], workers: int) -> list[tuple]:
     return _run_chunk(points)
 
 
-def record_columns(max_n: int) -> list[str]:
-    """The CSV columns of a sweep whose largest instance has max_n agents."""
-    return [
-        *HEAD_COLUMNS,
-        *(f"raw_cost_{i + 1}" for i in range(max_n)),
-        *(f"settled_cost_{i + 1}" for i in range(max_n)),
-        "interrupt_step",
-    ]
-
-
-def _widen(record: tuple, max_n: int) -> tuple:
-    """A record of a smaller n, with blank cost cells up to max_n agents."""
-    n = record[_N]
-    pad = (None,) * (max_n - n)
-    split = len(HEAD_COLUMNS) + n
-    return record[:split] + pad + record[split:-1] + pad + record[-1:]
-
-
-def write_csv(path: Path, records, columns: list[str]) -> None:
-    """The header, then each record (as wide as columns) as ``csv.writer`` wrote it.
-
-    A point's records share cell objects, so each is formatted once: the memo
-    is keyed by id and holds the cell, so that no id is reused while it lives,
-    and a new trial index starts a new memo. A memo keyed by value would write
-    -0.0 as 0.0, or True as 1.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        trial = memo = None
-        for r in records:
-            if memo is None or r[0] != trial:
-                trial, memo = r[0], {id(None): (None, "")}
-            line = []
-            for c in r:
-                if (hit := memo.get(id(c))) is None:
-                    hit = memo[id(c)] = (c, str(c))
-                line.append(hit[1])
-            fh.write(",".join(line) + "\r\n")
-
-
-def _quantiles(values: list[float]) -> str:
-    stats = _stats(values)
-    if stats is None:
-        return "n=0"
-    q1, med, q3, top, mean, std, n = stats
-    return (
-        f"median={med:.6g} q1={q1:.6g} q3={q3:.6g} "
-        f"max={top:.6g} mean={mean:.6g} std={std:.6g} n={n}"
-    )
-
-
-def _failures(records) -> int:
-    return sum(1 for r in records if r[_STATUS] in FAILED_STATUSES)
-
-
-def summarize(records: list[tuple], group_keys: tuple[str, ...], header_lines: list[str]) -> str:
-    """Structured text: quantile lines per (group, mechanism, metric)."""
-    lines = [f"csv_schema_version = {SCHEMA_VERSION}"]
-    lines += header_lines
-    at = [_AT[k] for k in group_keys]
-    # One pass: groups and their mechanisms in order of first appearance
-    # (r[0] is the trial, r[2] the mechanism).
-    groups: dict[tuple, dict[str, list[tuple]]] = {}
-    trials = set()
-    for r in records:
-        key = tuple(r[i] for i in at)
-        groups.setdefault(key, {}).setdefault(r[2], []).append(r)
-        trials.add((key, r[0]))
-    lines.append(f"trials_total = {len(trials)}")
-    lines.append(f"cap_failures = {_failures(records)}")
-    for key, by_mech in groups.items():
-        tag = " ".join(f"{k}={v}" for k, v in zip(group_keys, key))
-        for mech, mrecords in by_mech.items():
-            section = f"[{mech}]" if not tag else f"[{tag} {mech}]"
-            lines.append("")
-            lines.append(section)
-            group_failures = _failures(mrecords)
-            if group_failures:
-                lines.append(f"cap_failures = {group_failures}")
-            ok = [r for r in mrecords if r[_STATUS] == "ok"]
-            for metric, i in _SUMMARY_AT:
-                vals = [v for r in ok if (v := r[i]) is not None]
-                if vals:
-                    lines.append(f"{metric}: {_quantiles(vals)}")
-    return "\n".join(lines) + "\n"
-
-
 def _sweep(
     points: list[_Point],
     cfg: ExperimentConfig,
@@ -430,11 +260,7 @@ def _sweep(
     header_lines: list[str],
 ) -> RunResult:
     """Run the points, then write the CSV and summary under out_dir (if any)."""
-    records = _execute(points, cfg.workers)
-    max_n = max(r[_N] for r in records)
-    if any(r[_N] != max_n for r in records):
-        records = [_widen(r, max_n) for r in records]
-    columns = record_columns(max_n)
+    records, columns = _aligned(_execute(points, cfg.workers))
     summary = summarize(records, group_keys, header_lines + config_lines(cfg))
     csv_path = summary_path = None
     if out_dir is not None:
@@ -444,18 +270,6 @@ def _sweep(
         summary_path = out_dir / f"{name}_summary.txt"
         summary_path.write_text(summary)
     return RunResult(records, columns, csv_path, summary_path, summary, _failures(records))
-
-
-def config_lines(cfg: ExperimentConfig) -> list[str]:
-    out = []
-    for f in dataclasses.fields(cfg):
-        val = getattr(cfg, f.name)
-        if f.name == "mechanisms":
-            val = ",".join(val)
-        elif val is None:
-            val = "none"
-        out.append(f"{f.name} = {val}")
-    return out
 
 
 def _list_entries(values, what, convert):
@@ -492,7 +306,7 @@ def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) 
 
 def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> RunResult:
     """Forced-interruption sweep; step 0 means natural termination."""
-    steps = _list_entries(steps, "interruption step", int)
+    steps = _list_entries(steps, "interruption step", lambda s: whole(s, "an interruption step"))
     for s in steps:
         if s < 0:
             raise ValueError(f"interruption steps must be >= 0, got {s}")
@@ -503,8 +317,8 @@ def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> 
 
 def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None = None) -> RunResult:
     """Grid over (n, m) with random Uniform(0,1) instances."""
-    n_list = _list_entries(n_list, "n", int)
-    m_list = _list_entries(m_list, "m", int)
+    n_list = _list_entries(n_list, "n", lambda v: whole(v, "an n list entry"))
+    m_list = _list_entries(m_list, "m", lambda v: whole(v, "an m list entry"))
     for v in n_list + m_list:
         if v < 1:
             raise ValueError(f"n and m list entries must be at least 1, got {v}")

@@ -1,6 +1,6 @@
 """Outcome metrics: optimality gap, Gini index, effective-cost accounting,
-the analytic worst-case step bound and its text report, the per-cycle
-profit-spread monitor, and the summary's statistics.
+the analytic worst-case step bound and its text report, and the per-cycle
+profit-spread monitor.
 
 The metrics run on Python floats. Every sum goes through ``_sum``, which
 adds in numpy's pairwise order, and every other operation is the IEEE
@@ -234,21 +234,6 @@ class TrialResult:
     max_cycle_spread_ratio: float
 
 
-def _result_cells(r: TrialResult) -> tuple:
-    """A finished trial's cells from chosen_option through the cost blocks.
-
-    The cost cells are the floats of ``raw_costs`` and ``settled_costs`` (a
-    baseline's settled tuple is its raw tuple). No cost is NaN: C is finite,
-    and a settled cost is a finite cost minus b * p.
-    """
-    metrics = (r.og_raw, r.og_settled, r.gini_raw, r.gini_settled, r.max_cycle_spread_ratio)
-    # NaN would be written "nan"; an undefined metric is a blank cell.
-    return (
-        r.chosen_option, r.steps, r.rounds, r.cycles_detected, "ok",
-        *[x if x == x else None for x in metrics],
-    ) + r.raw_costs + r.settled_costs
-
-
 def _nan_safe(metric, *args) -> float:
     try:
         return float(metric(*args))
@@ -294,28 +279,3 @@ def baseline_trial_result(problem: ChoiceProblem, mechanism: str, choice: int) -
         gini_settled=gi,
         max_cycle_spread_ratio=0.0,
     )
-
-
-def _stats(values: list[float]) -> tuple | None:
-    """numpy's linear percentiles 25, 50 and 75, max, mean and std(ddof=1)
-    of the finite values as floats, and their count; None if there are none."""
-    arr = [x for x in map(float, values) if math.isfinite(x)]
-    n = len(arr)
-    if n == 0:
-        return None
-    # Mean and deviations in record order: numpy's pairwise sum depends on it.
-    mean = _sum(arr) / n
-    var = _sum([(x - mean) * (x - mean) for x in arr]) / (n - 1) if n > 1 else 0.0
-    arr.sort()
-    q1, med, q3 = (_percentile(arr, q) for q in (0.25, 0.5, 0.75))
-    return q1, med, q3, arr[-1], mean, math.sqrt(var), n
-
-
-def _percentile(arr: list[float], q: float) -> float:
-    """numpy's percentile(method="linear") of sorted arr at fraction q."""
-    v = (len(arr) - 1) * q
-    lo = math.floor(v)
-    hi = min(lo + 1, len(arr) - 1)
-    t = v - lo
-    d = arr[hi] - arr[lo]
-    return arr[hi] - d * (1 - t) if t >= 0.5 else arr[lo] + d * t

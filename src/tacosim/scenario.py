@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .baselines import ChoiceProblem
-from .board import float_tuple
+from .board import float_tuple, whole
 from .errors import ResourceLimitError
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
@@ -107,7 +107,7 @@ def solve_ordering(scenario: WaypointScenario, order) -> tuple[float, ...]:
     targets e[order[t]] - t*D with weights k[order[t]].
     """
     n = scenario.n
-    order = tuple(int(i) for i in order)
+    order = tuple(whole(i, "an order entry") for i in order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
     e, k, D = scenario.e, scenario.k, scenario.D

@@ -2,7 +2,8 @@
 
 First, an instance's cost matrix and valuations as the float64 arrays the
 numpy oracles read (``C_of``, ``b_of``); the package itself holds them only
-as tuples of Python floats.
+as tuples of Python floats. Beside them, the tie rule's reproducer
+(``tie_prone_instances``), shared by the engine and oracle tests.
 
 The numpy oracles below are the array implementations that the per-trial
 metrics, baselines, cycle checks and summary used before they moved to
@@ -40,10 +41,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from tacosim.baselines import ChoiceProblem
 from tacosim.board import exact
+from tacosim.engine import TacoConfig
 from tacosim.errors import MetricUndefinedError
-from tacosim.experiments import FAILED_STATUSES, SCHEMA_VERSION, SUMMARY_METRICS
 from tacosim.metrics import TrialResult
+from tacosim.report import FAILED_STATUSES, SCHEMA_VERSION, SUMMARY_METRICS
 
 
 def C_of(problem) -> np.ndarray:
@@ -58,6 +61,20 @@ def b_of(problem) -> np.ndarray:
     b = np.array(problem.valuations, dtype=np.float64)
     b.setflags(write=False)
     return b
+
+
+def tie_prone_instances(count=1000):
+    """The reproducer of the tie rule in ROADMAP item 1: (config, problem)
+    pairs with costs and valuations on a coarse decimal grid, so many options
+    are mathematically tied."""
+    rng = np.random.default_rng(7)
+    config = TacoConfig(epsilon=0.05, d0="1/10", gamma="1/2")
+    for _ in range(count):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(2, 5))
+        C = rng.integers(0, 6, (n, m)) * 0.1
+        b = rng.choice([0.1, 0.3, 0.7, 1.1, 1.3], n)
+        yield config, ChoiceProblem(n=n, m=m, C=C, b=b)
 
 
 # --- the ordering solver -----------------------------------------------------

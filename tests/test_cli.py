@@ -403,6 +403,7 @@ BAD_CAPS = [
     ("--d0", "1/0", "exact amount '1/0' has a zero denominator"),
     ("--m", "0", "m must be at least 1, got 0"),
     ("--n", "0", "the waypoint scenario needs n >= 2, got n=0"),
+    ("--n", "8", "the waypoint scenario needs n <= 7, got n=8"),
     ("--k-max", "inf", "k_max must be finite, got inf"),
     ("--b-max", "inf", "b_max must be finite, got inf"),
     ("--separation", "inf", "separation must be finite, got inf"),

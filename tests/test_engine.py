@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import _window_oracle as window_oracle
-from _oracles import C_of, b_of
+from _oracles import C_of, b_of, tie_prone_instances
 from _replay import (
     apply_selection,
     new_board,
@@ -514,23 +514,10 @@ def test_replay_verifier_random_instances():
         assert report["cycles"] == outcome.cycles_detected
 
 
-def _tie_prone_instances(count=1000):
-    # The reproducer of the tie rule in ROADMAP: costs and valuations on a coarse decimal
-    # grid, so many options are mathematically tied.
-    rng = np.random.default_rng(7)
-    config = TacoConfig(epsilon=0.05, d0="1/10", gamma="1/2")
-    for _ in range(count):
-        n = int(rng.integers(2, 4))
-        m = int(rng.integers(2, 5))
-        C = rng.integers(0, 6, (n, m)) * 0.1
-        b = rng.choice([0.1, 0.3, 0.7, 1.1, 1.3], n)
-        yield config, ChoiceProblem(n=n, m=m, C=C, b=b)
-
-
 def test_exact_backend_matches_fraction_reference():
     # The exact backend shares the window kernel with numpy, so backend parity
     # cannot catch a kernel bug: pin every row to the Fraction board's bytes.
-    for config, problem in _tie_prone_instances():
+    for config, problem in tie_prone_instances():
         outcome = run_taco(config, problem.agents(), backend="exact")
         verify_run(problem, config, outcome, exact_rows=True)
 
@@ -541,7 +528,7 @@ def test_exact_backend_matches_fraction_reference():
     "(trials 224, 267, 339, 506 and 950 of the reproducer diverge)",
 )
 def test_tie_prone_backend_agreement():
-    for config, problem in _tie_prone_instances():
+    for config, problem in tie_prone_instances():
         exact_run = run_taco(config, problem.agents(), backend="exact")
         numpy_run = run_taco(config, problem.agents(), backend="numpy")
         assert [t.selection for t in numpy_run.trace] == [t.selection for t in exact_run.trace]
@@ -555,7 +542,7 @@ def test_tie_prone_backend_agreement():
 )
 def test_tie_prone_runs_follow_the_rational_rule():
     departures = []
-    for k, (config, problem) in enumerate(_tie_prone_instances()):
+    for k, (config, problem) in enumerate(tie_prone_instances()):
         for backend in BACKENDS:
             outcome = run_taco(config, problem.agents(), backend=backend)
             if rational_departures(problem, config, outcome) != (None, []):
@@ -688,7 +675,7 @@ def _oracle_runs(config, problem):
 
 @pytest.mark.parametrize("backend", ("numpy", "exact"))
 def test_window_kernel_matches_oracle_on_reproducer(oracle_windows, backend):
-    for config, problem in _tie_prone_instances():
+    for config, problem in tie_prone_instances():
         for run in _oracle_runs(config, problem):
             try:
                 run(backend)
@@ -818,7 +805,7 @@ def test_engine_with_colliding_keys_matches(monkeypatch):
     # a repeat ever be missed.
     instances = [
         (TacoConfig(epsilon=c.epsilon, d0=c.d0, gamma=c.gamma, history_cap=500), problem)
-        for c, problem in _tie_prone_instances(200)
+        for c, problem in tie_prone_instances(200)
     ]
     real = [run_taco(config, problem.agents()) for config, problem in instances]
     monkeypatch.setattr(_fastpath, "_zobrist_keys", _colliding_keys)

@@ -14,22 +14,21 @@ import numpy as np
 import pytest
 
 from _oracles import C_of, b_of, summary_stats
-from tacosim import _rng, baselines, experiments
+from tacosim import _rng, baselines, experiments, report
+from tacosim.engine import TacoConfig, run_interrupted
 from tacosim.example import run_example
 from tacosim.experiments import (
     MECHANISMS,
     ExperimentConfig,
-    _widen,
-    config_lines,
     make_instance,
-    record_columns,
     run_interrupt,
     run_montecarlo,
     run_scalability,
     run_sweep_gamma,
-    write_csv,
 )
-from tacosim.metrics import TrialResult, _result_cells, _stats, bound_report
+from tacosim.metrics import TrialResult, bound_report
+from tacosim.report import _result_cells, _stats, _widen, config_lines, record_columns, write_csv
+from tacosim.scenario import WaypointScenario, example2_fixture, solve_ordering
 
 
 def _quick_cfg(**kw):
@@ -163,8 +162,8 @@ def test_summary_statistics_are_numpys():
         assert got == want, values[:8]
         if got is not None:  # equal, and the same sign of zero
             assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-    assert experiments._quantiles([nan]) == "n=0"
-    assert experiments._quantiles([2, 4]) == (
+    assert report._quantiles([nan]) == "n=0"
+    assert report._quantiles([2, 4]) == (
         "median=3 q1=2.5 q3=3.5 max=4 mean=3 std=1.41421 n=2"
     )
 
@@ -221,7 +220,7 @@ def test_run_montecarlo_deterministic_and_worker_invariant(tmp_path):
     ).read_bytes()
 
 
-_CELL = {name: i for i, name in enumerate(experiments.HEAD_COLUMNS)}
+_CELL = {name: i for i, name in enumerate(report.HEAD_COLUMNS)}
 
 
 def _assert_seeded_by_path(records, cfg_of, path_of):
@@ -397,6 +396,55 @@ def test_a_bare_string_list_is_refused_before_any_trial(monkeypatch, run, messag
         run(_quick_cfg(trials=2, mechanisms=("taco",)))
     assert "not the string" in str(caught.value)
     assert executed == []
+
+
+_PAIR = WaypointScenario(e=[0.0, 0.0], k=[1.0, 1.0], D=2.0)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda cfg: dataclasses.replace(cfg, n=2.9), "n must be a whole number, got 2.9"),
+    (lambda cfg: dataclasses.replace(cfg, m=2.5), "m must be a whole number, got 2.5"),
+    (lambda cfg: dataclasses.replace(cfg, trials=1.5), "trials must be a whole number, got 1.5"),
+    (lambda cfg: dataclasses.replace(cfg, base_seed=7.8),
+     "base_seed must be a whole number, got 7.8"),
+    (lambda cfg: dataclasses.replace(cfg, workers=1.5), "workers must be a whole number, got 1.5"),
+    (lambda cfg: dataclasses.replace(cfg, max_steps=2.5),
+     "max_steps must be a whole number, got 2.5"),
+    (lambda cfg: dataclasses.replace(cfg, history_cap=2.5),
+     "history_cap must be a whole number, got 2.5"),
+    (lambda cfg: run_interrupt(cfg, [0, 2.5]),
+     "an interruption step must be a whole number, got 2.5"),
+    (lambda cfg: run_scalability(cfg, [2.5], [3]), "an n list entry must be a whole number, got 2.5"),
+    (lambda cfg: run_scalability(cfg, [2], [3.9]), "an m list entry must be a whole number, got 3.9"),
+    (lambda cfg: TacoConfig(epsilon=0.1, max_steps=2.5), "max_steps must be a whole number, got 2.5"),
+    (lambda cfg: TacoConfig(epsilon=0.1, turn_order=(1.7, 0.2)),
+     "a turn_order entry must be a whole number, got 1.7"),
+    (lambda cfg: run_interrupted(TacoConfig(epsilon=0.1), example2_fixture().agents(), 2.5),
+     "interrupt_step must be a whole number, got 2.5"),
+    (lambda cfg: solve_ordering(_PAIR, (1, 0.5)), "an order entry must be a whole number, got 0.5"),
+])
+def test_a_count_with_a_fraction_is_refused_before_any_trial(monkeypatch, run, message):
+    # int() would truncate each of these: trials=1.5 ran one trial, the
+    # interruption step 2.5 ran step 2, turn_order (1.7, 0.2) was (1, 0).
+    executed = []
+    monkeypatch.setattr(experiments, "_execute", lambda points, w: executed.append(w))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(_quick_cfg(trials=2, mechanisms=("taco",)))
+    assert executed == []
+
+
+def test_whole_valued_counts_are_still_accepted():
+    cfg = _quick_cfg(trials=np.int64(3), max_steps=1e6, base_seed="7", workers=True)
+    got = (cfg.trials, cfg.max_steps, cfg.base_seed, cfg.workers)
+    assert got == (3, 10**6, 7, 1) and {type(v) for v in got} == {int}
+    config = TacoConfig(epsilon=0.1, history_cap=1e6, turn_order=(np.int64(1), 0.0))
+    assert (config.history_cap, config.turn_order) == (10**6, (1, 0))
+    assert solve_ordering(_PAIR, (np.int64(1), 0.0)) == solve_ordering(_PAIR, (1, 0))
+    cfg = _quick_cfg(trials=1, mechanisms=("taco",))
+    rows = run_interrupt(cfg, [np.int64(3), 1e6]).rows
+    assert [type(r["interrupt_step"]) for r in rows] == [int, int]
+    rows = run_scalability(cfg, [np.int64(3)], [2.0]).rows
+    assert [(type(r["n"]), r["n"], r["m"]) for r in rows] == [(int, 3, 2)]
 
 
 def test_cap_rows_are_reported(tmp_path):

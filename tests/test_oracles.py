@@ -15,21 +15,15 @@ import numpy as np
 import pytest
 
 import _oracles as ref
-from _oracles import C_of, b_of
+from _oracles import C_of, b_of, tie_prone_instances
 from _replay import span_counts
 from tacosim import _fastpath, baselines, engine, metrics
 from tacosim._rng import Stream
 from tacosim.baselines import ChoiceProblem, _sum
 from tacosim.engine import TacoConfig, check_termination, run_interrupted, run_taco
 from tacosim.errors import MetricUndefinedError
-from tacosim.experiments import (
-    ExperimentConfig,
-    make_instance,
-    run_interrupt,
-    run_scalability,
-    summarize,
-    write_csv,
-)
+from tacosim.experiments import ExperimentConfig, make_instance, run_interrupt, run_scalability
+from tacosim.report import summarize, write_csv
 
 
 def _bits(x) -> str:
@@ -190,18 +184,6 @@ def test_utilitarian_sums_columns_in_numpys_order():
     assert order_matters > 50
 
 
-def _tie_prone_instances(count=1000):
-    # The tie-rule reproducer of ROADMAP (see tests/test_engine.py).
-    rng = np.random.default_rng(7)
-    config = TacoConfig(epsilon=0.05, d0="1/10", gamma="1/2")
-    for _ in range(count):
-        n = int(rng.integers(2, 4))
-        m = int(rng.integers(2, 5))
-        C = rng.integers(0, 6, (n, m)) * 0.1
-        b = rng.choice([0.1, 0.3, 0.7, 1.1, 1.3], n)
-        yield config, ChoiceProblem(n=n, m=m, C=C, b=b)
-
-
 def _spreads(cyc):
     active = sorted(cyc.active_choices)
     return [
@@ -226,7 +208,7 @@ def test_cycle_checks_match_numpy_on_reproducer(monkeypatch, backend):
 
     monkeypatch.setattr(_fastpath, "_find_repeat", recorded)
     cycles = 0
-    for config, problem in _tie_prone_instances():
+    for config, problem in tie_prone_instances():
         n, m = problem.n, problem.m
         outcome = run_taco(config, problem.agents(), backend=backend)
         assert _bits(metrics.cycle_spread_ratio(outcome, b_of(problem))) == _bits(

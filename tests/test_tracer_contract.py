@@ -1,11 +1,11 @@
-"""The benchmark's tracer wraps engine functions by name; keep those names.
+"""The benchmark's tracer wraps functions by name; keep those names.
 
 ``tacobench/spans.py`` replaces module attributes of ``tacosim`` with timing
 wrappers, so renaming one of them breaks every traced benchmark run. This
-installs the tracer, runs one multi-cycle auction through it, and checks that
-the wrapped names are the ones the engine actually calls. Installing the
-tracer also fails if a name it wraps is gone, ``PublicBoard.net_float`` and
-``_fastpath.run_window`` included.
+installs the tracer, runs one multi-cycle auction and one small sweep through
+it, and checks that the wrapped names are the ones the engine and the sweep
+actually call. Installing the tracer also fails if a name it wraps is gone,
+``PublicBoard.net_float`` and ``_fastpath.run_window`` included.
 """
 
 import importlib.util
@@ -15,8 +15,9 @@ import numpy as np
 
 import tacosim
 from _oracles import C_of
-from tacosim import engine
+from tacosim import engine, experiments, report
 from tacosim.engine import TacoConfig
+from tacosim.experiments import ExperimentConfig, run_montecarlo
 from tacosim.scenario import random_problem
 
 SPANS = Path(__file__).resolve().parent.parent / "tacobench" / "spans.py"
@@ -51,6 +52,34 @@ def test_tracer_wraps_the_engine_call_path():
         "board.apply_selection",
         "board.settle",
     } <= names
+
+
+def test_tracer_wraps_the_sweep_call_path(tmp_path):
+    # The output layer is timed through experiments.write_csv and
+    # experiments.summarize: a sweep that called report's functions by
+    # another name would read experiments.output_s as 0.
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.call(lambda: run_montecarlo(ExperimentConfig(trials=3), tmp_path))
+    finally:
+        tracer.uninstall()
+    assert experiments.write_csv is report.write_csv
+    assert experiments.summarize is report.summarize
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "scenario.make_instance",
+        "engine.run_taco",
+        "metrics.taco_trial_result",
+        "metrics.baseline_trial_result",
+        "baselines.voting",
+        "baselines.random_dictator",
+        "baselines.utilitarian",
+        "baselines.egalitarian",
+        "experiments.write_csv",
+        "experiments.summarize",
+    } <= names
+    assert tracer.layer_metrics()["experiments.output_s"] > 0
 
 
 def test_default_backend_is_numpy(monkeypatch):
