@@ -8,15 +8,17 @@ run on an integer lattice of the same values (see ``engine``).
 ``PublicBoard`` is only the result type: the lattice builds one when a
 run's ``final_board`` is read, and nothing here mutates it.
 
-``float_tuple`` reads every vector input of the package (cost rows,
-valuations, ETAs) as Python floats. Lists and tuples convert directly; any
-other input, an ndarray included, is first checked one-dimensional by
-``shape_of``, numpy's shape computed without numpy.
+The input readers: ``float_tuple`` reads every vector input (cost rows,
+valuations, ETAs) as Python floats, checking any but a list or tuple
+one-dimensional by ``shape_of`` (numpy's shape, without numpy). ``whole``
+(a count) and ``positive_finite`` (a tolerance or scale) are the one check
+of each run parameter, shared by the engine, the sweeps and the bound.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,12 +47,21 @@ def exact(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact amount")
 
 
-def whole(value, what: str) -> int:
-    """A count or index as ``int(value)``, refused for a number it would truncate."""
+def whole(value, what: str, least: int | None = None) -> int:
+    """A count as ``int(value)``, refused if that truncates it or is below ``least``."""
     i = int(value)
     if not isinstance(value, str) and i != value:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if least is not None and i < least:
+        raise ValueError(f"{what} must be at least {least}, got {i}")
     return i
+
+
+def positive_finite(value, what: str):
+    """``value``, not converted, refused unless it is a positive finite real."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be a positive finite real, got {value}")
+    return value
 
 
 def float_tuple(values) -> tuple[float, ...]:

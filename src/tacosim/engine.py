@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from . import _fastpath
 from .agent import AgentPrivate
-from .board import CycleRecord, PublicBoard, exact, whole
+from .board import CycleRecord, PublicBoard, exact, positive_finite, whole
 from .errors import HistoryLimitError, NoTerminationError
 
 ENV_VAR = "TACO_BACKEND"
@@ -98,27 +98,25 @@ class TacoConfig:
 
 
 def check_run_params(d0, gamma, epsilon, max_steps, history_cap):
-    """The run parameters TacoConfig and ExperimentConfig share, coerced and checked.
-
-    An epsilon of None (the experiments derive it per instance) stays None.
+    """The run parameters TacoConfig and ExperimentConfig share, each coerced and
+    checked by its one rule. An epsilon of None (the experiments derive it per
+    instance) stays None.
     """
+    d0, gamma = check_trading_unit(d0, gamma)
+    epsilon = None if epsilon is None else positive_finite(float(epsilon), "epsilon")
+    max_steps, history_cap = whole(max_steps, "max_steps", 1), whole(history_cap, "history_cap", 2)
+    return d0, gamma, epsilon, max_steps, history_cap
+
+
+def check_trading_unit(d0, gamma):
+    """d0 and gamma as exact rationals, refused unless d0 > 0 and 0 < gamma < 1."""
     d0 = exact(d0)
     if d0 <= 0:
         raise ValueError(f"d0 must be positive, got {d0}")
     gamma = exact(gamma)
     if not (0 < gamma < 1):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if epsilon is not None:
-        epsilon = float(epsilon)
-        if not (epsilon > 0 and math.isfinite(epsilon)):
-            raise ValueError(f"epsilon must be a positive finite real, got {epsilon}")
-    max_steps = whole(max_steps, "max_steps")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    history_cap = whole(history_cap, "history_cap")
-    if history_cap < 2:
-        raise ValueError(f"history_cap must be at least 2, got {history_cap}")
-    return d0, gamma, epsilon, max_steps, history_cap
+    return d0, gamma
 
 
 @dataclass(slots=True)
@@ -257,10 +255,7 @@ def run_interrupted(
     An interrupted run takes consensus as the mode of the selections recorded
     so far and settles on the board as-is; terminated_naturally is False.
     """
-    interrupt_step = whole(interrupt_step, "interrupt_step")
-    if interrupt_step < 1:
-        raise ValueError(f"interrupt_step must be at least 1, got {interrupt_step}")
-    return _run(config, agents, interrupt_step, backend)
+    return _run(config, agents, whole(interrupt_step, "interrupt_step", 1), backend)
 
 
 def check_termination(cycle: CycleRecord, epsilon: float) -> bool:

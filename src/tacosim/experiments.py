@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import _rng, baselines, engine, scenario
-from .board import exact, whole
+from .board import exact, positive_finite, whole
 from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
 from .metrics import baseline_trial_result, taco_trial_result
@@ -80,21 +80,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        self.n = whole(self.n, "n")
-        self.m = whole(self.m, "m")
+        self.n, self.m = whole(self.n, "n"), whole(self.m, "m", 1)
         least = 2 if self.scenario == "waypoint" else 1  # a waypoint needs two arrivals
         if self.n < least:
             raise ValueError(f"the {self.scenario} scenario needs n >= {least}, got n={self.n}")
         if self.scenario == "waypoint" and self.n > (most := scenario.MAX_AGENTS):
             raise ValueError(f"the waypoint scenario needs n <= {most}, got n={self.n}")
-        if self.m < 1:
-            raise ValueError(f"m must be at least 1, got {self.m}")
-        self.trials = whole(self.trials, "trials")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        self.base_seed = whole(self.base_seed, "base_seed")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
+        self.trials = whole(self.trials, "trials", 1)
+        self.base_seed = whole(self.base_seed, "base_seed", 0)
         # The engine's own checks (TacoConfig), here so that they fail before
         # any trial runs.
         self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap = (
@@ -102,18 +95,12 @@ class ExperimentConfig:
                 self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap
             )
         )
-        self.epsilon_rel = float(self.epsilon_rel)
-        if not (self.epsilon_rel > 0 and math.isfinite(self.epsilon_rel)):
-            raise ValueError(
-                f"epsilon_rel must be a positive finite real, got {self.epsilon_rel}"
-            )
+        self.epsilon_rel = positive_finite(float(self.epsilon_rel), "epsilon_rel")
         self.mechanisms = _list_entries(self.mechanisms, "mechanism", str)
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}; expected subset of {MECHANISMS}")
-        self.workers = whole(self.workers, "workers")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        self.workers = whole(self.workers, "workers", 1)
         # An unknown name fails here, before any trial; "auto" defers to
         # TACO_BACKEND, so that name is checked too.
         resolve_backend(self.backend)
@@ -306,10 +293,7 @@ def run_sweep_gamma(cfg: ExperimentConfig, gammas, out_dir: Path | None = None) 
 
 def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> RunResult:
     """Forced-interruption sweep; step 0 means natural termination."""
-    steps = _list_entries(steps, "interruption step", lambda s: whole(s, "an interruption step"))
-    for s in steps:
-        if s < 0:
-            raise ValueError(f"interruption steps must be >= 0, got {s}")
+    steps = _list_entries(steps, "interruption step", lambda s: whole(s, "an interruption step", 0))
     points = [_Point(cfg, t, (cfg.base_seed, t), s) for s in steps for t in range(cfg.trials)]
     header = ["command = interrupt", "interrupt_steps = " + ",".join(str(s) for s in steps)]
     return _sweep(points, cfg, out_dir, "interrupt", ("interrupt_step",), header)

@@ -16,8 +16,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .baselines import ChoiceProblem, _sum
-from .board import exact, float_tuple
-from .engine import TacoOutcome
+from .board import exact, float_tuple, positive_finite, whole
+from .engine import TacoOutcome, check_trading_unit
 from .errors import MetricUndefinedError
 
 
@@ -62,8 +62,9 @@ def effective_costs(
 
     raw ignores the settlement; settled subtracts each agent's valuation-
     weighted net receipt (equal to minus its final profit for the consensus
-    choice).
+    choice). A problem with another agent count than the run's is refused.
     """
+    _same_agents(problem.n, "the problem", outcome)
     raw = problem.col(outcome.consensus_choice)
     if mode == "raw":
         return raw
@@ -71,6 +72,11 @@ def effective_costs(
         b, settlements = problem.valuations, outcome.settlements
         return tuple([c - b_i * float(p) for c, b_i, p in zip(raw, b, settlements)])
     raise ValueError(f"mode must be 'raw' or 'settled', got {mode!r}")
+
+
+def _same_agents(n: int, what: str, outcome: TacoOutcome) -> None:
+    if n != (run_n := len(outcome.settlements)):
+        raise ValueError(f"{what}: n = {n}, but the outcome's run had n = {run_n}")
 
 
 @dataclass(frozen=True)
@@ -91,21 +97,15 @@ def termination_bound(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -
     profit-spread bound falls below epsilon: the smallest r with
     (m+1) * d0 * gamma^r * (n-1) * b_max <= epsilon, exact (see
     ``_reductions``). Each constant-d window can visit at most
-    n * ((m+1)(n-1))^(n*m) states.
+    n * ((m+1)(n-1))^(n*m) states. The inputs pass a run's own checks, with
+    epsilon and b_max unconverted (``board.positive_finite``): the bound is exact.
     """
+    n = whole(n, "n")
     if n < 2:
         raise ValueError("the bound is defined for n >= 2 (no trading with one agent)")
-    if m < 1:
-        raise ValueError(f"need at least one choice, got m={m}")
-    g = exact(gamma)
-    if not (0 < g < 1):
-        raise ValueError(f"gamma must lie in (0, 1), got {g}")
-    d0 = exact(d0)
-    if d0 <= 0:
-        raise ValueError(f"d0 must be positive, got {d0}")
-    for name, value in (("epsilon", epsilon), ("b_max", b_max)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be a positive finite real, got {value}")
+    m = whole(m, "m", 1)
+    d0, g = check_trading_unit(d0, gamma)
+    epsilon, b_max = positive_finite(epsilon, "epsilon"), positive_finite(b_max, "b_max")
     basis = (m + 1) * d0 * (n - 1) * Fraction(b_max)
     count = _reductions(basis / Fraction(epsilon), g)
     log_per_cycle = math.log(n) + n * m * math.log((m + 1) * (n - 1))
@@ -160,8 +160,9 @@ def _decimal_log(x: Fraction, tol: Decimal) -> tuple[Decimal, Decimal]:
 
 
 def bound_report(n: int, m: int, gamma, epsilon: float, d0, b_max: float) -> str:
-    """Human-readable rendering of the analytic termination bound."""
+    """Human-readable rendering of the analytic termination bound, of the whole n and m."""
     bound = termination_bound(n, m, gamma, epsilon, d0, b_max)
+    n, m = whole(n, "n"), whole(m, "m")
     lines = [
         f"n = {n}, m = {m}, gamma = {exact(gamma)}, epsilon = {epsilon}, "
         f"d0 = {exact(d0)}, b_max = {b_max}",
@@ -193,10 +194,11 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     choices at the agent's own turns) is divided by its analytic ceiling
     (p+1) * d * (n-1) * b_i with p active choices and the pre-reduction d.
     Sound runs never exceed 1. Returns 0.0 when no cycle was detected or
-    every bound is vacuous (single agent).
+    every bound is vacuous (single agent). Refused for another n than the run's.
     """
     b = float_tuple(valuations)
     n = len(b)
+    _same_agents(n, "valuations", outcome)
     worst = 0.0
     for cyc in outcome.cycle_records:
         p = len(cyc.active_choices)

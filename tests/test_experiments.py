@@ -26,7 +26,7 @@ from tacosim.experiments import (
     run_scalability,
     run_sweep_gamma,
 )
-from tacosim.metrics import TrialResult, bound_report
+from tacosim.metrics import TrialResult, bound_report, termination_bound
 from tacosim.report import _result_cells, _stats, _widen, config_lines, record_columns, write_csv
 from tacosim.scenario import WaypointScenario, example2_fixture, solve_ordering
 
@@ -422,6 +422,8 @@ _PAIR = WaypointScenario(e=[0.0, 0.0], k=[1.0, 1.0], D=2.0)
     (lambda cfg: run_interrupted(TacoConfig(epsilon=0.1), example2_fixture().agents(), 2.5),
      "interrupt_step must be a whole number, got 2.5"),
     (lambda cfg: solve_ordering(_PAIR, (1, 0.5)), "an order entry must be a whole number, got 0.5"),
+    (lambda cfg: termination_bound(2.5, 2, "9/10", 0.1, 1, 1.2), "n must be a whole number, got 2.5"),
+    (lambda cfg: termination_bound(2, 3.5, "9/10", 0.1, 1, 1.2), "m must be a whole number, got 3.5"),
 ])
 def test_a_count_with_a_fraction_is_refused_before_any_trial(monkeypatch, run, message):
     # int() would truncate each of these: trials=1.5 ran one trial, the
@@ -445,6 +447,9 @@ def test_whole_valued_counts_are_still_accepted():
     assert [type(r["interrupt_step"]) for r in rows] == [int, int]
     rows = run_scalability(cfg, [np.int64(3)], [2.0]).rows
     assert [(type(r["n"]), r["n"], r["m"]) for r in rows] == [(int, 3, 2)]
+    bound_args = ("9/10", 0.1, 1, 1.2)
+    assert termination_bound(3, 2.0, *bound_args) == termination_bound(3, 2, *bound_args)
+    assert bound_report(3.0, 2.0, *bound_args) == bound_report(3, 2, *bound_args)
 
 
 def test_cap_rows_are_reported(tmp_path):

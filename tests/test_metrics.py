@@ -1,6 +1,7 @@
 """Outcome metrics: gaps, Gini, transfers, the analytic bound, spread monitor."""
 
 import math
+import re
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -179,18 +180,40 @@ def test_termination_bound_gamma_within_a_float_of_one():
 
 
 def test_termination_bound_validation():
-    with pytest.raises(ValueError):
-        termination_bound(1, 2, "9/10", 0.1, 1, 1.0)
-    with pytest.raises(ValueError):
-        termination_bound(2, 0, "9/10", 0.1, 1, 1.0)
-    with pytest.raises(ValueError):
-        termination_bound(2, 2, 1, 0.1, 1, 1.0)
-    with pytest.raises(ValueError):
-        termination_bound(2, 2, "9/10", 0.0, 1, 1.0)
-    with pytest.raises(ValueError):
-        termination_bound(2, 2, "9/10", 0.1, 0, 1.0)
-    with pytest.raises(ValueError):
-        termination_bound(2, 2, "9/10", 0.1, 1, 0.0)
+    # The bound's own n message, then the messages a run gives for the same input.
+    for args, message in [
+        ((1, 2, "9/10", 0.1, 1, 1.0),
+         "the bound is defined for n >= 2 (no trading with one agent)"),
+        ((2, 0, "9/10", 0.1, 1, 1.0), "m must be at least 1, got 0"),
+        ((2, 2, 1, 0.1, 1, 1.0), "gamma must lie in (0, 1), got 1"),
+        ((2, 2, "9/10", 0.0, 1, 1.0), "epsilon must be a positive finite real, got 0.0"),
+        ((2, 2, "9/10", 0.1, 0, 1.0), "d0 must be positive, got 0"),
+        ((2, 2, "9/10", 0.1, 1, 0.0), "b_max must be a positive finite real, got 0.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            termination_bound(*args)
+
+
+def _three_agent_outcome():
+    problem = ChoiceProblem(3, 2, [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]], [1.0, 1.0, 1.0])
+    return run_interrupted(TacoConfig(epsilon=1e-6), problem.agents(), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # One valuation too many was read as n = 3 and gave a smaller ratio; one
+    # too few raised IndexError; a 2-agent problem gave 2 of 3 agents' costs.
+    (lambda: cycle_spread_ratio(_golden_outcome(), [*b_of(example2_fixture()), 1.0]),
+     "valuations: n = 3, but the outcome's run had n = 2"),
+    (lambda: cycle_spread_ratio(_golden_outcome(), b_of(example2_fixture())[:1]),
+     "valuations: n = 1, but the outcome's run had n = 2"),
+    (lambda: effective_costs(example2_fixture(), _three_agent_outcome(), "settled"),
+     "the problem: n = 2, but the outcome's run had n = 3"),
+    (lambda: effective_costs(example2_fixture(), _three_agent_outcome(), "raw"),
+     "the problem: n = 2, but the outcome's run had n = 3"),
+])
+def test_metrics_refuse_an_outcome_of_another_agent_count(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_cycle_spread_ratio_no_cycles_is_zero():
