@@ -48,7 +48,7 @@ def exact(value: int | str | Fraction) -> Fraction:
 
 
 def whole(value, what: str, least: int | None = None) -> int:
-    """A count as ``int(value)``, refused if that truncates it or is below ``least``."""
+    """A count or index as ``int(value)``, refused if that truncates it or is below ``least``."""
     i = int(value)
     if not isinstance(value, str) and i != value:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
