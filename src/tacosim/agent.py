@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import float_tuple, shape_of
+from .board import floats, positive_finite, whole
 
 
 @dataclass
@@ -18,7 +18,7 @@ class AgentPrivate:
     """Immutable-by-convention private data of one agent.
 
     index is the agent's position in the turn cycle; valuation is its private
-    per-unit value of board credit (must be positive); cost_row[j] is its
+    per-unit value of board credit (a positive finite real); cost_row[j] is its
     private cost of choice j, held as a tuple of floats.
     """
 
@@ -27,12 +27,6 @@ class AgentPrivate:
     cost_row: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            self.cost_row = float_tuple(self.cost_row)
-        except TypeError:
-            shape = shape_of(self.cost_row)
-            raise ValueError(f"cost_row must be one-dimensional, got shape {shape}") from None
-        if not self.valuation > 0:
-            raise ValueError(f"valuation must be positive, got {self.valuation}")
-        if self.index < 0:
-            raise ValueError(f"agent index must be non-negative, got {self.index}")
+        self.index = whole(self.index, "agent index", 0)
+        self.valuation = positive_finite(self.valuation, "valuation")
+        self.cost_row = floats(self.cost_row, "cost_row", (None,))

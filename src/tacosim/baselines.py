@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 from .agent import AgentPrivate
-from .board import float_tuple, shape_of
+from .board import floats
 
 
 def _sum(x: Sequence[float]) -> float:
@@ -62,18 +62,6 @@ def _pairwise(x: Sequence[float], lo: int, n: int) -> float:
     return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
 
 
-def _as_floats(value, shape: tuple[int, ...], name: str) -> tuple:
-    """value as Python floats: a tuple for shape (n,), a tuple of row tuples
-    for (n, m); ValueError naming value's shape for any other."""
-    try:
-        out = float_tuple(value) if len(shape) == 1 else tuple(map(float_tuple, value))
-    except TypeError:
-        out = ()
-    if len(out) == shape[0] and (len(shape) == 1 or all(len(r) == shape[1] for r in out)):
-        return out
-    raise ValueError(f"{name} has shape {shape_of(value)}, expected {shape}")
-
-
 class ChoiceProblem:
     """One generated instance: cost matrix, valuations, optional labels.
 
@@ -86,8 +74,8 @@ class ChoiceProblem:
 
     def __init__(self, n: int, m: int, C, b, option_labels: list[str] | None = None):
         self.n, self.m, self.option_labels = n, m, option_labels
-        self.rows = _as_floats(C, (n, m), "C")
-        self.valuations = _as_floats(b, (n,), "b")
+        self.rows = floats(C, "C", (n, m))
+        self.valuations = floats(b, "b", (n,))
         if not all(map((0.0).__lt__, self.valuations)):
             raise ValueError("valuations b must be positive elementwise")
         if not all(map(math.isfinite, chain(*self.rows, self.valuations))):

@@ -8,11 +8,12 @@ run on an integer lattice of the same values (see ``engine``).
 ``PublicBoard`` is only the result type: the lattice builds one when a
 run's ``final_board`` is read, and nothing here mutates it.
 
-The input readers: ``float_tuple`` reads every vector input (cost rows,
-valuations, ETAs) as Python floats, checking any but a list or tuple
-one-dimensional by ``shape_of`` (numpy's shape, without numpy). ``whole``
-(a count) and ``positive_finite`` (a tolerance or scale) are the one check
-of each run parameter, shared by the engine, the sweeps and the bound.
+The input readers: ``floats`` reads every vector input (cost matrices and
+rows, valuations, ETAs and weights, metric costs) as Python floats, and
+refuses any other shape in one form, ``C has shape (2, 3), expected (2, 2)``,
+with numpy's shape by ``shape_of`` (computed without numpy). ``whole`` (a
+count) and ``positive_finite`` (a tolerance or scale) are the one check of
+each run parameter, shared by the engine, the sweeps and the bound.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def exact(value: int | str | Fraction) -> Fraction:
 
 def whole(value, what: str, least: int | None = None) -> int:
     """A count or index as ``int(value)``, refused if that truncates it or is below ``least``."""
-    i = int(value)
+    # int() of an infinite or NaN float raises its own OverflowError or ValueError.
+    i = None if isinstance(value, float) and not math.isfinite(value) else int(value)
     if not isinstance(value, str) and i != value:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     if least is not None and i < least:
@@ -58,18 +60,36 @@ def whole(value, what: str, least: int | None = None) -> int:
 
 
 def positive_finite(value, what: str):
-    """``value``, not converted, refused unless it is a positive finite real."""
-    if not (value > 0 and math.isfinite(value)):
+    """``value``, not converted, refused unless it is a positive finite real.
+    An int or Fraction is finite as it is, however large."""
+    if not (value > 0 and (isinstance(value, (int, Fraction)) or math.isfinite(value))):
         raise ValueError(f"{what} must be a positive finite real, got {value}")
     return value
 
 
-def float_tuple(values) -> tuple[float, ...]:
-    """A one-dimensional sequence of numbers (a list, a tuple, or any sized
-    iterable, an ndarray included) as a tuple of Python floats; TypeError
-    for any other shape."""
+def floats(value, what: str, shape: tuple[int | None, ...]) -> tuple:
+    """``value`` as Python floats: a tuple for a shape ``(n,)``, a tuple of
+    row tuples for ``(n, m)``; an ``n`` of None is a free length.
+
+    Lists and tuples convert directly; any other sized iterable, an ndarray
+    included, must be one-dimensional (a row) by ``shape_of``. Any other
+    value is refused with a ValueError naming ``what``, its numpy shape and
+    ``shape``.
+    """
+    try:
+        out = _row(value) if len(shape) == 1 else tuple(map(_row, value))
+    except TypeError:
+        out = None
+    if out is not None and shape[0] in (None, len(out)) and (
+            len(shape) == 1 or all(len(r) == shape[1] for r in out)):
+        return out
+    expected = str(shape).replace("None", "any")
+    raise ValueError(f"{what} has shape {shape_of(value)}, expected {expected}")
+
+
+def _row(values) -> tuple[float, ...]:
     if not isinstance(values, (tuple, list)) and len(shape_of(values)) != 1:
-        raise TypeError("expected a one-dimensional sequence of numbers")
+        raise TypeError("not one-dimensional")
     return tuple(map(float, values))
 
 

@@ -16,14 +16,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .baselines import ChoiceProblem, _sum
-from .board import exact, float_tuple, positive_finite, whole
+from .board import exact, floats, positive_finite, whole
 from .engine import TacoOutcome, check_trading_unit
 from .errors import MetricUndefinedError
 
 
 def optimality_gap(costs, utilitarian_costs) -> float:
     """(total cost / total cost of the utilitarian option) - 1."""
-    return _gap(_sum(float_tuple(costs)), _sum(float_tuple(utilitarian_costs)))
+    c = floats(costs, "costs", (None,))
+    return _gap(_sum(c), _sum(floats(utilitarian_costs, "utilitarian_costs", (len(c),))))
 
 
 def _gap(total: float, best: float) -> float:
@@ -41,7 +42,7 @@ def gini(costs) -> float:
     costs (settled costs can dip negative, in which case the usual [0, 1-1/n]
     range no longer applies).
     """
-    return _gini(float_tuple(costs))
+    return _gini(floats(costs, "costs", (None,)))
 
 
 def _gini(c: list[float]) -> float:
@@ -196,7 +197,7 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     Sound runs never exceed 1. Returns 0.0 when no cycle was detected or
     every bound is vacuous (single agent). Refused for another n than the run's.
     """
-    b = float_tuple(valuations)
+    b = floats(valuations, "valuations", (None,))
     n = len(b)
     _same_agents(n, "valuations", outcome)
     worst = 0.0

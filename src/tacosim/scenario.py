@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .baselines import ChoiceProblem
-from .board import float_tuple, whole
+from .board import floats, positive_finite, whole
 from .errors import ResourceLimitError
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
@@ -37,18 +37,13 @@ class WaypointScenario:
     D: float
 
     def __post_init__(self) -> None:
-        try:
-            e, k = float_tuple(self.e), float_tuple(self.k)
-        except TypeError:
-            e = k = None
-        if e is None or len(k) != len(e):
-            raise ValueError("e and k must be equal-length vectors")
-        for name, value in (("e", e), ("k", k), ("D", float(self.D))):
+        e = floats(self.e, "e", (None,))
+        k = floats(self.k, "k", (len(e),))
+        D = positive_finite(float(self.D), "separation D")
+        for name, value in (("e", e), ("k", k), ("D", D)):
             object.__setattr__(self, name, value)
         if not all(map((0.0).__lt__, k)):
             raise ValueError("urgency weights k must be positive")
-        if not self.D > 0:
-            raise ValueError(f"separation D must be positive, got {self.D}")
 
     @property
     def n(self) -> int:
@@ -61,12 +56,8 @@ def pava(targets, weights) -> tuple[float, ...]:
     Returns the unique nondecreasing minimizer of sum w_t * (v_t - targets_t)^2,
     one float per target. Merged blocks take the weighted mean of their targets.
     """
-    try:
-        t, w = float_tuple(targets), float_tuple(weights)
-    except TypeError:
-        t = w = None
-    if t is None or len(t) != len(w):
-        raise ValueError("targets and weights must be equal-length vectors")
+    t = floats(targets, "targets", (None,))
+    w = floats(weights, "weights", (len(t),))
     if not all(map((0.0).__lt__, w)):
         raise ValueError("weights must be positive")
     stack = None
@@ -171,9 +162,9 @@ def random_problem(n: int, m: int, rng) -> ChoiceProblem:
     keep valuations strictly positive.
     """
     C = rng.random((n, m))
-    b = float_tuple(rng.random(n))
-    while 0.0 in b:
-        redraws = iter(float_tuple(rng.random(b.count(0.0))))
+    b = floats(rng.random(n), "b", (n,))
+    while zeros := b.count(0.0):
+        redraws = iter(floats(rng.random(zeros), "b", (zeros,)))
         b = tuple(next(redraws) if v == 0.0 else v for v in b)
     return ChoiceProblem(n=n, m=m, C=C, b=b)
 

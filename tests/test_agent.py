@@ -5,6 +5,9 @@ board (``tests/_replay.py``); the best response is their ``np.argmax``, and
 the engine's first turn is checked against it.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -97,16 +100,27 @@ def test_cost_row_is_a_tuple_of_floats():
         assert agent.cost_row == (1.0, 2.5)
         assert type(agent.cost_row) is tuple
         assert all(type(x) is float for x in agent.cost_row)
-    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+    with pytest.raises(ValueError, match=r"^cost_row has shape \(2, 2\), expected \(any,\)$"):
         AgentPrivate(index=0, valuation=1.0, cost_row=[[1.0, 2.0], [3.0, 4.0]])
     # A string is one number to numpy, not a row of its characters.
-    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(\)"):
+    with pytest.raises(ValueError, match=r"^cost_row has shape \(\), expected \(any,\)$"):
         AgentPrivate(index=0, valuation=1.0, cost_row="12")
     # Arrays are refused with numpy's own shape, computed without numpy.
     for row in (np.ones((2, 1)), np.array(5.0), np.float64(5.0), iter([1.0, 2.0])):
         with pytest.raises(ValueError) as err:
             AgentPrivate(index=0, valuation=1.0, cost_row=row)
-        assert str(err.value) == f"cost_row must be one-dimensional, got shape {np.shape(row)}"
+        assert str(err.value) == f"cost_row has shape {np.shape(row)}, expected (any,)"
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(index=1.5), "agent index must be a whole number, got 1.5"),
+    (dict(valuation=math.inf), "valuation must be a positive finite real, got inf"),
+])
+def test_agent_scalars_take_the_run_parameter_rules(fields, message):
+    # A fractional index was kept as it was, and an infinite valuation accepted.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AgentPrivate(**{"index": 0, "valuation": 1.0, "cost_row": [1.0], **fields})
+    assert AgentPrivate(index=np.int64(1), valuation=1.0, cost_row=[1.0]).index == 1
 
 
 def test_profit_row_dimension_check():

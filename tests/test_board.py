@@ -15,8 +15,13 @@ from _replay import (
     reduce_trading_unit,
     span_counts,
 )
-from tacosim.board import exact, float_tuple, shape_of
+from tacosim.agent import AgentPrivate
+from tacosim.baselines import ChoiceProblem
+from tacosim.board import exact, floats, shape_of
+from tacosim.engine import TacoConfig, run_taco
 from tacosim.errors import HistoryLimitError
+from tacosim.metrics import cycle_spread_ratio, gini, optimality_gap
+from tacosim.scenario import WaypointScenario, example2_fixture, pava, random_problem
 
 
 def test_exact_coercion():
@@ -61,14 +66,70 @@ def test_shape_of_is_numpys_shape():
     assert shape_of([[1.0, 2.0], [3.0]]) == (2,)
 
 
-def test_float_tuple_takes_any_one_dimensional_sequence():
+def test_floats_takes_any_one_dimensional_sequence():
     for values in ([1, 2.5], (1, 2.5), np.array([1.0, 2.5]), np.array([1, 2]) * 1.25, range(2)):
-        out = float_tuple(values)
+        out = floats(values, "v", (None,))
         assert type(out) is tuple and all(type(x) is float for x in out)
         assert out == tuple(np.asarray(values, dtype=np.float64).tolist())
+        assert floats(values, "v", (2,)) == out
+    rows = floats(np.array([[1, 2], [3, 4]]), "C", (2, 2))
+    assert rows == ((1.0, 2.0), (3.0, 4.0)) and all(type(r) is tuple for r in rows)
     for values in ("12", 3.0, np.array(3.0), np.zeros((2, 2)), [[1.0], [2.0]], iter([1.0])):
-        with pytest.raises(TypeError):
-            float_tuple(values)
+        with pytest.raises(ValueError) as err:
+            floats(values, "v", (None,))
+        assert str(err.value) == f"v has shape {np.shape(values)}, expected (any,)"
+
+
+class _Draws:
+    """An rng whose cost draws are fine and whose valuation draw is given."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def random(self, size):
+        return [[0.5] * size[1]] * size[0] if isinstance(size, tuple) else self.b
+
+
+_OUTCOME = run_taco(TacoConfig(epsilon=1e-6), example2_fixture().agents())
+
+# Each vector entry point: how to feed it one vector, the name it reports,
+# and the shape it expects (the second vector of a pair is read at the
+# first's length, 2 here). A free length has no wrong length.
+_VECTOR_INPUTS = {
+    "ChoiceProblem C": (lambda v: ChoiceProblem(n=3, m=2, C=v, b=[1.0] * 3), "C", "(3, 2)"),
+    "ChoiceProblem b": (lambda v: ChoiceProblem(n=2, m=2, C=[[1.0] * 2] * 2, b=v), "b", "(2,)"),
+    "AgentPrivate": (lambda v: AgentPrivate(index=0, valuation=1.0, cost_row=v), "cost_row", "(any,)"),
+    "WaypointScenario e": (lambda v: WaypointScenario(e=v, k=[1.0], D=1.0), "e", "(any,)"),
+    "WaypointScenario k": (lambda v: WaypointScenario(e=[0.0, 1.0], k=v, D=1.0), "k", "(2,)"),
+    "pava targets": (lambda v: pava(v, [1.0]), "targets", "(any,)"),
+    "pava weights": (lambda v: pava([0.0, 1.0], v), "weights", "(2,)"),
+    "optimality_gap costs": (lambda v: optimality_gap(v, [1.0]), "costs", "(any,)"),
+    "optimality_gap utilitarian": (
+        lambda v: optimality_gap([1.0, 2.0], v), "utilitarian_costs", "(2,)"),
+    "gini": (lambda v: gini(v), "costs", "(any,)"),
+    "cycle_spread_ratio": (lambda v: cycle_spread_ratio(_OUTCOME, v), "valuations", "(any,)"),
+    "random_problem": (lambda v: random_problem(2, 2, _Draws(v)), "b", "(2,)"),
+}
+_BAD_VECTORS = {
+    "2-D list": ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"),
+    "str": ("12", "()"),
+    "scalar": (3.5, "()"),
+    "0-d ndarray": (np.array(5.0), "()"),
+    "ragged list": ([[1.0], [2.0, 3.0]], "(2,)"),  # numpy's regular prefix
+    "wrong length": ([1.0, 2.0, 3.0], "(3,)"),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, _, expected) in _VECTOR_INPUTS.items() for bad in _BAD_VECTORS
+    if not (bad == "wrong length" and expected == "(any,)")
+])
+def test_every_vector_input_is_refused_in_one_form(entry, bad):
+    feed, what, expected = _VECTOR_INPUTS[entry]
+    value, shape = _BAD_VECTORS[bad]
+    with pytest.raises(ValueError) as err:
+        feed(value)
+    assert str(err.value) == f"{what} has shape {shape}, expected {expected}"
 
 
 def test_new_board_zeroed():

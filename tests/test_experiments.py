@@ -424,6 +424,8 @@ _PAIR = WaypointScenario(e=[0.0, 0.0], k=[1.0, 1.0], D=2.0)
     (lambda cfg: solve_ordering(_PAIR, (1, 0.5)), "an order entry must be a whole number, got 0.5"),
     (lambda cfg: termination_bound(2.5, 2, "9/10", 0.1, 1, 1.2), "n must be a whole number, got 2.5"),
     (lambda cfg: termination_bound(2, 3.5, "9/10", 0.1, 1, 1.2), "m must be a whole number, got 3.5"),
+    (lambda cfg: TacoConfig(epsilon=0.1, max_steps=math.inf), "max_steps must be a whole number, got inf"),
+    (lambda cfg: TacoConfig(epsilon=0.1, max_steps=math.nan), "max_steps must be a whole number, got nan"),
 ])
 def test_a_count_with_a_fraction_is_refused_before_any_trial(monkeypatch, run, message):
     # int() would truncate each of these: trials=1.5 ran one trial, the

@@ -10,6 +10,7 @@ CSV and summary bytes of the dict-row path they replaced.
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -307,3 +308,13 @@ def test_termination_count_matches_the_product_loop():
         for gamma, eps in (("1/2", 2.0**-k), ("1/4", 4.0**-k), ("3/4", 0.75**k)):
             got = metrics.termination_bound(2, 1, gamma, eps, "1/2", 1).cycle_count
             assert got == ref.termination_count(2, 1, gamma, eps, "1/2", 1)
+
+
+def test_termination_bound_takes_exact_inputs_beyond_any_float():
+    # An int or Fraction epsilon or b_max is finite however large: no
+    # float conversion, which would overflow, on the way to the exact count.
+    huge = Fraction(10**400)
+    assert metrics.termination_bound(2, 2, "9/10", huge, 1, 1.2).cycle_count == 0
+    assert metrics.termination_bound(2, 2, "9/10", 10**400, 1, 1.2).cycle_count == 0
+    got = metrics.termination_bound(2, 2, "9/10", 0.1, 1, huge).cycle_count
+    assert got == ref.termination_count(2, 2, "9/10", 0.1, 1, huge)

@@ -1,6 +1,7 @@
 """Waypoint scenario: isotonic solver, per-ordering costs, random generators."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -149,13 +150,28 @@ def test_scenario_validation():
         WaypointScenario(e=[0.0, 1.0], k=[1.0, 0.0], D=1.0)
     with pytest.raises(ValueError):
         WaypointScenario(e=[0.0, 1.0], k=[1.0, 1.0], D=0.0)
-    for e, k in (("12", "34"), ([[0.0, 1.0]], [[1.0, 1.0]]), (np.zeros((2, 2)), np.ones((2, 2)))):
-        with pytest.raises(ValueError, match="e and k must be equal-length vectors"):
+    # Each vector is refused with its numpy shape; k is read at e's length.
+    for e, k, message in (
+        ("12", "34", "e has shape (), expected (any,)"),
+        ([[0.0, 1.0]], [[1.0, 1.0]], "e has shape (1, 2), expected (any,)"),
+        (np.zeros((2, 2)), np.ones((2, 2)), "e has shape (2, 2), expected (any,)"),
+        ([0.0, 1.0], "34", "k has shape (), expected (2,)"),
+        ([0.0, 1.0], [1.0], "k has shape (1,), expected (2,)"),
+    ):
+        with pytest.raises(ValueError) as err:
             WaypointScenario(e=e, k=k, D=1.0)
+        assert str(err.value) == message
     # The vectors are held as tuples of floats, from arrays and lists alike.
     scenario = WaypointScenario(e=np.array([0.0, 1.5]), k=[1, 2], D=1)
     assert (scenario.e, scenario.k, scenario.D) == ((0.0, 1.5), (1.0, 2.0), 1.0)
     assert all(type(x) is float for x in scenario.e + scenario.k)
+
+
+def test_separation_takes_the_run_parameter_rule():
+    # D is a scale, so a positive finite real: an infinite separation was accepted.
+    with pytest.raises(ValueError) as err:
+        WaypointScenario(e=[0.0, 1.0], k=[1.0, 1.0], D=math.inf)
+    assert str(err.value) == "separation D must be a positive finite real, got inf"
 
 
 def test_enumerate_options_symmetric_two_agents():
