@@ -120,7 +120,6 @@ def test_agent_scalars_take_the_run_parameter_rules(fields, message):
     # A fractional index was kept as it was, and an infinite valuation accepted.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         AgentPrivate(**{"index": 0, "valuation": 1.0, "cost_row": [1.0], **fields})
-    assert AgentPrivate(index=np.int64(1), valuation=1.0, cost_row=[1.0]).index == 1
 
 
 def test_profit_row_dimension_check():
