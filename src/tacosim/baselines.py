@@ -13,10 +13,8 @@ draws, without per-call array dispatch.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections.abc import Sequence
-from itertools import chain
 
 from .agent import AgentPrivate
 from .board import floats
@@ -75,11 +73,7 @@ class ChoiceProblem:
     def __init__(self, n: int, m: int, C, b, option_labels: list[str] | None = None):
         self.n, self.m, self.option_labels = n, m, option_labels
         self.rows = floats(C, "C", (n, m))
-        self.valuations = floats(b, "b", (n,))
-        if not all(map((0.0).__lt__, self.valuations)):
-            raise ValueError("valuations b must be positive elementwise")
-        if not all(map(math.isfinite, chain(*self.rows, self.valuations))):
-            raise ValueError("C and b must be finite")
+        self.valuations = floats(b, "b", (n,), positive=True)
         sums = [0.0] * m
         for row in self.rows:
             sums = list(map(operator.add, sums, row))

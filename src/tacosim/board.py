@@ -8,20 +8,22 @@ run on an integer lattice of the same values (see ``engine``).
 ``PublicBoard`` is only the result type: the lattice builds one when a
 run's ``final_board`` is read, and nothing here mutates it.
 
-The input readers: ``floats`` reads every vector input (cost matrices and
-rows, valuations, ETAs and weights, metric costs) as Python floats, and
-refuses any other shape in one form, ``C has shape (2, 3), expected (2, 2)``,
-with numpy's shape by ``shape_of`` (computed without numpy). ``whole`` (a
-count) and ``positive_finite`` (a tolerance or scale) are the one check of
-each run parameter, shared by the engine, the sweeps and the bound.
+The input rules: ``floats`` reads every vector input as Python floats and
+``reals`` checks floats already held: finite reals, positive where asked,
+refused at the first fault as ``C has shape (2, 3), expected (2, 2)``
+(numpy's shape, by ``shape_of``) or ``b[1] = 0.0, expected a positive
+finite real``. ``permutation`` checks an order; ``whole`` (a count) and
+``positive_finite`` (a tolerance or scale) check each run parameter.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 ExactAmount = Fraction
 
@@ -67,30 +69,56 @@ def positive_finite(value, what: str):
     return value
 
 
-def floats(value, what: str, shape: tuple[int | None, ...]) -> tuple:
-    """``value`` as Python floats: a tuple for a shape ``(n,)``, a tuple of
-    row tuples for ``(n, m)``; an ``n`` of None is a free length.
-
-    Lists and tuples convert directly; any other sized iterable, an ndarray
-    included, must be one-dimensional (a row) by ``shape_of``. Any other
-    value is refused with a ValueError naming ``what``, its numpy shape and
-    ``shape``.
-    """
+def floats(value, what: str, shape: tuple[int | None, ...], positive: bool = False) -> tuple:
+    """``value`` as Python floats, checked by ``reals``: a tuple for a shape
+    ``(n,)``, of row tuples for ``(n, m)``; an n of None is a free length. A
+    vector or row other than a list or tuple, such as an ndarray, must be 1-D."""
     try:
-        out = _row(value) if len(shape) == 1 else tuple(map(_row, value))
-    except TypeError:
-        out = None
-    if out is not None and shape[0] in (None, len(out)) and (
-            len(shape) == 1 or all(len(r) == shape[1] for r in out)):
-        return out
-    expected = str(shape).replace("None", "any")
-    raise ValueError(f"{what} has shape {shape_of(value)}, expected {expected}")
+        value = _row(value) if len(shape) == 1 else tuple(map(_row, value))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(_fault(value, what, shape, positive)) from None
+    return reals(value, what, shape, positive)
+
+
+def reals(values, what: str, shape: tuple[int | None, ...], positive: bool = False):
+    """``values``, floats already held, as they are: refused unless they have
+    ``shape`` and every entry is a finite real, greater than 0 if ``positive``."""
+    rows = (values,) if len(shape) == 1 else values
+    try:  # a finite sum has finite entries; an overflowing one reads each
+        if (shape[0] in (None, len(values)) and (len(shape) == 1 or {*map(len, rows)} <= {shape[1]})
+                and (math.isfinite(sum(map(sum, rows))) or all(map(math.isfinite, chain(*rows))))
+                and (not positive or all(map((0.0).__lt__, chain(*rows))))):
+            return values
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(_fault(values, what, shape, positive))
+
+
+def _fault(value, what: str, shape: tuple[int | None, ...], positive: bool) -> str | None:
+    """The refusal of ``value``'s first fault, None if none: its shape, a row's, or an entry."""
+    if shape:
+        got = shape_of(value)
+        if not 0 < len(got) <= len(shape) or any(e not in (None, g) for g, e in zip(got, shape)):
+            return f"{what} has shape {got}, expected {str(shape).replace('None', 'any')}"
+        faults = (_fault(v, f"{what}[{i}]", shape[1:], positive) for i, v in enumerate(value))
+        return next(filter(None, faults), None)
+    with suppress(TypeError, ValueError, OverflowError):  # a str is no real, even "12"
+        value = value if isinstance(value, (str, bytes)) else float(value)
+    if not (isinstance(value, float) and math.isfinite(value) and (value > 0 or not positive)):
+        return f"{what} = {value!r}, expected a {'positive ' * positive}finite real"
 
 
 def _row(values) -> tuple[float, ...]:
     if not isinstance(values, (tuple, list)) and len(shape_of(values)) != 1:
         raise TypeError("not one-dimensional")
     return tuple(map(float, values))
+
+
+def permutation(values, n: int, what: str) -> list[int]:
+    """``values`` as a list, refused unless it is a permutation of 0..n-1."""
+    if sorted(values) != list(range(n)):
+        raise ValueError(f"{what} must be a permutation of 0..{n - 1}, got {values}")
+    return list(values)
 
 
 def shape_of(value) -> tuple[int, ...]:
@@ -127,7 +155,7 @@ class PublicBoard:
 
     # Nothing in the package calls this, and it is the one numpy import left
     # in it: the benchmark tracer wraps it by name (board.net_float), so it
-    # waits for the tracer's span change (ROADMAP item 4) to be deleted.
+    # waits for the tracer's retirement (ROADMAP item 11) to be deleted.
     def net_float(self):  # -> numpy.ndarray of float64, n x m
         import numpy as np
 

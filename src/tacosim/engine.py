@@ -44,8 +44,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
-import math
 import operator
 import os
 from collections.abc import Iterator, Sequence
@@ -55,7 +53,7 @@ from typing import NamedTuple
 
 from . import _fastpath
 from .agent import AgentPrivate
-from .board import CycleRecord, PublicBoard, exact, positive_finite, whole
+from .board import CycleRecord, PublicBoard, exact, permutation, positive_finite, reals, whole
 from .errors import HistoryLimitError, NoTerminationError
 
 ENV_VAR = "TACO_BACKEND"
@@ -294,26 +292,13 @@ def _prepare(config, agents):
             raise ValueError(
                 f"agents must be listed in index order; agents[{pos}] has index {a.index}"
             )
-    # The kernel's inputs: the agents' cost tuples, valuations and turn order.
-    C = [a.cost_row for a in agents]
-    m = len(C[0])
-    if any(len(row) != m for row in C):
-        raise ValueError("all agents must share the same number of choices")
+    # The kernel's inputs, checked again since agents are mutable (drift jumps need b > 0).
+    C = reals([a.cost_row for a in agents], "C", (n, m := len(agents[0].cost_row)))
     if m < 1:
         raise ValueError("need at least one choice")
-    b = [float(a.valuation) for a in agents]
-    if not all(map(math.isfinite, itertools.chain(b, *C))):
-        raise ValueError("costs and valuations must be finite")
-    if min(b) <= 0:  # the kernel's drift jumps need every cell monotone in delta
-        raise ValueError(f"valuations must be positive, got {min(b)}")
-    if config.turn_order is None:
-        order = list(range(n))
-    else:
-        order = list(config.turn_order)
-        if sorted(order) != list(range(n)):
-            raise ValueError(
-                f"turn_order must be a permutation of 0..{n - 1}, got {config.turn_order}"
-            )
+    b = reals([float(a.valuation) for a in agents], "b", (n,), positive=True)
+    order = list(range(n)) if config.turn_order is None else permutation(
+        config.turn_order, n, "turn_order")
     return n, m, b, C, order
 
 

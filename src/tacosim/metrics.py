@@ -197,7 +197,7 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     Sound runs never exceed 1. Returns 0.0 when no cycle was detected or
     every bound is vacuous (single agent). Refused for another n than the run's.
     """
-    b = floats(valuations, "valuations", (None,))
+    b = floats(valuations, "valuations", (None,), positive=True)
     n = len(b)
     _same_agents(n, "valuations", outcome)
     worst = 0.0

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .baselines import ChoiceProblem
-from .board import floats, positive_finite, whole
+from .board import floats, permutation, positive_finite, whole
 from .errors import ResourceLimitError
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
@@ -37,13 +37,9 @@ class WaypointScenario:
     D: float
 
     def __post_init__(self) -> None:
-        e = floats(self.e, "e", (None,))
-        k = floats(self.k, "k", (len(e),))
-        D = positive_finite(float(self.D), "separation D")
-        for name, value in (("e", e), ("k", k), ("D", D)):
-            object.__setattr__(self, name, value)
-        if not all(map((0.0).__lt__, k)):
-            raise ValueError("urgency weights k must be positive")
+        object.__setattr__(self, "e", floats(self.e, "e", (None,)))
+        object.__setattr__(self, "k", floats(self.k, "k", (self.n,), positive=True))
+        object.__setattr__(self, "D", positive_finite(float(self.D), "separation D"))
 
     @property
     def n(self) -> int:
@@ -57,9 +53,7 @@ def pava(targets, weights) -> tuple[float, ...]:
     one float per target. Merged blocks take the weighted mean of their targets.
     """
     t = floats(targets, "targets", (None,))
-    w = floats(weights, "weights", (len(t),))
-    if not all(map((0.0).__lt__, w)):
-        raise ValueError("weights must be positive")
+    w = floats(weights, "weights", (len(t),), positive=True)
     stack = None
     for ti, wi in zip(t, w):
         stack = _pool(stack, ti, wi)
@@ -98,9 +92,7 @@ def solve_ordering(scenario: WaypointScenario, order) -> tuple[float, ...]:
     targets e[order[t]] - t*D with weights k[order[t]].
     """
     n = scenario.n
-    order = tuple(whole(i, "an order entry") for i in order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of 0..{n - 1}, got {order}")
+    order = permutation(tuple(whole(i, "an order entry") for i in order), n, "order")
     e, k, D = scenario.e, scenario.k, scenario.D
     v = pava([e[i] - t * D for t, i in enumerate(order)], [k[i] for i in order])
     x = [0.0] * n

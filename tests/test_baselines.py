@@ -36,27 +36,29 @@ def test_choice_problem_validation():
 def test_choice_problem_checks_lists_like_arrays():
     # Rows and b in Python, with the checks and messages of the array path.
     ones = [[1.0] * 3] * 2
-    positive = "valuations b must be positive elementwise"
+    positive = "expected a positive finite real"
     cases = [
         (dict(n=2, m=2, C=ones, b=[1.0, 1.0]), "C has shape (2, 3), expected (2, 2)"),
         (dict(n=2, m=3, C=ones, b=[1.0] * 3), "b has shape (3,), expected (2,)"),
         (dict(n=2, m=3, C=[1.0, 1.0, 1.0], b=[1.0] * 2), "C has shape (3,), expected (2, 3)"),
-        (dict(n=2, m=3, C=ones, b=[1.0, 0.0]), positive),
-        (dict(n=2, m=3, C=ones, b=[1.0, math.nan]), positive),
-        (dict(n=2, m=3, C=[[1.0, math.inf, 1.0]] * 2, b=[1.0] * 2), "C and b must be finite"),
-        (dict(n=2, m=3, C=ones, b=[1.0, math.inf]), "C and b must be finite"),
+        (dict(n=2, m=3, C=ones, b=[1.0, 0.0]), f"b[1] = 0.0, {positive}"),
+        (dict(n=2, m=3, C=ones, b=[1.0, math.nan]), f"b[1] = nan, {positive}"),
+        (dict(n=2, m=3, C=[[1.0, math.inf, 1.0]] * 2, b=[1.0] * 2),
+         "C[0][1] = inf, expected a finite real"),
+        (dict(n=2, m=3, C=ones, b=[1.0, math.inf]), f"b[1] = inf, {positive}"),
     ]
     for kw, message in cases:
         for convert in (list, np.array):
             with pytest.raises(ValueError) as err:
                 ChoiceProblem(**{**kw, "C": convert(kw["C"]), "b": convert(kw["b"])})
             assert str(err.value) == message
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         ChoiceProblem(n=2, m=2, C=[[1.0, 2.0], [3.0]], b=[1.0, 1.0])
+    assert str(err.value) == "C[1] has shape (1,), expected (2,)"
     # A string is one number to numpy, not a row of its characters.
     strings = [
         (dict(n=2, m=3, C=ones, b="12"), "b has shape (), expected (2,)"),
-        (dict(n=2, m=2, C=["12", "34"], b=[1.0] * 2), "C has shape (2,), expected (2, 2)"),
+        (dict(n=2, m=2, C=["12", "34"], b=[1.0] * 2), "C[0] has shape (), expected (2,)"),
     ]
     for kw, message in strings:
         with pytest.raises(ValueError) as err:

@@ -1,6 +1,7 @@
 """Exact arithmetic, the reference Fraction board's update rule, and the
 replay oracle's cycle detector (the board operations live in ``_replay``)."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from _replay import (
 )
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
-from tacosim.board import exact, floats, shape_of
+from tacosim.board import exact, floats, reals, shape_of
 from tacosim.engine import TacoConfig, run_taco
 from tacosim.errors import HistoryLimitError
 from tacosim.metrics import cycle_spread_ratio, gini, optimality_gap
@@ -80,6 +81,28 @@ def test_floats_takes_any_one_dimensional_sequence():
         assert str(err.value) == f"v has shape {np.shape(values)}, expected (any,)"
 
 
+def test_entries_are_read_one_by_one_when_their_sum_overflows():
+    # A finite sum means finite entries; finite entries whose sum overflows
+    # are each read, and accepted.
+    big = [1e308, 1e308]
+    assert floats(big, "v", (None,), positive=True) == (1e308, 1e308)
+    assert floats([big, big], "C", (2, 2)) == ((1e308, 1e308),) * 2
+    assert reals([(1e308, -1.0), (1e308, 1.0)], "C", (2, 2)) == [(1e308, -1.0), (1e308, 1.0)]
+
+
+def test_reals_refuses_held_entries_in_the_one_form():
+    # The engine's guard: rows as the agents hold them, not converted again.
+    cases = [
+        ([(1.0, 2.0), (10**400, 1.0)], "C[1][0] = " + str(10**400) + ", expected a finite real"),
+        ([(1.0, 2.0), (1.0, "2")], "C[1][1] = '2', expected a finite real"),
+        ([(1.0, 2.0), 3.0], "C[1] has shape (), expected (2,)"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError) as err:
+            reals(rows, "C", (2, 2))
+        assert str(err.value) == message
+
+
 class _Draws:
     """An rng whose cost draws are fine and whose valuation draw is given."""
 
@@ -93,43 +116,78 @@ class _Draws:
 _OUTCOME = run_taco(TacoConfig(epsilon=1e-6), example2_fixture().agents())
 
 # Each vector entry point: how to feed it one vector, the name it reports,
-# and the shape it expects (the second vector of a pair is read at the
-# first's length, 2 here). A free length has no wrong length.
+# the shape it expects and whether its entries must be positive (the second
+# vector of a pair is read at the first's length, 2 here). The matrix C is
+# fed its second row. A free length has no wrong length.
 _VECTOR_INPUTS = {
-    "ChoiceProblem C": (lambda v: ChoiceProblem(n=3, m=2, C=v, b=[1.0] * 3), "C", "(3, 2)"),
-    "ChoiceProblem b": (lambda v: ChoiceProblem(n=2, m=2, C=[[1.0] * 2] * 2, b=v), "b", "(2,)"),
-    "AgentPrivate": (lambda v: AgentPrivate(index=0, valuation=1.0, cost_row=v), "cost_row", "(any,)"),
-    "WaypointScenario e": (lambda v: WaypointScenario(e=v, k=[1.0], D=1.0), "e", "(any,)"),
-    "WaypointScenario k": (lambda v: WaypointScenario(e=[0.0, 1.0], k=v, D=1.0), "k", "(2,)"),
-    "pava targets": (lambda v: pava(v, [1.0]), "targets", "(any,)"),
-    "pava weights": (lambda v: pava([0.0, 1.0], v), "weights", "(2,)"),
-    "optimality_gap costs": (lambda v: optimality_gap(v, [1.0]), "costs", "(any,)"),
+    "ChoiceProblem C": (
+        lambda v: ChoiceProblem(n=2, m=2, C=[[1.0, 1.0], v], b=[1.0] * 2), "C[1]", "(2,)", False),
+    "ChoiceProblem b": (
+        lambda v: ChoiceProblem(n=2, m=2, C=[[1.0] * 2] * 2, b=v), "b", "(2,)", True),
+    "AgentPrivate": (
+        lambda v: AgentPrivate(index=0, valuation=1.0, cost_row=v), "cost_row", "(any,)", False),
+    "WaypointScenario e": (lambda v: WaypointScenario(e=v, k=[1.0], D=1.0), "e", "(any,)", False),
+    "WaypointScenario k": (
+        lambda v: WaypointScenario(e=[0.0, 1.0], k=v, D=1.0), "k", "(2,)", True),
+    "pava targets": (lambda v: pava(v, [1.0]), "targets", "(any,)", False),
+    "pava weights": (lambda v: pava([0.0, 1.0], v), "weights", "(2,)", True),
+    "optimality_gap costs": (lambda v: optimality_gap(v, [1.0]), "costs", "(any,)", False),
     "optimality_gap utilitarian": (
-        lambda v: optimality_gap([1.0, 2.0], v), "utilitarian_costs", "(2,)"),
-    "gini": (lambda v: gini(v), "costs", "(any,)"),
-    "cycle_spread_ratio": (lambda v: cycle_spread_ratio(_OUTCOME, v), "valuations", "(any,)"),
-    "random_problem": (lambda v: random_problem(2, 2, _Draws(v)), "b", "(2,)"),
+        lambda v: optimality_gap([1.0, 2.0], v), "utilitarian_costs", "(2,)", False),
+    "gini": (lambda v: gini(v), "costs", "(any,)", False),
+    "cycle_spread_ratio": (
+        lambda v: cycle_spread_ratio(_OUTCOME, v), "valuations", "(any,)", True),
+    # Finite only: a zero draw is redrawn, and ChoiceProblem refuses a negative b.
+    "random_problem": (lambda v: random_problem(2, 2, _Draws(v)), "b", "(2,)", False),
 }
+# Each bad vector and its refusal; {real} is the input's entry rule.
 _BAD_VECTORS = {
-    "2-D list": ([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"),
-    "str": ("12", "()"),
-    "scalar": (3.5, "()"),
-    "0-d ndarray": (np.array(5.0), "()"),
-    "ragged list": ([[1.0], [2.0, 3.0]], "(2,)"),  # numpy's regular prefix
-    "wrong length": ([1.0, 2.0, 3.0], "(3,)"),
+    "2-D list": ([[1.0, 2.0], [3.0, 4.0]], "{what} has shape (2, 2), expected {expected}"),
+    "str": ("12", "{what} has shape (), expected {expected}"),
+    "scalar": (3.5, "{what} has shape (), expected {expected}"),
+    "0-d ndarray": (np.array(5.0), "{what} has shape (), expected {expected}"),
+    # numpy's shape is the regular prefix (2,), so its first entry is no real.
+    "ragged list": ([[1.0], [2.0, 3.0]], "{what}[0] = [1.0], expected a {real}"),
+    "wrong length": ([1.0, 2.0, 3.0], "{what} has shape (3,), expected {expected}"),
+    "None entry": ([1.0, None], "{what}[1] = None, expected a {real}"),
+    "str entry": ([1.0, "x"], "{what}[1] = 'x', expected a {real}"),
+    "inf entry": ([1.0, math.inf], "{what}[1] = inf, expected a {real}"),
+    "nan entry": ([1.0, math.nan], "{what}[1] = nan, expected a {real}"),
+    "int too large for a float": ([1.0, 10**400], f"{{what}}[1] = {10**400}, expected a {{real}}"),
+    "zero entry": ([1.0, 0.0], "{what}[1] = 0.0, expected a {real}"),
+    "negative entry": ([1.0, -1.0], "{what}[1] = -1.0, expected a {real}"),
 }
+_POSITIVE_ONLY = ("zero entry", "negative entry")
 
 
 @pytest.mark.parametrize("entry, bad", [
-    (entry, bad) for entry, (_, _, expected) in _VECTOR_INPUTS.items() for bad in _BAD_VECTORS
+    (entry, bad) for entry, (_, _, expected, positive) in _VECTOR_INPUTS.items()
+    for bad in _BAD_VECTORS
     if not (bad == "wrong length" and expected == "(any,)")
+    and (positive or bad not in _POSITIVE_ONLY)
 ])
 def test_every_vector_input_is_refused_in_one_form(entry, bad):
-    feed, what, expected = _VECTOR_INPUTS[entry]
-    value, shape = _BAD_VECTORS[bad]
+    feed, what, expected, positive = _VECTOR_INPUTS[entry]
+    value, message = _BAD_VECTORS[bad]
     with pytest.raises(ValueError) as err:
         feed(value)
-    assert str(err.value) == f"{what} has shape {shape}, expected {expected}"
+    real = "positive finite real" if positive else "finite real"
+    assert str(err.value) == message.format(what=what, expected=expected, real=real)
+
+
+def test_no_refusal_prints_the_expected_shape():
+    # A matrix whose numpy shape is the expected one is refused at its entry,
+    # and a ragged one at its first row of another length.
+    cases = [
+        (dict(C=[[1.0, None], [2.0, 3.0]]), "C[0][1] = None, expected a finite real"),
+        (dict(C=np.array([[1.0, 2.0], [np.inf, 3.0]])), "C[1][0] = inf, expected a finite real"),
+        (dict(C=[[1.0, 2.0], [3.0]]), "C[1] has shape (1,), expected (2,)"),
+        (dict(C=[(1.0,), [2.0, 3.0]]), "C[0] has shape (1,), expected (2,)"),
+    ]
+    for kw, message in cases:
+        with pytest.raises(ValueError) as err:
+            ChoiceProblem(n=2, m=2, b=[1, 1], **kw)
+        assert str(err.value) == message
 
 
 def test_new_board_zeroed():

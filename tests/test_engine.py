@@ -220,26 +220,33 @@ def test_config_validation():
 
 def test_run_input_validation():
     agents = example2_fixture().agents()
-    with pytest.raises(ValueError):
-        run_taco(_config(), [])
-    with pytest.raises(ValueError):
-        run_taco(_config(), list(reversed(agents)))
     ragged = [
         AgentPrivate(index=0, valuation=1.0, cost_row=np.array([1.0, 2.0])),
         AgentPrivate(index=1, valuation=1.0, cost_row=np.array([1.0, 2.0, 3.0])),
     ]
-    with pytest.raises(ValueError):
-        run_taco(_config(), ragged)
-    with pytest.raises(ValueError):
-        run_taco(_config(turn_order=(0, 0)), agents)
-    with pytest.raises(ValueError):
-        run_taco(_config(turn_order=(0, 1, 2)), agents)
-    infinite = [
-        AgentPrivate(index=0, valuation=1.0, cost_row=np.array([np.inf, 2.0])),
-        AgentPrivate(index=1, valuation=1.0, cost_row=np.array([1.0, 2.0])),
+    cases = [
+        (_config(), [], "need at least one agent"),
+        (_config(), list(reversed(agents)),
+         "agents must be listed in index order; agents[0] has index 1"),
+        (_config(), ragged, "C[1] has shape (3,), expected (2,)"),
+        (_config(turn_order=(0, 0)), agents,
+         "turn_order must be a permutation of 0..1, got (0, 0)"),
+        (_config(turn_order=(0, 1, 2)), agents,
+         "turn_order must be a permutation of 0..1, got (0, 1, 2)"),
     ]
-    with pytest.raises(ValueError):
-        run_taco(_config(), infinite)
+    for config, run_agents, message in cases:
+        with pytest.raises(ValueError) as err:
+            run_taco(config, run_agents)
+        assert str(err.value) == message
+    # An infinite cost is refused when the agent is built, and by the engine
+    # when it is assigned afterwards.
+    with pytest.raises(ValueError) as err:
+        AgentPrivate(index=0, valuation=1.0, cost_row=np.array([np.inf, 2.0]))
+    assert str(err.value) == "cost_row[0] = inf, expected a finite real"
+    agents[0].cost_row = (np.inf, 2.0)
+    with pytest.raises(ValueError) as err:
+        run_taco(_config(), agents)
+    assert str(err.value) == "C[0][0] = inf, expected a finite real"
 
 
 def test_single_option_forces_consensus():
@@ -1252,8 +1259,9 @@ def test_run_refuses_a_valuation_set_non_positive_after_construction(backend):
     # since a drift jump is sound only where every cell is monotone in delta.
     agents = example2_fixture().agents()
     agents[1].valuation = -0.5
-    with pytest.raises(ValueError, match="valuations must be positive"):
+    with pytest.raises(ValueError) as err:
         run_taco(_config(), agents, backend=backend)
+    assert str(err.value) == "b[1] = -0.5, expected a positive finite real"
 
 
 def test_drift_search_stays_off_the_headline_workload(monkeypatch):
