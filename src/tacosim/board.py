@@ -102,8 +102,8 @@ def _fault(value, what: str, shape: tuple[int | None, ...], positive: bool) -> s
             return f"{what} has shape {got}, expected {str(shape).replace('None', 'any')}"
         faults = (_fault(v, f"{what}[{i}]", shape[1:], positive) for i, v in enumerate(value))
         return next(filter(None, faults), None)
-    with suppress(TypeError, ValueError, OverflowError):  # a str is no real, even "12"
-        value = value if isinstance(value, (str, bytes)) else float(value)
+    with suppress(TypeError, ValueError, OverflowError):  # as sum() reads it: no str, even "12"
+        value = float(value - 0.0)
     if not (isinstance(value, float) and math.isfinite(value) and (value > 0 or not positive)):
         return f"{what} = {value!r}, expected a {'positive ' * positive}finite real"
 

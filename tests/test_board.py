@@ -2,6 +2,7 @@
 replay oracle's cycle detector (the board operations live in ``_replay``)."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,7 @@ def test_reals_refuses_held_entries_in_the_one_form():
     cases = [
         ([(1.0, 2.0), (10**400, 1.0)], "C[1][0] = " + str(10**400) + ", expected a finite real"),
         ([(1.0, 2.0), (1.0, "2")], "C[1][1] = '2', expected a finite real"),
+        ([(1.0, 2.0), (Decimal(1), 2.0)], "C[1][0] = Decimal('1'), expected a finite real"),
         ([(1.0, 2.0), 3.0], "C[1] has shape (), expected (2,)"),
     ]
     for rows, message in cases:
