@@ -8,11 +8,11 @@ run on an integer lattice of the same values (see ``engine``).
 ``PublicBoard`` is only the result type: the lattice builds one when a
 run's ``final_board`` is read, and nothing here mutates it.
 
-The input rules: ``floats`` reads every vector input as Python floats and
-``reals`` checks floats already held: finite reals, positive where asked,
-refused at the first fault as ``C has shape (2, 3), expected (2, 2)``
-(numpy's shape, by ``shape_of``) or ``b[1] = 0.0, expected a positive
-finite real``. ``permutation`` checks an order; ``whole`` (a count) and
+The input rules: ``floats`` reads a vector input as Python floats, and ``reals``
+checks values held, by one rule: finite reals as ``math.isfinite`` reads them,
+positive where asked, refused at the first fault as ``C has shape (2, 3),
+expected (2, 2)`` (numpy's shape, by ``shape_of``) or ``b[1] = 0.0, expected a
+positive finite real``. ``permutation`` checks an order; ``whole`` (a count) and
 ``positive_finite`` (a tolerance or scale) check each run parameter.
 """
 
@@ -36,10 +36,8 @@ def exact(value: int | str | Fraction) -> Fraction:
     Fraction, being immutable, is returned as it is.
     """
     if isinstance(value, float):
-        raise TypeError(
-            f"exact amounts must be int, Fraction, or string, not float ({value!r}); "
-            f"pass '9/10' or Fraction(9, 10) instead"
-        )
+        raise TypeError(f"exact amounts must be int, Fraction, or string, not float ({value!r}); "
+                        f"pass '9/10' or Fraction(9, 10) instead")
     if isinstance(value, (int, Fraction)):
         return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, str):
@@ -70,48 +68,54 @@ def positive_finite(value, what: str):
 
 
 def floats(value, what: str, shape: tuple[int | None, ...], positive: bool = False) -> tuple:
-    """``value`` as Python floats, checked by ``reals``: a tuple for a shape
-    ``(n,)``, of row tuples for ``(n, m)``; an n of None is a free length. A
-    vector or row other than a list or tuple, such as an ndarray, must be 1-D."""
+    """``value`` as Python floats, refused as ``reals`` refuses: a tuple for ``(n,)``, of row
+    tuples for ``(n, m)``, n None a free length; a row not a list or tuple must be 1-D."""
     try:
-        value = _row(value) if len(shape) == 1 else tuple(map(_row, value))
+        return _fits(_row(value) if len(shape) == 1 else tuple(map(_row, value)), shape, positive)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(_fault(value, what, shape, positive)) from None
-    return reals(value, what, shape, positive)
 
 
 def reals(values, what: str, shape: tuple[int | None, ...], positive: bool = False):
-    """``values``, floats already held, as they are: refused unless they have
-    ``shape`` and every entry is a finite real, greater than 0 if ``positive``."""
+    """``values`` as held, refused unless they have ``shape`` and each entry is a finite
+    real (one ``math.isfinite`` reads: not a str, even "12"), above 0 if ``positive``."""
+    try:
+        return _fits(values, shape, positive, finite=True)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(_fault(values, what, shape, positive)) from None
+
+
+def _fits(values, shape: tuple[int | None, ...], positive: bool, finite: bool = False):
+    """``values`` if they have ``shape``, are finite if ``finite``, above 0 if ``positive``."""
     rows = (values,) if len(shape) == 1 else values
-    try:  # a finite sum has finite entries; an overflowing one reads each
-        if (shape[0] in (None, len(values)) and (len(shape) == 1 or {*map(len, rows)} <= {shape[1]})
-                and (math.isfinite(sum(map(sum, rows))) or all(map(math.isfinite, chain(*rows))))
-                and (not positive or all(map((0.0).__lt__, chain(*rows))))):
-            return values
-    except (TypeError, OverflowError):
-        pass
-    raise ValueError(_fault(values, what, shape, positive))
+    if (shape[0] in (None, len(values)) and (len(shape) == 1 or {*map(len, rows)} <= {shape[1]})
+            and (not finite or all(map(math.isfinite, chain(*rows))))
+            and (not positive or min(chain(*rows), default=1.0) > 0)):
+        return values
+    raise ValueError("not of the shape, finiteness or sign asked")
 
 
 def _fault(value, what: str, shape: tuple[int | None, ...], positive: bool) -> str | None:
     """The refusal of ``value``'s first fault, None if none: its shape, a row's, or an entry."""
-    if shape:
-        got = shape_of(value)
-        if not 0 < len(got) <= len(shape) or any(e not in (None, g) for g, e in zip(got, shape)):
+    if shape:  # a regular value of too few dimensions is refused whole, a ragged one by row
+        got, dims = shape_of(value), len(shape)
+        ragged = 0 < len(got) < dims and len({*map(shape_of, value)}) > 1
+        if len(got) != dims and not ragged or any(e not in (None, g) for g, e in zip(got, shape)):
             return f"{what} has shape {got}, expected {str(shape).replace('None', 'any')}"
         faults = (_fault(v, f"{what}[{i}]", shape[1:], positive) for i, v in enumerate(value))
         return next(filter(None, faults), None)
-    with suppress(TypeError, ValueError, OverflowError):  # as sum() reads it: no str, even "12"
-        value = float(value - 0.0)
+    with suppress(TypeError, ValueError, OverflowError):  # a real, named as its float
+        math.isfinite(value)
+        value = float(value)
     if not (isinstance(value, float) and math.isfinite(value) and (value > 0 or not positive)):
         return f"{what} = {value!r}, expected a {'positive ' * positive}finite real"
 
 
 def _row(values) -> tuple[float, ...]:
-    if not isinstance(values, (tuple, list)) and len(shape_of(values)) != 1:
-        raise TypeError("not one-dimensional")
-    return tuple(map(float, values))
+    if isinstance(values, (tuple, list)) or len(shape_of(values)) == 1:
+        if all(map(math.isfinite, values)):
+            return tuple(map(float, values))
+    raise ValueError("not a 1-D row of finite reals")
 
 
 def permutation(values, n: int, what: str) -> list[int]:
@@ -124,14 +128,11 @@ def permutation(values, n: int, what: str) -> list[int]:
 def shape_of(value) -> tuple[int, ...]:
     """numpy's shape of nested sequences, as far as they are regular: () for
     a str, bytes, scalar or 0-d array, (len,) above ragged elements."""
-    if isinstance(value, (str, bytes)):
-        return ()
-    try:
-        n = len(value)
-    except TypeError:
-        return ()
-    inner = {shape_of(v) for v in value}
-    return (n, *inner.pop()) if len(inner) == 1 else (n,)
+    if not isinstance(value, (str, bytes)):
+        with suppress(TypeError):  # a scalar or 0-d array has no len
+            n, inner = len(value), {shape_of(v) for v in value}
+            return (n, *inner.pop()) if len(inner) == 1 else (n,)
+    return ()
 
 
 @dataclass
@@ -153,9 +154,8 @@ class PublicBoard:
     epoch: int = 0
     selections: list[int | None] = field(default_factory=list)
 
-    # Nothing in the package calls this, and it is the one numpy import left
-    # in it: the benchmark tracer wraps it by name (board.net_float), so it
-    # waits for the tracer's retirement (ROADMAP item 11) to be deleted.
+    # Unused in the package, and its one numpy import: the benchmark tracer wraps it
+    # by name (board.net_float), so it waits for the tracer's retirement (ROADMAP item 11).
     def net_float(self):  # -> numpy.ndarray of float64, n x m
         import numpy as np
 

@@ -58,7 +58,7 @@ def test_choice_problem_checks_lists_like_arrays():
     # A string is one number to numpy, not a row of its characters.
     strings = [
         (dict(n=2, m=3, C=ones, b="12"), "b has shape (), expected (2,)"),
-        (dict(n=2, m=2, C=["12", "34"], b=[1.0] * 2), "C[0] has shape (), expected (2,)"),
+        (dict(n=2, m=2, C=["12", "34"], b=[1.0] * 2), "C has shape (2,), expected (2, 2)"),
     ]
     for kw, message in strings:
         with pytest.raises(ValueError) as err:
