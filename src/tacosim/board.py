@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -36,8 +35,10 @@ def exact(value: int | str | Fraction) -> Fraction:
     Fraction, being immutable, is returned as it is.
     """
     if isinstance(value, float):
-        raise TypeError(f"exact amounts must be int, Fraction, or string, not float ({value!r}); "
-                        f"pass '9/10' or Fraction(9, 10) instead")
+        raise TypeError(
+            f"exact amounts must be int, Fraction, or string, not float ({value!r}); "
+            f"pass '9/10' or Fraction(9, 10) instead"
+        )
     if isinstance(value, (int, Fraction)):
         return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, str):
@@ -104,11 +105,11 @@ def _fault(value, what: str, shape: tuple[int | None, ...], positive: bool) -> s
             return f"{what} has shape {got}, expected {str(shape).replace('None', 'any')}"
         faults = (_fault(v, f"{what}[{i}]", shape[1:], positive) for i, v in enumerate(value))
         return next(filter(None, faults), None)
-    with suppress(TypeError, ValueError, OverflowError):  # a real, named as its float
-        math.isfinite(value)
-        value = float(value)
-    if not (isinstance(value, float) and math.isfinite(value) and (value > 0 or not positive)):
-        return f"{what} = {value!r}, expected a {'positive ' * positive}finite real"
+    try:  # the entry alone, by the same check
+        _fits(_row((value,)), (1,), positive)
+    except (TypeError, ValueError, OverflowError):
+        shown = float(value) if isinstance(value, float) else value  # inf, not np.float64(inf)
+        return f"{what} = {shown!r}, expected a {'positive ' * positive}finite real"
 
 
 def _row(values) -> tuple[float, ...]:
@@ -128,11 +129,14 @@ def permutation(values, n: int, what: str) -> list[int]:
 def shape_of(value) -> tuple[int, ...]:
     """numpy's shape of nested sequences, as far as they are regular: () for
     a str, bytes, scalar or 0-d array, (len,) above ragged elements."""
-    if not isinstance(value, (str, bytes)):
-        with suppress(TypeError):  # a scalar or 0-d array has no len
-            n, inner = len(value), {shape_of(v) for v in value}
-            return (n, *inner.pop()) if len(inner) == 1 else (n,)
-    return ()
+    if isinstance(value, (str, bytes)):
+        return ()
+    try:
+        n = len(value)
+    except TypeError:
+        return ()
+    inner = {shape_of(v) for v in value}
+    return (n, *inner.pop()) if len(inner) == 1 else (n,)
 
 
 @dataclass
@@ -154,8 +158,9 @@ class PublicBoard:
     epoch: int = 0
     selections: list[int | None] = field(default_factory=list)
 
-    # Unused in the package, and its one numpy import: the benchmark tracer wraps it
-    # by name (board.net_float), so it waits for the tracer's retirement (ROADMAP item 11).
+    # Nothing in the package calls this, and it is the one numpy import left
+    # in it: the benchmark tracer wraps it by name (board.net_float), so it
+    # waits for the tracer's retirement (ROADMAP item 11) to be deleted.
     def net_float(self):  # -> numpy.ndarray of float64, n x m
         import numpy as np
 
