@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from .board import floats, positive_finite, whole
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentPrivate:
-    """Immutable-by-convention private data of one agent.
+    """Immutable private data of one agent, checked once, when it is built.
 
     index is the agent's position in the turn cycle; valuation is its private
-    per-unit value of board credit (a positive finite real); cost_row[j] is its
-    private cost of choice j, held as a tuple of floats.
+    per-unit value of board credit (a positive finite real), held as a float;
+    cost_row[j] is its private cost of choice j, held as a tuple of floats.
     """
 
     index: int
@@ -27,6 +27,11 @@ class AgentPrivate:
     cost_row: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        self.index = whole(self.index, "agent index", 0)
-        self.valuation = positive_finite(self.valuation, "valuation")
-        self.cost_row = floats(self.cost_row, "cost_row", (None,))
+        object.__setattr__(self, "index", whole(self.index, "agent index", 0))
+        try:
+            valuation = float(positive_finite(self.valuation, "valuation"))
+        except OverflowError:  # an int or Fraction past the largest float
+            raise ValueError(
+                f"valuation must be a positive finite real, got {self.valuation}") from None
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "cost_row", floats(self.cost_row, "cost_row", (None,)))

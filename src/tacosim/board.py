@@ -8,12 +8,12 @@ run on an integer lattice of the same values (see ``engine``).
 ``PublicBoard`` is only the result type: the lattice builds one when a
 run's ``final_board`` is read, and nothing here mutates it.
 
-The input rules: ``floats`` reads a vector input as Python floats, and ``reals``
-checks values held, by one rule: finite reals as ``math.isfinite`` reads them,
-positive where asked, refused at the first fault as ``C has shape (2, 3),
-expected (2, 2)`` (numpy's shape, by ``shape_of``) or ``b[1] = 0.0, expected a
-positive finite real``. ``permutation`` checks an order; ``whole`` (a count) and
-``positive_finite`` (a tolerance or scale) check each run parameter.
+The input rules: ``floats`` reads a vector input as Python floats, by one rule:
+each entry a finite real as ``math.isfinite`` reads it, positive where asked,
+refused at the first fault as ``C has shape (2, 3), expected (2, 2)`` (numpy's shape, by
+``shape_of``) or ``b[1] = 0.0, expected a positive finite real``.
+``permutation`` checks an order; ``whole`` (a count) and ``positive_finite``
+(a tolerance or scale) check each run parameter.
 """
 
 from __future__ import annotations
@@ -69,31 +69,21 @@ def positive_finite(value, what: str):
 
 
 def floats(value, what: str, shape: tuple[int | None, ...], positive: bool = False) -> tuple:
-    """``value`` as Python floats, refused as ``reals`` refuses: a tuple for ``(n,)``, of row
-    tuples for ``(n, m)``, n None a free length; a row not a list or tuple must be 1-D."""
+    """``value`` as Python floats: a tuple for ``(n,)``, of row tuples for ``(n, m)``, n None
+    a free length; a row not a list or tuple must be 1-D. Refused at its first fault."""
     try:
         return _fits(_row(value) if len(shape) == 1 else tuple(map(_row, value)), shape, positive)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(_fault(value, what, shape, positive)) from None
 
 
-def reals(values, what: str, shape: tuple[int | None, ...], positive: bool = False):
-    """``values`` as held, refused unless they have ``shape`` and each entry is a finite
-    real (one ``math.isfinite`` reads: not a str, even "12"), above 0 if ``positive``."""
-    try:
-        return _fits(values, shape, positive, finite=True)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(_fault(values, what, shape, positive)) from None
-
-
-def _fits(values, shape: tuple[int | None, ...], positive: bool, finite: bool = False):
-    """``values`` if they have ``shape``, are finite if ``finite``, above 0 if ``positive``."""
+def _fits(values, shape: tuple[int | None, ...], positive: bool):
+    """``values`` if they have ``shape`` and, if ``positive``, are above 0."""
     rows = (values,) if len(shape) == 1 else values
     if (shape[0] in (None, len(values)) and (len(shape) == 1 or {*map(len, rows)} <= {shape[1]})
-            and (not finite or all(map(math.isfinite, chain(*rows))))
             and (not positive or min(chain(*rows), default=1.0) > 0)):
         return values
-    raise ValueError("not of the shape, finiteness or sign asked")
+    raise ValueError("not of the shape or sign asked")
 
 
 def _fault(value, what: str, shape: tuple[int | None, ...], positive: bool) -> str | None:
@@ -116,7 +106,7 @@ def _row(values) -> tuple[float, ...]:
     if isinstance(values, (tuple, list)) or len(shape_of(values)) == 1:
         if all(map(math.isfinite, values)):
             return tuple(map(float, values))
-    raise ValueError("not a 1-D row of finite reals")
+    raise ValueError("not a 1-D row of finite entries")
 
 
 def permutation(values, n: int, what: str) -> list[int]:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from . import _fastpath
 from .agent import AgentPrivate
-from .board import CycleRecord, PublicBoard, exact, permutation, positive_finite, reals, whole
+from .board import CycleRecord, PublicBoard, exact, permutation, positive_finite, whole
 from .errors import HistoryLimitError, NoTerminationError
 
 ENV_VAR = "TACO_BACKEND"
@@ -70,13 +70,13 @@ def resolve_backend(name: str | None = None) -> str:
     return "numpy" if name == "auto" else name
 
 
-@dataclass
+@dataclass(frozen=True)
 class TacoConfig:
     """Run parameters: trading unit, decay factor, tolerance, safety caps.
 
     d0 and gamma must be exact rationals (or strings/ints coercible to one);
     epsilon is an absolute profit-spread tolerance. turn_order defaults to the
-    identity permutation.
+    identity permutation. Frozen: ``dataclasses.replace`` checks a changed copy.
     """
 
     epsilon: float
@@ -87,23 +87,26 @@ class TacoConfig:
     history_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        # epsilon is required here: float(None) raises.
-        self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap = check_run_params(
-            self.d0, self.gamma, float(self.epsilon), self.max_steps, self.history_cap
-        )
+        object.__setattr__(self, "epsilon", float(self.epsilon))  # required: float(None) raises
+        check_run_params(self)
         if self.turn_order is not None:
-            self.turn_order = tuple(whole(i, "a turn_order entry") for i in self.turn_order)
+            turn_order = tuple(whole(i, "a turn_order entry") for i in self.turn_order)
+            object.__setattr__(self, "turn_order", turn_order)
 
 
-def check_run_params(d0, gamma, epsilon, max_steps, history_cap):
-    """The run parameters TacoConfig and ExperimentConfig share, each coerced and
-    checked by its one rule. An epsilon of None (the experiments derive it per
-    instance) stays None.
+def check_run_params(config) -> None:
+    """Check the run parameters TacoConfig and ExperimentConfig share, each by its
+    one rule, and store them on ``config`` coerced. An epsilon of None (the
+    experiments derive it per instance) stays None.
     """
-    d0, gamma = check_trading_unit(d0, gamma)
-    epsilon = None if epsilon is None else positive_finite(float(epsilon), "epsilon")
-    max_steps, history_cap = whole(max_steps, "max_steps", 1), whole(history_cap, "history_cap", 2)
-    return d0, gamma, epsilon, max_steps, history_cap
+    eps = config.epsilon
+    checked = (
+        *check_trading_unit(config.d0, config.gamma),
+        None if eps is None else positive_finite(float(eps), "epsilon"),
+        whole(config.max_steps, "max_steps", 1), whole(config.history_cap, "history_cap", 2),
+    )
+    for key, value in zip(("d0", "gamma", "epsilon", "max_steps", "history_cap"), checked):
+        object.__setattr__(config, key, value)
 
 
 def check_trading_unit(d0, gamma):
@@ -292,11 +295,14 @@ def _prepare(config, agents):
             raise ValueError(
                 f"agents must be listed in index order; agents[{pos}] has index {a.index}"
             )
-    # The kernel's inputs, checked again since agents are mutable (drift jumps need b > 0).
-    C = reals([a.cost_row for a in agents], "C", (n, m := len(agents[0].cost_row)))
+    # Each agent's row and valuation were checked when it was built, and it is frozen.
+    C = [a.cost_row for a in agents]
+    m = len(C[0])
+    if ragged := [i for i, row in enumerate(C) if len(row) != m]:
+        raise ValueError(f"C[{ragged[0]}] has shape ({len(C[ragged[0]])},), expected ({m},)")
     if m < 1:
         raise ValueError("need at least one choice")
-    b = reals([float(a.valuation) for a in agents], "b", (n,), positive=True)
+    b = [a.valuation for a in agents]
     order = list(range(n)) if config.turn_order is None else permutation(
         config.turn_order, n, "turn_order")
     return n, m, b, C, order

@@ -41,9 +41,9 @@ MECHANISMS = ("taco", "voting", "random_dictator", "utilitarian", "egalitarian")
 SCENARIOS = ("waypoint", "random", "example2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment parameters; every field is a show-config key.
+    """Flat experiment parameters; every field is a show-config key, checked once.
 
     epsilon is an absolute termination tolerance; when None, each instance
     uses epsilon_rel * mean(C), keeping the tolerance at the instance's cost
@@ -80,27 +80,25 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        self.n, self.m = whole(self.n, "n"), whole(self.m, "m", 1)
+        object.__setattr__(self, "n", whole(self.n, "n"))
+        object.__setattr__(self, "m", whole(self.m, "m", 1))
         least = 2 if self.scenario == "waypoint" else 1  # a waypoint needs two arrivals
         if self.n < least:
             raise ValueError(f"the {self.scenario} scenario needs n >= {least}, got n={self.n}")
         if self.scenario == "waypoint" and self.n > (most := scenario.MAX_AGENTS):
             raise ValueError(f"the waypoint scenario needs n <= {most}, got n={self.n}")
-        self.trials = whole(self.trials, "trials", 1)
-        self.base_seed = whole(self.base_seed, "base_seed", 0)
+        object.__setattr__(self, "trials", whole(self.trials, "trials", 1))
+        object.__setattr__(self, "base_seed", whole(self.base_seed, "base_seed", 0))
         # The engine's own checks (TacoConfig), here so that they fail before
         # any trial runs.
-        self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap = (
-            engine.check_run_params(
-                self.d0, self.gamma, self.epsilon, self.max_steps, self.history_cap
-            )
-        )
-        self.epsilon_rel = positive_finite(float(self.epsilon_rel), "epsilon_rel")
-        self.mechanisms = _list_entries(self.mechanisms, "mechanism", str)
+        engine.check_run_params(self)
+        epsilon_rel = positive_finite(float(self.epsilon_rel), "epsilon_rel")
+        object.__setattr__(self, "epsilon_rel", epsilon_rel)
+        object.__setattr__(self, "mechanisms", _list_entries(self.mechanisms, "mechanism", str))
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}; expected subset of {MECHANISMS}")
-        self.workers = whole(self.workers, "workers", 1)
+        object.__setattr__(self, "workers", whole(self.workers, "workers", 1))
         # An unknown name fails here, before any trial; "auto" defers to
         # TACO_BACKEND, so that name is checked too.
         resolve_backend(self.backend)

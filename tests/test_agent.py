@@ -7,6 +7,7 @@ the engine's first turn is checked against it.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,13 +94,15 @@ def test_agent_validation():
 
 
 def test_cost_row_is_a_tuple_of_floats():
-    # Arrays, lists and tuples all become one tuple of floats, which the
-    # engine reads as it is.
-    for row in (np.array([1.0, 2.5]), [1, 2.5], (1.0, 2.5)):
-        agent = AgentPrivate(index=0, valuation=1.0, cost_row=row)
+    # Arrays, lists and tuples all become one tuple of floats, and a valuation
+    # one float, which the engine reads as they are.
+    rows = (np.array([1.0, 2.5]), [1, 2.5], (1.0, 2.5))
+    for row, b in zip(rows, (np.float64(2.0), 2, Fraction(2))):
+        agent = AgentPrivate(index=0, valuation=b, cost_row=row)
         assert agent.cost_row == (1.0, 2.5)
         assert type(agent.cost_row) is tuple
         assert all(type(x) is float for x in agent.cost_row)
+        assert type(agent.valuation) is float and agent.valuation == 2.0
     with pytest.raises(ValueError, match=r"^cost_row has shape \(2, 2\), expected \(any,\)$"):
         AgentPrivate(index=0, valuation=1.0, cost_row=[[1.0, 2.0], [3.0, 4.0]])
     # A string is one number to numpy, not a row of its characters.
@@ -115,6 +118,10 @@ def test_cost_row_is_a_tuple_of_floats():
 @pytest.mark.parametrize("fields, message", [
     (dict(index=1.5), "agent index must be a whole number, got 1.5"),
     (dict(valuation=math.inf), "valuation must be a positive finite real, got inf"),
+    # No float holds these: float() overflowed in the run, past the CLI's handler.
+    (dict(valuation=10**400), f"valuation must be a positive finite real, got {10**400}"),
+    (dict(valuation=Fraction(10**400)),
+     f"valuation must be a positive finite real, got {10**400}"),
 ])
 def test_agent_scalars_take_the_run_parameter_rules(fields, message):
     # A fractional index was kept as it was, and an infinite valuation accepted.

@@ -18,7 +18,7 @@ from _replay import (
 )
 from tacosim.agent import AgentPrivate
 from tacosim.baselines import ChoiceProblem
-from tacosim.board import exact, floats, reals, shape_of
+from tacosim.board import exact, floats, shape_of
 from tacosim.engine import TacoConfig, run_taco
 from tacosim.errors import HistoryLimitError
 from tacosim.metrics import cycle_spread_ratio, gini, optimality_gap
@@ -85,21 +85,6 @@ def test_finite_entries_are_accepted_whatever_their_sum():
     big = [1e308, 1e308]
     assert floats(big, "v", (None,), positive=True) == (1e308, 1e308)
     assert floats([big, big], "C", (2, 2)) == ((1e308, 1e308),) * 2
-    assert reals([(1e308, -1.0), (1e308, 1.0)], "C", (2, 2)) == [(1e308, -1.0), (1e308, 1.0)]
-
-
-def test_reals_refuses_held_entries_in_the_one_form():
-    # The engine's guard: rows as the agents hold them, not converted again.
-    # Held ints past a float are refused even where their sum is a float.
-    cases = [
-        ([(1.0, 2.0), (10**400, -(10**400))], f"C[1][0] = {10**400}, expected a finite real"),
-        ([(1.0, 2.0), (1.0, "2")], "C[1][1] = '2', expected a finite real"),
-        ([(1.0, 2.0), 3.0], "C[1] has shape (), expected (2,)"),
-    ]
-    for rows, message in cases:
-        with pytest.raises(ValueError) as err:
-            reals(rows, "C", (2, 2))
-        assert str(err.value) == message
 
 
 class _Draws:

@@ -1,5 +1,6 @@
 """Auction engine: golden trace, termination, interruption, backend parity."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -229,6 +230,8 @@ def test_run_input_validation():
         (_config(), list(reversed(agents)),
          "agents must be listed in index order; agents[0] has index 1"),
         (_config(), ragged, "C[1] has shape (3,), expected (2,)"),
+        (_config(), [AgentPrivate(index=0, valuation=1.0, cost_row=[])],
+         "need at least one choice"),
         (_config(turn_order=(0, 0)), agents,
          "turn_order must be a permutation of 0..1, got (0, 0)"),
         (_config(turn_order=(0, 1, 2)), agents,
@@ -238,15 +241,13 @@ def test_run_input_validation():
         with pytest.raises(ValueError) as err:
             run_taco(config, run_agents)
         assert str(err.value) == message
-    # An infinite cost is refused when the agent is built, and by the engine
-    # when it is assigned afterwards.
+    # An infinite cost is refused when the agent is built, and cannot be
+    # assigned afterwards: the engine reads the row as the agent holds it.
     with pytest.raises(ValueError) as err:
         AgentPrivate(index=0, valuation=1.0, cost_row=np.array([np.inf, 2.0]))
     assert str(err.value) == "cost_row[0] = inf, expected a finite real"
-    agents[0].cost_row = (np.inf, 2.0)
-    with pytest.raises(ValueError) as err:
-        run_taco(_config(), agents)
-    assert str(err.value) == "C[0][0] = inf, expected a finite real"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        agents[0].cost_row = (np.inf, 2.0)
 
 
 def test_single_option_forces_consensus():
@@ -1255,13 +1256,13 @@ def test_drift_jumps_where_the_float_unit_underflows(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_refuses_a_valuation_set_non_positive_after_construction(backend):
-    # AgentPrivate checks b > 0 only when built; the engine checks it again,
-    # since a drift jump is sound only where every cell is monotone in delta.
+    # A drift jump is sound only where every cell is monotone in delta, which
+    # needs b > 0. AgentPrivate checks it when built and is frozen, so a run
+    # reads the checked valuation.
     agents = example2_fixture().agents()
-    agents[1].valuation = -0.5
-    with pytest.raises(ValueError) as err:
-        run_taco(_config(), agents, backend=backend)
-    assert str(err.value) == "b[1] = -0.5, expected a positive finite real"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        agents[1].valuation = -0.5
+    assert run_taco(_config(), agents, backend=backend).terminated_naturally
 
 
 def test_drift_search_stays_off_the_headline_workload(monkeypatch):

@@ -15,6 +15,7 @@ import pytest
 
 from _oracles import C_of, b_of, summary_stats
 from tacosim import _rng, baselines, experiments, report
+from tacosim.agent import AgentPrivate
 from tacosim.engine import TacoConfig, run_interrupted
 from tacosim.example import run_example
 from tacosim.experiments import (
@@ -83,6 +84,22 @@ def test_config_validation():
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(**kwargs)
     ExperimentConfig(n=2, m=1, separation=1e307, k_max=1e308, b_max=1e308)
+
+
+@pytest.mark.parametrize("record, change, message", [
+    (AgentPrivate(index=0, valuation=1.0, cost_row=[10.0, 4.0]), dict(valuation=0.0),
+     "valuation must be a positive finite real, got 0.0"),
+    (TacoConfig(epsilon=0.1), dict(d0=0), "d0 must be positive, got 0"),
+    (ExperimentConfig(), dict(trials=0), "trials must be at least 1, got 0"),
+], ids=["AgentPrivate", "TacoConfig", "ExperimentConfig"])
+def test_a_built_record_cannot_change_and_a_changed_copy_is_checked(record, change, message):
+    # An assigned field skipped its check: a config given scenario "bogus" ran
+    # example2, one given trials 0 failed in the summary with max() of nothing.
+    for field in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field.name, getattr(record, field.name))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(record, **change)
 
 
 def test_config_lines_defaults():

@@ -1,6 +1,7 @@
 """Source hygiene of the package, with the standard library alone: every
-imported name is used, and every module parses at the oldest Python that
-``pyproject.toml`` supports."""
+imported name is used, every top-level function and class is read somewhere
+in the package or exported, and every module parses at the oldest Python
+that ``pyproject.toml`` supports."""
 
 import ast
 import re
@@ -30,12 +31,35 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {elt.value for elt in node.value.elts}
-    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def _dead_definitions(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """Top-level functions and classes that no module reads, as a name, an
+    attribute or an imported name, and that ``exported`` does not list."""
+    read = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [f"{module}.{node.name} (line {node.lineno})" for module, tree in trees.items()
+            for node in tree.body if isinstance(node, defs) and node.name not in read]
 
 
 def test_the_scan_sees_the_package_and_its_floor():
@@ -48,6 +72,11 @@ def test_every_imported_name_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+def test_every_definition_is_read_or_exported():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    assert _dead_definitions(trees, _exported(trees["__init__"])) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=_floor())
@@ -56,3 +85,11 @@ def test_every_module_parses_at_the_python_floor(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("import os\nimport math as m\nfrom a.b import c, d\nprint(d, os.sep)\n")
     assert _unused_imports(tree) == ["m (line 2)", "c (line 3)"]
+
+
+def test_a_dead_definition_is_found():
+    trees = {
+        "a": ast.parse("def used(): pass\ndef dead(): pass\nclass Kept: pass\ndef _attr(): pass\n"),
+        "b": ast.parse("from a import used\nimport a\nprint(a._attr)\nclass Dead: pass\n"),
+    }
+    assert _dead_definitions(trees, {"Kept"}) == ["a.dead (line 2)", "b.Dead (line 4)"]
