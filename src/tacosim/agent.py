@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import floats, positive_finite, whole
+from .board import floats, positive_float, whole
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,5 @@ class AgentPrivate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", whole(self.index, "agent index", 0))
-        try:
-            valuation = float(positive_finite(self.valuation, "valuation"))
-        except OverflowError:  # an int or Fraction past the largest float
-            raise ValueError(
-                f"valuation must be a positive finite real, got {self.valuation}") from None
-        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "valuation", positive_float(self.valuation, "valuation"))
         object.__setattr__(self, "cost_row", floats(self.cost_row, "cost_row", (None,)))

@@ -12,8 +12,8 @@ The input rules: ``floats`` reads a vector input as Python floats, by one rule:
 each entry a finite real as ``math.isfinite`` reads it, positive where asked,
 refused at the first fault as ``C has shape (2, 3), expected (2, 2)`` (numpy's shape, by
 ``shape_of``) or ``b[1] = 0.0, expected a positive finite real``.
-``permutation`` checks an order; ``whole`` (a count) and ``positive_finite``
-(a tolerance or scale) check each run parameter.
+``permutation`` checks an order, ``whole`` a count, and ``positive_float`` every
+tolerance, scale, range bound and valuation that a record holds as a float.
 """
 
 from __future__ import annotations
@@ -60,11 +60,20 @@ def whole(value, what: str, least: int | None = None) -> int:
     return i
 
 
+def positive_float(value, what: str) -> float:
+    """A finite real as ``math.isfinite`` reads it (no str), as its float, refused unless > 0."""
+    try:
+        if math.isfinite(value) and (held := float(value)) > 0:
+            return held
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a positive finite real, got {value}")
+
+
 def positive_finite(value, what: str):
-    """``value``, not converted, refused unless it is a positive finite real.
-    An int or Fraction is finite as it is, however large."""
-    if not (value > 0 and (isinstance(value, (int, Fraction)) or math.isfinite(value))):
-        raise ValueError(f"{what} must be a positive finite real, got {value}")
+    """``value`` unconverted: an int or Fraction above 0 as it is, others by ``positive_float``."""
+    if not (isinstance(value, (int, Fraction)) and value > 0):
+        positive_float(value, what)
     return value
 
 

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from . import _fastpath
 from .agent import AgentPrivate
-from .board import CycleRecord, PublicBoard, exact, permutation, positive_finite, whole
+from .board import CycleRecord, PublicBoard, exact, permutation, positive_float, whole
 from .errors import HistoryLimitError, NoTerminationError
 
 ENV_VAR = "TACO_BACKEND"
@@ -87,7 +87,7 @@ class TacoConfig:
     history_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", float(self.epsilon))  # required: float(None) raises
+        object.__setattr__(self, "epsilon", positive_float(self.epsilon, "epsilon"))
         check_run_params(self)
         if self.turn_order is not None:
             turn_order = tuple(whole(i, "a turn_order entry") for i in self.turn_order)
@@ -96,16 +96,14 @@ class TacoConfig:
 
 def check_run_params(config) -> None:
     """Check the run parameters TacoConfig and ExperimentConfig share, each by its
-    one rule, and store them on ``config`` coerced. An epsilon of None (the
-    experiments derive it per instance) stays None.
+    one rule, and store them on ``config`` coerced. Each config checks its own
+    epsilon, which only ExperimentConfig may leave None.
     """
-    eps = config.epsilon
     checked = (
         *check_trading_unit(config.d0, config.gamma),
-        None if eps is None else positive_finite(float(eps), "epsilon"),
         whole(config.max_steps, "max_steps", 1), whole(config.history_cap, "history_cap", 2),
     )
-    for key, value in zip(("d0", "gamma", "epsilon", "max_steps", "history_cap"), checked):
+    for key, value in zip(("d0", "gamma", "max_steps", "history_cap"), checked):
         object.__setattr__(config, key, value)
 
 
@@ -291,6 +289,8 @@ def _prepare(config, agents):
     if n < 1:
         raise ValueError("need at least one agent")
     for pos, a in enumerate(agents):
+        if not isinstance(a, AgentPrivate):
+            raise ValueError(f"agents[{pos}] must be an AgentPrivate, got {type(a).__name__}")
         if a.index != pos:
             raise ValueError(
                 f"agents must be listed in index order; agents[{pos}] has index {a.index}"

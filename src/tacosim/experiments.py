@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import _rng, baselines, engine, scenario
-from .board import exact, positive_finite, whole
+from .board import exact, positive_float, whole
 from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
 from .metrics import baseline_trial_result, taco_trial_result
@@ -92,8 +92,10 @@ class ExperimentConfig:
         # The engine's own checks (TacoConfig), here so that they fail before
         # any trial runs.
         engine.check_run_params(self)
-        epsilon_rel = positive_finite(float(self.epsilon_rel), "epsilon_rel")
-        object.__setattr__(self, "epsilon_rel", epsilon_rel)
+        if self.epsilon is not None:  # None: derived per instance from epsilon_rel
+            object.__setattr__(self, "epsilon", positive_float(self.epsilon, "epsilon"))
+        for key in ("epsilon_rel", "separation", "k_min", "k_max", "b_min", "b_max"):
+            object.__setattr__(self, key, positive_float(getattr(self, key), key))
         object.__setattr__(self, "mechanisms", _list_entries(self.mechanisms, "mechanism", str))
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
@@ -102,20 +104,15 @@ class ExperimentConfig:
         # An unknown name fails here, before any trial; "auto" defers to
         # TACO_BACKEND, so that name is checked too.
         resolve_backend(self.backend)
-        # An infinite range would fail every trial's draws instead.
-        for key in ("k_min", "k_max", "b_min", "b_max", "separation"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+        # An infinite waypoint span would fail every trial's draws instead.
         if not math.isfinite(self.n * self.separation):
             raise ValueError(
                 f"separation must keep n * separation finite, got {self.n} * {self.separation}"
             )
-        if not (self.k_min > 0 and self.k_max >= self.k_min):
+        if self.k_min > self.k_max:
             raise ValueError("urgency range must satisfy 0 < k_min <= k_max")
-        if not (self.b_min > 0 and self.b_max >= self.b_min):
+        if self.b_min > self.b_max:
             raise ValueError("valuation range must satisfy 0 < b_min <= b_max")
-        if not float(self.separation) > 0:
-            raise ValueError(f"separation must be positive, got {self.separation}")
 
 
 @dataclass(frozen=True)
@@ -299,11 +296,8 @@ def run_interrupt(cfg: ExperimentConfig, steps, out_dir: Path | None = None) -> 
 
 def run_scalability(cfg: ExperimentConfig, n_list, m_list, out_dir: Path | None = None) -> RunResult:
     """Grid over (n, m) with random Uniform(0,1) instances."""
-    n_list = _list_entries(n_list, "n", lambda v: whole(v, "an n list entry"))
-    m_list = _list_entries(m_list, "m", lambda v: whole(v, "an m list entry"))
-    for v in n_list + m_list:
-        if v < 1:
-            raise ValueError(f"n and m list entries must be at least 1, got {v}")
+    n_list = _list_entries(n_list, "n", lambda v: whole(v, "an n list entry", 1))
+    m_list = _list_entries(m_list, "m", lambda v: whole(v, "an m list entry", 1))
     points = []
     for n in n_list:
         for m in m_list:

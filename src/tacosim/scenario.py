@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .baselines import ChoiceProblem
-from .board import floats, permutation, positive_finite, whole
+from .board import floats, permutation, positive_float, whole
 from .errors import ResourceLimitError
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
@@ -39,7 +39,7 @@ class WaypointScenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "e", floats(self.e, "e", (None,)))
         object.__setattr__(self, "k", floats(self.k, "k", (self.n,), positive=True))
-        object.__setattr__(self, "D", positive_finite(float(self.D), "separation D"))
+        object.__setattr__(self, "D", positive_float(self.D, "separation D"))
 
     @property
     def n(self) -> int:

@@ -122,6 +122,16 @@ def test_cost_row_is_a_tuple_of_floats():
     (dict(valuation=10**400), f"valuation must be a positive finite real, got {10**400}"),
     (dict(valuation=Fraction(10**400)),
      f"valuation must be a positive finite real, got {10**400}"),
+    # Nor this one above 0: it was held as 0.0.
+    (dict(valuation=Fraction(1, 10**400)),
+     f"valuation must be a positive finite real, got 1/{10**400}"),
+    (dict(valuation=math.nan), "valuation must be a positive finite real, got nan"),
+    (dict(valuation=0.0), "valuation must be a positive finite real, got 0.0"),
+    (dict(valuation=-1), "valuation must be a positive finite real, got -1"),
+    # A str or None is not a real: both leaked TypeError.
+    (dict(valuation="0.5"), "valuation must be a positive finite real, got 0.5"),
+    (dict(valuation="1.0"), "valuation must be a positive finite real, got 1.0"),
+    (dict(valuation=None), "valuation must be a positive finite real, got None"),
 ])
 def test_agent_scalars_take_the_run_parameter_rules(fields, message):
     # A fractional index was kept as it was, and an infinite valuation accepted.

@@ -291,7 +291,7 @@ def test_scalability_refuses_a_grid_size_below_one_before_any_trial(
     assert main(argv) == 1
     assert executed == []
     captured = capsys.readouterr()
-    assert captured.err == f"error: n and m list entries must be at least 1, got {value}\n"
+    assert captured.err == f"error: an {flag[2]} list entry must be at least 1, got {value}\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -404,9 +404,12 @@ BAD_CAPS = [
     ("--m", "0", "m must be at least 1, got 0"),
     ("--n", "0", "the waypoint scenario needs n >= 2, got n=0"),
     ("--n", "8", "the waypoint scenario needs n <= 7, got n=8"),
-    ("--k-max", "inf", "k_max must be finite, got inf"),
-    ("--b-max", "inf", "b_max must be finite, got inf"),
-    ("--separation", "inf", "separation must be finite, got inf"),
+    ("--k-max", "inf", "k_max must be a positive finite real, got inf"),
+    ("--k-min", "0", "k_min must be a positive finite real, got 0.0"),
+    ("--b-max", "inf", "b_max must be a positive finite real, got inf"),
+    ("--b-min", "-1", "b_min must be a positive finite real, got -1.0"),
+    ("--separation", "inf", "separation must be a positive finite real, got inf"),
+    ("--separation", "0", "separation must be a positive finite real, got 0.0"),
     ("--separation", "1e308", "separation must keep n * separation finite, got 4 * 1e+308"),
 ]
 

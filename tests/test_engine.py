@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -236,11 +237,19 @@ def test_run_input_validation():
          "turn_order must be a permutation of 0..1, got (0, 0)"),
         (_config(turn_order=(0, 1, 2)), agents,
          "turn_order must be a permutation of 0..1, got (0, 1, 2)"),
+        # An object shaped like an agent skipped every check its fields take,
+        # and ran: an infinite cost to consensus, a negative valuation too.
+        (_config(), [SimpleNamespace(index=0, valuation=1.0, cost_row=(np.inf, 1.0)),
+                     SimpleNamespace(index=1, valuation=1.0, cost_row=(1.0, 2.0))],
+         "agents[0] must be an AgentPrivate, got SimpleNamespace"),
+        (_config(), [agents[0], SimpleNamespace(index=1, valuation=-1.0, cost_row=(7.0, 9.0))],
+         "agents[1] must be an AgentPrivate, got SimpleNamespace"),
     ]
     for config, run_agents, message in cases:
-        with pytest.raises(ValueError) as err:
-            run_taco(config, run_agents)
-        assert str(err.value) == message
+        for backend in ("numpy", "exact"):
+            with pytest.raises(ValueError) as err:
+                run_taco(config, run_agents, backend=backend)
+            assert str(err.value) == message
     # An infinite cost is refused when the agent is built, and cannot be
     # assigned afterwards: the engine reads the row as the agent holds it.
     with pytest.raises(ValueError) as err:

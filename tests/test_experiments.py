@@ -72,18 +72,37 @@ def test_config_validation():
         (dict(scenario="random", m=0), "m must be at least 1, got 0"),
         (dict(n=1), "the waypoint scenario needs n >= 2, got n=1"),
         (dict(scenario="example2", n=-1), "the example2 scenario needs n >= 1, got n=-1"),
-        (dict(k_max=math.inf), "k_max must be finite"),
-        (dict(k_min=math.nan), "k_min must be finite"),
-        (dict(b_max=math.inf), "b_max must be finite"),
-        (dict(b_min=-math.inf), "b_min must be finite"),
-        (dict(separation=math.inf), "separation must be finite"),
-        (dict(separation=1e308), "separation must keep n * separation finite"),
-        (dict(n=7, separation=3e307), "separation must keep n * separation finite"),
+        (dict(k_max=math.inf), "k_max must be a positive finite real, got inf"),
+        (dict(k_min=math.nan), "k_min must be a positive finite real, got nan"),
+        (dict(b_max=math.inf), "b_max must be a positive finite real, got inf"),
+        (dict(b_min=-math.inf), "b_min must be a positive finite real, got -inf"),
+        (dict(separation=math.inf), "separation must be a positive finite real, got inf"),
+        (dict(separation=1e308),
+         "separation must keep n * separation finite, got 4 * 1e+308"),
+        (dict(n=7, separation=3e307),
+         "separation must keep n * separation finite, got 7 * 3e+307"),
+        (dict(k_min=2.0, k_max=1.0), "urgency range must satisfy 0 < k_min <= k_max"),
+        (dict(b_min=2.0, b_max=1.0), "valuation range must satisfy 0 < b_min <= b_max"),
     ]
+    # Every positive real a record holds as a float takes one rule: a str, None
+    # or a value no float holds leaked TypeError or OverflowError, or was held.
+    bad = (math.inf, math.nan, 0.0, -1, 10**400, Fraction(10**400), "0.5", None)
+    keys = ("epsilon", "epsilon_rel", "separation", "k_min", "k_max", "b_min", "b_max")
+    refused += [(dict({key: v}), f"{key} must be a positive finite real, got {v}")
+                for key in keys for v in bad if (key, v) != ("epsilon", None)]  # None: derived
     for kwargs, message in refused:
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**kwargs)
+    for v in (*bad, "0.1"):
+        with pytest.raises(ValueError, match=f"^epsilon must be a positive finite real, got "
+                                             f"{re.escape(str(v))}$"):
+            TacoConfig(epsilon=v)
     ExperimentConfig(n=2, m=1, separation=1e307, k_max=1e308, b_max=1e308)
+    # Held as floats, so a Python int shows as a float, as the CLI parses it.
+    cfg = ExperimentConfig(epsilon=1, epsilon_rel=Fraction(1, 2), separation=np.float64(2.0),
+                           k_min=1, k_max=Fraction(3, 2), b_min=True, b_max=2)
+    assert all(type(getattr(cfg, key)) is float for key in keys)
+    assert {"epsilon = 1.0", "k_min = 1.0", "k_max = 1.5", "b_min = 1.0"} <= {*config_lines(cfg)}
 
 
 @pytest.mark.parametrize("record, change, message", [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,10 +169,12 @@ def test_scenario_validation():
 
 
 def test_separation_takes_the_run_parameter_rule():
-    # D is a scale, so a positive finite real: an infinite separation was accepted.
-    with pytest.raises(ValueError) as err:
-        WaypointScenario(e=[0.0, 1.0], k=[1.0, 1.0], D=math.inf)
-    assert str(err.value) == "separation D must be a positive finite real, got inf"
+    # D is a scale, so a positive finite real: an infinite separation was accepted,
+    # 10**400 leaked OverflowError and the str '0.5' was read as a number.
+    for D in (math.inf, math.nan, 0.0, -1, 10**400, Fraction(10**400), "0.5", "1", None):
+        with pytest.raises(ValueError) as err:
+            WaypointScenario(e=[0.0, 1.0], k=[1.0, 1.0], D=D)
+        assert str(err.value) == f"separation D must be a positive finite real, got {D}"
 
 
 def test_enumerate_options_symmetric_two_agents():

@@ -1,7 +1,8 @@
 """Source hygiene of the package, with the standard library alone: every
 imported name is used, every top-level function and class is read somewhere
-in the package or exported, and every module parses at the oldest Python
-that ``pyproject.toml`` supports."""
+in the package or exported, every module parses at the oldest Python
+that ``pyproject.toml`` supports, and only ``board`` words or hand-codes the
+positive finite real rule."""
 
 import ast
 import re
@@ -62,6 +63,20 @@ def _dead_definitions(trees: dict[str, ast.Module], exported: set[str]) -> list[
             for node in tree.body if isinstance(node, defs) and node.name not in read]
 
 
+def _positive_rule_copies(tree: ast.Module) -> list[str]:
+    """The places a module words or hand-codes ``board.positive_float``'s rule: its
+    refusal text, ``positive_finite(float(...))`` and ``math.isfinite(getattr(...))``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and "must be a positive finite real" in str(node.value):
+            found.append((node.lineno, "refusal"))
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Call):
+            call = f"{ast.unparse(node.func)}({ast.unparse(node.args[0].func)}("
+            if call in ("positive_finite(float(", "math.isfinite(getattr("):
+                found.append((node.lineno, call))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
 def test_the_scan_sees_the_package_and_its_floor():
     assert len(MODULES) > 10
     assert _floor() == (3, 10)
@@ -80,6 +95,21 @@ def test_every_definition_is_read_or_exported():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=_floor())
+
+
+def test_only_board_holds_the_positive_finite_rule():
+    # The rule's hand-written copies (a float() before the check, isfinite over
+    # getattr, a separate sign test) each leaked an exception or took a str.
+    found = {path.name: _positive_rule_copies(ast.parse(path.read_text())) for path in MODULES}
+    assert {name for name, hits in found.items() if hits} == {"board.py"}
+    assert {hit.split(" (")[0] for hit in found["board.py"]} == {"refusal"}
+
+
+def test_a_copy_of_the_positive_rule_is_found():
+    tree = ast.parse('d = positive_finite(float(d), "D")\nok = math.isfinite(getattr(c, k))\n'
+                     'raise ValueError(f"{k} must be a positive finite real, got {v}")\n')
+    assert _positive_rule_copies(tree) == [
+        "positive_finite(float( (line 1)", "math.isfinite(getattr( (line 2)", "refusal (line 3)"]
 
 
 def test_an_unused_import_is_found():
