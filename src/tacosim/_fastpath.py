@@ -80,10 +80,11 @@ reads by negative index, and a jumped drift is one run, so a drift costs
 O(1) time and memory however long it is. Who played a turn follows from
 the turn order. The cycle search, the walk-back and the cut at the
 window's end read the turns through the runs; a cut may end a run inside
-a round. No profit row is stored beyond each agent's cached one. A
-cycle of one round (all n agents on one column) hands back a copy of each
-cached row, in turn order: each is its agent's row at the same state. A
-cell is a pure function of (agent, choice, integer delta), so
+a round; a log that holds no run, as a default sweep's windows do, is
+read as one slice. No profit row is stored beyond each agent's cached
+one. A cycle of one round (all n agents on one column) hands back a copy
+of each cached row, in turn order: each is its agent's row at the same
+state. A cell is a pure function of (agent, choice, integer delta), so
 ``window_rows`` rebuilds, bit for bit, the rows of a longer cycle and those
 the engine's lazy trace reads, from the window's anchors and expanded
 choices. Every row handed out is a tuple of the Python floats computed
@@ -118,9 +119,14 @@ class TurnLog(NamedTuple):
         """Turns lo..hi-1, in order, as pieces ``(first turn, choices, repeats)``.
 
         A piece stands for its choices repeated; with repeats > 1 they are one
-        round, so the agents repeat too.
+        round, so the agents repeat too. A log that holds no run is one slice.
         """
         choices, n = self.choices, self.n
+        if not self.runs:
+            lo = max(lo, 0)
+            if lo < min(hi, len(choices)):
+                yield lo, choices[lo:hi], 1
+            return
         c = t = 0  # entry c of choices holds turn t
         for k, r in (*self.runs, (len(choices), 0)):
             x, y = max(lo, t), min(hi, t + k - c)
@@ -143,6 +149,8 @@ class TurnLog(NamedTuple):
 
     def expand(self, lo: int, hi: int) -> list[int]:
         """The choices of turns lo..hi-1, as a plain list."""
+        if not self.runs:
+            return self.choices[max(lo, 0) : max(hi, 0)]
         out: list[int] = []
         for _, seq, reps in self.pieces(lo, hi):
             out += seq * reps

@@ -15,7 +15,8 @@ from .board import floats, positive_float, whole
 
 @dataclass(frozen=True)
 class AgentPrivate:
-    """Immutable private data of one agent, checked once, when it is built.
+    """Immutable private data of one agent, checked once, when it is built, or built
+    from a record that applied the same rules (``ChoiceProblem.agents``).
 
     index is the agent's position in the turn cycle; valuation is its private
     per-unit value of board credit (a positive finite real), held as a float;

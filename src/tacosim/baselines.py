@@ -17,7 +17,7 @@ import operator
 from collections.abc import Sequence
 
 from .agent import AgentPrivate
-from .board import floats
+from .board import _prechecked, floats
 
 
 def _sum(x: Sequence[float]) -> float:
@@ -92,8 +92,9 @@ class ChoiceProblem:
         return util, _sum(self.col(util))
 
     def agents(self) -> list[AgentPrivate]:
-        """Split the instance into per-agent private views for the auction."""
-        return [AgentPrivate(index=i, valuation=b_i, cost_row=row)
+        """Split the instance into per-agent private views for the auction; ``floats``
+        checked each row and valuation by ``AgentPrivate``'s rules."""
+        return [_prechecked(AgentPrivate, index=i, valuation=b_i, cost_row=row)
                 for i, (b_i, row) in enumerate(zip(self.valuations, self.rows))]
 
 

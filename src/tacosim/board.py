@@ -14,11 +14,12 @@ refused at the first fault as ``C has shape (2, 3), expected (2, 2)`` (numpy's s
 ``shape_of``) or ``b[1] = 0.0, expected a positive finite real``.
 ``permutation`` checks an order, ``whole`` a count, and ``positive_float`` every
 tolerance, scale, range bound and valuation that a record holds as a float.
+``_prechecked`` builds a record from values another record checked by the same
+rules, for ``ChoiceProblem.agents`` and ``experiments._run_point`` alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -118,6 +119,14 @@ def _row(values) -> tuple[float, ...]:
     raise ValueError("not a 1-D row of finite entries")
 
 
+def _prechecked(cls, **fields):
+    """A frozen ``cls`` record of ``fields`` that another record already checked by
+    ``cls``'s own rules; its ``__post_init__`` does not run them again."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def permutation(values, n: int, what: str) -> list[int]:
     """``values`` as a list, refused unless it is a permutation of 0..n-1."""
     if sorted(values) != list(range(n)):
@@ -179,9 +188,9 @@ class CycleRecord:
     shift of the net matrix). ``choice_counts[i][j]`` counts agent i's turns
     on choice j inside the span; ``agent_turn_profits[i]`` holds the rows
     (tuples of m floats) agent i saw at its turns there, and ``spreads[i]``,
-    computed on first read, the max minus the min of those rows' profits at
-    the active choices, pooled: what the termination test and the spread
-    metric compare.
+    computed on first read and kept, the max minus the min of those rows'
+    profits at the active choices, pooled: what the termination test and the
+    spread metric compare.
     """
 
     start_step: int
@@ -195,10 +204,12 @@ class CycleRecord:
     def length(self) -> int:
         return self.end_step - self.start_step + 1
 
-    @functools.cached_property
-    def spreads(self) -> list[float]:
-        active = sorted(self.active_choices)
-        return [_profit_spread(rows, active) for rows in self.agent_turn_profits]
+    @property
+    def spreads(self) -> list[float]:  # kept by hand: cached_property locks each first read
+        if "_spreads" not in self.__dict__:
+            active = sorted(self.active_choices)
+            self.__dict__["_spreads"] = [_profit_spread(r, active) for r in self.agent_turn_profits]
+        return self.__dict__["_spreads"]
 
 
 def _profit_spread(rows: list[tuple[float, ...]], active: list[int]) -> float:

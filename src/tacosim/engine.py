@@ -49,6 +49,7 @@ import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
 from . import _fastpath
@@ -76,7 +77,8 @@ class TacoConfig:
 
     d0 and gamma must be exact rationals (or strings/ints coercible to one);
     epsilon is an absolute profit-spread tolerance. turn_order defaults to the
-    identity permutation. Frozen: ``dataclasses.replace`` checks a changed copy.
+    identity permutation. Checked once, when built, or built from a record that
+    applied the same rules; frozen: ``dataclasses.replace`` checks a changed copy.
     """
 
     epsilon: float
@@ -399,13 +401,17 @@ class _LatticeBoard:
         + unit * k) / den``. Exact: the ints a*(offers - pays), a*p^K and
         b*q^K, so each net is one correctly rounded int division. Otherwise
         those values divided once now, each correctly rounded, and 1.0.
+        Sparse: a pay sits only in a column that holds an offer, so only those
+        are computed; any other cell is the zero the expression gives there.
         """
         a, den, offers = self.a, self.unit_den, self.offers
-        if exact:
-            net0 = [[a * (o - p) for o, p in zip(offers, row)] for row in self.pays]
-            return net0, a * self.pk, den
-        net0 = [[a * (o - p) / den for o, p in zip(offers, row)] for row in self.pays]
-        return net0, a * self.pk / den, 1.0
+        cols = list(compress(range(self.m), offers))
+        net0 = [[0 if exact else 0.0] * self.m for _ in self.pays]
+        for cells, row in zip(net0, self.pays):
+            for j in cols:
+                v = a * (offers[j] - row[j])
+                cells[j] = v if exact else v / den
+        return (net0, a * self.pk, den) if exact else (net0, a * self.pk / den, 1.0)
 
     def to_board(self, selections: list[int | None]) -> PublicBoard:
         """The exact Fraction board this lattice represents."""
@@ -447,18 +453,17 @@ def _advance_board(board: _LatticeBoard, selcount: list[list[int]], steps: int) 
 
     Equivalent to apply_selection per step: each selection of choice j adds
     the trading unit to the offer column and n times it to the selector's pay
-    entry, so only the per-(agent, choice) counts matter, not the order.
+    entry, so only the per-(agent, choice) counts matter, not the order. Only
+    the cells the window chose are visited.
     """
     pk = board.pk
     npk = board.n * pk
     offers = board.offers
-    for j, c in enumerate(map(sum, zip(*selcount))):
-        if c:
-            offers[j] += pk * c
     for row, counts in zip(board.pays, selcount):
-        for j, c in enumerate(counts):
-            if c:
-                row[j] += npk * c
+        for j in compress(range(board.m), counts):
+            c = counts[j]
+            offers[j] += pk * c
+            row[j] += npk * c
     board.step += steps
 
 
@@ -469,7 +474,7 @@ def _check_cycle_structure(cyc: CycleRecord, n: int) -> None:
     # mean a detector bug, so fail loudly.
     if cyc.length <= 0 or cyc.length % n != 0:
         raise AssertionError(f"cycle length {cyc.length} is not a positive multiple of n={n}")
-    if len(set(cyc.choice_counts)) > 1:
+    if cyc.choice_counts[1:] != cyc.choice_counts[:-1]:  # each row equals the next
         raise AssertionError("cycle choice counts differ across agents")
 
 

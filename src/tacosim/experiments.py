@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import _rng, baselines, engine, scenario
-from .board import exact, positive_float, whole
+from .board import _prechecked, exact, positive_float, whole
 from .engine import TacoConfig, resolve_backend, run_interrupted, run_taco
 from .errors import HistoryLimitError, NoTerminationError
 from .metrics import baseline_trial_result, taco_trial_result
@@ -162,18 +162,20 @@ _BATCH = 32  # points whose seed paths one _rng.seed_words_many call hashes
 
 
 def _run_chunk(points: list[_Point]) -> list[tuple]:
-    """The points' records, in order, seeding _BATCH points at a time."""
+    """The points' records, in order, seeding _BATCH points at a time; the points
+    share their sweep's backend, resolved (TACO_BACKEND read) once."""
+    backend = resolve_backend(points[0].cfg.backend) if points else None
     records = []
     for at in range(0, len(points), _BATCH):
         batch = points[at : at + _BATCH]
         paths = [p.seed_path + k for p in batch for k in ((0,), (1,), (2,), ())]
         words = _rng.seed_words_many(paths, 8)
         for i, point in enumerate(batch):
-            records += _run_point(point, words[4 * i : 4 * i + 4])
+            records += _run_point(point, words[4 * i : 4 * i + 4], backend)
     return records
 
 
-def _run_point(point: _Point, words: list[list[int]]) -> list[tuple]:
+def _run_point(point: _Point, words: list[list[int]], backend: str) -> list[tuple]:
     """A point's records, from the seed words of path + (0,), (1,), (2,) and of path."""
     cfg = point.cfg
     problem, eps = make_instance(cfg, _rng.Stream(words=words[0]), point.trial)
@@ -186,17 +188,18 @@ def _run_point(point: _Point, words: list[list[int]]) -> list[tuple]:
     records = []
     for mech in cfg.mechanisms:
         if mech == "taco":
-            taco_cfg = TacoConfig(
-                epsilon=eps, d0=cfg.d0, gamma=cfg.gamma,
-                max_steps=cfg.max_steps, history_cap=cfg.history_cap,
+            # cfg and make_instance's tolerance test applied TacoConfig's rules.
+            taco_cfg = _prechecked(
+                TacoConfig, epsilon=eps, d0=cfg.d0, gamma=cfg.gamma,
+                max_steps=cfg.max_steps, turn_order=None, history_cap=cfg.history_cap,
             )
             try:
                 if point.interrupt_step > 0:
                     outcome = run_interrupted(
-                        taco_cfg, problem.agents(), point.interrupt_step, backend=cfg.backend
+                        taco_cfg, problem.agents(), point.interrupt_step, backend=backend
                     )
                 else:
-                    outcome = run_taco(taco_cfg, problem.agents(), backend=cfg.backend)
+                    outcome = run_taco(taco_cfg, problem.agents(), backend=backend)
             except NoTerminationError:
                 cells = _failed_cells("cap", cfg.max_steps, n)
             except HistoryLimitError:

@@ -69,9 +69,10 @@ def effective_costs(
     raw = problem.col(outcome.consensus_choice)
     if mode == "raw":
         return raw
-    if mode == "settled":
+    if mode == "settled":  # each settlement's float, its numerator / its denominator
         b, settlements = problem.valuations, outcome.settlements
-        return tuple([c - b_i * float(p) for c, b_i, p in zip(raw, b, settlements)])
+        return tuple([c - b_i * (p.numerator / p.denominator)
+                      for c, b_i, p in zip(raw, b, settlements)])
     raise ValueError(f"mode must be 'raw' or 'settled', got {mode!r}")
 
 
@@ -198,8 +199,12 @@ def cycle_spread_ratio(outcome: TacoOutcome, valuations) -> float:
     every bound is vacuous (single agent). Refused for another n than the run's.
     """
     b = floats(valuations, "valuations", (None,), positive=True)
+    _same_agents(len(b), "valuations", outcome)
+    return _spread_ratio(outcome, b)
+
+
+def _spread_ratio(outcome: TacoOutcome, b: tuple[float, ...]) -> float:
     n = len(b)
-    _same_agents(n, "valuations", outcome)
     worst = 0.0
     for cyc in outcome.cycle_records:
         p = len(cyc.active_choices)
@@ -245,6 +250,7 @@ def _nan_safe(metric, *args) -> float:
 
 
 def taco_trial_result(problem: ChoiceProblem, outcome: TacoOutcome) -> TrialResult:
+    """TACo's row of a trial; the problem's valuations were checked when it was built."""
     util_total = problem._utilitarian[1]
     raw = effective_costs(problem, outcome, "raw")
     settled = effective_costs(problem, outcome, "settled")
@@ -260,7 +266,7 @@ def taco_trial_result(problem: ChoiceProblem, outcome: TacoOutcome) -> TrialResu
         og_settled=_nan_safe(_gap, _sum(settled), util_total),
         gini_raw=_nan_safe(_gini, raw),
         gini_settled=_nan_safe(_gini, settled),
-        max_cycle_spread_ratio=cycle_spread_ratio(outcome, problem.valuations),
+        max_cycle_spread_ratio=_spread_ratio(outcome, problem.valuations),
     )
 
 

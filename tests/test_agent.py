@@ -115,23 +115,38 @@ def test_cost_row_is_a_tuple_of_floats():
         assert str(err.value) == f"cost_row has shape {np.shape(row)}, expected (any,)"
 
 
+# Each row names its test explicitly, so rewording a refusal keeps the name. The
+# rows below keep the ids pytest generated from them before; a new row's id is
+# its field and value, as "valuation=-2".
 @pytest.mark.parametrize("fields, message", [
-    (dict(index=1.5), "agent index must be a whole number, got 1.5"),
-    (dict(valuation=math.inf), "valuation must be a positive finite real, got inf"),
+    pytest.param(dict(index=1.5), "agent index must be a whole number, got 1.5",
+                 id="fields0-agent index must be a whole number, got 1.5"),
+    pytest.param(dict(valuation=math.inf), "valuation must be a positive finite real, got inf",
+                 id="fields1-valuation must be a positive finite real, got inf"),
     # No float holds these: float() overflowed in the run, past the CLI's handler.
-    (dict(valuation=10**400), f"valuation must be a positive finite real, got {10**400}"),
-    (dict(valuation=Fraction(10**400)),
-     f"valuation must be a positive finite real, got {10**400}"),
+    pytest.param(dict(valuation=10**400),
+                 f"valuation must be a positive finite real, got {10**400}",
+                 id=f"fields2-valuation must be a positive finite real, got {10**400}"),
+    pytest.param(dict(valuation=Fraction(10**400)),
+                 f"valuation must be a positive finite real, got {10**400}",
+                 id=f"fields3-valuation must be a positive finite real, got {10**400}"),
     # Nor this one above 0: it was held as 0.0.
-    (dict(valuation=Fraction(1, 10**400)),
-     f"valuation must be a positive finite real, got 1/{10**400}"),
-    (dict(valuation=math.nan), "valuation must be a positive finite real, got nan"),
-    (dict(valuation=0.0), "valuation must be a positive finite real, got 0.0"),
-    (dict(valuation=-1), "valuation must be a positive finite real, got -1"),
+    pytest.param(dict(valuation=Fraction(1, 10**400)),
+                 f"valuation must be a positive finite real, got 1/{10**400}",
+                 id=f"fields4-valuation must be a positive finite real, got 1/{10**400}"),
+    pytest.param(dict(valuation=math.nan), "valuation must be a positive finite real, got nan",
+                 id="fields5-valuation must be a positive finite real, got nan"),
+    pytest.param(dict(valuation=0.0), "valuation must be a positive finite real, got 0.0",
+                 id="fields6-valuation must be a positive finite real, got 0.0"),
+    pytest.param(dict(valuation=-1), "valuation must be a positive finite real, got -1",
+                 id="fields7-valuation must be a positive finite real, got -1"),
     # A str or None is not a real: both leaked TypeError.
-    (dict(valuation="0.5"), "valuation must be a positive finite real, got 0.5"),
-    (dict(valuation="1.0"), "valuation must be a positive finite real, got 1.0"),
-    (dict(valuation=None), "valuation must be a positive finite real, got None"),
+    pytest.param(dict(valuation="0.5"), "valuation must be a positive finite real, got 0.5",
+                 id="fields8-valuation must be a positive finite real, got 0.5"),
+    pytest.param(dict(valuation="1.0"), "valuation must be a positive finite real, got 1.0",
+                 id="fields9-valuation must be a positive finite real, got 1.0"),
+    pytest.param(dict(valuation=None), "valuation must be a positive finite real, got None",
+                 id="fields10-valuation must be a positive finite real, got None"),
 ])
 def test_agent_scalars_take_the_run_parameter_rules(fields, message):
     # A fractional index was kept as it was, and an infinite valuation accepted.

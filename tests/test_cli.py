@@ -264,11 +264,22 @@ def test_bad_flag_value_names_its_flag(capsys, argv):
     assert captured.out == ""
 
 
+# Each row names its test explicitly, so rewording a refusal keeps the name: these
+# keep the ids pytest generated from them before, and a new row's id is its
+# command and flag, as "interrupt---steps".
 @pytest.mark.parametrize("argv, message", [
-    (["sweep-gamma", "--gammas", "1/2,1/0"], "--gammas: exact amount '1/0' has a zero denominator"),
-    (["interrupt", "--steps", "natural,abc"], "--steps: invalid literal for int() with base 10: 'abc'"),
-    (["scalability", "--n-list", "2,x"], "--n-list: invalid literal for int() with base 10: 'x'"),
-    (["scalability", "--m-list", "y"], "--m-list: invalid literal for int() with base 10: 'y'"),
+    pytest.param(["sweep-gamma", "--gammas", "1/2,1/0"],
+                 "--gammas: exact amount '1/0' has a zero denominator",
+                 id="argv0---gammas: exact amount '1/0' has a zero denominator"),
+    pytest.param(["interrupt", "--steps", "natural,abc"],
+                 "--steps: invalid literal for int() with base 10: 'abc'",
+                 id="argv1---steps: invalid literal for int() with base 10: 'abc'"),
+    pytest.param(["scalability", "--n-list", "2,x"],
+                 "--n-list: invalid literal for int() with base 10: 'x'",
+                 id="argv2---n-list: invalid literal for int() with base 10: 'x'"),
+    pytest.param(["scalability", "--m-list", "y"],
+                 "--m-list: invalid literal for int() with base 10: 'y'",
+                 id="argv3---m-list: invalid literal for int() with base 10: 'y'"),
 ])
 def test_bad_list_flag_item_names_its_flag(capsys, argv, message):
     assert main([*argv, "--trials", "1", "--out-dir", ""]) == 1
@@ -296,13 +307,22 @@ def test_scalability_refuses_a_grid_size_below_one_before_any_trial(
     assert captured.out == ""
 
 
+# Each row names its test explicitly, so rewording a refusal keeps the name: these
+# keep the ids pytest generated from them before, and a new row's id is its
+# command and flag, as "interrupt---steps".
 @pytest.mark.parametrize("argv, message", [
-    (["montecarlo", "--mechanisms", "taco,taco"], "the mechanism list holds taco twice"),
-    (["sweep-gamma", "--gammas", "9/10,0.9"], "the gamma list holds 9/10 twice"),
-    (["interrupt", "--steps", "natural,0"], "the interruption step list holds 0 twice"),
-    (["interrupt", "--steps", "5,5"], "the interruption step list holds 5 twice"),
-    (["scalability", "--n-list", "3,3"], "the n list holds 3 twice"),
-    (["scalability", "--m-list", "4,4"], "the m list holds 4 twice"),
+    pytest.param(["montecarlo", "--mechanisms", "taco,taco"], "the mechanism list holds taco twice",
+                 id="argv0-the mechanism list holds taco twice"),
+    pytest.param(["sweep-gamma", "--gammas", "9/10,0.9"], "the gamma list holds 9/10 twice",
+                 id="argv1-the gamma list holds 9/10 twice"),
+    pytest.param(["interrupt", "--steps", "natural,0"], "the interruption step list holds 0 twice",
+                 id="argv2-the interruption step list holds 0 twice"),
+    pytest.param(["interrupt", "--steps", "5,5"], "the interruption step list holds 5 twice",
+                 id="argv3-the interruption step list holds 5 twice"),
+    pytest.param(["scalability", "--n-list", "3,3"], "the n list holds 3 twice",
+                 id="argv4-the n list holds 3 twice"),
+    pytest.param(["scalability", "--m-list", "4,4"], "the m list holds 4 twice",
+                 id="argv5-the m list holds 4 twice"),
 ])
 def test_a_repeated_list_entry_is_refused_before_any_trial(monkeypatch, capsys, argv, message):
     # A repeated entry used to run its trials twice: three trials of
@@ -395,22 +415,41 @@ def test_montecarlo_rejects_unknown_backend_before_any_trial(tmp_path, capsys, w
     assert list(tmp_path.iterdir()) == []
 
 
+# Each row names its tests explicitly, so rewording a refusal keeps the names. The
+# rows below keep the ids pytest generated from them before; a new row's id is
+# its flag and value, as "--k-min-0".
 BAD_CAPS = [
-    ("--history-cap", "1", "history_cap must be at least 2, got 1"),
-    ("--max-steps", "0", "max_steps must be at least 1, got 0"),
-    ("--epsilon", "inf", "epsilon must be a positive finite real, got inf"),
-    ("--epsilon-rel", "nan", "epsilon_rel must be a positive finite real, got nan"),
-    ("--d0", "1/0", "exact amount '1/0' has a zero denominator"),
-    ("--m", "0", "m must be at least 1, got 0"),
-    ("--n", "0", "the waypoint scenario needs n >= 2, got n=0"),
-    ("--n", "8", "the waypoint scenario needs n <= 7, got n=8"),
-    ("--k-max", "inf", "k_max must be a positive finite real, got inf"),
-    ("--k-min", "0", "k_min must be a positive finite real, got 0.0"),
-    ("--b-max", "inf", "b_max must be a positive finite real, got inf"),
-    ("--b-min", "-1", "b_min must be a positive finite real, got -1.0"),
-    ("--separation", "inf", "separation must be a positive finite real, got inf"),
-    ("--separation", "0", "separation must be a positive finite real, got 0.0"),
-    ("--separation", "1e308", "separation must keep n * separation finite, got 4 * 1e+308"),
+    pytest.param("--history-cap", "1", "history_cap must be at least 2, got 1",
+                 id="--history-cap-1-history_cap must be at least 2, got 1"),
+    pytest.param("--max-steps", "0", "max_steps must be at least 1, got 0",
+                 id="--max-steps-0-max_steps must be at least 1, got 0"),
+    pytest.param("--epsilon", "inf", "epsilon must be a positive finite real, got inf",
+                 id="--epsilon-inf-epsilon must be a positive finite real, got inf"),
+    pytest.param("--epsilon-rel", "nan", "epsilon_rel must be a positive finite real, got nan",
+                 id="--epsilon-rel-nan-epsilon_rel must be a positive finite real, got nan"),
+    pytest.param("--d0", "1/0", "exact amount '1/0' has a zero denominator",
+                 id="--d0-1/0-exact amount '1/0' has a zero denominator"),
+    pytest.param("--m", "0", "m must be at least 1, got 0",
+                 id="--m-0-m must be at least 1, got 0"),
+    pytest.param("--n", "0", "the waypoint scenario needs n >= 2, got n=0",
+                 id="--n-0-the waypoint scenario needs n >= 2, got n=0"),
+    pytest.param("--n", "8", "the waypoint scenario needs n <= 7, got n=8",
+                 id="--n-8-the waypoint scenario needs n <= 7, got n=8"),
+    pytest.param("--k-max", "inf", "k_max must be a positive finite real, got inf",
+                 id="--k-max-inf-k_max must be a positive finite real, got inf"),
+    pytest.param("--k-min", "0", "k_min must be a positive finite real, got 0.0",
+                 id="--k-min-0-k_min must be a positive finite real, got 0.0"),
+    pytest.param("--b-max", "inf", "b_max must be a positive finite real, got inf",
+                 id="--b-max-inf-b_max must be a positive finite real, got inf"),
+    pytest.param("--b-min", "-1", "b_min must be a positive finite real, got -1.0",
+                 id="--b-min--1-b_min must be a positive finite real, got -1.0"),
+    pytest.param("--separation", "inf", "separation must be a positive finite real, got inf",
+                 id="--separation-inf-separation must be a positive finite real, got inf"),
+    pytest.param("--separation", "0", "separation must be a positive finite real, got 0.0",
+                 id="--separation-0-separation must be a positive finite real, got 0.0"),
+    pytest.param("--separation", "1e308",
+                 "separation must keep n * separation finite, got 4 * 1e+308",
+                 id="--separation-1e308-separation must keep n * separation finite, got 4 * 1e+308"),
 ]
 
 

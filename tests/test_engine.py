@@ -1328,3 +1328,43 @@ def test_truncate_keeps_the_turns_before_the_cut():
         assert log.expand(0, end + 1) == turns[:end]
         assert len(log.choices) + n * sum(r for _, r in log.runs) == end
         assert log.choices[-2 * n :] == turns[:end][-2 * n :]
+
+
+def _naive_turns(log: _fastpath.TurnLog) -> list[int]:
+    """Every turn of a log, expanded one turn at a time from its definition."""
+    turns, runs = [], dict(log.runs)
+    for k in range(len(log.choices) + 1):
+        for _ in range(runs.get(k, 0)):
+            turns += log.choices[k - log.n : k]
+        if k < len(log.choices):
+            turns.append(log.choices[k])
+    return turns
+
+
+@pytest.mark.parametrize("with_runs", [False, True], ids=["no_run", "runs"])
+def test_pieces_and_expand_match_a_turn_by_turn_expansion(with_runs):
+    # A log that holds no run is read as one slice, the general walk reads
+    # the runs: both give, for any lo..hi, the turns an expansion one turn
+    # at a time gives, with each piece's first turn and its repeats.
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        choices = [int(c) for c in rng.integers(0, 3, int(rng.integers(0, 5 * n)))]
+        runs = []
+        if with_runs and len(choices) >= n:
+            ks = sorted({int(k) for k in rng.integers(n, len(choices) + 1, 3)})
+            runs = [(k, int(rng.integers(1, 4))) for k in ks]
+        log = _fastpath.TurnLog(choices, runs, n)
+        turns = _naive_turns(log)
+        for lo, hi in [*rng.integers(-n, len(turns) + 2 * n + 1, (20, 2)), (0, len(turns))]:
+            # lo >= hi is empty, and the turns run from 0 to the end, not past it.
+            lo, hi = int(lo), int(hi)
+            want = turns[max(lo, 0) : max(hi, 0)]
+            assert log.expand(lo, hi) == want
+            got, at = [], max(lo, 0)
+            for first, seq, reps in log.pieces(lo, hi):
+                assert first == at and seq and reps >= 1
+                assert reps == 1 or len(seq) == n
+                got += seq * reps
+                at += len(seq) * reps
+            assert got == want

@@ -121,6 +121,46 @@ def test_a_built_record_cannot_change_and_a_changed_copy_is_checked(record, chan
         dataclasses.replace(record, **change)
 
 
+def _typed_fields(record):
+    return [(f.name, type(getattr(record, f.name)), getattr(record, f.name))
+            for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("scenario, epsilon", [
+    ("waypoint", None), ("random", None), ("random", 0.25), ("example2", 0.5),
+])
+def test_records_built_without_a_recheck_equal_checked_ones(monkeypatch, scenario, epsilon):
+    # ChoiceProblem.agents and each trial's TacoConfig skip their records'
+    # checks, as their values passed the same rules already: each must equal,
+    # field for field and type for type, the record the checks build, and be
+    # as frozen. Steps 0 and 5 reach run_taco and run_interrupted.
+    cfg = ExperimentConfig(scenario=scenario, n=3, m=4, trials=3, epsilon=epsilon,
+                           mechanisms=("taco",))
+    calls = []
+    for name in ("run_taco", "run_interrupted"):
+        def spy(config, agents, *rest, real=getattr(experiments, name), **kw):
+            calls.append((config, agents))
+            return real(config, agents, *rest, **kw)
+        monkeypatch.setattr(experiments, name, spy)
+    run_interrupt(cfg, [0, 5])
+    assert len(calls) == 6
+    for (config, agents), trial in zip(calls, [0, 1, 2] * 2):
+        problem, eps = make_instance(cfg, _rng.Stream((cfg.base_seed, trial, 0)))
+        checked = [AgentPrivate(index=i, valuation=b_i, cost_row=row)
+                   for i, (b_i, row) in enumerate(zip(problem.valuations, problem.rows))]
+        assert list(map(_typed_fields, agents)) == list(map(_typed_fields, checked))
+        assert agents == checked == problem.agents()
+        want = TacoConfig(epsilon=eps, d0=cfg.d0, gamma=cfg.gamma,
+                          max_steps=cfg.max_steps, history_cap=cfg.history_cap)
+        assert _typed_fields(config) == _typed_fields(want)
+        assert config == want and repr(config) == repr(want)
+        for record in (config, agents[0]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.index = 1
+    with pytest.raises(ValueError, match="^epsilon must be a positive finite real, got 0$"):
+        dataclasses.replace(calls[0][0], epsilon=0)
+
+
 def test_config_lines_defaults():
     lines = config_lines(ExperimentConfig())
     assert "d0 = 1/50" in lines

@@ -231,12 +231,17 @@ def test_cycle_checks_match_numpy_on_reproducer(monkeypatch, backend):
                         assert check_termination(cyc, eps) == ref.check_termination(cyc, eps)
             engine._check_cycle_structure(cyc, n)
             assert ref.cycle_structure_ok(cyc, n)
-            first = list(cyc.choice_counts[0])
-            first[sorted(active)[0]] += 1
-            bad = dataclasses.replace(cyc, choice_counts=(tuple(first), *cyc.choice_counts[1:]))
-            assert not ref.cycle_structure_ok(bad, n)
-            with pytest.raises(AssertionError):
-                engine._check_cycle_structure(bad, n)
+            # One agent's counts off, the first's or the last's: the check
+            # compares the rows pairwise, so both ends are pinned.
+            for who in (0, n - 1):
+                counts = list(cyc.choice_counts)
+                row = list(counts[who])
+                row[sorted(active)[0]] += 1
+                counts[who] = tuple(row)
+                bad = dataclasses.replace(cyc, choice_counts=tuple(counts))
+                assert not ref.cycle_structure_ok(bad, n)
+                with pytest.raises(AssertionError):
+                    engine._check_cycle_structure(bad, n)
     assert cycles > 1000
     assert len(repeats) >= cycles
     for first, more, t, log, players, choices, m, s in repeats:

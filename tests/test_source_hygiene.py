@@ -1,8 +1,9 @@
 """Source hygiene of the package, with the standard library alone: every
 imported name is used, every top-level function and class is read somewhere
 in the package or exported, every module parses at the oldest Python
-that ``pyproject.toml`` supports, and only ``board`` words or hand-codes the
-positive finite real rule."""
+that ``pyproject.toml`` supports, only ``board`` words or hand-codes the
+positive finite real rule, and only the two places that hold checked values
+build a record without its checks."""
 
 import ast
 import re
@@ -77,6 +78,26 @@ def _positive_rule_copies(tree: ast.Module) -> list[str]:
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
+def _prechecked_readers(trees: dict[str, ast.Module]) -> set[str]:
+    """The functions, as ``module.Class.function``, that read ``board._prechecked``
+    by name or attribute; a read at module level is named by the module alone."""
+    found = set()
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == "_prechecked"
+                    or isinstance(child, ast.Attribute) and child.attr == "_prechecked"):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for module, tree in trees.items():
+        visit(tree, [module])
+    return found
+
+
 def test_the_scan_sees_the_package_and_its_floor():
     assert len(MODULES) > 10
     assert _floor() == (3, 10)
@@ -123,3 +144,18 @@ def test_a_dead_definition_is_found():
         "b": ast.parse("from a import used\nimport a\nprint(a._attr)\nclass Dead: pass\n"),
     }
     assert _dead_definitions(trees, {"Kept"}) == ["a.dead (line 2)", "b.Dead (line 4)"]
+
+
+def test_only_holders_of_checked_values_build_a_record_without_its_checks():
+    # board._prechecked skips a record's own checks; its values must come from
+    # a record that applied the same rules, never from outside input.
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    assert _prechecked_readers(trees) == {"baselines.ChoiceProblem.agents",
+                                          "experiments._run_point"}
+
+
+def test_a_reader_of_the_unchecked_builder_is_found():
+    tree = ast.parse("from .board import _prechecked\nclass P:\n    def agents(self):\n"
+                     "        return _prechecked(A)\ndef load(x):\n    return board._prechecked(T)\n"
+                     "make = _prechecked\n")
+    assert _prechecked_readers({"m": tree}) == {"m.P.agents", "m.load", "m"}
