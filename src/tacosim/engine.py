@@ -439,10 +439,13 @@ def apply_selection(board: _LatticeBoard, agent: int, choice: int) -> None:
 
 
 def reduce_trading_unit(board: _LatticeBoard) -> None:
-    """Shrink the trading unit by gamma: refine the lattice by q."""
+    """Shrink the trading unit by gamma: refine the lattice by q, in place; only
+    the columns that hold an offer are visited, any other cell is zero."""
     q = board.q
-    board.offers = [v * q for v in board.offers]
-    board.pays = [[v * q for v in row] for row in board.pays]
+    cols = list(compress(range(board.m), board.offers))
+    for row in (board.offers, *board.pays):
+        for j in cols:
+            row[j] *= q
     board.pk *= board.p
     board.unit_den *= q
     board.epoch += 1

@@ -69,7 +69,7 @@ def effective_costs(
     raw = problem.col(outcome.consensus_choice)
     if mode == "raw":
         return raw
-    if mode == "settled":  # each settlement's float, its numerator / its denominator
+    if mode == "settled":  # float(p)'s bits, without Rational.__float__'s int() calls
         b, settlements = problem.valuations, outcome.settlements
         return tuple([c - b_i * (p.numerator / p.denominator)
                       for c, b_i, p in zip(raw, b, settlements)])

@@ -446,6 +446,42 @@ def test_lattice_board_matches_fraction_board():
     assert board.selections == ref.selections
 
 
+def test_sparse_lattice_visits_match_every_cell():
+    # anchors, _advance_board and reduce_trading_unit visit only the columns
+    # that hold an offer. With few columns chosen per window, as in a default
+    # sweep, every cell must still be what a pass over all cells gives: the
+    # same ints, the same floats, and a zero of the right type elsewhere.
+    rng = np.random.default_rng(36)
+    n, m = 4, 24
+    d0, gamma = Fraction(1, 50), Fraction(9, 10)
+    lattice = engine._LatticeBoard(n, m, d0, gamma)
+    ref = new_board(n, m, d0)
+    for _ in range(30):
+        cols = rng.choice(m, int(rng.integers(0, 4)), replace=False)
+        selcount = np.zeros((n, m), dtype=np.int64)
+        selcount[:, cols] = rng.integers(0, 3, (n, len(cols)))
+        engine._advance_board(lattice, selcount.tolist(), int(selcount.sum()))
+        for (i, j), count in np.ndenumerate(selcount):
+            for _ in range(count):
+                apply_selection(ref, i, j)
+        a, den = lattice.a, lattice.unit_den
+        dense = [[a * (o - p) for o, p in zip(lattice.offers, row)] for row in lattice.pays]
+        net0, unit, _ = lattice.anchors(True)
+        net0f, dval, _ = lattice.anchors(False)
+        assert net0 == dense and all(type(x) is int for row in net0 for x in row)
+        assert net0f == [[x / den for x in row] for row in dense]
+        assert all(type(x) is float for row in net0f for x in row)
+        assert (unit, dval) == (a * lattice.pk, a * lattice.pk / den)
+        assert np.array(net0f).tobytes() == ref.net_float().tobytes()
+        offers, pays = lattice.offers[:], [row[:] for row in lattice.pays]
+        engine.reduce_trading_unit(lattice)
+        reduce_trading_unit(ref, gamma)
+        assert lattice.offers == [v * gamma.denominator for v in offers]
+        assert lattice.pays == [[v * gamma.denominator for v in row] for row in pays]
+    board = lattice.to_board(ref.selections)
+    assert (board.offers, board.pays, board.d) == (ref.offers, ref.pays, ref.d)
+
+
 def test_long_window_engine_parity():
     config = TacoConfig(epsilon=1e-6, d0="1/500", gamma="9/10")
     problem = example2_fixture()
