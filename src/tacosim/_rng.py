@@ -174,9 +174,9 @@ class Stream:
         """low + span * u for uniform doubles u, one per 64-bit output."""
         if size is None:
             return low + span * ((self._next64(1)[0] >> 11) * _DOUBLE)
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        flat = [low + span * ((u >> 11) * _DOUBLE) for u in self._next64(math.prod(shape))]
-        return _shaped(flat, shape)
+        count = size if isinstance(size, int) else math.prod(size)
+        flat = [low + span * ((u >> 11) * _DOUBLE) for u in self._next64(count)]
+        return flat if isinstance(size, int) else _shaped(flat, tuple(size))
 
     def random(self, size=None):
         """Uniform floats in [0, 1)."""

@@ -12,7 +12,6 @@ draws, without per-call array dispatch.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections.abc import Sequence
 
@@ -74,10 +73,7 @@ class ChoiceProblem:
         self.n, self.m, self.option_labels = n, m, option_labels
         self.rows = floats(C, "C", (n, m))
         self.valuations = floats(b, "b", (n,), positive=True)
-        sums = [0.0] * m
-        for row in self.rows:
-            sums = list(map(operator.add, sums, row))
-        self.col_sums = tuple(sums)
+        self.col_sums = _col_sums(self.rows, m)
         if option_labels is not None and len(option_labels) != m:
             raise ValueError("option_labels length must equal m")
 
@@ -85,17 +81,27 @@ class ChoiceProblem:
         """Option j's costs, one per agent."""
         return tuple([row[j] for row in self.rows])
 
-    @functools.cached_property
-    def _utilitarian(self) -> tuple[int, float]:
+    @property
+    def _utilitarian(self) -> tuple[int, float]:  # kept by hand: cached_property locks
         """The cheapest option in total (lowest index on ties) and that total."""
-        util = self.col_sums.index(min(self.col_sums))
-        return util, _sum(self.col(util))
+        if "_util" not in self.__dict__:
+            util = self.col_sums.index(min(self.col_sums))
+            self.__dict__["_util"] = util, _sum(self.col(util))
+        return self.__dict__["_util"]
 
     def agents(self) -> list[AgentPrivate]:
         """Split the instance into per-agent private views for the auction; ``floats``
         checked each row and valuation by ``AgentPrivate``'s rules."""
         return [_prechecked(AgentPrivate, index=i, valuation=b_i, cost_row=row)
                 for i, (b_i, row) in enumerate(zip(self.valuations, self.rows))]
+
+
+def _col_sums(rows: tuple[tuple[float, ...], ...], m: int) -> tuple[float, ...]:
+    """numpy's ``C.sum(axis=0)``: each column's entries added row by row from 0.0."""
+    sums = [0.0] * m
+    for row in rows:
+        sums = list(map(operator.add, sums, row))
+    return tuple(sums)
 
 
 def voting(problem: ChoiceProblem, rng) -> int:
@@ -108,9 +114,9 @@ def voting(problem: ChoiceProblem, rng) -> int:
     for row in problem.rows:
         votes[row.index(min(row))] += 1
     top = max(votes)
+    if votes.count(top) == 1:
+        return votes.index(top)
     winners = [j for j, v in enumerate(votes) if v == top]
-    if len(winners) == 1:
-        return winners[0]
     return winners[int(rng.integers(len(winners)))]
 
 

@@ -14,8 +14,8 @@ refused at the first fault as ``C has shape (2, 3), expected (2, 2)`` (numpy's s
 ``shape_of``) or ``b[1] = 0.0, expected a positive finite real``.
 ``permutation`` checks an order, ``whole`` a count, and ``positive_float`` every
 tolerance, scale, range bound and valuation that a record holds as a float.
-``_prechecked`` builds a record from values another record checked by the same
-rules, for ``ChoiceProblem.agents`` and ``experiments._run_point`` alone.
+``_prechecked`` builds a record from values checked by its own rules, for
+``ChoiceProblem.agents``, ``experiments._run_point`` and ``scenario.enumerate_options``.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def _row(values) -> tuple[float, ...]:
 
 
 def _prechecked(cls, **fields):
-    """A frozen ``cls`` record of ``fields`` that another record already checked by
-    ``cls``'s own rules; its ``__post_init__`` does not run them again."""
+    """A ``cls`` record of ``fields`` that were already checked by ``cls``'s own rules;
+    neither its ``__init__`` nor its ``__post_init__`` runs them again."""
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record

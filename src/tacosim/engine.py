@@ -47,7 +47,7 @@ import functools
 import operator
 import os
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
@@ -233,8 +233,10 @@ class TacoOutcome:
 
     @functools.cached_property
     def final_board(self) -> PublicBoard:
-        """The board as the run left it, exact."""
-        return self._lattice.to_board(self.final_selections)
+        """The board as the run left it, exact: a natural end's last reduction moves no
+        offer or pay, so the lattice skips it, and only d and the epoch show it."""
+        board = self._lattice.to_board(self.final_selections)
+        return replace(board, d=self.final_d, epoch=self.cycles_detected)
 
 
 def run_taco(
@@ -358,10 +360,10 @@ def _run(config, agents, interrupt_step, backend):
         )
         _check_cycle_structure(cyc, n)
         cycles.append(cyc)
-        reduce_trading_unit(lattice)
         if check_termination(cyc, config.epsilon):
             terminated = True
             break
+        reduce_trading_unit(lattice)  # a natural end skips it (see TacoOutcome.final_board)
         apply_selection(lattice, order[(steps - 1) % n], win.tail[-1])
     return _finish(config, lattice, selections, trace, cycles, terminated, interrupt_step)
 
@@ -481,13 +483,6 @@ def _check_cycle_structure(cyc: CycleRecord, n: int) -> None:
         raise AssertionError("cycle choice counts differ across agents")
 
 
-def _mode_lowest(values: list[int]) -> int:
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-
-
 def _finish(config, lattice, selections, trace, cycles, terminated, interrupt_step):
     steps = len(trace)
     if not terminated:
@@ -497,14 +492,14 @@ def _finish(config, lattice, selections, trace, cycles, terminated, interrupt_st
                 f"no termination within max_steps={config.max_steps}", steps, trace
             )
     voted = [s for s in selections if s is not None]
-    consensus = _mode_lowest(voted)
+    consensus = max(sorted(set(voted)), key=voted.count)  # the mode, lowest on ties
     return TacoOutcome(
         consensus_choice=consensus,
         settlements=settle(lattice, consensus),
         steps=steps,
         rounds=-(-steps // lattice.n),
         cycles_detected=len(cycles),
-        final_d=lattice.d,
+        final_d=cycles[-1].d_at_detection * config.gamma if terminated else lattice.d,
         trace=trace,
         terminated_naturally=terminated,
         cycle_records=cycles,

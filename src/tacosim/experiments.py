@@ -22,7 +22,6 @@ draws.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,34 +153,35 @@ def make_instance(cfg: ExperimentConfig, rng, trial: int | None = None):
     return problem, eps
 
 
-# A config's gamma and d0 cells: one string per value, shared by its records.
-_text = functools.lru_cache(maxsize=64, typed=True)(str)
-
-
 _BATCH = 32  # points whose seed paths one _rng.seed_words_many call hashes
 
 
 def _run_chunk(points: list[_Point]) -> list[tuple]:
-    """The points' records, in order, seeding _BATCH points at a time; the points
-    share their sweep's backend, resolved (TACO_BACKEND read) once."""
+    """The points' records, in order, seeding _BATCH points at a time; the points share
+    their sweep's backend, resolved (TACO_BACKEND read) once, and a config's gamma and
+    d0 cells are formatted once per run of points that share it."""
     backend = resolve_backend(points[0].cfg.backend) if points else None
     records = []
+    cfg = gamma_d0 = None
     for at in range(0, len(points), _BATCH):
         batch = points[at : at + _BATCH]
         paths = [p.seed_path + k for p in batch for k in ((0,), (1,), (2,), ())]
         words = _rng.seed_words_many(paths, 8)
         for i, point in enumerate(batch):
-            records += _run_point(point, words[4 * i : 4 * i + 4], backend)
+            if point.cfg is not cfg:
+                cfg = point.cfg
+                gamma_d0 = str(cfg.gamma), str(cfg.d0)
+            records += _run_point(point, words[4 * i : 4 * i + 4], backend, gamma_d0)
     return records
 
 
-def _run_point(point: _Point, words: list[list[int]], backend: str) -> list[tuple]:
+def _run_point(point: _Point, words: list[list[int]], backend: str, gamma_d0) -> list[tuple]:
     """A point's records, from the seed words of path + (0,), (1,), (2,) and of path."""
     cfg = point.cfg
     problem, eps = make_instance(cfg, _rng.Stream(words=words[0]), point.trial)
     n = problem.n
     seed = words[3][0]
-    instance = (n, problem.m, _text(cfg.gamma), eps, _text(cfg.d0))
+    instance = (n, problem.m, gamma_d0[0], eps, gamma_d0[1])
     tail = (point.interrupt_step,)
     # A baseline's cells depend on its column only.
     baseline_cells: dict[int, tuple] = {}

@@ -42,11 +42,11 @@ def gini(costs) -> float:
     costs (settled costs can dip negative, in which case the usual [0, 1-1/n]
     range no longer applies).
     """
-    return _gini(floats(costs, "costs", (None,)))
+    c = floats(costs, "costs", (None,))
+    return _gini(c, _sum(c))
 
 
-def _gini(c: list[float]) -> float:
-    total = _sum(c)
+def _gini(c: tuple[float, ...], total: float) -> float:
     if not total > 0:
         raise MetricUndefinedError(
             f"gini undefined: total cost must be positive, got {total}"
@@ -207,10 +207,10 @@ def _spread_ratio(outcome: TacoOutcome, b: tuple[float, ...]) -> float:
     n = len(b)
     worst = 0.0
     for cyc in outcome.cycle_records:
-        p = len(cyc.active_choices)
-        d = float(cyc.d_at_detection)
-        for i, spread in enumerate(cyc.spreads):
-            bound = (p + 1) * d * (n - 1) * b[i]
+        d = cyc.d_at_detection  # float(d)'s bits, without Rational.__float__'s int() calls
+        scale = (len(cyc.active_choices) + 1) * (d.numerator / d.denominator) * (n - 1)
+        for b_i, spread in zip(b, cyc.spreads):
+            bound = scale * b_i
             if bound == 0.0:
                 if spread > 0.0:
                     return math.inf
@@ -251,9 +251,9 @@ def _nan_safe(metric, *args) -> float:
 
 def taco_trial_result(problem: ChoiceProblem, outcome: TacoOutcome) -> TrialResult:
     """TACo's row of a trial; the problem's valuations were checked when it was built."""
-    util_total = problem._utilitarian[1]
-    raw = effective_costs(problem, outcome, "raw")
     settled = effective_costs(problem, outcome, "settled")
+    raw = problem.col(outcome.consensus_choice)
+    util_total, raw_total, settled_total = problem._utilitarian[1], _sum(raw), _sum(settled)
     return TrialResult(
         mechanism="taco",
         chosen_option=outcome.consensus_choice,
@@ -262,18 +262,18 @@ def taco_trial_result(problem: ChoiceProblem, outcome: TacoOutcome) -> TrialResu
         steps=outcome.steps,
         rounds=outcome.rounds,
         cycles_detected=outcome.cycles_detected,
-        og_raw=_nan_safe(_gap, _sum(raw), util_total),
-        og_settled=_nan_safe(_gap, _sum(settled), util_total),
-        gini_raw=_nan_safe(_gini, raw),
-        gini_settled=_nan_safe(_gini, settled),
+        og_raw=_nan_safe(_gap, raw_total, util_total),
+        og_settled=_nan_safe(_gap, settled_total, util_total),
+        gini_raw=_nan_safe(_gini, raw, raw_total),
+        gini_settled=_nan_safe(_gini, settled, settled_total),
         max_cycle_spread_ratio=_spread_ratio(outcome, problem.valuations),
     )
 
 
 def baseline_trial_result(problem: ChoiceProblem, mechanism: str, choice: int) -> TrialResult:
     raw = problem.col(choice)
-    og = _nan_safe(_gap, _sum(raw), problem._utilitarian[1])
-    gi = _nan_safe(_gini, raw)
+    total = _sum(raw)
+    og, gi = _nan_safe(_gap, total, problem._utilitarian[1]), _nan_safe(_gini, raw, total)
     return TrialResult(
         mechanism=mechanism,
         chosen_option=int(choice),

@@ -16,8 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .baselines import ChoiceProblem
-from .board import floats, permutation, positive_float, whole
+from .baselines import ChoiceProblem, _col_sums
+from .board import _prechecked, floats, permutation, positive_float, whole
 from .errors import ResourceLimitError
 
 MAX_AGENTS = 7  # n! orderings: 5040 options at the cap, 40320 above it
@@ -53,33 +53,17 @@ def pava(targets, weights) -> tuple[float, ...]:
     one float per target. Merged blocks take the weighted mean of their targets.
     """
     t = floats(targets, "targets", (None,))
-    w = floats(weights, "weights", (len(t),), positive=True)
-    stack = None
-    for ti, wi in zip(t, w):
-        stack = _pool(stack, ti, wi)
-    return tuple(_block_values(stack))
-
-
-def _pool(stack, target: float, weight: float):
-    """Push a target onto a PAVA stack of (mean, weight, size, below) blocks,
-    pooling adjacent violators; the stack it extends is never mutated."""
-    mean, wsum, size = target, weight, 1
-    while stack is not None and stack[0] > mean:
-        below_mean, below_w, below_size, stack = stack
-        wm = below_w + wsum
-        mean = (below_mean * below_w + mean * wsum) / wm
-        wsum = wm
-        size += below_size
-    return (mean, wsum, size, stack)
-
-
-def _block_values(stack) -> list[float]:
-    """Per-position fitted values of a block stack, first position first."""
-    blocks = []
-    while stack is not None:
-        blocks.append(stack)
-        stack = stack[3]
-    return [mean for mean, _, size, _ in reversed(blocks) for _ in range(size)]
+    blocks = []  # (mean, weight, size), the last block on top
+    for mean, wsum in zip(t, floats(weights, "weights", (len(t),), positive=True)):
+        size = 1
+        while blocks and blocks[-1][0] > mean:
+            below_mean, below_w, below_size = blocks.pop()
+            wm = below_w + wsum
+            mean = (below_mean * below_w + mean * wsum) / wm
+            wsum = wm
+            size += below_size
+        blocks.append((mean, wsum, size))
+    return tuple(mean for mean, _, size in blocks for _ in range(size))
 
 
 def solve_ordering(scenario: WaypointScenario, order) -> tuple[float, ...]:
@@ -103,13 +87,15 @@ def solve_ordering(scenario: WaypointScenario, order) -> tuple[float, ...]:
 
 @functools.cache
 def _orderings(n: int) -> tuple[tuple, tuple[str, ...]]:
-    """Lexicographic orderings of n agents, each with the length of the prefix
-    it shares with the one before it, and their option labels."""
+    """Lexicographic orderings of n agents as the walk reads them, and their labels: the
+    length of the prefix each shares with the one before it, then its (position, agent)
+    pairs past that prefix, and all of them, last position first."""
     orders = list(itertools.permutations(range(n)))
     depths = [0] + [next(t for t in range(n) if prev[t] != cur[t])
                     for prev, cur in zip(orders, orders[1:])]
-    labels = tuple("order(" + ",".join(map(str, order)) + ")" for order in orders)
-    return tuple(zip(orders, depths)), labels
+    walk = tuple((d, tuple(enumerate(o))[d:], tuple(enumerate(o))[::-1])
+                 for o, d in zip(orders, depths))
+    return walk, tuple("order(" + ",".join(map(str, order)) + ")" for order in orders)
 
 
 def enumerate_options(scenario: WaypointScenario, b) -> ChoiceProblem:
@@ -128,22 +114,35 @@ def enumerate_options(scenario: WaypointScenario, b) -> ChoiceProblem:
     e, k = scenario.e, scenario.k
     shift = [t * scenario.D for t in range(n)]
     walk, labels = _orderings(n)
-    rows = [[0.0] * len(labels) for _ in range(n)]
-    stacks = [None] * (n + 1)  # stacks[t]: pooled blocks of the first t positions
-    for col, (order, depth) in enumerate(walk):
+    m = len(labels)
+    cols, stacks = [], [None] * (n + 1)  # stacks[t]: pooled blocks of the first t positions
+    for depth, pushes, back in walk:
         stack = stacks[depth]
-        for t in range(depth, n):
-            i = order[t]
-            stack = stacks[t + 1] = _pool(stack, e[i] - shift[t], k[i])
+        for t, i in pushes:  # push, pooling adjacent violators; no stack is mutated
+            mean, wsum, size = e[i] - shift[t], k[i], 1
+            while stack is not None and stack[0] > mean:
+                below_mean, below_w, below_size, stack = stack
+                wm = below_w + wsum
+                mean = (below_mean * below_w + mean * wsum) / wm
+                wsum = wm
+                size += below_size
+            stack = stacks[t + 1] = (mean, wsum, size, stack)
         # Each block holds its positions' fitted value: walk them last first.
-        t = n
-        while stack is not None:
-            v, _, size, stack = stack
-            for t in range(t - 1, t - 1 - size, -1):
-                i = order[t]
-                x = (v + shift[t]) - e[i]
-                rows[i][col] = k[i] * (x * x)
-    return ChoiceProblem(n=n, m=len(labels), C=rows, b=b, option_labels=list(labels))
+        col, size = [0.0] * n, 0
+        for t, i in back:
+            if not size:
+                v, _, size, stack = stack
+            size -= 1
+            x = (v + shift[t]) - e[i]
+            col[i] = k[i] * (x * x)
+        cols.append(col)
+    rows = tuple(zip(*cols))
+    # The rows are floats of a checked scenario, so only k*x*x overflowing is left to
+    # refuse; a column's sum is finite only if each of its entries is.
+    if all(map(math.isfinite, sums := _col_sums(rows, m))):
+        return _prechecked(ChoiceProblem, n=n, m=m, option_labels=list(labels), rows=rows,
+                           valuations=floats(b, "b", (n,), positive=True), col_sums=sums)
+    return ChoiceProblem(n=n, m=m, C=rows, b=b, option_labels=list(labels))
 
 
 def random_problem(n: int, m: int, rng) -> ChoiceProblem:
@@ -178,7 +177,7 @@ def random_waypoint_problem(
     if n < 2:
         raise ValueError(f"a waypoint instance needs n >= 2 agents, got n={n}")
     while True:
-        # WaypointScenario and ChoiceProblem take the draws as floats once.
+        # WaypointScenario and enumerate_options take the draws as floats once.
         e = rng.uniform(0.0, n * D, size=n)
         k = rng.uniform(k_range[0], k_range[1], size=n)
         b = rng.uniform(b_range[0], b_range[1], size=n)

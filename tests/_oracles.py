@@ -113,6 +113,21 @@ def solve_ordering(scenario, order) -> np.ndarray:
     return x
 
 
+def solve_orderings(scenario) -> np.ndarray:
+    """solve_ordering of every ordering, in lexicographic order, as the rows of an
+    (n!, n) array: the targets, weights and adjustments of all orderings are
+    array operations at once, and pava solves each ordering's lists."""
+    n = scenario.n
+    idx = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    e, k = np.array(scenario.e), np.array(scenario.k)
+    shift = np.arange(n, dtype=np.float64) * scenario.D
+    targets, weights = (e[idx] - shift).tolist(), k[idx].tolist()
+    v = np.array([pava(t, w) for t, w in zip(targets, weights)]).reshape(idx.shape)
+    x = np.empty(idx.shape)
+    np.put_along_axis(x, idx, v + shift - e[idx], axis=1)
+    return x
+
+
 def brute_isotonic(targets, weights) -> tuple[np.ndarray, float]:
     """Nondecreasing minimizer of sum w_t*(v_t - targets_t)**2 by exhaustion.
 

@@ -25,6 +25,7 @@ from tacosim.engine import TacoConfig, check_termination, run_interrupted, run_t
 from tacosim.errors import MetricUndefinedError
 from tacosim.experiments import ExperimentConfig, make_instance, run_interrupt, run_scalability
 from tacosim.report import summarize, write_csv
+from tacosim.scenario import WaypointScenario
 
 
 def _bits(x) -> str:
@@ -323,3 +324,19 @@ def test_termination_bound_takes_exact_inputs_beyond_any_float():
     assert metrics.termination_bound(2, 2, "9/10", 10**400, 1, 1.2).cycle_count == 0
     got = metrics.termination_bound(2, 2, "9/10", 0.1, 1, huge).cycle_count
     assert got == ref.termination_count(2, 2, "9/10", 0.1, 1, huge)
+
+
+def test_all_orderings_at_once_match_one_ordering_at_a_time():
+    # ref.solve_orderings forms every ordering's targets as one array; each row
+    # must be ref.solve_ordering's bytes for that ordering.
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            D = float(rng.choice([0.7, 1.0, 1.3]))
+            scenario = WaypointScenario(
+                e=rng.uniform(0.0, n * D, size=n), k=rng.uniform(0.5, 2.0, size=n), D=D
+            )
+            X = ref.solve_orderings(scenario)
+            assert X.shape == (math.factorial(n), n)
+            for perm, x in zip(itertools.permutations(range(n)), X):
+                assert x.tobytes() == ref.solve_ordering(scenario, perm).tobytes(), (n, perm)

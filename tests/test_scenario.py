@@ -10,6 +10,7 @@ import pytest
 import _oracles as ref
 from _oracles import C_of, b_of, brute_isotonic, brute_ordering
 from tacosim._rng import Stream
+from tacosim.baselines import ChoiceProblem
 from tacosim.errors import ResourceLimitError
 from tacosim.scenario import (
     WaypointScenario,
@@ -208,7 +209,7 @@ def test_enumerate_options_lexicographic():
 
 def test_enumerate_options_bytes_match_solve_ordering():
     # The prefix-sharing walk and solve_ordering must both reproduce the array
-    # reference's per-ordering solve bit for bit (the reference shares no
+    # reference's solve of every ordering bit for bit (the reference shares no
     # pooling code with them), and the rows, read in row-major order as a
     # C-contiguous array, must give C.mean()'s summation order (the montecarlo
     # epsilon column is epsilon_rel * C.mean()). The last instances have
@@ -221,18 +222,61 @@ def test_enumerate_options_bytes_match_solve_ordering():
             e=rng.uniform(0.0, n * D, size=n), k=rng.uniform(0.5, 2.0, size=n), D=D
         )
         problem = enumerate_options(scenario, b=np.ones(n))
-        k = np.array(scenario.k)
-        columns = []
-        for perm in itertools.permutations(range(n)):
-            x = ref.solve_ordering(scenario, perm)
+        X = ref.solve_orderings(scenario)
+        for perm, x in zip(itertools.permutations(range(n)), X):
             assert np.array(solve_ordering(scenario, perm)).tobytes() == x.tobytes(), (trial, perm)
-            columns.append(k * x**2)
+        columns = list(np.array(scenario.k) * X**2)
         C = C_of(problem)
         assert C.flags.c_contiguous
         assert C.shape == (n, len(columns))
         for j, column in enumerate(columns):
             assert C[:, j].tobytes() == column.tobytes(), (trial, j)
         assert C.mean().tobytes() == np.column_stack(columns).mean().tobytes()
+
+
+def _same(a, b):
+    """a and b are equal and of one type, element for element; floats compared by bits."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, (tuple, list)):
+        assert len(a) == len(b), (a, b)
+        for x, y in zip(a, b):
+            _same(x, y)
+    elif isinstance(a, float):
+        assert a.hex() == b.hex(), (a, b)
+    else:
+        assert a == b, (a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enumerate_options_equals_the_checked_problem(n):
+    # enumerate_options holds its own rows without reading them again through
+    # floats; the problem must be the one ChoiceProblem's checks build from the
+    # same rows and valuations, field for field and type for type.
+    draws = [np.random.default_rng(n), Stream((11, n))]
+    for rng in draws * (2 if n == 7 else 4):
+        e = rng.uniform(0.0, n * 1.3, size=n)
+        k = rng.uniform(0.5, 2.0, size=n)
+        b = rng.uniform(0.5, 1.5, size=n)
+        fast = enumerate_options(WaypointScenario(e=e, k=k, D=1.3), b)
+        checked = ChoiceProblem(
+            n=fast.n, m=fast.m, C=fast.rows, b=b, option_labels=list(fast.option_labels)
+        )
+        assert vars(fast).keys() == vars(checked).keys()
+        for field in vars(checked):
+            _same(getattr(fast, field), getattr(checked, field))
+        _same(fast._utilitarian, checked._utilitarian)
+
+
+def test_enumerate_options_refuses_a_cost_that_overflows():
+    # k * x * x overflows to inf at an extreme separation; the refusal reads as
+    # ChoiceProblem's check words it, and a bad valuation is still named.
+    scenario = WaypointScenario(e=[0.0, 0.0, 1.0], k=[1.0, 1.0, 2.0], D=1e200)
+    with pytest.raises(ValueError) as err:
+        enumerate_options(scenario, [1.0, 1.0, 1.0])
+    assert str(err.value) == "C[0][0] = inf, expected a finite real"
+    with pytest.raises(ValueError) as err:
+        enumerate_options(WaypointScenario(e=[0.0, 0.0], k=[1.0, 1.0], D=1.0), [1.0, 0.0])
+    assert str(err.value) == "b[1] = 0.0, expected a positive finite real"
 
 
 def test_enumerate_options_agent_cap():

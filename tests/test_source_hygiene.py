@@ -149,9 +149,12 @@ def test_a_dead_definition_is_found():
 def test_only_holders_of_checked_values_build_a_record_without_its_checks():
     # board._prechecked skips a record's own checks; its values must come from
     # a record that applied the same rules, never from outside input.
+    # scenario.enumerate_options: its rows are floats computed from a checked
+    # WaypointScenario, guarded by a finite pass; its valuations go through floats.
     trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
     assert _prechecked_readers(trees) == {"baselines.ChoiceProblem.agents",
-                                          "experiments._run_point"}
+                                          "experiments._run_point",
+                                          "scenario.enumerate_options"}
 
 
 def test_a_reader_of_the_unchecked_builder_is_found():
